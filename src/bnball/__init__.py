@@ -11,11 +11,9 @@ from .bubble import Bubble, DimensionalConstants, bubble_eval, constants, lambda
 from .model import (
     ConfigError,
     Error,
-    Exponents,
     FileIOError,
     NodalFeatures,
     Params,
-    derive_exponents,
 )
 from .ode import RadialProfile, integrate
 from .shooting import (
@@ -23,10 +21,9 @@ from .shooting import (
     SweepPoint,
     continuation_sweep,
     solve_nodal,
-    zero_landscape,
 )
-from .diagnostics import RadialNorms, Residuals, certify, energy, radial_norms
-from .green import green_at_center, green_gradient_at_center, green_profile, green_value
+from .diagnostics import RadialNorms, Residuals, certify, radial_norms
+from .green import green_at_center, green_gradient_at_center
 from .transforms import (
     AbsorbedProfile,
     ScalingMap,
@@ -58,7 +55,6 @@ __all__ = [
     "ConfigError",
     "DimensionalConstants",
     "Error",
-    "Exponents",
     "FileIOError",
     "NodalFeatures",
     "Params",
@@ -79,13 +75,9 @@ __all__ = [
     "constants",
     "continuation_sweep",
     "delta_of_epsilon",
-    "derive_exponents",
-    "energy",
     "green_at_center",
     "green_gradient_at_center",
-    "green_profile",
     "green_profile_gaps",
-    "green_value",
     "integrate",
     "lambda_1",
     "lambda_absorb",
@@ -100,6 +92,5 @@ __all__ = [
     "rescale_profile",
     "rescaled_envelope_violation",
     "solve_nodal",
-    "zero_landscape",
     "__version__",
 ]

@@ -275,15 +275,6 @@ def annulus_envelope_violation(solution, epsilon: float | None = None) -> Annulu
     )
 
 
-def node_flux_ratio(solution) -> float:
-    """|u'(r_lambda)| r_lambda^{n-1} / r_lambda^{(n-2)/2} = |u'(r_lambda)| r_lambda^{n/2}.
-
-    Bounded across a sweep; no per-lambda constant is claimed.
-    """
-    _, params, f = _need_features(solution)
-    return abs(f.du_node) * f.r_lambda ** (params.n / 2.0)
-
-
 def green_profile_gaps(
     solution,
     annulus: tuple[float, float] = (0.2, 0.8),
@@ -320,13 +311,12 @@ def green_profile_gaps(
     return float(np.max(np.abs(u - gref))), float(np.max(np.abs(du - dgref)))
 
 
-def build_record(
-    solution,
-    *,
-    annulus: tuple[float, float] = (0.2, 0.8),
-    bubble_samples: int = 801,
-) -> SweepRecord:
-    """Assemble the per-lambda scalar record from one accepted solution."""
+def build_record(solution, *, bubble_samples: int = 801) -> SweepRecord:
+    """Assemble the per-lambda scalar record from one accepted solution.
+
+    The Green-limit gaps use green_profile_gaps' default annulus
+    (0.2, 0.8), the window fixed by the sweep contract.
+    """
     profile, params, f = _solution_parts(solution)
     res = solution.residuals
     lam = params.lam
@@ -336,7 +326,7 @@ def build_record(
         dev_plus = dev_minus = nan
     else:
         n = params.n
-        e = 2.0 - 2.0 * params.beta
+        e = params.rate_exp
         rn2 = f.r_lambda ** (n - 2.0)
         q1 = f.m_plus**e * rn2 * lam
         q2 = f.m_minus**e * lam
@@ -365,7 +355,7 @@ def build_record(
         dev_minus = bubble_deviation(
             y_minus, rescale_minus(solution, y_minus), n
         )
-    green_dev, green_grad_dev = green_profile_gaps(solution, annulus=annulus)
+    green_dev, green_grad_dev = green_profile_gaps(solution)
     return SweepRecord(
         lam=lam,
         features=f,
@@ -463,6 +453,7 @@ def rate_law_report(records: list[SweepRecord], n: int) -> dict:
 
     cst = constants(n)
     c1, c2, c3 = cst.c1, cst.c2, cst.c3
+    exps = Params(n=n, lam=0.0)
     quantities = {
         "q1": _quantity_verdict(
             [r.q1 for r in recs], c3, tail=3, tolerance=0.10, gated=False
@@ -524,7 +515,7 @@ def rate_law_report(records: list[SweepRecord], n: int) -> dict:
     }
     speed = [r.features.m_plus / r.features.m_minus for r in recs]
     small_term = [
-        r.features.m_minus ** (2.0 * 2.0 / (n - 2.0))
+        r.features.m_minus ** (2.0 * exps.beta)
         * r.features.du_node**2
         * r.features.r_lambda**n
         / r.lam
@@ -541,7 +532,7 @@ def rate_law_report(records: list[SweepRecord], n: int) -> dict:
         ],
     }
 
-    target_slope = -(n - 2.0) / (2.0 * n - 8.0)
+    target_slope = -exps.green_exp
     tail_l = np.log([r.lam for r in recs[-3:]])
     tail_m = np.log([r.features.m_minus for r in recs[-3:]])
     slope_val = float(np.polyfit(tail_l, tail_m, 1)[0])

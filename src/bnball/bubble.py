@@ -40,7 +40,7 @@ from .model import (
     NonconvergentIntegral,
     Params,
     UndefinedConstants,
-    derive_exponents,
+    check_dimension,
 )
 
 
@@ -51,7 +51,7 @@ def omega_n(n: int) -> float:
 
 def bubble_eval(n: int, mu: float, s):
     """Evaluate the radial bubble profile delta_mu at radius s (scalar or array)."""
-    derive_exponents(n)
+    check_dimension(n)
     if mu <= 0.0:
         raise ValueError(f"concentration parameter mu must be positive, got {mu}")
     s = np.asarray(s, dtype=float)
@@ -157,7 +157,7 @@ def lambda_1(n: int) -> float:
     The zero is bracketed by stepping out from the order (J_nu > 0 on
     (0, j_nu1)) and then polished by bracketed root-finding.
     """
-    derive_exponents(n)
+    check_dimension(n)
     nu = n / 2.0 - 1.0
 
     def j(x: float) -> float:
@@ -180,14 +180,14 @@ def constants(n: int) -> DimensionalConstants:
     the unit-height bubble.  c2 (and everything downstream of it) requires
     n >= 5 for its integral to converge.
     """
-    derive_exponents(n)
+    exps = Params(n=n, lam=0.0)
     if n < 5:
         raise UndefinedConstants(
             f"the second bubble moment diverges for n={n}; need n >= 5"
         )
     mu = normalized_mu(n)
     delta = Bubble(n, mu)
-    two_star = 2.0 * n / (n - 2.0)
+    two_star = exps.two_star
     split = 10.0 * mu
 
     c1 = improper_radial_integral(delta, n, two_star - 1.0, split=split)
@@ -195,8 +195,7 @@ def constants(n: int) -> DimensionalConstants:
     c3 = c1 * c1 / c2
     om = omega_n(n)
     s_pow = om * improper_radial_integral(delta, n, two_star, split=split)
-    gexp = (n - 2.0) / (2.0 * n - 8.0)
-    c_tilde = om * c2**gexp / c1 ** (4.0 / (2.0 * n - 8.0))
+    c_tilde = om * c2**exps.green_exp / c1 ** (4.0 / (2.0 * n - 8.0))
     return DimensionalConstants(
         c1=c1,
         c2=c2,
@@ -207,7 +206,3 @@ def constants(n: int) -> DimensionalConstants:
         lambda1=lambda_1(n),
     )
 
-
-def bubble_params(n: int) -> Params:
-    """Params for the pure critical equation (lambda = 0) solved by the bubble."""
-    return Params(n=n, lam=0.0)

@@ -70,16 +70,12 @@ CSV_COLUMNS = (
 )
 CSV_HEADER = CSV_COLUMNS + ("error",)
 
-_FEATURE_COLUMNS = (
-    "r_lambda",
-    "s_lambda",
-    "m_plus",
-    "m_minus",
-    "du_node",
-    "du_boundary",
-    "sigma",
-    "rho",
-    "gamma",
+# CSV_COLUMNS is "lambda", then these two groups of field names in order.
+_FEATURE_COLUMNS = tuple(f.name for f in dataclasses.fields(NodalFeatures))
+_SCALAR_COLUMNS = tuple(
+    f.name
+    for f in dataclasses.fields(asymptotics.SweepRecord)
+    if f.name not in ("lam", "features")
 )
 
 
@@ -95,8 +91,6 @@ class RunConfig:
     atol: float = DEFAULT_ATOL
     boundary_tol: float = 1e-9
     residual_tol: float = 1e-6
-    epsilon: float | None = None
-    annulus: tuple[float, float] = (0.2, 0.8)
     out: str | None = None
     fmt: str = "csv"
     warm_start: bool = True
@@ -114,6 +108,8 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.parallel < 0:
+            raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
 
 
 def _fmt_number(x) -> str:
@@ -168,44 +164,20 @@ def _env_float(name: str, fallback: float) -> float:
         raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
 
 
-def record_to_row(record: asymptotics.SweepRecord) -> list[str]:
-    f = record.features
-    feature_vals = (
-        [getattr(f, name) for name in _FEATURE_COLUMNS] if f is not None else [None] * 9
-    )
-    vals = (
-        [record.lam]
-        + feature_vals
-        + [
-            record.q1,
-            record.q2,
-            record.q3,
-            record.p1,
-            record.p2,
-            record.p3,
-            record.p4,
-            record.bubble_dev_plus,
-            record.bubble_dev_minus,
-            record.green_dev,
-            record.green_grad_dev,
-            record.energy,
-            record.nehari,
-            record.pohozaev_ball,
-            record.pohozaev_annulus,
-        ]
-    )
-    return [_fmt_number(v) for v in vals] + [""]
-
-
 def record_to_dict(record: asymptotics.SweepRecord) -> dict:
-    out = {"lambda": record.lam}
     f = record.features
-    for name in _FEATURE_COLUMNS:
-        out[name] = getattr(f, name) if f is not None else None
-    for name in CSV_COLUMNS[10:]:
-        out[name] = getattr(record, name)
+    out = {"lambda": record.lam}
+    out.update(
+        (name, getattr(f, name) if f is not None else None) for name in _FEATURE_COLUMNS
+    )
+    out.update((name, getattr(record, name)) for name in _SCALAR_COLUMNS)
     out["error"] = None
     return out
+
+
+def record_to_row(record: asymptotics.SweepRecord) -> list[str]:
+    values = record_to_dict(record)
+    return [_fmt_number(values[name]) for name in CSV_COLUMNS] + [""]
 
 
 def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
@@ -227,21 +199,7 @@ def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
     return asymptotics.SweepRecord(
         lam=num("lambda"),
         features=features,
-        q1=num("q1"),
-        q2=num("q2"),
-        q3=num("q3"),
-        p1=num("p1"),
-        p2=num("p2"),
-        p3=num("p3"),
-        p4=num("p4"),
-        bubble_dev_plus=num("bubble_dev_plus"),
-        bubble_dev_minus=num("bubble_dev_minus"),
-        green_dev=num("green_dev"),
-        green_grad_dev=num("green_grad_dev"),
-        energy=num("energy"),
-        nehari=num("nehari"),
-        pohozaev_ball=num("pohozaev_ball"),
-        pohozaev_annulus=num("pohozaev_annulus"),
+        **{name: num(name) for name in _SCALAR_COLUMNS},
     )
 
 
@@ -279,17 +237,22 @@ def _solution_payload(solution: shooting.SignChangingSolution) -> dict:
     }
 
 
+def _solve_options(config: RunConfig) -> dict:
+    """The solve_nodal keyword options a command carries."""
+    return {
+        "rtol": config.rtol,
+        "atol": config.atol,
+        "boundary_tol": config.boundary_tol,
+        "residual_tol": config.residual_tol,
+    }
+
+
 def cmd_solve(config: RunConfig) -> int:
     if config.lam is None:
         raise ConfigError("solve needs --lambda")
     try:
         solution = shooting.solve_nodal(
-            Params(n=config.n, lam=config.lam),
-            config.k,
-            rtol=config.rtol,
-            atol=config.atol,
-            boundary_tol=config.boundary_tol,
-            residual_tol=config.residual_tol,
+            Params(n=config.n, lam=config.lam), config.k, **_solve_options(config)
         )
     except ConfigError:
         raise
@@ -302,84 +265,50 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _sweep_point(
-    n: int,
-    lam: float,
-    k: int,
-    a_seed: float,
-    rtol: float,
-    atol: float,
-    boundary_tol: float,
-    residual_tol: float,
-    annulus: tuple[float, float],
-):
-    """Solve one grid point and reduce it to picklable pieces."""
+def _sweep_result(point: shooting.SweepPoint):
+    """(lambda, record or None, error code, detail) of one sweep point.
+
+    Plain data, so a pool worker can return it; a solved point whose
+    record cannot be built becomes an error row.
+    """
+    if point.solution is None:
+        return point.lam, None, point.error, point.detail
     try:
-        sol = shooting.solve_nodal(
-            Params(n=n, lam=lam),
-            k,
-            a_seed=a_seed,
-            rtol=rtol,
-            atol=atol,
-            boundary_tol=boundary_tol,
-            residual_tol=residual_tol,
-        )
-        record = asymptotics.build_record(sol, annulus=annulus)
+        return point.lam, asymptotics.build_record(point.solution), None, None
     except Error as exc:
-        return lam, None, exc.code, str(exc), None
-    return lam, record, None, None, sol.a_star
+        return point.lam, None, exc.code, str(exc)
+
+
+def _cold_sweep_result(config: RunConfig, lam: float):
+    """Pool worker: one grid point from a cold seed."""
+    (point,) = shooting.continuation_sweep(
+        Params(n=config.n, lam=0.0), [lam], config.k, **_solve_options(config)
+    )
+    return _sweep_result(point)
 
 
 def cmd_sweep(config: RunConfig) -> int:
     if config.lambda_grid is None:
         raise ConfigError("sweep needs --lambda-grid")
     grid = list(config.lambda_grid)
-    results = []
-    if config.parallel > 0:
+    if config.parallel > 0 and grid:
         # Workers cannot share bracket seeds, so each point starts cold.
-        jobs = [
-            (
-                config.n,
-                lam,
-                config.k,
-                1.0,
-                config.rtol,
-                config.atol,
-                config.boundary_tol,
-                config.residual_tol,
-                config.annulus,
-            )
-            for lam in grid
-        ]
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            results = list(pool.map(_sweep_point, *zip(*jobs)))
+        workers = min(config.parallel, len(grid))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_cold_sweep_result, [config] * len(grid), grid))
     else:
-        seeds: list[float] = []
-        for lam in grid:
-            if config.warm_start and len(seeds) >= 2:
-                a_seed = seeds[-1] * (seeds[-1] / seeds[-2])
-            elif config.warm_start and seeds:
-                a_seed = seeds[-1]
-            else:
-                a_seed = 1.0
-            point = _sweep_point(
-                config.n,
-                lam,
-                config.k,
-                a_seed,
-                config.rtol,
-                config.atol,
-                config.boundary_tol,
-                config.residual_tol,
-                config.annulus,
-            )
-            results.append(point)
-            if point[4] is not None:
-                seeds.append(point[4])
+        points = shooting.continuation_sweep(
+            Params(n=config.n, lam=0.0),
+            grid,
+            config.k,
+            warm_start=config.warm_start,
+            **_solve_options(config),
+        )
+        results = [_sweep_result(p) for p in points]
 
     if config.fmt == "json":
         rows = []
-        for lam, record, code, detail, _ in results:
+        for lam, record, code, detail in results:
             if record is not None:
                 rows.append(record_to_dict(record))
             else:
@@ -391,7 +320,7 @@ def cmd_sweep(config: RunConfig) -> int:
         text = canonical_json({"n": config.n, "k": config.k, "records": rows})
     else:
         lines = [",".join(CSV_HEADER)]
-        for lam, record, code, _detail, _ in results:
+        for lam, record, code, _detail in results:
             if record is not None:
                 lines.append(",".join(record_to_row(record)))
             else:
@@ -399,11 +328,10 @@ def cmd_sweep(config: RunConfig) -> int:
                 lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     _emit(text, config.out)
+    solved = sum(1 for r in results if r[1] is not None)
     if config.out:
-        solved = sum(1 for r in results if r[1] is not None)
         print(f"wrote {config.out} ({solved}/{len(grid)} points solved)")
-    failed = [r for r in results if r[1] is None]
-    return EXIT_SOLVER if failed and not any(r[1] is not None for r in results) else EXIT_PASS
+    return EXIT_SOLVER if results and not solved else EXIT_PASS
 
 
 def _verdict_table(report: dict) -> str:
@@ -511,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, need_grid=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument(
-        "--annulus", default="0.2,0.8",
-        help="comparison annulus for the Green-limit gaps",
-    )
-    p_sweep.add_argument(
         "--no-warm-start", action="store_true",
         help="seed every point at a=1 instead of extrapolating the bracket",
     )
@@ -539,12 +463,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     grid = None
     if getattr(args, "lambda_grid", None) is not None:
         grid = _parse_grid(args.lambda_grid)
-    annulus = (0.2, 0.8)
-    if getattr(args, "annulus", None):
-        parts = _parse_grid(args.annulus)
-        if len(parts) != 2:
-            raise ConfigError(f"annulus needs two radii, got {args.annulus!r}")
-        annulus = (parts[0], parts[1])
     parallel = getattr(args, "parallel", 0) or 0
     return RunConfig(
         n=args.n,

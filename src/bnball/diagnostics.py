@@ -56,15 +56,6 @@ class Residuals:
                 raise CertificationFailed(f"non-finite residual field {name}")
 
 
-def _unwrap(obj, params):
-    """Accept either a solution-like object or a bare profile."""
-    profile = getattr(obj, "profile", obj)
-    if params is None:
-        params = getattr(obj, "params", None) or profile.params
-    features = getattr(obj, "features", None)
-    return profile, params, features
-
-
 def radial_norms(
     profile,
     params: Params,
@@ -117,66 +108,11 @@ def radial_norms(
     )
 
 
-def nehari_residual(solution, params: Params | None = None) -> float:
-    """Relative defect of ||u||^2 - lambda|u|_2^2 = |u|_{2*}^{2*}."""
-    profile, params, _ = _unwrap(solution, params)
-    norms = radial_norms(profile, params)
-    if norms.grad_sq == 0.0:
-        raise UndefinedResidual("Nehari residual undefined for the zero profile")
-    return (norms.grad_sq - params.lam * norms.l2_sq - norms.crit_pow) / norms.grad_sq
-
-
 def _relative(lhs: float, rhs: float) -> float:
     scale = abs(lhs) or abs(rhs)
     if scale == 0.0:
         return 0.0
     return (lhs - rhs) / scale
-
-
-def pohozaev_residuals(
-    solution,
-    params: Params | None = None,
-    features=None,
-) -> tuple[float, float]:
-    """Flux identities on the nodal ball and annulus, relative to lambda|u|_2^2.
-
-    With a node at r_lambda:  lambda * int_{B_{r_lambda}} u^2 equals
-    (omega_n/2) r_lambda^n u'(r_lambda)^2, and on the annulus
-    lambda * int_A u^2 equals (omega_n/2){u'(1)^2 - u'(r_lambda)^2 r_lambda^n}.
-    Without node features the ball identity is taken over the whole domain
-    against the outer-boundary flux and the annulus residual is 0.0 by
-    convention; both conventions return (0, 0) for the zero profile.
-    """
-    profile, params, found = _unwrap(solution, params)
-    if features is None:
-        features = found
-    wn = omega_n(params.n)
-    if features is None:
-        radius = float(profile.r_end)
-        norms = radial_norms(profile, params)
-        lhs = params.lam * norms.l2_sq
-        rhs = 0.5 * wn * radius**params.n * float(profile.du(radius)) ** 2
-        return _relative(lhs, rhs), 0.0
-    r_node = features.r_lambda
-    ball = radial_norms(profile, params, domain=(0.0, r_node))
-    annulus = radial_norms(profile, params, domain=(r_node, profile.r_end))
-    flux_node = features.du_node**2 * r_node**params.n
-    ball_res = _relative(params.lam * ball.l2_sq, 0.5 * wn * flux_node)
-    ann_res = _relative(
-        params.lam * annulus.l2_sq,
-        0.5 * wn * (features.du_boundary**2 - flux_node),
-    )
-    return ball_res, ann_res
-
-
-def energy(solution, params: Params | None = None) -> float:
-    """The action I = (||u||^2 - lambda|u|_2^2)/2 - |u|_{2*}^{2*}/2*."""
-    profile, params, _ = _unwrap(solution, params)
-    norms = radial_norms(profile, params)
-    return (
-        0.5 * (norms.grad_sq - params.lam * norms.l2_sq)
-        - norms.crit_pow / params.two_star
-    )
 
 
 def energy_density_check(profile, params: Params | None = None) -> float:
@@ -206,15 +142,51 @@ def certify(
 ) -> Residuals:
     """Run every identity check; raise CertificationFailed on the first miss.
 
+    Nehari: ||u||^2 - lambda|u|_2^2 = |u|_{2*}^{2*}, relative to ||u||^2;
+    undefined (UndefinedResidual) for the zero profile.
+
+    Pohozaev, relative to lambda|u|_2^2 on each side: with a node at
+    r_lambda, lambda * int_{B_{r_lambda}} u^2 equals
+    (omega_n/2) r_lambda^n u'(r_lambda)^2, and on the annulus
+    lambda * int_A u^2 equals (omega_n/2){u'(1)^2 - u'(r_lambda)^2 r_lambda^n}.
+    Without node features the ball identity is taken over the whole domain
+    against the outer-boundary flux and the annulus residual is 0.0 by
+    convention.
+
+    Energy: the action I = (||u||^2 - lambda|u|_2^2)/2 - |u|_{2*}^{2*}/2*.
+    The norms are taken once on the nodal ball and once on the annulus
+    (once on the whole domain without features) and summed, since they
+    are additive over subdomains.
+
     The energy-density slack is measured against E at the innermost knot,
     which dominates E everywhere else for a genuine solution.
     """
-    ball, ann = pohozaev_residuals(profile, params, features)
+    wn = omega_n(params.n)
+    if features is None:
+        whole = radial_norms(profile, params)
+        radius = float(profile.r_end)
+        flux = 0.5 * wn * radius**params.n * float(profile.du(radius)) ** 2
+        ball_res, ann_res = _relative(params.lam * whole.l2_sq, flux), 0.0
+    else:
+        r_node = features.r_lambda
+        ball = radial_norms(profile, params, domain=(0.0, r_node))
+        annulus = radial_norms(profile, params, domain=(r_node, profile.r_end))
+        whole = RadialNorms(*(b + a for b, a in zip(ball, annulus)))
+        flux_node = features.du_node**2 * r_node**params.n
+        ball_res = _relative(params.lam * ball.l2_sq, 0.5 * wn * flux_node)
+        ann_res = _relative(
+            params.lam * annulus.l2_sq,
+            0.5 * wn * (features.du_boundary**2 - flux_node),
+        )
+    if whole.grad_sq == 0.0:
+        raise UndefinedResidual("Nehari residual undefined for the zero profile")
     res = Residuals(
-        nehari=nehari_residual(profile, params),
-        pohozaev_ball=ball,
-        pohozaev_annulus=ann,
-        energy=energy(profile, params),
+        nehari=(whole.grad_sq - params.lam * whole.l2_sq - whole.crit_pow)
+        / whole.grad_sq,
+        pohozaev_ball=ball_res,
+        pohozaev_annulus=ann_res,
+        energy=0.5 * (whole.grad_sq - params.lam * whole.l2_sq)
+        - whole.crit_pow / params.two_star,
         e_monotone_violation=energy_density_check(profile, params),
     )
     u0 = float(profile.values[0])

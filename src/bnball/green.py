@@ -9,10 +9,6 @@ kappa_n is negative, so G < 0 inside the ball.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .bubble import omega_n
 from .model import InvalidDimension, OutOfDomain
 
@@ -60,28 +56,3 @@ def unit_source_green_gradient_at_center(n: int, r: float) -> float:
     """Radial derivative matching unit_source_green_at_center."""
     return float(n) * green_gradient_at_center(n, r)
 
-
-def green_value(n: int, x, y) -> float:
-    """Full two-point G(x,y) for interior points of the unit ball."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (n,) or y.shape != (n,):
-        raise OutOfDomain(f"points must be {n}-vectors, got {x.shape} and {y.shape}")
-    xx = float(x @ x)
-    yy = float(y @ y)
-    if xx > 1.0 or yy > 1.0:
-        raise OutOfDomain("points must lie in the closed unit ball")
-    d2 = float((x - y) @ (x - y))
-    if d2 == 0.0:
-        raise OutOfDomain("G(x,y) is singular at x = y")
-    refl = xx * yy + 1.0 - 2.0 * float(x @ y)
-    p = -(n - 2.0) / 2.0
-    return kappa(n) * (d2**p - refl**p)
-
-
-def green_profile(n: int, radii) -> np.ndarray:
-    """Vectorized green_at_center over an array of radii in (0,1)."""
-    r = np.asarray(radii, dtype=float)
-    if r.size and (r.min() <= 0.0 or r.max() >= 1.0):
-        raise OutOfDomain("radii must lie strictly inside (0,1)")
-    return kappa(n) * (r ** (2.0 - n) - 1.0)

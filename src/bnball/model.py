@@ -8,7 +8,7 @@ with 2* = 2n/(n-2) the critical Sobolev exponent.  Every other module works
 with a `Params` instance; all quantities are dimensionless and everything is
 64-bit floating point.
 
-Derived exponents, all functions of n alone:
+Derived exponents, all functions of n alone (the `Params` properties):
 
     two_star = 2n/(n-2)
     beta     = 2/(n-2)          inner rescaling exponent, y = M^beta x
@@ -53,10 +53,6 @@ class SingularPoint(Error):
     code = "singular-point"
 
 
-class StartStepTooCoarse(Error):
-    code = "start-step-too-coarse"
-
-
 class IntegrationFailed(Error):
     code = "integration-failed"
 
@@ -67,10 +63,6 @@ class IntegrationFailed(Error):
 
 class BlowUpDetected(Error):
     code = "blow-up-detected"
-
-
-class DegenerateAmplitude(Error):
-    code = "degenerate-amplitude"
 
 
 class NoBracketFound(Error):
@@ -141,40 +133,12 @@ class FileIOError(Error):
     code = "file-io-error"
 
 
-@dataclass(frozen=True)
-class Exponents:
-    """The exponent block derived from the dimension alone."""
-
-    two_star: float
-    beta: float
-    rate_exp: float
-    _green_exp: float | None
-
-    @property
-    def green_exp(self) -> float:
-        # (n-2)/(2n-8) divides by zero at n=4 and is meaningless below n=5.
-        if self._green_exp is None:
-            raise UndefinedExponent(
-                "green_exp = (n-2)/(2n-8) is defined only for n >= 5"
-            )
-        return self._green_exp
-
-
-def derive_exponents(n: int) -> Exponents:
-    """Derived exponents for dimension n.
-
-    two_star and beta exist for every n >= 3; green_exp only for n >= 5
-    (requesting it below that raises UndefinedExponent).
-    """
+def check_dimension(n) -> None:
+    """Raise InvalidDimension unless n is an integer >= 3."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidDimension(f"dimension must be an integer, got {n!r}")
     if n < 3:
         raise InvalidDimension(f"dimension must be >= 3, got {n}")
-    two_star = 2.0 * n / (n - 2.0)
-    beta = 2.0 / (n - 2.0)
-    rate_exp = 2.0 - 2.0 * beta
-    green_exp = (n - 2.0) / (2.0 * n - 8.0) if n >= 5 else None
-    return Exponents(two_star, beta, rate_exp, green_exp)
 
 
 @dataclass(frozen=True)
@@ -191,7 +155,7 @@ class Params:
     lam: float
 
     def __post_init__(self):
-        derive_exponents(self.n)  # validates n
+        check_dimension(self.n)
         if not math.isfinite(self.lam) or self.lam < 0.0:
             raise InvalidLambda(f"lambda must be finite and >= 0, got {self.lam}")
 
@@ -209,7 +173,12 @@ class Params:
 
     @property
     def green_exp(self) -> float:
-        return derive_exponents(self.n).green_exp
+        # (n-2)/(2n-8) divides by zero at n=4 and is meaningless below n=5.
+        if self.n < 5:
+            raise UndefinedExponent(
+                "green_exp = (n-2)/(2n-8) is defined only for n >= 5"
+            )
+        return (self.n - 2.0) / (2.0 * self.n - 8.0)
 
     def nonlinearity(self, u: float) -> float:
         """f(u) = lambda*u + |u|^(2*-2)*u, the full right-hand side source."""

@@ -49,7 +49,6 @@ from .model import (
     IntegrationFailed,
     Params,
     SingularPoint,
-    StartStepTooCoarse,
 )
 
 # Fixed start radius of the unit-amplitude problem; physical start radius is
@@ -67,47 +66,6 @@ ZERO_TRUST_FACTOR = 1e3
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-
-
-def rhs(params: Params, r: float, state: tuple[float, float]) -> tuple[float, float]:
-    """First-order system right-hand side at radius r > 0.
-
-    state = (u, v) with v = u'; returns (u', v').
-    """
-    if r <= 0.0:
-        raise SingularPoint(
-            "the radial operator is singular at r=0; start from taylor_start"
-        )
-    u, v = state
-    du = v
-    dv = -(params.n - 1.0) / r * v - params.lam * u - abs(u) ** (
-        params.two_star - 2.0
-    ) * u
-    return du, dv
-
-
-def taylor_start(params: Params, a: float, r0: float) -> tuple[float, float]:
-    """Second-order series start at radius r0.
-
-    With f(a) = lambda a + |a|^(2*-2) a, the regular solution satisfies
-    n u''(0) = -f(a), so
-
-        u(r0) = a - f(a) r0^2 / (2n),   u'(r0) = -f(a) r0 / n.
-
-    r0 must be small relative to the blow-up length scale |a|^(-beta).
-    """
-    if r0 <= 0.0:
-        raise SingularPoint(f"start radius must be positive, got {r0}")
-    if a == 0.0:
-        return 0.0, 0.0
-    if r0 > 1e-4 * min(1.0, abs(a) ** (-params.beta)):
-        raise StartStepTooCoarse(
-            f"start radius {r0:g} exceeds 1e-4 * min(1, |a|^-beta) for a={a:g}"
-        )
-    f = params.nonlinearity(a)
-    u = a - f * r0 * r0 / (2.0 * params.n)
-    v = -f * r0 / params.n
-    return u, v
 
 
 @dataclass(frozen=True)

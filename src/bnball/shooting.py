@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from . import bubble, diagnostics
 from .model import (
     ConfigError,
-    DegenerateAmplitude,
     Error,
     InvalidLambda,
     MissingInteriorZero,
@@ -59,29 +58,6 @@ class SignChangingSolution:
     profile: RadialProfile
     features: NodalFeatures | None
     residuals: diagnostics.Residuals
-
-
-def zero_landscape(
-    params: Params,
-    a: float,
-    k: int = 2,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> tuple[int, float, float | None]:
-    """Integrate to r=1 and report the zero structure of the profile.
-
-    Returns (number of interior zeros, u(1), radius of the k-th zero or
-    None if fewer than k zeros occur by r=1).
-    """
-    if a <= 0.0:
-        raise DegenerateAmplitude(f"shooting amplitude must be positive, got {a}")
-    profile = integrate(params, a, 1.0, rtol=rtol, atol=atol)
-    zeros = [e.r for e in profile.zero_crossings()]
-    interior = sum(1 for r in zeros if r < 1.0 - BOUNDARY_ZERO_BAND)
-    u1 = profile.u(1.0)
-    kth = zeros[k - 1] if len(zeros) >= k else None
-    return interior, float(u1), kth
 
 
 def _kth_zero_gap(
@@ -272,17 +248,15 @@ def continuation_sweep(
     k: int = 2,
     *,
     warm_start: bool = True,
-    a_min: float = DEFAULT_A_MIN,
-    a_max: float = DEFAULT_A_MAX,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    residual_tol: float = 1e-6,
+    **solve_options,
 ) -> list[SweepPoint]:
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
     The amplitude grows as lambda shrinks, so the seed for the next point is
     the geometric extrapolation of the previous two converged amplitudes.
-    Per-point failures are recorded and the sweep continues.
+    Only the dimension of params_base is used.  solve_options are passed
+    to every solve_nodal call (rtol, atol, boundary_tol, residual_tol,
+    a_min, a_max).  Per-point failures are recorded and the sweep continues.
     """
     grid = [float(x) for x in lambda_grid]
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -299,14 +273,7 @@ def continuation_sweep(
             a_seed = 1.0
         try:
             sol = solve_nodal(
-                Params(n=params_base.n, lam=lam),
-                k,
-                a_seed=a_seed,
-                a_min=a_min,
-                a_max=a_max,
-                rtol=rtol,
-                atol=atol,
-                residual_tol=residual_tol,
+                Params(n=params_base.n, lam=lam), k, a_seed=a_seed, **solve_options
             )
         except Error as exc:
             points.append(

@@ -13,7 +13,6 @@ from bnball.asymptotics import (
     center_envelope_violation,
     delta_of_epsilon,
     green_profile_gaps,
-    node_flux_ratio,
     rate_law_report,
     rescale_minus,
     rescale_plus,
@@ -172,19 +171,13 @@ def test_synthetic_envelope_violation_is_detected(sol7_lam2):
     assert center_envelope_violation(fake) > 0.0
 
 
-def test_node_flux_ratio_zero_slope_edge():
-    fake = SimpleNamespace(
-        profile=None,
-        params=Params(n=7, lam=2.0),
-        features=SimpleNamespace(du_node=0.0, r_lambda=0.5),
-    )
-    assert node_flux_ratio(fake) == 0.0
-
-
-def test_node_flux_ratio_positive(sol7_lam2):
-    f = sol7_lam2.features
-    expected = abs(f.du_node) * f.r_lambda**3.5
-    assert node_flux_ratio(sol7_lam2) == pytest.approx(expected, rel=1e-15)
+def test_node_flux_ratio_positive(report7, records7):
+    ratios = report7["informational"]["node_flux_ratio"]
+    assert len(ratios) == len(records7)
+    for ratio, rec in zip(ratios, records7):
+        f = rec.features
+        assert ratio > 0.0
+        assert ratio == pytest.approx(abs(f.du_node) * f.r_lambda**3.5, rel=1e-15)
 
 
 def test_green_gaps_annulus_validation(sol7_lam2):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bnball import cli
+from bnball import cli, shooting
 from bnball.bubble import constants
 from bnball.model import ConfigError
 
@@ -111,6 +111,99 @@ def test_sweep_empty_grid_writes_header_only(capsys, tmp_path):
     assert rc == cli.EXIT_PASS
     assert out_path.read_text() == ",".join(cli.CSV_HEADER) + "\n"
     assert "0/0 points solved" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_success_path(capsys, monkeypatch, tmp_path, sweep7, records7, fmt):
+    """The CLI sweep writes one record per solved point and seeds each solve
+    by extrapolating the previous two amplitudes."""
+    solutions = {p.lam: p.solution for p in sweep7}
+    seeds = []
+
+    def fake_solve(params, k, *, a_seed=1.0, **options):
+        seeds.append(a_seed)
+        return solutions[params.lam]
+
+    monkeypatch.setattr(shooting, "solve_nodal", fake_solve)
+    out_path = tmp_path / f"records.{fmt}"
+    rc, out = run(
+        capsys, "sweep", "--n", "7", "--lambda-grid", "4,2,1,0.5,0.25",
+        "--format", fmt, "--out", str(out_path),
+    )
+    assert rc == cli.EXIT_PASS
+    assert "5/5 points solved" in out
+    if fmt == "csv":
+        lines = [",".join(cli.CSV_HEADER)]
+        lines += [",".join(cli.record_to_row(r)) for r in records7]
+        expected = "\n".join(lines) + "\n"
+    else:
+        rows = [cli.record_to_dict(r) for r in records7]
+        expected = cli.canonical_json({"n": 7, "k": 2, "records": rows})
+    assert out_path.read_text() == expected
+
+    a = [p.solution.a_star for p in sweep7]
+    assert seeds == [1.0, a[0]] + [a[i] * (a[i] / a[i - 1]) for i in (1, 2, 3)]
+
+    rc, out = run(capsys, "verify", str(out_path), "--n", "7")
+    assert rc == cli.EXIT_PASS
+    assert "overall: PASS" in out
+
+
+def test_sweep_has_no_annulus_option(capsys):
+    # The Green-comparison window is fixed by the sweep contract.
+    rc, _ = run(
+        capsys, "sweep", "--n", "7", "--lambda-grid", "", "--annulus", "0.3,0.7"
+    )
+    assert rc == cli.EXIT_CONFIG
+
+
+def test_sweep_rejects_negative_parallel(capsys):
+    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "", "--parallel", "-1")
+    assert rc == cli.EXIT_CONFIG
+    assert json.loads(out)["error"] == "config-parse-error"
+
+
+def test_sweep_parallel_workers_capped_at_grid(capsys, monkeypatch, sweep7, records7):
+    solutions = {p.lam: p.solution for p in sweep7}
+    monkeypatch.setattr(
+        shooting, "solve_nodal", lambda params, k, **options: solutions[params.lam]
+    )
+    pools = []
+
+    class FakePool:
+        """Records the requested worker count and runs the jobs in process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "4,2", "--parallel", "8")
+    assert rc == cli.EXIT_PASS
+    assert pools == [2]
+    lines = [",".join(cli.CSV_HEADER)]
+    lines += [",".join(cli.record_to_row(r)) for r in records7[:2]]
+    assert out == "\n".join(lines) + "\n"
+    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "", "--parallel", "8")
+    assert rc == cli.EXIT_PASS
+    assert out == ",".join(cli.CSV_HEADER) + "\n"
+    assert pools == [2]  # no pool for an empty grid
+
+
+def test_sweep_parallel_matches_cold_serial(capsys):
+    argv = ["sweep", "--n", "7", "--k", "1", "--lambda-grid", "4,2"]
+    rc_serial, serial = run(capsys, *argv, "--no-warm-start")
+    rc_pool, pooled = run(capsys, *argv, "--parallel", "2")
+    assert rc_serial == rc_pool == cli.EXIT_PASS
+    assert pooled == serial
 
 
 def test_sweep_rejects_increasing_grid(capsys):

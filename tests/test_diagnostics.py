@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import nodal_fixture, polynomial_profile
-from bnball.diagnostics import (
-    certify,
-    energy,
-    energy_density_check,
-    nehari_residual,
-    pohozaev_residuals,
-    radial_norms,
-)
+from bnball import diagnostics
+from bnball.diagnostics import certify, energy_density_check, radial_norms
 from bnball.model import (
     CertificationFailed,
     EmptyDomain,
@@ -78,30 +72,49 @@ def test_bubble_critical_norm_truncation(consts7):
     assert norms.crit_pow + tail == pytest.approx(consts7.s_pow, rel=1e-8)
 
 
+def _residuals_unchecked(profile, params, features=None):
+    """certify's residuals with every tolerance open, for non-solutions."""
+    return certify(
+        profile, params, features, residual_tol=math.inf, energy_tol=math.inf
+    )
+
+
 def test_nehari_on_accepted(sol7_lam2):
-    assert abs(nehari_residual(sol7_lam2)) < 1e-6
+    """Nehari from the summed ball and annulus norms matches one whole-domain pass."""
+    split = certify(sol7_lam2.profile, sol7_lam2.params, sol7_lam2.features)
+    whole = certify(sol7_lam2.profile, sol7_lam2.params)
+    assert abs(split.nehari) < 1e-6
+    assert split.nehari == pytest.approx(whole.nehari, rel=0.0, abs=1e-15)
 
 
 def test_nehari_fixture_nonzero():
-    res = nehari_residual(nodal_fixture(), Params(n=7, lam=2.0))
-    assert abs(res) > 1e-3
+    res = _residuals_unchecked(nodal_fixture(), Params(n=7, lam=2.0))
+    assert abs(res.nehari) > 1e-3
 
 
 def test_nehari_undefined_for_zero_profile():
     p = Params(n=7, lam=1.0)
     with pytest.raises(UndefinedResidual):
-        nehari_residual(integrate(p, 0.0, 1.0), p)
+        certify(integrate(p, 0.0, 1.0), p)
 
 
 def test_pohozaev_on_accepted(sol7_lam2):
-    ball, ann = pohozaev_residuals(sol7_lam2)
-    assert abs(ball) < 1e-6
-    assert abs(ann) < 1e-6
+    """Both nodal-region identities hold, and so does the whole-ball one
+    that certify checks when no node features are given."""
+    res = certify(sol7_lam2.profile, sol7_lam2.params, sol7_lam2.features)
+    assert abs(res.pohozaev_ball) < 1e-6
+    assert abs(res.pohozaev_annulus) < 1e-6
+    whole = certify(sol7_lam2.profile, sol7_lam2.params)
+    assert abs(whole.pohozaev_ball) < 1e-6
+    assert whole.pohozaev_annulus == 0.0
 
 
 def test_pohozaev_zero_convention():
-    p = Params(n=7, lam=1.0)
-    assert pohozaev_residuals(integrate(p, 0.0, 1.0), p) == (0.0, 0.0)
+    """With lambda = 0 and u'(1) = 0 both sides of the whole-ball identity
+    vanish, and the residual is 0 by convention; so is the annulus one."""
+    p = Params(n=7, lam=0.0)
+    res = _residuals_unchecked(polynomial_profile((1.0, -2.0, 1.0), lam=0.0), p)
+    assert (res.pohozaev_ball, res.pohozaev_annulus) == (0.0, 0.0)
 
 
 def test_pohozaev_fixture_nonzero():
@@ -109,17 +122,15 @@ def test_pohozaev_fixture_nonzero():
     from bnball.shooting import extract_features
 
     f = extract_features(profile, Params(n=7, lam=2.0))
-    ball, ann = pohozaev_residuals(profile, Params(n=7, lam=2.0), f)
-    assert abs(ball) > 1e-3 or abs(ann) > 1e-3
-
-
-def test_energy_zero_profile():
-    p = Params(n=7, lam=1.0)
-    assert energy(integrate(p, 0.0, 1.0), p) == 0.0
+    res = _residuals_unchecked(profile, Params(n=7, lam=2.0), f)
+    assert abs(res.pohozaev_ball) > 1e-3 or abs(res.pohozaev_annulus) > 1e-3
 
 
 def test_energy_positive_on_accepted(sol7_lam2):
-    assert energy(sol7_lam2) > 0.0
+    split = certify(sol7_lam2.profile, sol7_lam2.params, sol7_lam2.features)
+    whole = certify(sol7_lam2.profile, sol7_lam2.params)
+    assert split.energy > 0.0
+    assert split.energy == pytest.approx(whole.energy, rel=1e-14)
 
 
 def test_energy_density_monotone_on_accepted(sol7_lam2):
@@ -142,6 +153,24 @@ def test_certify_accepted(sol7_lam2):
     assert abs(res.nehari) < 1e-6
     assert abs(res.pohozaev_ball) < 1e-6
     assert abs(res.pohozaev_annulus) < 1e-6
+
+
+def test_certify_norm_passes(monkeypatch, sol7_lam2, k1_solutions):
+    """One quadrature pass per nodal region: two with a node, one without."""
+    domains = []
+
+    def counting(profile, params, domain=None):
+        domains.append(domain)
+        return radial_norms(profile, params, domain)
+
+    monkeypatch.setattr(diagnostics, "radial_norms", counting)
+    certify(sol7_lam2.profile, sol7_lam2.params, sol7_lam2.features)
+    r_node = sol7_lam2.features.r_lambda
+    assert domains == [(0.0, r_node), (r_node, sol7_lam2.profile.r_end)]
+    domains.clear()
+    sol = k1_solutions[2.0]
+    certify(sol.profile, sol.params)
+    assert domains == [None]
 
 
 def test_certify_rejects_non_solution():

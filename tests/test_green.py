@@ -6,8 +6,6 @@ import pytest
 from bnball.green import (
     green_at_center,
     green_gradient_at_center,
-    green_profile,
-    green_value,
     kappa,
     unit_source_green_at_center,
     unit_source_green_gradient_at_center,
@@ -18,6 +16,17 @@ from bnball.model import InvalidDimension, OutOfDomain
 # G(1/2, 0) = kappa_7 * (2^5 - 1); both frozen from the closed forms.
 KAPPA_7 = -0.00086388038660355775
 G7_HALF = -0.026780291984710290
+
+
+def green_two_point(n, x, y):
+    """Oracle: the full two-point G(x,y) of the module docstring, for
+    interior points x != y; green_at_center is its restriction to y = 0."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d2 = float((x - y) @ (x - y))
+    refl = float(x @ x) * float(y @ y) + 1.0 - 2.0 * float(x @ y)
+    p = -(n - 2.0) / 2.0
+    return kappa(n) * (d2**p - refl**p)
 
 
 def test_kappa_frozen():
@@ -80,42 +89,26 @@ def test_two_point_symmetry():
         y = rng.standard_normal(7)
         x *= rng.uniform(0.1, 0.9) / np.linalg.norm(x)
         y *= rng.uniform(0.1, 0.9) / np.linalg.norm(y)
-        assert green_value(7, x, y) == pytest.approx(
-            green_value(7, y, x), rel=1e-12
+        assert green_two_point(7, x, y) == pytest.approx(
+            green_two_point(7, y, x), rel=1e-12
         )
 
 
 def test_two_point_reduces_to_center_kernel():
     x = np.zeros(7)
     x[0] = 0.5
-    assert green_value(7, x, np.zeros(7)) == pytest.approx(G7_HALF, rel=1e-13)
+    assert green_two_point(7, x, np.zeros(7)) == pytest.approx(G7_HALF, rel=1e-13)
+    rng = np.random.default_rng(7)
+    for r in np.linspace(0.05, 0.95, 19):
+        x = rng.standard_normal(7)
+        x *= r / np.linalg.norm(x)
+        assert green_at_center(7, r) == pytest.approx(
+            green_two_point(7, x, np.zeros(7)), rel=1e-13
+        )
 
 
 def test_two_point_vanishes_on_boundary():
     x = np.zeros(7)
     x[0] = 1.0
     y = np.full(7, 0.1)
-    assert abs(green_value(7, x, y)) < 1e-12
-
-
-def test_two_point_validation():
-    with pytest.raises(OutOfDomain):
-        green_value(7, np.zeros(3), np.zeros(7))
-    with pytest.raises(OutOfDomain):
-        green_value(7, np.full(7, 0.5), np.full(7, 0.5))
-    far = np.zeros(7)
-    far[0] = 1.5
-    with pytest.raises(OutOfDomain):
-        green_value(7, far, np.zeros(7))
-
-
-def test_profile_matches_scalar_kernel():
-    radii = np.linspace(0.05, 0.95, 19)
-    prof = green_profile(7, radii)
-    scalar = np.array([green_at_center(7, r) for r in radii])
-    assert np.allclose(prof, scalar, rtol=1e-15, atol=0.0)
-
-
-def test_profile_rejects_boundary_radii():
-    with pytest.raises(OutOfDomain):
-        green_profile(7, [0.5, 1.0])
+    assert abs(green_two_point(7, x, y)) < 1e-12

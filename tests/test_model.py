@@ -12,13 +12,12 @@ from bnball.model import (
     NonpositiveLambda,
     Params,
     UndefinedExponent,
-    derive_exponents,
     validate_lambda,
 )
 
 
 def test_exponents_n7():
-    e = derive_exponents(7)
+    e = Params(n=7, lam=1.0)
     assert e.two_star == 14.0 / 5.0
     assert e.beta == 2.0 / 5.0
     assert e.rate_exp == 6.0 / 5.0
@@ -26,7 +25,7 @@ def test_exponents_n7():
 
 
 def test_exponents_n8():
-    e = derive_exponents(8)
+    e = Params(n=8, lam=1.0)
     assert e.two_star == 8.0 / 3.0
     assert e.beta == 1.0 / 3.0
     # computed as 2 - 2*beta, one ulp from the simplified fraction
@@ -35,7 +34,7 @@ def test_exponents_n8():
 
 
 def test_exponents_n4():
-    e = derive_exponents(4)
+    e = Params(n=4, lam=1.0)
     assert e.two_star == 4.0
     assert e.beta == 1.0
     assert e.rate_exp == 0.0
@@ -45,20 +44,20 @@ def test_exponents_n4():
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7, 9, 12, 25])
 def test_exponent_identity(n):
-    e = derive_exponents(n)
+    e = Params(n=n, lam=1.0)
     assert e.two_star - 2.0 == pytest.approx(2.0 * e.beta, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [2, 1, 0, -3])
 def test_dimension_too_small(bad):
     with pytest.raises(InvalidDimension):
-        derive_exponents(bad)
+        Params(n=bad, lam=1.0)
 
 
 @pytest.mark.parametrize("bad", [3.0, "7", None, True])
 def test_dimension_not_integer(bad):
     with pytest.raises(InvalidDimension):
-        derive_exponents(bad)
+        Params(n=bad, lam=1.0)
 
 
 def test_params_rejects_negative_lambda():

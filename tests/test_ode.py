@@ -6,43 +6,43 @@ import numpy as np
 import pytest
 
 from bnball.bubble import bubble_eval, normalized_mu
-from bnball.model import Params, SingularPoint, StartStepTooCoarse
-from bnball.ode import integrate, rhs, taylor_start
+from bnball.model import Params, SingularPoint
+from bnball.ode import integrate
 
-
-def test_rhs_examples():
-    assert rhs(Params(n=7, lam=1.0), 1.0, (0.0, 1.0)) == pytest.approx((1.0, -6.0))
-    assert rhs(Params(n=7, lam=0.0), 1.0, (1.0, 0.0)) == pytest.approx((0.0, -1.0))
-    assert rhs(Params(n=7, lam=2.0), 0.5, (-1.0, 0.0)) == pytest.approx((0.0, 3.0))
+# Below the first knot a profile evaluates the second-order series of the
+# regular solution, u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
+# f(a) = lambda a + |a|^(2*-2) a.  The first knot sits at 1e-6 for |a| = 1.
+BELOW_START = 1e-7
 
 
 def test_rhs_singular_origin():
+    """The radial operator is singular at r=0, so no integration ends there."""
     with pytest.raises(SingularPoint):
-        rhs(Params(n=7, lam=1.0), 0.0, (1.0, 0.0))
+        integrate(Params(n=7, lam=1.0), 1.0, 0.0)
+    with pytest.raises(SingularPoint):
+        integrate(Params(n=7, lam=1.0), 1.0, -1.0)
 
 
 def test_taylor_start_bubble_case():
-    u, v = taylor_start(Params(n=7, lam=0.0), 1.0, 1e-6)
-    assert u == pytest.approx(1.0 - 1e-12 / 14.0, rel=1e-15)
-    assert v == pytest.approx(-1e-6 / 7.0, rel=1e-15)
+    profile = integrate(Params(n=7, lam=0.0), 1.0, 1.0)
+    assert BELOW_START < profile.knots[0]
+    assert profile.u(BELOW_START) == pytest.approx(1.0 - 1e-14 / 14.0, rel=1e-15)
+    assert profile.du(BELOW_START) == pytest.approx(-1e-7 / 7.0, rel=1e-15)
 
 
 def test_taylor_start_negative_amplitude():
     # f(-1) = -1 - 1 = -2 at lambda=1
-    u, v = taylor_start(Params(n=7, lam=1.0), -1.0, 1e-6)
-    assert u == pytest.approx(-1.0 + 2e-12 / 14.0, rel=1e-15)
-    assert v == pytest.approx(2e-6 / 7.0, rel=1e-15)
+    profile = integrate(Params(n=7, lam=1.0), -1.0, 1.0)
+    assert BELOW_START < profile.knots[0]
+    assert profile.u(BELOW_START) == pytest.approx(-1.0 + 2e-14 / 14.0, rel=1e-15)
+    assert profile.du(BELOW_START) == pytest.approx(2e-7 / 7.0, rel=1e-15)
 
 
 def test_taylor_start_zero_amplitude():
-    assert taylor_start(Params(n=7, lam=1.0), 0.0, 1e-6) == (0.0, 0.0)
-
-
-def test_taylor_start_guards():
-    with pytest.raises(SingularPoint):
-        taylor_start(Params(n=7, lam=1.0), 1.0, 0.0)
-    with pytest.raises(StartStepTooCoarse):
-        taylor_start(Params(n=7, lam=1.0), 1.0, 0.1)
+    profile = integrate(Params(n=7, lam=1.0), 0.0, 1.0)
+    assert BELOW_START < profile.knots[0]
+    assert profile.u(BELOW_START) == 0.0
+    assert profile.du(BELOW_START) == 0.0
 
 
 @pytest.mark.parametrize("n", [7, 9])

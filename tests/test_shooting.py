@@ -1,4 +1,4 @@
-"""Shooting solver: landscape probes, bracketing, features, and sweeps."""
+"""Shooting solver: zero landscape, bracketing, features, and sweeps."""
 
 import math
 
@@ -8,7 +8,6 @@ from conftest import nodal_fixture
 from bnball.bubble import bubble_eval, normalized_mu
 from bnball.model import (
     ConfigError,
-    DegenerateAmplitude,
     InvalidLambda,
     MissingInteriorZero,
     NoBracketFound,
@@ -19,27 +18,22 @@ from bnball.shooting import (
     continuation_sweep,
     extract_features,
     solve_nodal,
-    zero_landscape,
 )
 
 
 def test_landscape_small_amplitude():
-    count, u1, kth = zero_landscape(Params(n=7, lam=1.0), 1e-3, 2)
-    assert count == 0
-    assert u1 > 0.0
-    assert kth is None
+    """Below the k=1 amplitude the profile stays positive on the ball."""
+    profile = integrate(Params(n=7, lam=1.0), 1e-3, 1.0)
+    assert not profile.zero_crossings()
+    assert profile.u(1.0) > 0.0
 
 
 def test_landscape_bubble():
-    count, u1, kth = zero_landscape(Params(n=7, lam=0.0), 1.0, 2)
-    assert count == 0
-    assert u1 == pytest.approx(bubble_eval(7, normalized_mu(7), 1.0), rel=1e-10)
-    assert kth is None
-
-
-def test_landscape_rejects_zero_amplitude():
-    with pytest.raises(DegenerateAmplitude):
-        zero_landscape(Params(n=7, lam=1.0), 0.0, 2)
+    profile = integrate(Params(n=7, lam=0.0), 1.0, 1.0)
+    assert not profile.zero_crossings()
+    assert profile.u(1.0) == pytest.approx(
+        bubble_eval(7, normalized_mu(7), 1.0), rel=1e-10
+    )
 
 
 def test_solve_k1(k1_solutions):
