@@ -101,6 +101,7 @@ class RadialProfile:
     events: list[Event]
     r_end: float
     steps: np.ndarray | None = None  # integrator step radii; quadrature pieces
+    rtol: float = DEFAULT_RTOL  # integrator tolerance; sets the boundary band
     _dense: object = field(default=None, repr=False)  # r -> (u, u')
     _hermite: object = field(default=None, repr=False)
 
@@ -150,6 +151,15 @@ class RadialProfile:
     def zero_crossings(self) -> list[Event]:
         return [e for e in self.events if e.kind == "zero-crossing"]
 
+    def interior_zeros(self) -> list[Event]:
+        """Zero-crossings below 1 - 10 rtol.
+
+        A converged shooting solution puts its last zero on r=1 only to the
+        accuracy the integrator resolves; zeros within that band are the
+        boundary zero itself, not interior structure.
+        """
+        return [e for e in self.zero_crossings() if e.r < 1.0 - 10.0 * self.rtol]
+
     def derivative_zeros(self) -> list[Event]:
         return [e for e in self.events if e.kind == "derivative-zero"]
 
@@ -197,14 +207,8 @@ def _integrate_scaled(
     r_stop: float,
     rtol: float,
     atol: float,
-    zero_cap: int | None = None,
 ) -> _ScaledIntegration:
-    """Integrate the unit-amplitude problem out to y = |a|^beta * r_stop.
-
-    zero_cap, when given, terminates the integration at the zero-crossing
-    with that ordinal, which the shooting bisection uses to avoid paying for
-    the tail of the profile.
-    """
+    """Integrate the unit-amplitude problem out to y = |a|^beta * r_stop."""
     amp = abs(a)
     lam_hat = params.lam * amp ** (-2.0 * params.beta)
     y_end = amp**params.beta * r_stop
@@ -264,11 +268,6 @@ def _integrate_scaled(
         def ev_dzero(y, s):
             return 1.0
 
-    ev_zero.terminal = zero_cap if zero_cap is not None else False
-    ev_zero.direction = 0
-    ev_dzero.terminal = False
-    ev_dzero.direction = 0
-
     def ev_blow(y, s):
         t = K / (K + y * y)
         return abs(t**h + s[0]) - BLOWUP_BOUND
@@ -293,7 +292,7 @@ def _integrate_scaled(
             f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = "
             f"{sol.t_events[2][0] / amp ** params.beta:g}"
         )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         last = sol.t[-1] / amp**params.beta if sol.t.size else None
         raise IntegrationFailed(
             f"integration failed: {sol.message}", last_radius=last
@@ -323,7 +322,6 @@ def integrate(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    zero_cap: int | None = None,
     refine: int = 8,
 ) -> RadialProfile:
     """Integrate from the origin series start out to r_stop.
@@ -341,7 +339,7 @@ def integrate(
     if a == 0.0:
         return _zero_profile(params, r_stop)
 
-    scaled = _integrate_scaled(params, a, r_stop, rtol, atol, zero_cap)
+    scaled = _integrate_scaled(params, a, r_stop, rtol, atol)
     sol = scaled.sol
 
     events: list[Event] = []
@@ -388,5 +386,6 @@ def integrate(
         events=events,
         r_end=scaled.to_r(sol.t[-1]),
         steps=scaled.to_r(sol.t),
+        rtol=rtol,
         _dense=dense,
     )

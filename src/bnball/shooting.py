@@ -1,24 +1,30 @@
 """Node-targeted shooting for radial sign-changing solutions.
 
 For the boundary-value problem on the unit ball, the free parameter is the
-center amplitude a = u(0) > 0.  The radius of the k-th zero of the radial
-solution decreases as a grows (for admissible lambda it starts beyond the
-ball at small a, where the equation is essentially linear, and shrinks
-toward the origin in the blow-up regime), so
+center amplitude a = u(0) > 0.  The zeros of the radial solution move
+inward as a grows (for admissible lambda they lie beyond the ball at small
+a, where the equation is essentially linear, and shrink toward the origin
+in the blow-up regime).  The shooting proxy is the Pruefer angle of
+(u(1), u'(1)) unwrapped by the zero count,
 
-    g_k(a) = (radius of the k-th zero, +inf if absent) - 1
+    P(a) = (Z - k) pi + atan2(s u(1), s u'(1)),    s = (-1)^Z,
 
-is a sign-definite bisection proxy: the amplitude a* with g_k(a*) = 0 puts
-the k-th zero exactly on the boundary, leaving k-1 interior zeros, i.e. a
-solution with exactly k nodal regions.  Bisecting on g_k rather than on
-u(1) avoids the sign ambiguity of the boundary value when the zero count
-changes under the bracket.
+where Z is the number of zeros in the ball.  P is continuous in a (when a
+zero passes r=1, Z gains one and the angle drops from pi to 0), and is 0
+exactly when the k-th zero sits on r=1, leaving k-1 interior zeros, i.e. a
+solution with exactly k nodal regions; next to that root P is about
+r_k - 1.  The amplitude spans tens of decades, so the search runs in
+x = log a: a geometric bracket from the seed, then brentq to xtol = rtol,
+which is as fine as the integrator resolves the profile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
 
 from . import bubble, diagnostics
 from .model import (
@@ -35,16 +41,10 @@ from .model import (
 )
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate
 
-# Zeros within this distance of the boundary are the boundary zero itself,
-# not interior structure; converged solutions place the k-th zero within
-# ~1e-13 of r=1.
-BOUNDARY_ZERO_BAND = 1e-9
-
-DEFAULT_A_MIN = 1e-3
+_A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
 # as lambda decreases; the ceiling must sit far above the sweep's range.
-DEFAULT_A_MAX = 1e30
-WIDTH_TOL = 1e-13
+_A_MAX = 1e30
 BOUNDARY_TOL = 1e-9
 
 
@@ -60,24 +60,11 @@ class SignChangingSolution:
     residuals: diagnostics.Residuals
 
 
-def _kth_zero_gap(
-    params: Params, a: float, k: int, rtol: float, atol: float
-) -> float:
-    """The bisection proxy g_k(a); +inf when the k-th zero is absent."""
-    profile = integrate(params, a, 1.0, rtol=rtol, atol=atol, zero_cap=k, refine=0)
-    zeros = profile.zero_crossings()
-    if len(zeros) < k:
-        return math.inf
-    return zeros[k - 1].r - 1.0
-
-
 def solve_nodal(
     params: Params,
     k: int,
     *,
     a_seed: float = 1.0,
-    a_min: float = DEFAULT_A_MIN,
-    a_max: float = DEFAULT_A_MAX,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     boundary_tol: float = BOUNDARY_TOL,
@@ -85,11 +72,13 @@ def solve_nodal(
 ) -> SignChangingSolution:
     """Find the amplitude whose radial solution has exactly k nodal regions.
 
-    Bracket by geometric doubling of the amplitude from a_seed, then bisect
-    g_k to relative width 1e-13.  The converged profile must carry exactly
-    k-1 interior zeros with |u(1)| < boundary_tol * a_star, and must pass
-    the Nehari / Pohozaev / energy-monotonicity certification, otherwise
-    the solution is rejected.
+    Bracket the root of the Pruefer proxy P in x = log a by steps from
+    a_seed that double in length each time (up while P < 0, down while
+    P > 0), within a in [1e-3, 1e30]; then refine with brentq to
+    xtol = rtol.  The converged profile must carry exactly k-1 interior
+    zeros (RadialProfile.interior_zeros) with |u(1)| < boundary_tol *
+    a_star, and must pass the Nehari / Pohozaev / energy-monotonicity
+    certification, otherwise the solution is rejected.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -100,78 +89,61 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    def gap(a: float) -> float:
-        return _kth_zero_gap(params, a, k, rtol, atol)
+    # Cached because brentq evaluates the bracket ends once more.
+    @functools.lru_cache(maxsize=None)
+    def proxy(x: float) -> float:
+        profile = integrate(params, math.exp(x), 1.0, rtol=rtol, atol=atol, refine=0)
+        zeros = len(profile.zero_crossings())
+        s = -1.0 if zeros % 2 else 1.0
+        # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
+        # continuous should the last zero sit on r=1 and be miscounted.
+        angle = math.atan2(s * profile.u(1.0), s * profile.du(1.0)) % (2.0 * math.pi)
+        return (zeros - k) * math.pi + angle
 
-    a = min(max(a_seed, a_min), a_max)
-    g = gap(a)
-    evals = 1
-    if g > 0.0:
-        # k-th zero beyond the ball (or absent): amplitude too small.
-        a_lo, a_hi = a, None
-        while a < a_max:
-            a = min(2.0 * a, a_max)
-            g = gap(a)
-            evals += 1
-            if g < 0.0:
-                a_hi = a
-                break
-            a_lo = a
-        if a_hi is None:
+    x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
+    x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
+    p = proxy(x)
+    step = math.log(2.0)
+    while True:
+        # P < 0: zero k lies beyond the ball (or is absent), so a is too small.
+        up = p < 0.0
+        if x == (x_max if up else x_min):
+            report = {
+                "n": params.n,
+                "lambda": params.lam,
+                "k": k,
+                "a_range_searched": [_A_MIN, _A_MAX],
+                "evaluations": proxy.cache_info().misses,
+            }
+            if up:
+                raise NoBracketFound(
+                    f"no amplitude up to {_A_MAX:g} pulls zero {k} inside the "
+                    f"ball at lambda={params.lam:g}, n={params.n}",
+                    report={**report, "gap_at_largest": p},
+                )
             raise NoBracketFound(
-                f"no amplitude up to {a_max:g} pulls zero {k} inside the "
-                f"ball at lambda={params.lam:g}, n={params.n}",
-                report={
-                    "n": params.n,
-                    "lambda": params.lam,
-                    "k": k,
-                    "a_range_searched": [a_min, a_max],
-                    "gap_at_largest": g,
-                    "evaluations": evals,
-                },
-            )
-    else:
-        a_hi, a_lo = a, None
-        while a > a_min:
-            a = max(0.5 * a, a_min)
-            g = gap(a)
-            evals += 1
-            if g > 0.0:
-                a_lo = a
-                break
-            a_hi = a
-        if a_lo is None:
-            raise NoBracketFound(
-                f"every amplitude down to {a_min:g} already has zero {k} "
+                f"every amplitude down to {_A_MIN:g} already has zero {k} "
                 f"inside the ball at lambda={params.lam:g}, n={params.n}",
-                report={
-                    "n": params.n,
-                    "lambda": params.lam,
-                    "k": k,
-                    "a_range_searched": [a_min, a_max],
-                    "evaluations": evals,
-                },
+                report=report,
             )
-
-    for _ in range(200):
-        if a_hi - a_lo <= WIDTH_TOL * a_hi:
+        x_next = min(x + step, x_max) if up else max(x - step, x_min)
+        p_next = proxy(x_next)
+        if (p_next < 0.0) != up:
             break
-        mid = 0.5 * (a_lo + a_hi)
-        if gap(mid) < 0.0:
-            a_hi = mid
-        else:
-            a_lo = mid
-    else:
+        x, p = x_next, p_next
+        step *= 2.0
+
+    x_star, result = brentq(proxy, x, x_next, xtol=rtol, full_output=True, disp=False)
+    if not result.converged:
         raise NonconvergentBisection(
-            f"bisection failed to contract below relative width {WIDTH_TOL:g}"
+            f"brentq did not converge on log a in [{min(x, x_next):.17g}, "
+            f"{max(x, x_next):.17g}]: {result.flag}"
         )
 
-    a_star = 0.5 * (a_lo + a_hi)
+    a_star = math.exp(x_star)
     profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
 
-    interior = [
-        e for e in profile.zero_crossings() if e.r < 1.0 - BOUNDARY_ZERO_BAND
-    ]
+    interior = profile.interior_zeros()
     u1 = profile.u(1.0)
     if len(interior) != k - 1 or abs(u1) >= boundary_tol * a_star:
         raise NonconvergentBisection(
@@ -200,9 +172,7 @@ def extract_features(profile: RadialProfile, params: Params) -> NodalFeatures:
     The node and the minimum point come from the recorded events; the
     derivative at the boundary from the dense output.
     """
-    interior = [
-        e for e in profile.zero_crossings() if e.r < 1.0 - BOUNDARY_ZERO_BAND
-    ]
+    interior = profile.interior_zeros()
     if len(interior) != 1:
         raise MissingInteriorZero(
             f"expected exactly one interior zero-crossing, found {len(interior)}"
@@ -253,10 +223,11 @@ def continuation_sweep(
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
     The amplitude grows as lambda shrinks, so the seed for the next point is
-    the geometric extrapolation of the previous two converged amplitudes.
+    the geometric extrapolation of the previous two converged amplitudes;
+    solve_nodal's log-space bracket then starts one factor of 2 from it.
     Only the dimension of params_base is used.  solve_options are passed
-    to every solve_nodal call (rtol, atol, boundary_tol, residual_tol,
-    a_min, a_max).  Per-point failures are recorded and the sweep continues.
+    to every solve_nodal call (rtol, atol, boundary_tol, residual_tol).
+    Per-point failures are recorded and the sweep continues.
     """
     grid = [float(x) for x in lambda_grid]
     if any(b >= a for a, b in zip(grid, grid[1:])):

@@ -94,6 +94,7 @@ def rescale_profile(profile: RadialProfile, M: float, params: Params | None = No
         events=events,
         r_end=c * profile.r_end,
         steps=c * np.asarray(profile.steps, dtype=float),
+        rtol=profile.rtol,
         _dense=dense,
     )
 

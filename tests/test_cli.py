@@ -89,6 +89,31 @@ def test_solve_payload(capsys):
     assert abs(payload["residuals"]["nehari"]) < 1e-6
 
 
+def test_solve_loose_rtol_certifies(capsys):
+    """At rtol=1e-8 the boundary zero lands within ~1e-9 of r=1; the
+    boundary band follows rtol, so it is not counted as interior."""
+    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", "--rtol", "1e-8")
+    assert rc == cli.EXIT_PASS
+    zeros = [
+        e["r"] for e in json.loads(out)["events"] if e["kind"] == "zero-crossing"
+    ]
+    assert len([r for r in zeros if r < 1.0 - 1e-6]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--lambda", "2"),
+        ("sweep", "--lambda-grid", "2,1"),
+        ("constants",),
+    ],
+)
+def test_invalid_dimension_is_solver_error(capsys, argv):
+    rc, out = run(capsys, *argv, "--n", "2")
+    assert rc == cli.EXIT_SOLVER
+    assert json.loads(out)["error"] == "invalid-dimension"
+
+
 def test_solve_missing_dimension_is_usage_error(capsys):
     rc = cli.main(["solve", "--lambda", "2"])
     capsys.readouterr()

@@ -3,11 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nodal_fixture
+from bnball import shooting
 from bnball.bubble import bubble_eval, normalized_mu
 from bnball.model import (
     ConfigError,
+    Error,
     InvalidLambda,
     MissingInteriorZero,
     NoBracketFound,
@@ -78,14 +82,54 @@ def test_solve_rejects_bad_lambda():
         solve_nodal(Params(n=7, lam=40.0), 2)
 
 
-def test_no_bracket_in_low_dimension():
-    """No second zero enters the ball for n=4 at small lambda."""
+def _record_amplitudes(monkeypatch):
+    """Amplitudes of every integration solve_nodal runs, in call order."""
+    tried = []
+
+    def recording(params, a, *args, **kwargs):
+        tried.append(a)
+        return integrate(params, a, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    return tried
+
+
+def test_no_bracket_in_low_dimension(monkeypatch):
+    """No second zero enters the ball for n=4 at small lambda; the search
+    gives up only after trying the ceiling of the full amplitude range."""
+    tried = _record_amplitudes(monkeypatch)
     with pytest.raises(NoBracketFound) as info:
         solve_nodal(Params(n=4, lam=0.5), 2)
     report = info.value.report
     assert report["n"] == 4
     assert report["k"] == 2
-    assert report["evaluations"] > 10
+    assert report["a_range_searched"] == [1e-3, 1e30]
+    assert max(tried) == pytest.approx(report["a_range_searched"][1], rel=1e-14)
+    assert report["evaluations"] == len(tried)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_no_bracket_classified_quickly(monkeypatch, n):
+    """n=5, 6 have no k=2 solution at small lambda (Atkinson-Brezis-Peletier);
+    the log-space bracket reaches that verdict in few integrations."""
+    tried = _record_amplitudes(monkeypatch)
+    with pytest.raises(NoBracketFound):
+        solve_nodal(Params(n=n, lam=0.5), 2)
+    assert len(tried) <= 20
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(log_rtol=st.floats(min_value=-12.0, max_value=-7.0))
+def test_rtol_never_breaks_the_search(log_rtol):
+    """Every rtol either certifies or fails with a classified solver error;
+    the boundary band and the search tolerance follow rtol, so the search
+    itself never reports a mismatch."""
+    try:
+        sol = solve_nodal(Params(n=7, lam=2.0), 2, rtol=10.0**log_rtol)
+    except Error as exc:
+        assert exc.code not in ("nonconvergent-bisection", "missing-interior-zero")
+    else:
+        assert len(sol.profile.interior_zeros()) == 1
 
 
 def test_sweep_empty_grid():
