@@ -98,8 +98,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("rtol", "atol", "boundary_tol", "residual_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # NaN fails every comparison, so "<= 0" alone would let it through
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.lambda_grid is not None:
             grid = self.lambda_grid
             if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -204,15 +206,19 @@ def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
 
 
 def load_records(path: str) -> list[asymptotics.SweepRecord]:
-    if path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        rows = payload["records"] if isinstance(payload, dict) else payload
-        out = [_record_from_mapping(r) for r in rows]
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            out = [_record_from_mapping(r) for r in reader]
+    try:
+        if path.endswith(".json"):
+            with open(path) as fh:
+                payload = json.load(fh)
+            rows = payload["records"] if isinstance(payload, dict) else payload
+            out = [_record_from_mapping(r) for r in rows]
+        else:
+            with open(path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                out = [_record_from_mapping(r) for r in reader]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # malformed JSON, a missing "records" key, or a non-numeric cell
+        raise ConfigError(f"cannot read records from {path}: {exc!r}") from exc
     return [r for r in out if r is not None]
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .model import (
     BlowUpDetected,
@@ -61,8 +60,11 @@ SCALED_START = 1e-6
 BLOWUP_BOUND = 1e12
 
 # Sign events fire only when lam_hat clears the absolute noise floor by this
-# factor; see the trust note in _integrate_scaled.
+# factor; see the trust note in integrate.
 ZERO_TRUST_FACTOR = 1e3
+
+# Dense-output samples stored between consecutive integrator steps.
+DENSE_SAMPLES = 8
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -87,10 +89,9 @@ class RadialProfile:
 
     knots are strictly increasing radii starting at the series-start radius;
     values and derivs are u and u' there.  events lists the located
-    zero-crossings of u and u' in radius order.  Treated as immutable after
-    construction.  u() and du() evaluate through the integrator's dense
-    output when available and through cubic Hermite interpolation of the
-    knots otherwise (which is exact for polynomial fixtures up to cubics).
+    zero-crossings of u and u' in radius order.  dense maps radii to
+    (u, u') and is what u() and du() evaluate above the first knot.
+    Treated as immutable after construction.
     """
 
     params: Params
@@ -100,10 +101,9 @@ class RadialProfile:
     derivs: np.ndarray
     events: list[Event]
     r_end: float
+    dense: object = field(repr=False)  # r -> (u, u')
     steps: np.ndarray | None = None  # integrator step radii; quadrature pieces
     rtol: float = DEFAULT_RTOL  # integrator tolerance; sets the boundary band
-    _dense: object = field(default=None, repr=False)  # r -> (u, u')
-    _hermite: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -114,15 +114,6 @@ class RadialProfile:
         for arr in (self.knots, self.values, self.derivs):
             arr.setflags(write=False)
 
-    def _interp(self):
-        if self._dense is not None:
-            return self._dense
-        if self._hermite is None:
-            spline = CubicHermiteSpline(self.knots, self.values, self.derivs)
-            dspline = spline.derivative()
-            self._hermite = lambda r: (spline(r), dspline(r))
-        return self._hermite
-
     def _eval(self, r, component: int):
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
@@ -130,7 +121,7 @@ class RadialProfile:
         out = np.empty_like(r)
         inside = r >= self.knots[0]
         if np.any(inside):
-            out[inside] = np.asarray(self._interp()(r[inside])[component], dtype=float)
+            out[inside] = np.asarray(self.dense(r[inside])[component], dtype=float)
         if np.any(~inside):
             # Below the series-start radius, use the same Taylor expansion
             # the integration started from.
@@ -177,41 +168,51 @@ def _bubble_terms(n: int, y):
     return d, dd
 
 
-class _ScaledIntegration:
-    """Raw result of integrating the unit-amplitude deviation problem, plus
-    the maps back to physical variables.  sol holds v = uhat - delta."""
-
-    def __init__(self, params: Params, a: float, sol):
-        self.params = params
-        self.a = a
-        self.sol = sol
-        self.amp = abs(a)
-        self.scale_r = self.amp**params.beta  # y = scale_r * r
-        self.scale_v = a * self.scale_r  # u' = scale_v * vhat
-
-    def to_r(self, y):
-        return y / self.scale_r
-
-    def u_at_y(self, y):
-        d, _ = _bubble_terms(self.params.n, y)
-        return self.a * (d + self.sol.sol(y)[0])
-
-    def v_at_y(self, y):
-        _, dd = _bubble_terms(self.params.n, y)
-        return self.scale_v * (dd + self.sol.sol(y)[1])
+def _zero_profile(params: Params, r_stop: float) -> RadialProfile:
+    knots = np.linspace(SCALED_START, r_stop, 64)
+    zeros = np.zeros_like(knots)
+    return RadialProfile(
+        params=params,
+        a=0.0,
+        knots=knots,
+        values=zeros.copy(),
+        derivs=zeros.copy(),
+        events=[],
+        r_end=r_stop,
+        dense=lambda r: (np.zeros_like(np.asarray(r, float)),) * 2,
+    )
 
 
-def _integrate_scaled(
+def integrate(
     params: Params,
     a: float,
     r_stop: float,
-    rtol: float,
-    atol: float,
-) -> _ScaledIntegration:
-    """Integrate the unit-amplitude problem out to y = |a|^beta * r_stop."""
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> RadialProfile:
+    """Integrate from the origin series start out to r_stop.
+
+    Integrates the unit-amplitude deviation problem out to
+    y = |a|^beta * r_stop and maps it back to physical variables.  All sign
+    changes of u and u' are located on the dense output by the integrator's
+    bracketed root-finding (well below 1e-12 radius accuracy) and recorded
+    as events.  knots hold the integrator steps plus DENSE_SAMPLES interior
+    samples per step; `steps` keeps the raw step radii, whose dense-output
+    pieces downstream quadrature integrates piecewise.
+    """
+    if not math.isfinite(a):
+        raise IntegrationFailed(f"amplitude must be finite, got {a}")
+    if r_stop <= 0.0:
+        raise SingularPoint(f"r_stop must be positive, got {r_stop}")
+    if a == 0.0:
+        return _zero_profile(params, r_stop)
+
     amp = abs(a)
+    scale_r = amp**params.beta  # y = scale_r * r
+    scale_v = a * scale_r  # u' = scale_v * vhat'
     lam_hat = params.lam * amp ** (-2.0 * params.beta)
-    y_end = amp**params.beta * r_stop
+    y_end = scale_r * r_stop
 
     n = params.n
     K = n * (n - 2.0)
@@ -241,39 +242,30 @@ def _integrate_scaled(
             df = abs(w) ** (p - 1.0) * w - d * t * t
         return (vp, -n1 / y * vp - lam * w - df)
 
-    # The deviation signal has magnitude of order lam_hat while the additive
-    # integration noise sits at the absolute tolerance floor atol/amp.  Sign
-    # structure is certifiable only when the signal clears that floor; below
-    # it (lambda = 0, or n <= 6 at blow-up amplitudes where 2*beta >= 1 lets
-    # the floor overtake lam_hat) a crossing of uhat is noise, so the sign
-    # events are disabled rather than reported.
-    atol_scaled = atol / max(amp, 1.0)
-    trusted = lam_hat >= ZERO_TRUST_FACTOR * atol_scaled
-
-    if trusted:
-
-        def ev_zero(y, s):
-            t = K / (K + y * y)
-            return t**h + s[0]
-
-        def ev_dzero(y, s):
-            t = K / (K + y * y)
-            return -(n - 2.0) * y * t**h * t / K + s[1]
-
-    else:
-
-        def ev_zero(y, s):
-            return 1.0
-
-        def ev_dzero(y, s):
-            return 1.0
-
     def ev_blow(y, s):
         t = K / (K + y * y)
         return abs(t**h + s[0]) - BLOWUP_BOUND
 
     ev_blow.terminal = True
     ev_blow.direction = 1
+
+    def ev_zero(y, s):
+        t = K / (K + y * y)
+        return t**h + s[0]
+
+    def ev_dzero(y, s):
+        t = K / (K + y * y)
+        return -(n - 2.0) * y * t**h * t / K + s[1]
+
+    # The deviation signal has magnitude of order lam_hat while the additive
+    # integration noise sits at the absolute tolerance floor atol/amp.  Sign
+    # structure is certifiable only when the signal clears that floor; below
+    # it (lambda = 0, or n <= 6 at blow-up amplitudes where 2*beta >= 1 lets
+    # the floor overtake lam_hat) a crossing of uhat is noise, so the sign
+    # events are not tracked at all.
+    atol_scaled = atol / max(amp, 1.0)
+    trusted = lam_hat >= ZERO_TRUST_FACTOR * atol_scaled
+    event_fns = (ev_blow, ev_zero, ev_dzero) if trusted else (ev_blow,)
 
     # v lives on the scale of the lamhat-correction, far below uhat(0) = 1
     # at large amplitude, so the absolute floor shrinks with the amplitude.
@@ -285,107 +277,50 @@ def _integrate_scaled(
         rtol=rtol,
         atol=atol_scaled,
         dense_output=True,
-        events=(ev_zero, ev_dzero, ev_blow),
+        events=event_fns,
     )
-    if sol.t_events[2].size > 0:
+    if sol.t_events[0].size > 0:
         raise BlowUpDetected(
             f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = "
-            f"{sol.t_events[2][0] / amp ** params.beta:g}"
+            f"{sol.t_events[0][0] / scale_r:g}"
         )
     if not sol.success:
-        last = sol.t[-1] / amp**params.beta if sol.t.size else None
+        last = sol.t[-1] / scale_r if sol.t.size else None
         raise IntegrationFailed(
             f"integration failed: {sol.message}", last_radius=last
         )
-    return _ScaledIntegration(params, a, sol)
 
+    def at_y(y):
+        """(u, u') at scaled radius y, from the dense output."""
+        d, dd = _bubble_terms(n, y)
+        s = sol.sol(y)
+        return a * (d + s[0]), scale_v * (dd + s[1])
 
-def _zero_profile(params: Params, r_stop: float) -> RadialProfile:
-    knots = np.linspace(SCALED_START, r_stop, 64)
-    zeros = np.zeros_like(knots)
-    return RadialProfile(
-        params=params,
-        a=0.0,
-        knots=knots,
-        values=zeros.copy(),
-        derivs=zeros.copy(),
-        events=[],
-        r_end=r_stop,
-        _dense=lambda r: (np.zeros_like(np.asarray(r, float)),) * 2,
-    )
-
-
-def integrate(
-    params: Params,
-    a: float,
-    r_stop: float,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    refine: int = 8,
-) -> RadialProfile:
-    """Integrate from the origin series start out to r_stop.
-
-    All sign changes of u and u' are located on the dense output by the
-    integrator's bracketed root-finding (well below 1e-12 radius accuracy)
-    and recorded as events.  knots hold the integrator steps refined by
-    `refine` interior samples per step; `steps` keeps the raw step radii,
-    whose dense-output pieces downstream quadrature integrates piecewise.
-    """
-    if not math.isfinite(a):
-        raise IntegrationFailed(f"amplitude must be finite, got {a}")
-    if r_stop <= 0.0:
-        raise SingularPoint(f"r_stop must be positive, got {r_stop}")
-    if a == 0.0:
-        return _zero_profile(params, r_stop)
-
-    scaled = _integrate_scaled(params, a, r_stop, rtol, atol)
-    sol = scaled.sol
-
-    events: list[Event] = []
-    for y in sol.t_events[0]:
-        events.append(
-            Event(kind="zero-crossing", r=scaled.to_r(y), value=scaled.v_at_y(y))
+    # Zero crossings store u' there, derivative zeros store u; untrusted
+    # integrations have no sign events to read.
+    events = [
+        Event(kind=kind, r=y / scale_r, value=at_y(y)[component])
+        for kind, component, found in zip(
+            ("zero-crossing", "derivative-zero"), (1, 0), sol.t_events[1:]
         )
-    for y in sol.t_events[1]:
-        events.append(
-            Event(kind="derivative-zero", r=scaled.to_r(y), value=scaled.u_at_y(y))
-        )
+        for y in found
+    ]
     events.sort(key=lambda e: e.r)
 
     ys = sol.t
-    if refine > 0 and ys.size > 1:
-        fill = np.concatenate(
-            [
-                np.linspace(ys[i], ys[i + 1], refine + 2)[1:-1]
-                for i in range(ys.size - 1)
-            ]
-        )
-        ys = np.sort(np.concatenate([ys, fill]))
-    states = sol.sol(ys)
-    d, dd = _bubble_terms(params.n, ys)
-    knots = scaled.to_r(ys)
-    values = a * (d + states[0])
-    derivs = scaled.scale_v * (dd + states[1])
-
-    amp_beta = scaled.scale_r
-    dim = params.n
-
-    def dense(r):
-        y = np.asarray(r, dtype=float) * amp_beta
-        s = sol.sol(y)
-        db, ddb = _bubble_terms(dim, y)
-        return a * (db + s[0]), scaled.scale_v * (ddb + s[1])
+    fill = np.linspace(ys[:-1], ys[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
+    ys = np.sort(np.concatenate([ys, fill.ravel()]))
+    values, derivs = at_y(ys)
 
     return RadialProfile(
         params=params,
         a=a,
-        knots=knots,
+        knots=ys / scale_r,
         values=values,
         derivs=derivs,
         events=events,
-        r_end=scaled.to_r(sol.t[-1]),
-        steps=scaled.to_r(sol.t),
+        r_end=sol.t[-1] / scale_r,
+        dense=lambda r: at_y(np.asarray(r, dtype=float) * scale_r),
+        steps=sol.t / scale_r,
         rtol=rtol,
-        _dense=dense,
     )

@@ -89,16 +89,23 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
+    # The latest (x, profile) on each side of the root, keyed by P < 0.
+    # brentq's bracket ends are always these two and it returns one of
+    # them, so the solution is never integrated again.
+    latest: dict[bool, tuple[float, RadialProfile]] = {}
+
     # Cached because brentq evaluates the bracket ends once more.
     @functools.lru_cache(maxsize=None)
     def proxy(x: float) -> float:
-        profile = integrate(params, math.exp(x), 1.0, rtol=rtol, atol=atol, refine=0)
+        profile = integrate(params, math.exp(x), 1.0, rtol=rtol, atol=atol)
         zeros = len(profile.zero_crossings())
         s = -1.0 if zeros % 2 else 1.0
         # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
         # continuous should the last zero sit on r=1 and be miscounted.
         angle = math.atan2(s * profile.u(1.0), s * profile.du(1.0)) % (2.0 * math.pi)
-        return (zeros - k) * math.pi + angle
+        p = (zeros - k) * math.pi + angle
+        latest[p < 0.0] = (x, profile)
+        return p
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
@@ -141,7 +148,7 @@ def solve_nodal(
         )
 
     a_star = math.exp(x_star)
-    profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
+    (profile,) = [prof for x_seen, prof in latest.values() if x_seen == x_star]
 
     interior = profile.interior_zeros()
     u1 = profile.u(1.0)

@@ -93,9 +93,9 @@ def rescale_profile(profile: RadialProfile, M: float, params: Params | None = No
         derivs=profile.derivs / (M * c),
         events=events,
         r_end=c * profile.r_end,
+        dense=dense,
         steps=c * np.asarray(profile.steps, dtype=float),
         rtol=profile.rtol,
-        _dense=dense,
     )
 
 

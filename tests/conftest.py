@@ -66,9 +66,9 @@ def consts7():
 def polynomial_profile(coeffs, n=7, lam=2.0, r0=1e-6, samples=65, events=(), a=None):
     """RadialProfile of a polynomial fixture on [r0, 1].
 
-    coeffs are ascending powers.  Cubic Hermite interpolation of the knots
-    reproduces polynomials up to degree 3 exactly, so quadrature identities
-    on such fixtures are testable down to roundoff.
+    coeffs are ascending powers.  The profile evaluates the polynomial
+    itself, so quadrature identities on such fixtures are testable down to
+    roundoff.
     """
     poly = np.polynomial.Polynomial(coeffs)
     dpoly = poly.deriv()
@@ -81,6 +81,7 @@ def polynomial_profile(coeffs, n=7, lam=2.0, r0=1e-6, samples=65, events=(), a=N
         derivs=dpoly(knots),
         events=list(events),
         r_end=1.0,
+        dense=lambda r: (poly(r), dpoly(r)),
     )
 
 

@@ -326,6 +326,59 @@ def test_env_override_must_be_numeric(capsys, monkeypatch):
     assert "BNBALL_RTOL" in json.loads(out)["message"]
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a rejected configuration must not start a solve")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--rtol", "--atol", "--residual-tol", "--boundary-tol"]
+)
+def test_non_finite_tolerance_rejected(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
+    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", flag, value)
+    assert rc == cli.EXIT_CONFIG
+    assert json.loads(out)["error"] == "config-parse-error"
+
+
+def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
+    monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
+    monkeypatch.setenv("BNBALL_RESIDUAL_TOL", "nan")
+    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2")
+    assert rc == cli.EXIT_CONFIG
+    assert json.loads(out)["error"] == "config-parse-error"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("records.json", "not json\n"),
+        ("records.json", "{}\n"),
+        ("records.json", "[1]\n"),
+        ("records.json", '{"records": 1}\n'),
+        (
+            "records.csv",
+            ",".join(cli.CSV_HEADER) + "\n" + "abc," * len(cli.CSV_COLUMNS) + "\n",
+        ),
+    ],
+    ids=[
+        "not-json",
+        "no-records-key",
+        "row-not-object",
+        "records-not-list",
+        "non-numeric-cell",
+    ],
+)
+def test_verify_malformed_records(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out = run(capsys, "verify", str(path), "--n", "7")
+    assert rc == cli.EXIT_CONFIG
+    payload = json.loads(out)
+    assert payload["error"] == "config-parse-error"
+    assert name in payload["message"]
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         cli.RunConfig(n=7, rtol=-1.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,30 @@ def test_no_bracket_classified_quickly(monkeypatch, n):
     with pytest.raises(NoBracketFound):
         solve_nodal(Params(n=n, lam=0.5), 2)
     assert len(tried) <= 20
+
+
+def test_each_amplitude_integrated_once(monkeypatch):
+    """brentq returns one of its own evaluations, so the solution profile is
+    the shooting integration at a*, identical to a fresh one, and no
+    amplitude is integrated twice."""
+    calls = []
+
+    def recording(params, a, *args, **kwargs):
+        profile = integrate(params, a, *args, **kwargs)
+        calls.append((a, profile))
+        return profile
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    params = Params(n=7, lam=2.0)
+    sol = solve_nodal(params, 2)
+    tried = [a for a, _ in calls]
+    assert len(set(tried)) == len(tried)
+    assert any(profile is sol.profile for _, profile in calls)
+
+    fresh = integrate(params, sol.a_star, 1.0)
+    for name in ("knots", "values", "derivs", "steps"):
+        assert np.array_equal(getattr(fresh, name), getattr(sol.profile, name))
+    assert fresh.events == sol.profile.events
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
