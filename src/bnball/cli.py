@@ -33,6 +33,7 @@ from .model import (
     InsufficientRecords,
     NodalFeatures,
     Params,
+    check_lambda_grid,
 )
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL
 
@@ -103,9 +104,7 @@ class RunConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.lambda_grid is not None:
-            grid = self.lambda_grid
-            if any(b >= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError("lambda grid must be strictly decreasing")
+            check_lambda_grid(self.lambda_grid)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.k < 1:
@@ -153,7 +152,13 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _error_payload(exc: Error) -> str:
-    return canonical_json({"error": exc.code, "message": str(exc)})
+    payload = {"error": exc.code, "message": str(exc)}
+    # structured context of the failure, where the error carries it
+    if getattr(exc, "report", None):
+        payload["report"] = exc.report
+    if getattr(exc, "last_radius", None) is not None:
+        payload["last_radius"] = exc.last_radius
+    return canonical_json(payload)
 
 
 def _env_float(name: str, fallback: float) -> float:

@@ -229,3 +229,12 @@ def validate_lambda(params: Params, lambda1: float) -> bool:
     if params.lam <= 0.0:
         raise NonpositiveLambda(f"lambda must be positive, got {params.lam}")
     return params.lam < lambda1
+
+
+def check_lambda_grid(grid) -> None:
+    """Raise ConfigError unless the lambda grid is finite and strictly decreasing."""
+    # NaN fails every comparison, so the order check alone would pass it
+    if not all(math.isfinite(lam) for lam in grid):
+        raise ConfigError(f"lambda grid must be finite, got {list(grid)}")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("lambda grid must be strictly decreasing")

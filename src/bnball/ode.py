@@ -1,4 +1,4 @@
-"""Radial ODE integration with event detection.
+"""Radial ODE integration: full profiles with events, and shooting evaluations.
 
 A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
@@ -33,14 +33,21 @@ through the node region, so relative error control on v resolves the node
 and the outer hump no matter how many decades the bubble itself fell.
 The nonlinear difference is evaluated with expm1/log1p where it would
 otherwise cancel.
+
+integrate returns the full profile (events, dense output) that features,
+certification and records read; shoot returns only the zero count and the
+end state at r=1, which is all a shooting evaluation needs.  Both build
+the problem with _deviation, so the right-hand side is defined once.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import ode as scipy_ode
 from scipy.integrate import solve_ivp
 
 from .model import (
@@ -59,12 +66,24 @@ SCALED_START = 1e-6
 # it only fires on pathological input.
 BLOWUP_BOUND = 1e12
 
-# Sign events fire only when lam_hat clears the absolute noise floor by this
-# factor; see the trust note in integrate.
+# Sign changes count only when lam_hat clears the absolute noise floor by
+# this factor; see the trust note in _deviation.
 ZERO_TRUST_FACTOR = 1e3
 
 # Dense-output samples stored between consecutive integrator steps.
 DENSE_SAMPLES = 8
+
+# Step budget of one shooting evaluation; a full integration to r=1 takes a
+# few hundred steps.
+SHOOT_MAX_STEPS = 100_000
+
+# Failure return codes of Hairer's dop853.
+_DOP853_FAILURES = {
+    -1: "input is not consistent",
+    -2: "needs more than SHOOT_MAX_STEPS steps",
+    -3: "step size became too small",
+    -4: "problem is probably stiff",
+}
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -183,36 +202,48 @@ def _zero_profile(params: Params, r_stop: float) -> RadialProfile:
     )
 
 
-def integrate(
-    params: Params,
-    a: float,
-    r_stop: float,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> RadialProfile:
-    """Integrate from the origin series start out to r_stop.
+@dataclass(frozen=True)
+class _Deviation:
+    """The unit-amplitude deviation problem of one nonzero amplitude.
 
-    Integrates the unit-amplitude deviation problem out to
-    y = |a|^beta * r_stop and maps it back to physical variables.  All sign
-    changes of u and u' are located on the dense output by the integrator's
-    bracketed root-finding (well below 1e-12 radius accuracy) and recorded
-    as events.  knots hold the integrator steps plus DENSE_SAMPLES interior
-    samples per step; `steps` keeps the raw step radii, whose dense-output
-    pieces downstream quadrature integrates piecewise.
+    f is the right-hand side in s = (v, v') at the scaled radius y; the
+    integration runs from the series state s0 at y0 out to y_end.  trusted
+    says whether sign changes of u can be told from integration noise.
     """
+
+    n: int
+    a: float
+    scale_r: float  # y = scale_r * r
+    scale_v: float  # u' = scale_v * uhat'
+    y0: float
+    y_end: float
+    s0: tuple[float, float]
+    atol_scaled: float
+    trusted: bool
+    f: object = field(repr=False)
+
+    def uhat(self, y, s):
+        """u/a at scaled radius y from the deviation state s there."""
+        return _bubble_terms(self.n, y)[0] + s[0]
+
+    def u_du(self, y, s):
+        """(u, u') at scaled radius y from the deviation state s there."""
+        d, dd = _bubble_terms(self.n, y)
+        return self.a * (d + s[0]), self.scale_v * (dd + s[1])
+
+
+def _deviation(params: Params, a: float, r_stop: float, atol: float):
+    """The deviation problem of u(0) = a out to r_stop; None for a = 0."""
     if not math.isfinite(a):
         raise IntegrationFailed(f"amplitude must be finite, got {a}")
     if r_stop <= 0.0:
         raise SingularPoint(f"r_stop must be positive, got {r_stop}")
     if a == 0.0:
-        return _zero_profile(params, r_stop)
+        return None
 
     amp = abs(a)
-    scale_r = amp**params.beta  # y = scale_r * r
-    scale_v = a * scale_r  # u' = scale_v * vhat'
+    scale_r = amp**params.beta
     lam_hat = params.lam * amp ** (-2.0 * params.beta)
-    y_end = scale_r * r_stop
 
     n = params.n
     K = n * (n - 2.0)
@@ -240,50 +271,80 @@ def integrate(
             df = d * t * t * math.expm1(p * math.log1p(v / d))
         else:
             df = abs(w) ** (p - 1.0) * w - d * t * t
-        return (vp, -n1 / y * vp - lam * w - df)
-
-    def ev_blow(y, s):
-        t = K / (K + y * y)
-        return abs(t**h + s[0]) - BLOWUP_BOUND
-
-    ev_blow.terminal = True
-    ev_blow.direction = 1
-
-    def ev_zero(y, s):
-        t = K / (K + y * y)
-        return t**h + s[0]
-
-    def ev_dzero(y, s):
-        t = K / (K + y * y)
-        return -(n - 2.0) * y * t**h * t / K + s[1]
+        # a list, because scipy.integrate.ode rejects a tuple
+        return [vp, -n1 / y * vp - lam * w - df]
 
     # The deviation signal has magnitude of order lam_hat while the additive
     # integration noise sits at the absolute tolerance floor atol/amp.  Sign
     # structure is certifiable only when the signal clears that floor; below
     # it (lambda = 0, or n <= 6 at blow-up amplitudes where 2*beta >= 1 lets
-    # the floor overtake lam_hat) a crossing of uhat is noise, so the sign
-    # events are not tracked at all.
+    # the floor overtake lam_hat) a crossing of uhat is noise, so sign
+    # changes are not tracked at all.  v lives on the scale of the
+    # lamhat-correction, far below uhat(0) = 1 at large amplitude, so the
+    # absolute floor shrinks with the amplitude.
     atol_scaled = atol / max(amp, 1.0)
-    trusted = lam_hat >= ZERO_TRUST_FACTOR * atol_scaled
-    event_fns = (ev_blow, ev_zero, ev_dzero) if trusted else (ev_blow,)
+    return _Deviation(
+        n=n,
+        a=a,
+        scale_r=scale_r,
+        scale_v=a * scale_r,
+        y0=y0,
+        y_end=scale_r * r_stop,
+        s0=(v0, vp0),
+        atol_scaled=atol_scaled,
+        trusted=lam_hat >= ZERO_TRUST_FACTOR * atol_scaled,
+        f=f,
+    )
 
-    # v lives on the scale of the lamhat-correction, far below uhat(0) = 1
-    # at large amplitude, so the absolute floor shrinks with the amplitude.
+
+def _blow_up(radius: float) -> BlowUpDetected:
+    return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
+
+
+def integrate(
+    params: Params,
+    a: float,
+    r_stop: float,
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> RadialProfile:
+    """Integrate from the origin series start out to r_stop.
+
+    Integrates the unit-amplitude deviation problem out to
+    y = |a|^beta * r_stop and maps it back to physical variables.  All sign
+    changes of u and u' are located on the dense output by the integrator's
+    bracketed root-finding (well below 1e-12 radius accuracy) and recorded
+    as events.  knots hold the integrator steps plus DENSE_SAMPLES interior
+    samples per step; `steps` keeps the raw step radii, whose dense-output
+    pieces downstream quadrature integrates piecewise.
+    """
+    dev = _deviation(params, a, r_stop, atol)
+    if dev is None:
+        return _zero_profile(params, r_stop)
+    scale_r = dev.scale_r
+
+    def ev_blow(y, s):
+        return abs(dev.uhat(y, s)) - BLOWUP_BOUND
+
+    ev_blow.terminal = True
+    ev_blow.direction = 1
+
+    def ev_dzero(y, s):
+        return _bubble_terms(dev.n, y)[1] + s[1]
+
     sol = solve_ivp(
-        f,
-        (y0, y_end),
-        (v0, vp0),
+        dev.f,
+        (dev.y0, dev.y_end),
+        dev.s0,
         method="DOP853",
         rtol=rtol,
-        atol=atol_scaled,
+        atol=dev.atol_scaled,
         dense_output=True,
-        events=event_fns,
+        events=(ev_blow, dev.uhat, ev_dzero) if dev.trusted else (ev_blow,),
     )
     if sol.t_events[0].size > 0:
-        raise BlowUpDetected(
-            f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = "
-            f"{sol.t_events[0][0] / scale_r:g}"
-        )
+        raise _blow_up(sol.t_events[0][0] / scale_r)
     if not sol.success:
         last = sol.t[-1] / scale_r if sol.t.size else None
         raise IntegrationFailed(
@@ -292,9 +353,7 @@ def integrate(
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""
-        d, dd = _bubble_terms(n, y)
-        s = sol.sol(y)
-        return a * (d + s[0]), scale_v * (dd + s[1])
+        return dev.u_du(y, sol.sol(y))
 
     # Zero crossings store u' there, derivative zeros store u; untrusted
     # integrations have no sign events to read.
@@ -324,3 +383,61 @@ def integrate(
         steps=sol.t / scale_r,
         rtol=rtol,
     )
+
+
+def shoot(
+    params: Params,
+    a: float,
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> tuple[int, float, float]:
+    """Zero count and (u(1), u'(1)) of the solution with u(0) = a.
+
+    One shooting evaluation: the deviation problem of integrate, out to
+    r = 1 on Hairer's Fortran DOP853 (scipy.integrate.ode), with neither
+    event location nor dense output.  Zeros are the sign changes of u
+    between accepted steps, counted only when integrate would track them;
+    a double crossing inside one step goes uncounted.  Raises
+    BlowUpDetected and IntegrationFailed where integrate does.
+    """
+    dev = _deviation(params, a, 1.0, atol)
+    if dev is None:
+        return 0, 0.0, 0.0
+    zeros = 0
+    negative = False
+    blown_at = None
+
+    def solout(y, s):
+        nonlocal zeros, negative, blown_at
+        w = dev.uhat(y, s)
+        if abs(w) > BLOWUP_BOUND:
+            blown_at = y
+            return -1
+        if dev.trusted and (w < 0.0) != negative:
+            zeros += 1
+            negative = not negative
+        return 0
+
+    solver = scipy_ode(dev.f).set_integrator(
+        "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
+    )
+    solver.set_solout(solout)
+    solver.set_initial_value(dev.s0, dev.y0)
+    with warnings.catch_warnings():
+        # A failed run warns and returns a truncated state; it is reported
+        # through the return code below instead.
+        warnings.filterwarnings(
+            "ignore", category=UserWarning, module="scipy.integrate._ode"
+        )
+        s1 = solver.integrate(dev.y_end)
+    if blown_at is not None:
+        raise _blow_up(blown_at / dev.scale_r)
+    if not solver.successful():
+        code = solver.get_return_code()
+        raise IntegrationFailed(
+            f"integration failed: dop853 {_DOP853_FAILURES.get(code, code)}",
+            last_radius=solver.t / dev.scale_r,
+        )
+    u1, du1 = dev.u_du(dev.y_end, s1)
+    return zeros, float(u1), float(du1)

@@ -15,7 +15,9 @@ exactly when the k-th zero sits on r=1, leaving k-1 interior zeros, i.e. a
 solution with exactly k nodal regions; next to that root P is about
 r_k - 1.  The amplitude spans tens of decades, so the search runs in
 x = log a: a geometric bracket from the seed, then brentq to xtol = rtol,
-which is as fine as the integrator resolves the profile.
+which is as fine as the integrator resolves the profile.  Each evaluation
+of P is one ode.shoot, which returns Z and (u(1), u'(1)) without events or
+dense output; only the converged amplitude is integrated in full.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .model import (
     NonconvergentBisection,
     NoBracketFound,
     Params,
+    check_lambda_grid,
     validate_lambda,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, shoot
 
 _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
@@ -75,10 +78,11 @@ def solve_nodal(
     Bracket the root of the Pruefer proxy P in x = log a by steps from
     a_seed that double in length each time (up while P < 0, down while
     P > 0), within a in [1e-3, 1e30]; then refine with brentq to
-    xtol = rtol.  The converged profile must carry exactly k-1 interior
-    zeros (RadialProfile.interior_zeros) with |u(1)| < boundary_tol *
-    a_star, and must pass the Nehari / Pohozaev / energy-monotonicity
-    certification, otherwise the solution is rejected.
+    xtol = rtol, and integrate the profile at the root once.  That profile
+    must carry exactly k-1 interior zeros (RadialProfile.interior_zeros)
+    with |u(1)| < boundary_tol * a_star, and must pass the Nehari /
+    Pohozaev / energy-monotonicity certification, otherwise the solution
+    is rejected.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -89,23 +93,15 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    # The latest (x, profile) on each side of the root, keyed by P < 0.
-    # brentq's bracket ends are always these two and it returns one of
-    # them, so the solution is never integrated again.
-    latest: dict[bool, tuple[float, RadialProfile]] = {}
-
     # Cached because brentq evaluates the bracket ends once more.
     @functools.lru_cache(maxsize=None)
     def proxy(x: float) -> float:
-        profile = integrate(params, math.exp(x), 1.0, rtol=rtol, atol=atol)
-        zeros = len(profile.zero_crossings())
+        zeros, u1, du1 = shoot(params, math.exp(x), rtol=rtol, atol=atol)
         s = -1.0 if zeros % 2 else 1.0
         # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
         # continuous should the last zero sit on r=1 and be miscounted.
-        angle = math.atan2(s * profile.u(1.0), s * profile.du(1.0)) % (2.0 * math.pi)
-        p = (zeros - k) * math.pi + angle
-        latest[p < 0.0] = (x, profile)
-        return p
+        angle = math.atan2(s * u1, s * du1) % (2.0 * math.pi)
+        return (zeros - k) * math.pi + angle
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
@@ -148,7 +144,9 @@ def solve_nodal(
         )
 
     a_star = math.exp(x_star)
-    (profile,) = [prof for x_seen, prof in latest.values() if x_seen == x_star]
+    # The shooting evaluations count zeros only at integrator steps; the
+    # checks below on the full profile reject a miscounted double crossing.
+    profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
 
     interior = profile.interior_zeros()
     u1 = profile.u(1.0)
@@ -237,8 +235,7 @@ def continuation_sweep(
     Per-point failures are recorded and the sweep continues.
     """
     grid = [float(x) for x in lambda_grid]
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("lambda grid must be strictly decreasing")
+    check_lambda_grid(grid)
 
     points: list[SweepPoint] = []
     seeds: list[float] = []

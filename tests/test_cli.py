@@ -6,7 +6,7 @@ import pytest
 
 from bnball import cli, shooting
 from bnball.bubble import constants
-from bnball.model import ConfigError
+from bnball.model import ConfigError, IntegrationFailed
 
 
 def run(capsys, *argv):
@@ -126,6 +126,18 @@ def test_solve_reports_solver_failure(capsys):
     payload = json.loads(out)
     assert payload["error"] == "no-bracket-found"
     assert "lambda=0.5" in payload["message"]
+    report = payload["report"]
+    assert report["a_range_searched"] == [1e-3, 1e30]
+    assert 0 < report["evaluations"] <= 20
+
+
+def test_error_payload_carries_last_radius():
+    exc = IntegrationFailed("integration failed", last_radius=0.25)
+    assert json.loads(cli._error_payload(exc)) == {
+        "error": "integration-failed",
+        "message": "integration failed",
+        "last_radius": 0.25,
+    }
 
 
 def test_sweep_empty_grid_writes_header_only(capsys, tmp_path):
@@ -337,6 +349,14 @@ def _no_solve(*args, **kwargs):
 def test_non_finite_tolerance_rejected(capsys, monkeypatch, flag, value):
     monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
     rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", flag, value)
+    assert rc == cli.EXIT_CONFIG
+    assert json.loads(out)["error"] == "config-parse-error"
+
+
+@pytest.mark.parametrize("grid", ["nan,1", "inf,1"])
+def test_non_finite_lambda_grid_rejected(capsys, monkeypatch, grid):
+    monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
+    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", grid)
     assert rc == cli.EXIT_CONFIG
     assert json.loads(out)["error"] == "config-parse-error"
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from bnball.bubble import bubble_eval, normalized_mu
-from bnball.model import Params, SingularPoint
-from bnball.ode import integrate
+from bnball import ode
+from bnball.model import Error, IntegrationFailed, Params, SingularPoint
+from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
 
 # Below the first knot a profile evaluates the second-order series of the
 # regular solution, u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
@@ -124,3 +125,69 @@ def test_tolerance_tightening_converges():
 def test_amplitude_must_be_finite():
     with pytest.raises(Exception):
         integrate(Params(n=7, lam=1.0), math.inf, 1.0)
+
+
+# Shooting amplitudes a* at lambda = 2, keyed by (n, k): n = 7, 8 from the
+# benchmark's cold reference solves (perfbench/reference.json), n = 5, 6
+# from solve_nodal; all at rtol 1e-12.
+A_STAR = {
+    (5, 1): 122.01509544236896,
+    (6, 1): 563.3163869273433,
+    (7, 1): 2896.0889828723157,
+    (7, 2): 4.253137119342074e19,
+    (8, 1): 16122.93140813103,
+    (8, 2): 1752977281187904.0,
+}
+
+# (n, lambda, a, rtol, atol, k, trusted): k is set where a is the k-nodal
+# a*; trusted is whether the zero-trust floor lets sign changes count.
+SHOOT_CASES = [
+    pytest.param(n, 2.0, factor * a_star, DEFAULT_RTOL, DEFAULT_ATOL,
+                 k if factor == 1.0 else None, True, id=f"n{n}-k{k}-x{factor:g}")
+    for (n, k), a_star in A_STAR.items()
+    for factor in (0.5, 1.0, 2.0)
+] + [
+    pytest.param(5, 0.5, 1e28, DEFAULT_RTOL, DEFAULT_ATOL, None, False, id="n5-untrusted"),
+    pytest.param(6, 1e-10, 1e3, DEFAULT_RTOL, DEFAULT_ATOL, None, False, id="n6-untrusted"),
+    # steps far beyond the stability region drive |u| over the blow-up bound
+    pytest.param(7, 1e8, 1.0, 100.0, 1e6, None, False, id="n7-blow-up"),
+]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Error as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n, lam, a, rtol, atol, k, trusted", SHOOT_CASES)
+def test_shoot_matches_integrate(n, lam, a, rtol, atol, k, trusted):
+    """A shooting evaluation reads the same zero count, end state and error
+    class as the full integration of the same amplitude."""
+    params = Params(n=n, lam=lam)
+    shot = _outcome(lambda: shoot(params, a, rtol=rtol, atol=atol))
+    profile = _outcome(lambda: integrate(params, a, 1.0, rtol=rtol, atol=atol))
+    assert ode._deviation(params, a, 1.0, atol).trusted == trusted
+    if isinstance(profile, type):
+        assert shot is profile
+        return
+    zeros, u1, du1 = shot
+    if k is not None:
+        # zero k sits on r = 1 to the integrators' accuracy; either may count it
+        assert len(profile.interior_zeros()) == k - 1
+        assert zeros in (k - 1, k)
+        return
+    assert zeros == len(profile.zero_crossings())
+    if trusted:
+        assert u1 == pytest.approx(profile.u(1.0), rel=1e3 * rtol, abs=0.0)
+        assert du1 == pytest.approx(profile.du(1.0), rel=1e3 * rtol, abs=0.0)
+
+
+def test_shoot_step_budget_is_integration_failure(monkeypatch):
+    """dop853 running out of steps is a classified failure, not a warning
+    with a truncated state."""
+    monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", 20)
+    with pytest.raises(IntegrationFailed) as info:
+        shoot(Params(n=7, lam=2.0), 1e4)
+    assert 0.0 < info.value.last_radius < 1.0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nodal_fixture
@@ -18,7 +18,7 @@ from bnball.model import (
     NoBracketFound,
     Params,
 )
-from bnball.ode import integrate
+from bnball.ode import integrate, shoot
 from bnball.shooting import (
     continuation_sweep,
     extract_features,
@@ -84,14 +84,14 @@ def test_solve_rejects_bad_lambda():
 
 
 def _record_amplitudes(monkeypatch):
-    """Amplitudes of every integration solve_nodal runs, in call order."""
+    """Amplitudes of every shooting evaluation solve_nodal runs, in call order."""
     tried = []
 
-    def recording(params, a, *args, **kwargs):
+    def recording(params, a, **kwargs):
         tried.append(a)
-        return integrate(params, a, *args, **kwargs)
+        return shoot(params, a, **kwargs)
 
-    monkeypatch.setattr(shooting, "integrate", recording)
+    monkeypatch.setattr(shooting, "shoot", recording)
     return tried
 
 
@@ -112,7 +112,7 @@ def test_no_bracket_in_low_dimension(monkeypatch):
 @pytest.mark.parametrize("n", [5, 6])
 def test_no_bracket_classified_quickly(monkeypatch, n):
     """n=5, 6 have no k=2 solution at small lambda (Atkinson-Brezis-Peletier);
-    the log-space bracket reaches that verdict in few integrations."""
+    the log-space bracket reaches that verdict in few evaluations."""
     tried = _record_amplitudes(monkeypatch)
     with pytest.raises(NoBracketFound):
         solve_nodal(Params(n=n, lam=0.5), 2)
@@ -120,22 +120,24 @@ def test_no_bracket_classified_quickly(monkeypatch, n):
 
 
 def test_each_amplitude_integrated_once(monkeypatch):
-    """brentq returns one of its own evaluations, so the solution profile is
-    the shooting integration at a*, identical to a fresh one, and no
-    amplitude is integrated twice."""
-    calls = []
+    """Each amplitude is shot once, and a successful solve runs integrate
+    exactly once, at a*; its profile equals a fresh integration."""
+    tried = _record_amplitudes(monkeypatch)
+    integrated = []
 
     def recording(params, a, *args, **kwargs):
         profile = integrate(params, a, *args, **kwargs)
-        calls.append((a, profile))
+        integrated.append((a, profile))
         return profile
 
     monkeypatch.setattr(shooting, "integrate", recording)
     params = Params(n=7, lam=2.0)
     sol = solve_nodal(params, 2)
-    tried = [a for a, _ in calls]
-    assert len(set(tried)) == len(tried)
-    assert any(profile is sol.profile for _, profile in calls)
+    assert tried and len(set(tried)) == len(tried)
+    assert sol.a_star in tried
+    [(a, profile)] = integrated
+    assert a == sol.a_star
+    assert profile is sol.profile
 
     fresh = integrate(params, sol.a_star, 1.0)
     for name in ("knots", "values", "derivs", "steps"):
@@ -144,17 +146,23 @@ def test_each_amplitude_integrated_once(monkeypatch):
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
-@given(log_rtol=st.floats(min_value=-12.0, max_value=-7.0))
-def test_rtol_never_breaks_the_search(log_rtol):
+@example(log_rtol=-8.0, n=7, k=2)
+@example(log_rtol=-11.0, n=8, k=2)
+@given(
+    log_rtol=st.floats(min_value=-12.0, max_value=-7.0),
+    n=st.sampled_from([7, 8]),
+    k=st.sampled_from([1, 2]),
+)
+def test_rtol_never_breaks_the_search(log_rtol, n, k):
     """Every rtol either certifies or fails with a classified solver error;
     the boundary band and the search tolerance follow rtol, so the search
     itself never reports a mismatch."""
     try:
-        sol = solve_nodal(Params(n=7, lam=2.0), 2, rtol=10.0**log_rtol)
+        sol = solve_nodal(Params(n=n, lam=2.0), k, rtol=10.0**log_rtol)
     except Error as exc:
         assert exc.code not in ("nonconvergent-bisection", "missing-interior-zero")
     else:
-        assert len(sol.profile.interior_zeros()) == 1
+        assert len(sol.profile.interior_zeros()) == k - 1
 
 
 def test_sweep_empty_grid():
@@ -164,6 +172,16 @@ def test_sweep_empty_grid():
 def test_sweep_requires_decreasing_grid():
     with pytest.raises(ConfigError):
         continuation_sweep(Params(n=7, lam=1.0), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+def test_sweep_requires_finite_grid(monkeypatch, grid):
+    def no_solve(*args, **kwargs):
+        pytest.fail("solve_nodal ran on a non-finite grid")
+
+    monkeypatch.setattr(shooting, "solve_nodal", no_solve)
+    with pytest.raises(ConfigError):
+        continuation_sweep(Params(n=7, lam=1.0), grid)
 
 
 def test_sweep_records_per_point_errors():
