@@ -77,14 +77,6 @@ DENSE_SAMPLES = 8
 # few hundred steps.
 SHOOT_MAX_STEPS = 100_000
 
-# Failure return codes of Hairer's dop853.
-_DOP853_FAILURES = {
-    -1: "input is not consistent",
-    -2: "needs more than SHOOT_MAX_STEPS steps",
-    -3: "step size became too small",
-    -4: "problem is probably stiff",
-}
-
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
@@ -123,6 +115,7 @@ class RadialProfile:
     dense: object = field(repr=False)  # r -> (u, u')
     steps: np.ndarray | None = None  # integrator step radii; quadrature pieces
     rtol: float = DEFAULT_RTOL  # integrator tolerance; sets the boundary band
+    boundary_shift: float = 0.0  # measured spread of the boundary zero; widens it
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -162,13 +155,15 @@ class RadialProfile:
         return [e for e in self.events if e.kind == "zero-crossing"]
 
     def interior_zeros(self) -> list[Event]:
-        """Zero-crossings below 1 - 10 rtol.
+        """Zero-crossings below 1 - (10 rtol + boundary_shift).
 
         A converged shooting solution puts its last zero on r=1 only to the
-        accuracy the integrator resolves; zeros within that band are the
-        boundary zero itself, not interior structure.
+        accuracy the integrator resolves, and another integration at the
+        same amplitude moves it by boundary_shift; zeros within that band
+        are the boundary zero itself, not interior structure.
         """
-        return [e for e in self.zero_crossings() if e.r < 1.0 - 10.0 * self.rtol]
+        band = 10.0 * self.rtol + self.boundary_shift
+        return [e for e in self.zero_crossings() if e.r < 1.0 - band]
 
     def derivative_zeros(self) -> list[Event]:
         return [e for e in self.events if e.kind == "derivative-zero"]
@@ -424,19 +419,20 @@ def shoot(
     )
     solver.set_solout(solout)
     solver.set_initial_value(dev.s0, dev.y0)
-    with warnings.catch_warnings():
-        # A failed run warns and returns a truncated state; it is reported
-        # through the return code below instead.
+    with warnings.catch_warnings(record=True) as caught:
+        # A failed run warns and returns a truncated state; the warning's
+        # text is reported through IntegrationFailed below instead.
         warnings.filterwarnings(
-            "ignore", category=UserWarning, module="scipy.integrate._ode"
+            "always", category=UserWarning, module="scipy.integrate._ode"
         )
         s1 = solver.integrate(dev.y_end)
     if blown_at is not None:
         raise _blow_up(blown_at / dev.scale_r)
     if not solver.successful():
-        code = solver.get_return_code()
+        reason = "; ".join(str(w.message) for w in caught)
         raise IntegrationFailed(
-            f"integration failed: dop853 {_DOP853_FAILURES.get(code, code)}",
+            f"integration failed: {reason} "
+            f"(return code {solver.get_return_code()})",
             last_radius=solver.t / dev.scale_r,
         )
     u1, du1 = dev.u_du(dev.y_end, s1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
@@ -79,8 +79,10 @@ def solve_nodal(
     a_seed that double in length each time (up while P < 0, down while
     P > 0), within a in [1e-3, 1e30]; then refine with brentq to
     xtol = rtol, and integrate the profile at the root once.  That profile
-    must carry exactly k-1 interior zeros (RadialProfile.interior_zeros)
-    with |u(1)| < boundary_tol * a_star, and must pass the Nehari /
+    must carry exactly k-1 interior zeros (RadialProfile.interior_zeros,
+    whose boundary band also covers the gap between this integration's
+    boundary zero and the shot's at the root) with
+    |u(1)| < boundary_tol * a_star, and must pass the Nehari /
     Pohozaev / energy-monotonicity certification, otherwise the solution
     is rejected.
     """
@@ -93,10 +95,14 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    # Cached because brentq evaluates the bracket ends once more.
+    # Cached because brentq evaluates the bracket ends once more, and the
+    # boundary check below reads the shot at the root again.
     @functools.lru_cache(maxsize=None)
+    def shot(x: float) -> tuple[int, float, float]:
+        return shoot(params, math.exp(x), rtol=rtol, atol=atol)
+
     def proxy(x: float) -> float:
-        zeros, u1, du1 = shoot(params, math.exp(x), rtol=rtol, atol=atol)
+        zeros, u1, du1 = shot(x)
         s = -1.0 if zeros % 2 else 1.0
         # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
         # continuous should the last zero sit on r=1 and be miscounted.
@@ -116,7 +122,7 @@ def solve_nodal(
                 "lambda": params.lam,
                 "k": k,
                 "a_range_searched": [_A_MIN, _A_MAX],
-                "evaluations": proxy.cache_info().misses,
+                "evaluations": shot.cache_info().misses,
             }
             if up:
                 raise NoBracketFound(
@@ -147,9 +153,14 @@ def solve_nodal(
     # The shooting evaluations count zeros only at integrator steps; the
     # checks below on the full profile reject a miscounted double crossing.
     profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
+    # This integration puts the boundary zero where the shot at a* did
+    # only to the two integrators' reproducibility: widen the boundary band
+    # by the gap between their boundary zeros, |delta u(1) / u'(1)|.
+    u1, du1 = profile.u(1.0), profile.du(1.0)
+    gap = abs(u1 - shot(x_star)[1])
+    profile = replace(profile, boundary_shift=gap / abs(du1) if du1 else 0.0)
 
     interior = profile.interior_zeros()
-    u1 = profile.u(1.0)
     if len(interior) != k - 1 or abs(u1) >= boundary_tol * a_star:
         raise NonconvergentBisection(
             f"converged amplitude {a_star:.17g} gives {len(interior)} interior "

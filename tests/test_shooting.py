@@ -16,6 +16,7 @@ from bnball.model import (
     InvalidLambda,
     MissingInteriorZero,
     NoBracketFound,
+    NonconvergentBisection,
     Params,
 )
 from bnball.ode import integrate, shoot
@@ -137,12 +138,38 @@ def test_each_amplitude_integrated_once(monkeypatch):
     assert sol.a_star in tried
     [(a, profile)] = integrated
     assert a == sol.a_star
-    assert profile is sol.profile
+    assert sol.profile.knots is profile.knots
 
     fresh = integrate(params, sol.a_star, 1.0)
     for name in ("knots", "values", "derivs", "steps"):
         assert np.array_equal(getattr(fresh, name), getattr(sol.profile, name))
     assert fresh.events == sol.profile.events
+
+
+@pytest.mark.parametrize("rtol", [4.610002271499707e-10, 3.395508712874561e-10])
+def test_boundary_band_covers_shoot_integrate_gap(rtol):
+    """At these inputs the full integration at a* puts the boundary zero
+    more than 10 rtol inside the ball, although the shot there puts it on
+    r=1; the band widened by the measured gap still reads it as the
+    boundary zero."""
+    sol = solve_nodal(Params(n=7, lam=2.0 ** (-7 / 4)), 2, rtol=rtol)
+    assert len(sol.profile.interior_zeros()) == 1
+    boundary = sol.profile.zero_crossings()[-1].r
+    assert 1.0 - sol.profile.boundary_shift - 10.0 * rtol < boundary < 1.0 - 10.0 * rtol
+
+
+def test_miscounted_zero_pair_is_rejected(monkeypatch):
+    """Shots that count a pair of zeros the solution does not have leave
+    (u(1), u'(1)) and hence the boundary band as they are; the full
+    profile at the root they converge on fails the interior-zero check."""
+
+    def overcounting(params, a, **kwargs):
+        zeros, u1, du1 = shoot(params, a, **kwargs)
+        return (zeros + 2 if zeros else 0), u1, du1
+
+    monkeypatch.setattr(shooting, "shoot", overcounting)
+    with pytest.raises(NonconvergentBisection, match="gives 0 interior zeros"):
+        solve_nodal(Params(n=7, lam=2.0), 2)
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
