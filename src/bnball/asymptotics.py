@@ -306,8 +306,8 @@ def green_profile_gaps(
     dgref = np.array(
         [cte * unit_source_green_gradient_at_center(n, r) for r in grid]
     )
-    u = pref * np.asarray(profile.u(grid), dtype=float)
-    du = pref * np.asarray(profile.du(grid), dtype=float)
+    u, du = profile.u_du(grid)
+    u, du = pref * u, pref * du
     return float(np.max(np.abs(u - gref))), float(np.max(np.abs(du - dgref)))
 
 

@@ -97,8 +97,7 @@ def radial_norms(
     r = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    u = np.asarray(profile.u(r), dtype=float)
-    du = np.asarray(profile.du(r), dtype=float)
+    u, du = profile.u_du(r)
     meas = w * r ** (params.n - 1)
     wn = omega_n(params.n)
     return RadialNorms(

@@ -101,7 +101,8 @@ class RadialProfile:
     knots are strictly increasing radii starting at the series-start radius;
     values and derivs are u and u' there.  events lists the located
     zero-crossings of u and u' in radius order.  dense maps radii to
-    (u, u') and is what u() and du() evaluate above the first knot.
+    (u, u') and is what u_du() evaluates above the first knot; u() and
+    du() read through u_du().
     Treated as immutable after construction.
     """
 
@@ -126,30 +127,30 @@ class RadialProfile:
         for arr in (self.knots, self.values, self.derivs):
             arr.setflags(write=False)
 
-    def _eval(self, r, component: int):
+    def u_du(self, r):
+        """(u, u') at r from one dense evaluation; floats for scalar r."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty_like(r)
+        u = np.empty_like(r)
+        du = np.empty_like(r)
         inside = r >= self.knots[0]
         if np.any(inside):
-            out[inside] = np.asarray(self.dense(r[inside])[component], dtype=float)
-        if np.any(~inside):
+            u[inside], du[inside] = self.dense(r[inside])
+        if not np.all(inside):
             # Below the series-start radius, use the same Taylor expansion
             # the integration started from.
             f = self.params.nonlinearity(self.a)
             rr = r[~inside]
-            if component == 0:
-                out[~inside] = self.a - f * rr * rr / (2.0 * self.params.n)
-            else:
-                out[~inside] = -f * rr / self.params.n
-        return float(out[0]) if scalar else out
+            u[~inside] = self.a - f * rr * rr / (2.0 * self.params.n)
+            du[~inside] = -f * rr / self.params.n
+        return (float(u[0]), float(du[0])) if scalar else (u, du)
 
     def u(self, r):
-        return self._eval(r, 0)
+        return self.u_du(r)[0]
 
     def du(self, r):
-        return self._eval(r, 1)
+        return self.u_du(r)[1]
 
     def zero_crossings(self) -> list[Event]:
         return [e for e in self.events if e.kind == "zero-crossing"]
@@ -292,6 +293,51 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float):
     )
 
 
+@dataclass(frozen=True)
+class _StepPolynomials:
+    """DOP853's dense output with every step polynomial stacked in arrays.
+
+    Evaluates the deviation state at any scaled radii, scalar or array, in
+    one numpy pass, with exactly the arithmetic of scipy's OdeSolution over
+    Dop853DenseOutput pieces (Hairer, Norsett, Wanner, Solving ODEs I,
+    II.6), so every value is bit-identical to it.  ts holds the step
+    radii in ascending order and piece i spans ts[i]..ts[i+1]; on a step
+    radius the step that ends there is used, as OdeSolution does.
+    """
+
+    ts: np.ndarray
+    side: str  # searchsorted side of OdeSolution's segment choice
+    t_old: np.ndarray  # (pieces,) start of each step
+    h: np.ndarray  # (pieces,) signed step length
+    F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
+    y_old: np.ndarray  # (pieces, 2) state at t_old
+
+    @classmethod
+    def of(cls, sol) -> "_StepPolynomials":
+        """Stack the pieces of a DOP853 OdeSolution."""
+        pieces = sol.interpolants if sol.ascending else sol.interpolants[::-1]
+        return cls(
+            ts=sol.ts_sorted,
+            side=sol.side,
+            t_old=np.array([p.t_old for p in pieces]),
+            h=np.array([p.h for p in pieces]),
+            F=np.array([p.F for p in pieces]),
+            y_old=np.array([p.y_old for p in pieces]),
+        )
+
+    def __call__(self, y):
+        """State (v, v') at y: shape (2,) for scalar y, else (2, len(y))."""
+        y = np.asarray(y, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, y, side=self.side) - 1, 0, len(self.h) - 1)
+        x = ((y - self.t_old[i]) / self.h[i])[..., None]
+        s = np.zeros(y.shape + (2,))
+        for j in range(self.F.shape[1]):
+            s += self.F[i, -1 - j]
+            s *= x if j % 2 == 0 else 1 - x
+        s += self.y_old[i]
+        return s.T
+
+
 def _blow_up(radius: float) -> BlowUpDetected:
     return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
 
@@ -328,16 +374,20 @@ def integrate(
     def ev_dzero(y, s):
         return _bubble_terms(dev.n, y)[1] + s[1]
 
-    sol = solve_ivp(
-        dev.f,
-        (dev.y0, dev.y_end),
-        dev.s0,
-        method="DOP853",
-        rtol=rtol,
-        atol=dev.atol_scaled,
-        dense_output=True,
-        events=(ev_blow, dev.uhat, ev_dzero) if dev.trusted else (ev_blow,),
-    )
+    try:
+        sol = solve_ivp(
+            dev.f,
+            (dev.y0, dev.y_end),
+            dev.s0,
+            method="DOP853",
+            rtol=rtol,
+            atol=dev.atol_scaled,
+            dense_output=True,
+            events=(ev_blow, dev.uhat, ev_dzero) if dev.trusted else (ev_blow,),
+        )
+    except ValueError as exc:
+        # A NaN state reaches the event root-finder, which refuses it.
+        raise IntegrationFailed(f"integration failed: {exc}") from exc
     if sol.t_events[0].size > 0:
         raise _blow_up(sol.t_events[0][0] / scale_r)
     if not sol.success:
@@ -346,9 +396,11 @@ def integrate(
             f"integration failed: {sol.message}", last_radius=last
         )
 
+    dense = _StepPolynomials.of(sol.sol)
+
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""
-        return dev.u_du(y, sol.sol(y))
+        return dev.u_du(y, dense(y))
 
     # Zero crossings store u' there, derivative zeros store u; untrusted
     # integrations have no sign events to read.

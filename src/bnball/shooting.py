@@ -156,7 +156,7 @@ def solve_nodal(
     # This integration puts the boundary zero where the shot at a* did
     # only to the two integrators' reproducibility: widen the boundary band
     # by the gap between their boundary zeros, |delta u(1) / u'(1)|.
-    u1, du1 = profile.u(1.0), profile.du(1.0)
+    u1, du1 = profile.u_du(1.0)
     gap = abs(u1 - shot(x_star)[1])
     profile = replace(profile, boundary_shift=gap / abs(du1) if du1 else 0.0)
 

@@ -82,8 +82,8 @@ def rescale_profile(profile: RadialProfile, M: float, params: Params | None = No
         events.append(Event(kind=e.kind, r=c * e.r, value=factor * e.value))
 
     def dense(y):
-        r = np.asarray(y, dtype=float) / c
-        return profile.u(r) / M, profile.du(r) / (M * c)
+        u, du = profile.u_du(np.asarray(y, dtype=float) / c)
+        return u / M, du / (M * c)
 
     return RadialProfile(
         params=scaled_params,

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from bnball.bubble import bubble_eval, normalized_mu
-from bnball import ode
+from bnball import diagnostics, ode
 from bnball.model import Error, IntegrationFailed, Params, SingularPoint
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
+from bnball.shooting import extract_features
 
 # Below the first knot a profile evaluates the second-order series of the
 # regular solution, u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
@@ -122,6 +125,14 @@ def test_tolerance_tightening_converges():
     assert gap < 1e-7
 
 
+def test_nan_state_is_integration_failure():
+    """Steps far beyond the stability region overflow the right-hand side
+    to a NaN state before the blow-up event can fire; that is a classified
+    failure, not the event root-finder's ValueError."""
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationFailed):
+        integrate(Params(n=7, lam=1e4), 1.0, 1.0, rtol=1e3, atol=1e9)
+
+
 def test_amplitude_must_be_finite():
     with pytest.raises(Exception):
         integrate(Params(n=7, lam=1.0), math.inf, 1.0)
@@ -191,3 +202,102 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
     with pytest.raises(IntegrationFailed) as info:
         shoot(Params(n=7, lam=2.0), 1e4)
     assert 0.0 < info.value.last_radius < 1.0
+
+
+@pytest.mark.parametrize("n, lam, a, trusted", [
+    pytest.param(n, 2.0, A_STAR[(n, 1)], True, id=f"n{n}-k1")
+    for n in (5, 6, 7, 8)
+] + [
+    pytest.param(8, 2.0, A_STAR[(8, 2)], True, id="n8-k2"),
+    pytest.param(5, 0.5, 1e28, False, id="n5-untrusted"),
+    # y_end below the series start: solve_ivp integrates inward
+    pytest.param(7, 1.0, 1e-20, True, id="n7-inward"),
+])
+def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
+    """The stacked step polynomials evaluate bit for bit as scipy's own
+    OdeSolution over the same DOP853 pieces, on and between step radii."""
+    results = []
+    solve_ivp = ode.solve_ivp
+
+    def capture(*args, **kwargs):
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "solve_ivp", capture)
+    params = Params(n=n, lam=lam)
+    profile = integrate(params, a, 1.0)
+    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+    assert dev.trusted == trusted
+    (result,) = results
+    rng = np.random.default_rng(n)
+    r0, r_end = profile.knots[0], profile.r_end
+    random_radii = rng.uniform(r0, profile.knots[-1], 257)
+    for r in (random_radii, profile.steps, profile.knots, r0, r_end, 1.0,
+              rng.permutation(random_radii)):
+        # A profile evaluates a scalar radius as a 1-element array; so does
+        # the oracle, since numpy's scalar and array powers may differ in
+        # the last bit.
+        y = np.atleast_1d(r) * dev.scale_r
+        want = dev.u_du(y, result.sol(y))
+        assert np.array_equal(np.reshape(profile.u_du(r), np.shape(want)), want)
+    # Step radii in the scaled variable are exact segment-boundary ties.
+    pieces = ode._StepPolynomials.of(result.sol)
+    assert np.array_equal(pieces(result.t), result.sol(result.t))
+    for y in (result.t[0], result.t[1], result.t[-1]):
+        assert np.array_equal(pieces(y), result.sol(y))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_step_polynomials_match_odesolution(descending):
+    """Pieces whose ends do not meet: on a step radius only the piece that
+    OdeSolution picks gives its value, and beyond the ends the end pieces
+    extrapolate."""
+    rng = np.random.default_rng(3)
+    ts = np.cumsum(rng.uniform(0.5, 1.5, 9))
+    if descending:
+        ts = ts[::-1]
+    sol = OdeSolution(ts, [
+        Dop853DenseOutput(t_old, t, rng.normal(size=2), rng.normal(size=(7, 2)))
+        for t_old, t in zip(ts[:-1], ts[1:])
+    ])
+    stacked = ode._StepPolynomials.of(sol)
+    y = np.concatenate([ts, rng.uniform(ts.min() - 1.0, ts.max() + 1.0, 64)])
+    assert np.array_equal(stacked(y), sol(y))
+    for t in y[:16]:
+        assert np.array_equal(stacked(t), sol(t))
+
+
+def test_u_du_agrees_with_u_and_du(sol7_lam2):
+    """One u_du call gives u and du at once, below the first knot too."""
+    profile = sol7_lam2.profile
+    r = np.array([0.5 * profile.knots[0], 0.3, 1.0])
+    u, du = profile.u_du(r)
+    assert np.array_equal(u, profile.u(r)) and np.array_equal(du, profile.du(r))
+    assert profile.u_du(1.0) == (profile.u(1.0), profile.du(1.0))
+    assert isinstance(profile.u_du(1.0)[0], float)
+
+
+def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
+    """Once solve_ivp returns, integrate and certify read the dense output
+    only through the stacked step polynomials; scipy's per-step
+    interpolants serve solve_ivp's own event location alone."""
+    calls = 0
+    call_impl = Dop853DenseOutput._call_impl
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return call_impl(self, t)
+
+    solve_ivp = ode.solve_ivp
+
+    def solve_then_count(*args, **kwargs):
+        result = solve_ivp(*args, **kwargs)
+        monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counting)
+        return result
+
+    monkeypatch.setattr(ode, "solve_ivp", solve_then_count)
+    params = sol7_lam2.params
+    profile = integrate(params, sol7_lam2.a_star, 1.0, rtol=sol7_lam2.profile.rtol)
+    diagnostics.certify(profile, params, features=extract_features(profile, params))
+    assert calls == 0
