@@ -101,7 +101,7 @@ def rescale_plus(solution, grid_y) -> np.ndarray:
     The domain is [0, sigma_lambda]; u~+(0) = 1 exactly because the center
     amplitude is the normalizing constant.
     """
-    profile, params, f = _need_features(solution)
+    profile, _, f = _need_features(solution)
     y = np.atleast_1d(np.asarray(grid_y, dtype=float))
     if y.size == 0:
         raise EmptyWindow("empty rescaling grid")
@@ -110,9 +110,8 @@ def rescale_plus(solution, grid_y) -> np.ndarray:
             f"grid must lie in [0, sigma={f.sigma:.6g}], got "
             f"[{y.min():.6g}, {y.max():.6g}]"
         )
-    scale = f.m_plus**params.beta
-    vals = np.asarray(profile.u(np.clip(y, 0.0, None) / scale), dtype=float)
-    return np.maximum(vals, 0.0) / f.m_plus
+    vals = profile.rescaled(f.m_plus).u(np.clip(y, 0.0, None))
+    return np.maximum(vals, 0.0)
 
 
 def rescale_minus(solution, grid_y) -> np.ndarray:
@@ -125,7 +124,7 @@ def rescale_minus(solution, grid_y) -> np.ndarray:
     evaluation is snapped at the minimum point, where roundoff in the
     radius map is second order anyway.
     """
-    profile, params, f = _need_features(solution)
+    profile, _, f = _need_features(solution)
     y = np.atleast_1d(np.asarray(grid_y, dtype=float))
     if y.size == 0:
         raise EmptyWindow("empty rescaling grid")
@@ -134,13 +133,11 @@ def rescale_minus(solution, grid_y) -> np.ndarray:
             f"grid must stay in the rescaled annulus y >= rho={f.rho:.6g}, "
             f"got min {y.min():.6g}"
         )
-    scale = f.m_minus**params.beta
-    outer = scale * profile.r_end
+    scaled = profile.rescaled(f.m_minus)
     vals = np.zeros_like(y)
-    inside = y <= outer
+    inside = y <= scaled.r_end
     if np.any(inside):
-        u = np.asarray(profile.u(y[inside] / scale), dtype=float)
-        vals[inside] = np.maximum(-u, 0.0) / f.m_minus
+        vals[inside] = np.maximum(-scaled.u(y[inside]), 0.0)
     gamma = f.gamma
     snap = np.abs(y - gamma) <= 4.0 * np.finfo(float).eps * gamma
     vals[snap] = 1.0

@@ -42,42 +42,16 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-CSV_COLUMNS = (
-    "lambda",
-    "r_lambda",
-    "s_lambda",
-    "m_plus",
-    "m_minus",
-    "du_node",
-    "du_boundary",
-    "sigma",
-    "rho",
-    "gamma",
-    "q1",
-    "q2",
-    "q3",
-    "p1",
-    "p2",
-    "p3",
-    "p4",
-    "bubble_dev_plus",
-    "bubble_dev_minus",
-    "green_dev",
-    "green_grad_dev",
-    "energy",
-    "nehari",
-    "pohozaev_ball",
-    "pohozaev_annulus",
-)
-CSV_HEADER = CSV_COLUMNS + ("error",)
-
-# CSV_COLUMNS is "lambda", then these two groups of field names in order.
 _FEATURE_COLUMNS = tuple(f.name for f in dataclasses.fields(NodalFeatures))
 _SCALAR_COLUMNS = tuple(
     f.name
     for f in dataclasses.fields(asymptotics.SweepRecord)
     if f.name not in ("lam", "features")
 )
+# The frozen CSV column order: "lambda", the nodal features, then the
+# record's scalars.
+CSV_COLUMNS = ("lambda",) + _FEATURE_COLUMNS + _SCALAR_COLUMNS
+CSV_HEADER = CSV_COLUMNS + ("error",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,8 +64,8 @@ class RunConfig:
     k: int = 2
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    boundary_tol: float = 1e-9
-    residual_tol: float = 1e-6
+    boundary_tol: float = shooting.BOUNDARY_TOL
+    residual_tol: float = diagnostics.RESIDUAL_TOL
     out: str | None = None
     fmt: str = "csv"
     warm_start: bool = True
@@ -488,10 +462,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         else _env_float("BNBALL_ATOL", DEFAULT_ATOL),
         residual_tol=args.residual_tol
         if getattr(args, "residual_tol", None) is not None
-        else _env_float("BNBALL_RESIDUAL_TOL", 1e-6),
+        else _env_float("BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL),
         boundary_tol=args.boundary_tol
         if getattr(args, "boundary_tol", None) is not None
-        else _env_float("BNBALL_BOUNDARY_TOL", 1e-9),
+        else _env_float("BNBALL_BOUNDARY_TOL", shooting.BOUNDARY_TOL),
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "csv"),
         warm_start=not (

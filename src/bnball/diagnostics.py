@@ -27,6 +27,9 @@ from .model import (
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Default bound on the relative Nehari and Pohozaev residuals.
+RESIDUAL_TOL = 1e-6
+
 
 class RadialNorms(NamedTuple):
     grad_sq: float  # ||u||^2 = omega_n * int u'^2 r^{n-1}
@@ -114,21 +117,29 @@ def _relative(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / scale
 
 
-def energy_density_check(profile, params: Params | None = None) -> float:
-    """Largest increase of E(r) between consecutive knots, clipped at zero."""
-    if params is None:
-        params = profile.params
+def _energy_density(profile, params: Params) -> np.ndarray:
+    """E(r) at the knots."""
     u = profile.values
     v = profile.derivs
-    dens = (
+    return (
         0.5 * v * v
         + 0.5 * params.lam * u * u
         + np.abs(u) ** params.two_star / params.two_star
     )
+
+
+def _largest_rise(dens: np.ndarray) -> float:
     if dens.size < 2:
         return 0.0
     worst = float(np.max(np.diff(dens)))
     return max(worst, 0.0)
+
+
+def energy_density_check(profile, params: Params | None = None) -> float:
+    """Largest increase of E(r) between consecutive knots, clipped at zero."""
+    if params is None:
+        params = profile.params
+    return _largest_rise(_energy_density(profile, params))
 
 
 def certify(
@@ -136,7 +147,7 @@ def certify(
     params: Params,
     features=None,
     *,
-    residual_tol: float = 1e-6,
+    residual_tol: float = RESIDUAL_TOL,
     energy_tol: float = 1e-9,
 ) -> Residuals:
     """Run every identity check; raise CertificationFailed on the first miss.
@@ -179,6 +190,7 @@ def certify(
         )
     if whole.grad_sq == 0.0:
         raise UndefinedResidual("Nehari residual undefined for the zero profile")
+    dens = _energy_density(profile, params)
     res = Residuals(
         nehari=(whole.grad_sq - params.lam * whole.l2_sq - whole.crit_pow)
         / whole.grad_sq,
@@ -186,15 +198,9 @@ def certify(
         pohozaev_annulus=ann_res,
         energy=0.5 * (whole.grad_sq - params.lam * whole.l2_sq)
         - whole.crit_pow / params.two_star,
-        e_monotone_violation=energy_density_check(profile, params),
+        e_monotone_violation=_largest_rise(dens),
     )
-    u0 = float(profile.values[0])
-    v0 = float(profile.derivs[0])
-    e0 = (
-        0.5 * v0 * v0
-        + 0.5 * params.lam * u0 * u0
-        + abs(u0) ** params.two_star / params.two_star
-    )
+    e0 = float(dens[0])
     failures = []
     if abs(res.nehari) >= residual_tol:
         failures.append(f"Nehari residual {res.nehari:.3e}")

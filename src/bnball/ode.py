@@ -52,6 +52,7 @@ from scipy.integrate import solve_ivp
 
 from .model import (
     BlowUpDetected,
+    ConfigError,
     IntegrationFailed,
     Params,
     SingularPoint,
@@ -152,6 +153,42 @@ class RadialProfile:
     def du(self, r):
         return self.u_du(r)[1]
 
+    def rescaled(self, M: float) -> "RadialProfile":
+        """The inner rescaling of the whole profile: u~(y) = u(y M^{-beta}) / M.
+
+        Valid for any radial function, not only solutions.  The rescaled
+        profile solves the same equation with lambda replaced by
+        lambda M^{-2 beta}, so that is the params it carries; M =
+        lambda^{(n-2)/4} carries lambda to 1, the lambda-absorbing frame.
+        """
+        if not (math.isfinite(M) and M > 0.0):
+            raise ConfigError(f"scaling parameter must be positive, got {M}")
+        params = self.params
+        c = M**params.beta
+        scaled_params = Params(n=params.n, lam=params.lam / (M * M) ** params.beta)
+        events = []
+        for e in self.events:
+            # zero crossings store u' there, derivative zeros store u
+            factor = 1.0 / (M * c) if e.kind == "zero-crossing" else 1.0 / M
+            events.append(Event(kind=e.kind, r=c * e.r, value=factor * e.value))
+
+        def dense(y):
+            u, du = self.u_du(np.asarray(y, dtype=float) / c)
+            return u / M, du / (M * c)
+
+        return RadialProfile(
+            params=scaled_params,
+            a=self.a / M,
+            knots=c * self.knots,
+            values=self.values / M,
+            derivs=self.derivs / (M * c),
+            events=events,
+            r_end=c * self.r_end,
+            dense=dense,
+            steps=c * np.asarray(self.steps, dtype=float),
+            rtol=self.rtol,
+        )
+
     def zero_crossings(self) -> list[Event]:
         return [e for e in self.events if e.kind == "zero-crossing"]
 
@@ -239,6 +276,14 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float):
 
     amp = abs(a)
     scale_r = amp**params.beta
+    y_end = scale_r * r_stop
+    if y_end <= SCALED_START:
+        # The integration would start at or beyond r_stop and run inward,
+        # toward the singular origin.
+        raise SingularPoint(
+            f"r_stop = {r_stop:g} does not lie beyond the series-start radius "
+            f"{SCALED_START / scale_r:g} of amplitude {a:g}"
+        )
     lam_hat = params.lam * amp ** (-2.0 * params.beta)
 
     n = params.n
@@ -285,7 +330,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float):
         scale_r=scale_r,
         scale_v=a * scale_r,
         y0=y0,
-        y_end=scale_r * r_stop,
+        y_end=y_end,
         s0=(v0, vp0),
         atol_scaled=atol_scaled,
         trusted=lam_hat >= ZERO_TRUST_FACTOR * atol_scaled,
@@ -300,25 +345,24 @@ class _StepPolynomials:
     Evaluates the deviation state at any scaled radii, scalar or array, in
     one numpy pass, with exactly the arithmetic of scipy's OdeSolution over
     Dop853DenseOutput pieces (Hairer, Norsett, Wanner, Solving ODEs I,
-    II.6), so every value is bit-identical to it.  ts holds the step
-    radii in ascending order and piece i spans ts[i]..ts[i+1]; on a step
-    radius the step that ends there is used, as OdeSolution does.
+    II.6), so every value is bit-identical to it.  ts holds the ascending
+    step radii of an outward integration and piece i spans ts[i]..ts[i+1];
+    on a step radius the step that ends there is used, as OdeSolution
+    does.
     """
 
     ts: np.ndarray
-    side: str  # searchsorted side of OdeSolution's segment choice
     t_old: np.ndarray  # (pieces,) start of each step
-    h: np.ndarray  # (pieces,) signed step length
+    h: np.ndarray  # (pieces,) step length
     F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
     y_old: np.ndarray  # (pieces, 2) state at t_old
 
     @classmethod
     def of(cls, sol) -> "_StepPolynomials":
-        """Stack the pieces of a DOP853 OdeSolution."""
-        pieces = sol.interpolants if sol.ascending else sol.interpolants[::-1]
+        """Stack the pieces of an ascending DOP853 OdeSolution."""
+        pieces = sol.interpolants
         return cls(
-            ts=sol.ts_sorted,
-            side=sol.side,
+            ts=sol.ts,
             t_old=np.array([p.t_old for p in pieces]),
             h=np.array([p.h for p in pieces]),
             F=np.array([p.F for p in pieces]),
@@ -328,7 +372,7 @@ class _StepPolynomials:
     def __call__(self, y):
         """State (v, v') at y: shape (2,) for scalar y, else (2, len(y))."""
         y = np.asarray(y, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, y, side=self.side) - 1, 0, len(self.h) - 1)
+        i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.h) - 1)
         x = ((y - self.t_old[i]) / self.h[i])[..., None]
         s = np.zeros(y.shape + (2,))
         for j in range(self.F.shape[1]):

@@ -71,7 +71,7 @@ def solve_nodal(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     boundary_tol: float = BOUNDARY_TOL,
-    residual_tol: float = 1e-6,
+    residual_tol: float = diagnostics.RESIDUAL_TOL,
 ) -> SignChangingSolution:
     """Find the amplitude whose radial solution has exactly k nodal regions.
 

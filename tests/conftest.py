@@ -5,6 +5,7 @@ import pytest
 
 from bnball.asymptotics import build_record, rate_law_report
 from bnball.bubble import constants
+from bnball.diagnostics import radial_norms
 from bnball.model import Params
 from bnball.ode import Event, RadialProfile
 from bnball.shooting import continuation_sweep, solve_nodal
@@ -92,3 +93,25 @@ def nodal_fixture(n=7, lam=2.0):
         Event(kind="derivative-zero", r=0.75, value=-0.125),
     ]
     return polynomial_profile((1.0, -3.0, 2.0), n=n, lam=lam, events=events)
+
+
+def norm_invariance_check(profile, M):
+    """Quadrature check of the inner rescaling's norm identities.
+
+    Returns relative gaps for: gradient-norm equality, critical-norm
+    equality, and the L2 scaling law |u|_2^2 = M^{-(2*-2)} |u~|_2^2.  Both
+    sides are computed independently by radial quadrature.
+    """
+    scaled = profile.rescaled(M)
+    base = radial_norms(profile, profile.params)
+    img = radial_norms(scaled, scaled.params)
+
+    def gap(lhs, rhs):
+        scale = max(abs(lhs), abs(rhs))
+        return abs(lhs - rhs) / scale if scale else 0.0
+
+    return (
+        gap(base.grad_sq, img.grad_sq),
+        gap(base.crit_pow, img.crit_pow),
+        gap(base.l2_sq, M ** (-(profile.params.two_star - 2.0)) * img.l2_sq),
+    )

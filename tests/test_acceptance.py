@@ -19,7 +19,6 @@ from bnball.asymptotics import (
 from bnball.bubble import bubble_eval, constants, normalized_mu, omega_n
 from bnball.model import Params, RegionEmpty
 from bnball.ode import integrate
-from bnball.transforms import lambda_absorb, lambda_restore, norm_invariance_check
 
 # Deviation pairs already at rounding noise cannot keep strictly shrinking;
 # treat both-below-floor as converged (bubble_dev_plus saturates near eps).
@@ -276,10 +275,12 @@ def test_criterion_12_transform_exactness():
     profile = conftest.polynomial_profile((1.0, -3.0, 2.0), n=7, lam=2.0)
     worst = 0.0
     for M in (1e-2, 1.0, 1e4):
-        worst = max(worst, *norm_invariance_check(profile, M))
+        worst = max(worst, *conftest.norm_invariance_check(profile, M))
 
-    absorbed = lambda_absorb(profile)
-    r, u, du = lambda_restore(absorbed)
+    # lambda-absorbing frame and back: M = lambda^{(n-2)/4}, then 1/M
+    M = profile.params.lam ** ((profile.params.n - 2) / 4)
+    back = profile.rescaled(M).rescaled(1.0 / M)
+    r, u, du = back.knots, back.values, back.derivs
     scale_r = np.max(np.abs(profile.knots))
     scale_u = np.max(np.abs(profile.values))
     scale_du = np.max(np.abs(profile.derivs))
