@@ -414,7 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rtol", type=float, default=None)
         p.add_argument("--atol", type=float, default=None)
         p.add_argument("--residual-tol", type=float, default=None)
-        p.add_argument("--boundary-tol", type=float, default=None)
+        p.add_argument(
+            "--boundary-tol", type=float, default=None,
+            help=(
+                "largest accepted distance of the k-th zero from r=1, as the "
+                f"Pruefer offset at a* (default {shooting.BOUNDARY_TOL:g})"
+            ),
+        )
         p.add_argument("--out", default=None, help="output path (stdout when absent)")
 
     p_solve = sub.add_parser("solve", help="solve one (n, lambda, k) problem")
@@ -444,28 +450,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Tolerance settings: RunConfig field (also the flag's dest), environment
+# override, default.  A flag wins over the environment, which wins over the
+# default.
+_TOLERANCES = (
+    ("rtol", "BNBALL_RTOL", DEFAULT_RTOL),
+    ("atol", "BNBALL_ATOL", DEFAULT_ATOL),
+    ("residual_tol", "BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL),
+    ("boundary_tol", "BNBALL_BOUNDARY_TOL", shooting.BOUNDARY_TOL),
+)
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     grid = None
     if getattr(args, "lambda_grid", None) is not None:
         grid = _parse_grid(args.lambda_grid)
+    tolerances = {}
+    for name, env, default in _TOLERANCES:
+        flag = getattr(args, name, None)
+        tolerances[name] = flag if flag is not None else _env_float(env, default)
     parallel = getattr(args, "parallel", 0) or 0
     return RunConfig(
         n=args.n,
         lam=getattr(args, "lam", None),
         lambda_grid=grid,
         k=getattr(args, "k", 2),
-        rtol=args.rtol
-        if getattr(args, "rtol", None) is not None
-        else _env_float("BNBALL_RTOL", DEFAULT_RTOL),
-        atol=args.atol
-        if getattr(args, "atol", None) is not None
-        else _env_float("BNBALL_ATOL", DEFAULT_ATOL),
-        residual_tol=args.residual_tol
-        if getattr(args, "residual_tol", None) is not None
-        else _env_float("BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL),
-        boundary_tol=args.boundary_tol
-        if getattr(args, "boundary_tol", None) is not None
-        else _env_float("BNBALL_BOUNDARY_TOL", shooting.BOUNDARY_TOL),
+        **tolerances,
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "csv"),
         warm_start=not (

@@ -135,13 +135,6 @@ def _largest_rise(dens: np.ndarray) -> float:
     return max(worst, 0.0)
 
 
-def energy_density_check(profile, params: Params | None = None) -> float:
-    """Largest increase of E(r) between consecutive knots, clipped at zero."""
-    if params is None:
-        params = profile.params
-    return _largest_rise(_energy_density(profile, params))
-
-
 def certify(
     profile,
     params: Params,

@@ -116,8 +116,6 @@ class RadialProfile:
     r_end: float
     dense: object = field(repr=False)  # r -> (u, u')
     steps: np.ndarray | None = None  # integrator step radii; quadrature pieces
-    rtol: float = DEFAULT_RTOL  # integrator tolerance; sets the boundary band
-    boundary_shift: float = 0.0  # measured spread of the boundary zero; widens it
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -186,22 +184,10 @@ class RadialProfile:
             r_end=c * self.r_end,
             dense=dense,
             steps=c * np.asarray(self.steps, dtype=float),
-            rtol=self.rtol,
         )
 
     def zero_crossings(self) -> list[Event]:
         return [e for e in self.events if e.kind == "zero-crossing"]
-
-    def interior_zeros(self) -> list[Event]:
-        """Zero-crossings below 1 - (10 rtol + boundary_shift).
-
-        A converged shooting solution puts its last zero on r=1 only to the
-        accuracy the integrator resolves, and another integration at the
-        same amplitude moves it by boundary_shift; zeros within that band
-        are the boundary zero itself, not interior structure.
-        """
-        band = 10.0 * self.rtol + self.boundary_shift
-        return [e for e in self.zero_crossings() if e.r < 1.0 - band]
 
     def derivative_zeros(self) -> list[Event]:
         return [e for e in self.events if e.kind == "derivative-zero"]
@@ -472,7 +458,6 @@ def integrate(
         r_end=sol.t[-1] / scale_r,
         dense=lambda r: at_y(np.asarray(r, dtype=float) * scale_r),
         steps=sol.t / scale_r,
-        rtol=rtol,
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
@@ -48,7 +48,18 @@ _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
 # as lambda decreases; the ceiling must sit far above the sweep's range.
 _A_MAX = 1e30
-BOUNDARY_TOL = 1e-9
+# Bound on |P| at the converged amplitude, i.e. on how far the k-th zero
+# lies from r=1.
+BOUNDARY_TOL = 1e-6
+
+
+def _pruefer(zeros: int, u1: float, du1: float, k: int) -> float:
+    """The proxy P from the zero count and the end state (u(1), u'(1))."""
+    s = -1.0 if zeros % 2 else 1.0
+    # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
+    # continuous should the last zero sit on r=1 and be miscounted.
+    angle = math.atan2(s * u1, s * du1) % (2.0 * math.pi)
+    return (zeros - k) * math.pi + angle
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,13 @@ def solve_nodal(
     Bracket the root of the Pruefer proxy P in x = log a by steps from
     a_seed that double in length each time (up while P < 0, down while
     P > 0), within a in [1e-3, 1e30]; then refine with brentq to
-    xtol = rtol, and integrate the profile at the root once.  That profile
-    must carry exactly k-1 interior zeros (RadialProfile.interior_zeros,
-    whose boundary band also covers the gap between this integration's
-    boundary zero and the shot's at the root) with
-    |u(1)| < boundary_tol * a_star, and must pass the Nehari /
-    Pohozaev / energy-monotonicity certification, otherwise the solution
-    is rejected.
+    xtol = rtol, and integrate the profile at the root once.  P read from
+    that profile's zero crossings and (u(1), u'(1)) must satisfy
+    |P| <= boundary_tol: next to the root P is about 1 - r_k, so this
+    bounds how far the k-th zero lies from r=1, and a miscounted pair of
+    zeros (|P| about pi or 2 pi) fails it.  The profile must also pass the
+    Nehari / Pohozaev / energy-monotonicity certification, otherwise the
+    solution is rejected.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -95,19 +106,13 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    # Cached because brentq evaluates the bracket ends once more, and the
-    # boundary check below reads the shot at the root again.
+    # Cached because brentq evaluates the bracket ends once more.
     @functools.lru_cache(maxsize=None)
     def shot(x: float) -> tuple[int, float, float]:
         return shoot(params, math.exp(x), rtol=rtol, atol=atol)
 
     def proxy(x: float) -> float:
-        zeros, u1, du1 = shot(x)
-        s = -1.0 if zeros % 2 else 1.0
-        # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
-        # continuous should the last zero sit on r=1 and be miscounted.
-        angle = math.atan2(s * u1, s * du1) % (2.0 * math.pi)
-        return (zeros - k) * math.pi + angle
+        return _pruefer(*shot(x), k)
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
@@ -151,21 +156,15 @@ def solve_nodal(
 
     a_star = math.exp(x_star)
     # The shooting evaluations count zeros only at integrator steps; the
-    # checks below on the full profile reject a miscounted double crossing.
+    # same proxy on the full profile rejects a miscounted double crossing.
     profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
-    # This integration puts the boundary zero where the shot at a* did
-    # only to the two integrators' reproducibility: widen the boundary band
-    # by the gap between their boundary zeros, |delta u(1) / u'(1)|.
-    u1, du1 = profile.u_du(1.0)
-    gap = abs(u1 - shot(x_star)[1])
-    profile = replace(profile, boundary_shift=gap / abs(du1) if du1 else 0.0)
-
-    interior = profile.interior_zeros()
-    if len(interior) != k - 1 or abs(u1) >= boundary_tol * a_star:
+    offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
+    # written so that a NaN offset is rejected too
+    if not abs(offset) <= boundary_tol:
         raise NonconvergentBisection(
-            f"converged amplitude {a_star:.17g} gives {len(interior)} interior "
-            f"zeros and |u(1)|/a = {abs(u1) / a_star:.3e}; wanted {k - 1} zeros "
-            f"and < {boundary_tol:g}"
+            f"converged amplitude {a_star:.17g} gives the profile a Pruefer "
+            f"offset {offset:.3e} from zero {k} on r=1; wanted |offset| <= "
+            f"{boundary_tol:g}"
         )
 
     features = extract_features(profile, params) if k == 2 else None
@@ -185,15 +184,15 @@ def solve_nodal(
 def extract_features(profile: RadialProfile, params: Params) -> NodalFeatures:
     """Scalar features of a two-nodal-region profile.
 
-    The node and the minimum point come from the recorded events; the
-    derivative at the boundary from the dense output.
+    The node is the first zero crossing and the minimum point comes from
+    the recorded events; the derivative at the boundary from the dense
+    output.  Whether the profile has the right number of zeros is
+    solve_nodal's check.
     """
-    interior = profile.interior_zeros()
-    if len(interior) != 1:
-        raise MissingInteriorZero(
-            f"expected exactly one interior zero-crossing, found {len(interior)}"
-        )
-    node = interior[0]
+    crossings = profile.zero_crossings()
+    if not crossings:
+        raise MissingInteriorZero("expected an interior zero-crossing, found none")
+    node = crossings[0]
     r_lambda = node.r
     minima = [e for e in profile.derivative_zeros() if r_lambda < e.r < 1.0]
     if not minima:
@@ -202,7 +201,7 @@ def extract_features(profile: RadialProfile, params: Params) -> NodalFeatures:
         )
     # The annulus minimum; accepted solutions carry exactly one candidate.
     s_event = min(minima, key=lambda e: e.value)
-    m_plus = profile.a if profile.a > 0.0 else float(profile.values[0])
+    m_plus = profile.a
     m_minus = -s_event.value
     beta = params.beta
     return NodalFeatures(

@@ -90,8 +90,9 @@ def test_solve_payload(capsys):
 
 
 def test_solve_loose_rtol_certifies(capsys):
-    """At rtol=1e-8 the boundary zero lands within ~1e-9 of r=1; the
-    boundary band follows rtol, so it is not counted as interior."""
+    """At rtol=1e-8 the boundary zero lands within ~1e-9 of r=1, well
+    inside the --boundary-tol default, so the solve certifies with one
+    interior zero."""
     rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", "--rtol", "1e-8")
     assert rc == cli.EXIT_PASS
     zeros = [

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import nodal_fixture, polynomial_profile
 from bnball import diagnostics
-from bnball.diagnostics import certify, energy_density_check, radial_norms
+from bnball.diagnostics import certify, radial_norms
 from bnball.model import (
     CertificationFailed,
     EmptyDomain,
@@ -134,7 +134,9 @@ def test_energy_positive_on_accepted(sol7_lam2):
 
 
 def test_energy_density_monotone_on_accepted(sol7_lam2):
-    violation = energy_density_check(sol7_lam2.profile, sol7_lam2.params)
+    violation = certify(
+        sol7_lam2.profile, sol7_lam2.params, sol7_lam2.features
+    ).e_monotone_violation
     u0 = float(sol7_lam2.profile.values[0])
     v0 = float(sol7_lam2.profile.derivs[0])
     p = sol7_lam2.params
@@ -143,9 +145,10 @@ def test_energy_density_monotone_on_accepted(sol7_lam2):
 
 
 def test_energy_density_rises_on_increasing_fixture():
-    # u = r has strictly increasing energy density; the check must see it
+    # u = r has strictly increasing energy density; certify must see it
     profile = polynomial_profile((0.0, 1.0), n=7, lam=1.0)
-    assert energy_density_check(profile, Params(n=7, lam=1.0)) > 0.0
+    with pytest.raises(CertificationFailed, match="energy density rises"):
+        certify(profile, Params(n=7, lam=1.0))
 
 
 def test_certify_accepted(sol7_lam2):

@@ -21,10 +21,18 @@ from bnball.model import (
 )
 from bnball.ode import integrate, shoot
 from bnball.shooting import (
+    BOUNDARY_TOL,
+    _pruefer,
     continuation_sweep,
     extract_features,
     solve_nodal,
 )
+
+
+def _boundary_offset(sol):
+    """The Pruefer proxy of the accepted profile: about 1 - r_k."""
+    profile = sol.profile
+    return _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), sol.k)
 
 
 def test_landscape_small_amplitude():
@@ -147,28 +155,43 @@ def test_each_amplitude_integrated_once(monkeypatch):
 
 
 @pytest.mark.parametrize("rtol", [4.610002271499707e-10, 3.395508712874561e-10])
-def test_boundary_band_covers_shoot_integrate_gap(rtol):
+def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(rtol):
     """At these inputs the full integration at a* puts the boundary zero
     more than 10 rtol inside the ball, although the shot there puts it on
-    r=1; the band widened by the measured gap still reads it as the
-    boundary zero."""
+    r=1; the Pruefer offset of the profile is still far below the bound."""
     sol = solve_nodal(Params(n=7, lam=2.0 ** (-7 / 4)), 2, rtol=rtol)
-    assert len(sol.profile.interior_zeros()) == 1
+    assert sol.features is not None
+    assert sol.profile.zero_crossings()[-1].r < 1.0 - 10.0 * rtol
+    assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
+
+
+def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
+    """At n=7, lambda=2^-5, rtol=1e-12 the full integration at a* puts the
+    boundary zero 1.7e-10 = 173 rtol inside the ball, where an rtol-sized
+    band would count it as interior; the Pruefer offset accepts it.  The
+    amplitude lies above the default search ceiling, so the ceiling is
+    raised here."""
+    monkeypatch.setattr(shooting, "_A_MAX", 1e300)
+    sol = solve_nodal(
+        Params(n=7, lam=2.0**-5), 2, a_seed=7.04193464683702e36, rtol=1e-12
+    )
     boundary = sol.profile.zero_crossings()[-1].r
-    assert 1.0 - sol.profile.boundary_shift - 10.0 * rtol < boundary < 1.0 - 10.0 * rtol
+    assert 1e-10 < 1.0 - boundary < 1e-9
+    assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
+    assert abs(sol.residuals.pohozaev_annulus) < 1e-6
 
 
 def test_miscounted_zero_pair_is_rejected(monkeypatch):
     """Shots that count a pair of zeros the solution does not have leave
-    (u(1), u'(1)) and hence the boundary band as they are; the full
-    profile at the root they converge on fails the interior-zero check."""
+    (u(1), u'(1)) as they are; the full profile at the root they converge
+    on is off the root of the same proxy by -pi."""
 
     def overcounting(params, a, **kwargs):
         zeros, u1, du1 = shoot(params, a, **kwargs)
         return (zeros + 2 if zeros else 0), u1, du1
 
     monkeypatch.setattr(shooting, "shoot", overcounting)
-    with pytest.raises(NonconvergentBisection, match="gives 0 interior zeros"):
+    with pytest.raises(NonconvergentBisection, match=r"offset -3\.142e\+00"):
         solve_nodal(Params(n=7, lam=2.0), 2)
 
 
@@ -182,14 +205,14 @@ def test_miscounted_zero_pair_is_rejected(monkeypatch):
 )
 def test_rtol_never_breaks_the_search(log_rtol, n, k):
     """Every rtol either certifies or fails with a classified solver error;
-    the boundary band and the search tolerance follow rtol, so the search
-    itself never reports a mismatch."""
+    the search tolerance follows rtol, so the search itself never reports
+    a mismatch."""
     try:
         sol = solve_nodal(Params(n=n, lam=2.0), k, rtol=10.0**log_rtol)
     except Error as exc:
         assert exc.code not in ("nonconvergent-bisection", "missing-interior-zero")
     else:
-        assert len(sol.profile.interior_zeros()) == k - 1
+        assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
 
 
 def test_sweep_empty_grid():
