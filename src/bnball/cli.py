@@ -98,18 +98,19 @@ def _fmt_number(x) -> str:
 
 def _scrub(obj):
     """Make an object JSON-safe: dataclasses/ndarrays to builtins, non-finite to None."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _scrub(dataclasses.asdict(obj))
+    # Floats first: they are most of a payload.  np.float64 is a float too.
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {str(k): _scrub(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_scrub(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _scrub(obj.tolist())
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _scrub(dataclasses.asdict(obj))
+    if hasattr(obj, "tolist"):
+        return _scrub(obj.tolist())
     return str(obj)
 
 

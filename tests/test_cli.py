@@ -412,10 +412,34 @@ def test_run_config_validation():
 
 
 def test_canonical_json_scrubbing():
+    import dataclasses
+
     import numpy as np
 
+    @dataclasses.dataclass
+    class Inner:
+        x: float
+        tags: tuple
+
+    @dataclasses.dataclass
+    class Outer:
+        inner: Inner
+        values: np.ndarray
+
     assert cli.canonical_json(float("nan")) == "null\n"
+    assert cli.canonical_json(np.float64("nan")) == "null\n"
+    assert cli.canonical_json(np.float64("-inf")) == "null\n"
+    assert cli.canonical_json(np.float64(0.1)) == "0.1\n"
     assert cli.canonical_json(np.arange(3)) == "[\n  0,\n  1,\n  2\n]\n"
+    assert cli.canonical_json(np.array([1.5, np.inf])) == "[\n  1.5,\n  null\n]\n"
+    assert cli.canonical_json((1, "a", None, True)) == (
+        '[\n  1,\n  "a",\n  null,\n  true\n]\n'
+    )
+    nested = Outer(Inner(np.float64(2.5), (np.int64(3), float("inf"))), np.zeros(1))
+    assert cli.canonical_json(nested) == (
+        '{\n  "inner": {\n    "tags": [\n      3,\n      null\n    ],\n'
+        '    "x": 2.5\n  },\n  "values": [\n    0.0\n  ]\n}\n'
+    )
     assert cli.canonical_json({"b": 1, "a": 2}).index('"a"') < cli.canonical_json(
         {"b": 1, "a": 2}
     ).index('"b"')

@@ -152,6 +152,70 @@ def test_amplitude_must_be_finite():
         integrate(Params(n=7, lam=1.0), math.inf, 1.0)
 
 
+def _numpy_scalar_rhs(params, a, y, s):
+    """The deviation right-hand side as it ran on numpy float64 scalars."""
+    n = params.n
+    K = n * (n - 2.0)
+    h = (n - 2.0) / 2.0
+    p = params.two_star - 1.0
+    lam = params.lam * abs(a) ** (-2.0 * params.beta)
+    v, vp = s
+    t = K / (K + y * y)
+    d = t**h
+    w = d + v
+    if w > 0.0 and abs(v) < 0.5 * d:
+        df = d * t * t * math.expm1(p * math.log1p(v / d))
+    else:
+        df = abs(w) ** (p - 1.0) * w - d * t * t
+    return [vp, -(n - 1.0) / y * vp - lam * w - df]
+
+
+def test_rhs_on_floats_matches_numpy_scalars():
+    """The right-hand side computes on Python floats and returns, bit for
+    bit, what the same formula gives on numpy scalars, in both branches."""
+    rng = np.random.default_rng(20)
+    stable = other = 0
+    for n in (5, 6, 7, 8):
+        for lam in (1e-3, 0.25, 2.0, 50.0):
+            for a in (1e-3, 1.0, 3e5, 1e16, 1e28, -3.0):
+                params = Params(n=n, lam=lam)
+                dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+                ys = np.exp(rng.uniform(math.log(dev.y0), math.log(dev.y_end), 50))
+                ds = ode._bubble_terms(n, ys)[0]
+                # v from far inside the stable branch to well past -delta
+                vs = ds * rng.choice([-1.0, 1.0], 50) * 10.0 ** rng.uniform(-6, 1.5, 50)
+                vps = rng.standard_normal(50) * 10.0 ** rng.uniform(-12, 2, 50)
+                for y, v, vp in zip(ys, vs, vps):
+                    s = np.array([v, vp])
+                    got = dev.f(float(y), s)
+                    assert [type(x) for x in got] == [float, float]
+                    want = _numpy_scalar_rhs(params, a, np.float64(y), s)
+                    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+                    d = ode._bubble_terms(n, float(y))[0]
+                    if d + v > 0.0 and abs(v) < 0.5 * d:
+                        stable += 1
+                    else:
+                        other += 1
+    assert stable > 500 and other > 500
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_rhs_overflow_in_shoot_is_integration_failure():
+    """|w|^(p-1) overflowing inside a shot gives inf with numpy's warning,
+    which the failed run reports, not an error escaping the Fortran
+    callback.  (Under an error filter for bnball's RuntimeWarnings, scipy's
+    wrapper mishandles the warning raised inside its callback, so this test
+    lets the warning through as a user's run does.)"""
+    with pytest.raises(IntegrationFailed, match="overflow encountered in scalar power"):
+        shoot(Params(n=4, lam=1e4), 1e28, rtol=1.0, atol=1.0)
+
+
+def test_rhs_overflow_in_integrate_is_integration_failure():
+    """The same overflow in a full integration is a classified failure."""
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationFailed):
+        integrate(Params(n=4, lam=1e4), 1e28, 1.0, rtol=1.0, atol=1.0)
+
+
 # Shooting amplitudes a* at lambda = 2, keyed by (n, k): n = 7, 8 from the
 # benchmark's cold reference solves (perfbench/reference.json), n = 5, 6
 # from solve_nodal; all at rtol 1e-12.
