@@ -381,6 +381,23 @@ def _blow_up(radius: float) -> BlowUpDetected:
     return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
 
 
+def _callback_failure(exc: BaseException) -> IntegrationFailed:
+    """IntegrationFailed naming the exception at the bottom of exc's chain.
+
+    scipy's dop853 wrapper reports an exception raised in its callbacks as
+    a ValueError on top of a chain of SystemErrors (one per later callback
+    call); the exception that started it is the last in __context__.
+    """
+    cause = exc
+    while isinstance(cause, (ValueError, SystemError)):
+        if cause.__context__ is None:
+            break
+        cause = cause.__context__
+    return IntegrationFailed(
+        f"integration failed: {type(cause).__name__}: {cause}"
+    )
+
+
 def integrate(
     params: Params,
     a: float,
@@ -427,6 +444,9 @@ def integrate(
     except ValueError as exc:
         # A NaN state reaches the event root-finder, which refuses it.
         raise IntegrationFailed(f"integration failed: {exc}") from exc
+    except RuntimeWarning as exc:
+        # The right-hand side's overflow, when warnings are errors.
+        raise _callback_failure(exc) from exc
     if sol.t_events[0].size > 0:
         raise _blow_up(sol.t_events[0][0] / scale_r)
     if not sol.success:
@@ -515,7 +535,13 @@ def shoot(
         warnings.filterwarnings(
             "always", category=UserWarning, module="scipy.integrate._ode"
         )
-        s1 = solver.integrate(dev.y_end)
+        try:
+            s1 = solver.integrate(dev.y_end)
+        except ValueError as exc:
+            # An exception inside the RHS or solout (a RuntimeWarning when
+            # warnings are errors) comes out of the Fortran wrapper as this
+            # ValueError.
+            raise _callback_failure(exc) from exc
     if blown_at is not None:
         raise _blow_up(blown_at / dev.scale_r)
     if not solver.successful():

@@ -14,10 +14,12 @@ zero passes r=1, Z gains one and the angle drops from pi to 0), and is 0
 exactly when the k-th zero sits on r=1, leaving k-1 interior zeros, i.e. a
 solution with exactly k nodal regions; next to that root P is about
 r_k - 1.  The amplitude spans tens of decades, so the search runs in
-x = log a: a geometric bracket from the seed, then brentq to xtol = rtol,
-which is as fine as the integrator resolves the profile.  Each evaluation
-of P is one ode.shoot, which returns Z and (u(1), u'(1)) without events or
-dense output; only the converged amplitude is integrated in full.
+x = log a: a geometric bracket from the seed, then brentq.  P reproduces
+only to a few rtol between integrations, so the search stops at the
+first shot with |P| inside that noise floor and takes its amplitude as
+the root; brentq's xtol = rtol is the backstop.  Each evaluation of P is
+one ode.shoot, which returns Z and (u(1), u'(1)) without events or dense
+output; only the converged amplitude is integrated in full.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def _pruefer(zeros: int, u1: float, du1: float, k: int) -> float:
     return (zeros - k) * math.pi + angle
 
 
+class _RootFound(Exception):
+    """Raised by the proxy at the first shot inside its noise floor."""
+
+    def __init__(self, x: float):
+        super().__init__(x)
+        self.x = x
+
+
 @dataclass(frozen=True)
 class SignChangingSolution:
     """A converged k-nodal radial solution."""
@@ -88,14 +98,16 @@ def solve_nodal(
 
     Bracket the root of the Pruefer proxy P in x = log a by steps from
     a_seed that double in length each time (up while P < 0, down while
-    P > 0), within a in [1e-3, 1e30]; then refine with brentq to
-    xtol = rtol, and integrate the profile at the root once.  P read from
-    that profile's zero crossings and (u(1), u'(1)) must satisfy
-    |P| <= boundary_tol: next to the root P is about 1 - r_k, so this
-    bounds how far the k-th zero lies from r=1, and a miscounted pair of
-    zeros (|P| about pi or 2 pi) fails it.  The profile must also pass the
-    Nehari / Pohozaev / energy-monotonicity certification, otherwise the
-    solution is rejected.
+    P > 0), within a in [1e-3, 1e30]; then refine with brentq.  The first
+    shot, in either phase, with |P| <= min(3 rtol, min(boundary_tol,
+    residual_tol) / 100) ends the search and its amplitude is a*; brentq
+    stops at xtol = rtol should none do so.  The profile at a* is
+    integrated once.  P read from that profile's zero crossings and
+    (u(1), u'(1)) must satisfy |P| <= boundary_tol: next to the root P is
+    about 1 - r_k, so this bounds how far the k-th zero lies from r=1, and
+    a miscounted pair of zeros (|P| about pi or 2 pi) fails it.  The
+    profile must also pass the Nehari / Pohozaev / energy-monotonicity
+    certification, otherwise the solution is rejected.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -106,53 +118,72 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
+    # The proxy reproduces only to a few rtol, with a slope of a few
+    # hundredths in log a, so shots closer to the root than that refine
+    # noise.  The search ends at the first shot inside that floor; the cap
+    # keeps the offset, which the certification residuals track at about
+    # 5 |P|, two decades below the acceptance tolerances at loose rtol.
+    floor = min(3.0 * rtol, min(boundary_tol, residual_tol) / 100.0)
+
     # Cached because brentq evaluates the bracket ends once more.
     @functools.lru_cache(maxsize=None)
     def shot(x: float) -> tuple[int, float, float]:
         return shoot(params, math.exp(x), rtol=rtol, atol=atol)
 
     def proxy(x: float) -> float:
-        return _pruefer(*shot(x), k)
+        p = _pruefer(*shot(x), k)
+        if abs(p) <= floor:
+            raise _RootFound(x)
+        return p
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
-    p = proxy(x)
-    step = math.log(2.0)
-    while True:
-        # P < 0: zero k lies beyond the ball (or is absent), so a is too small.
-        up = p < 0.0
-        if x == (x_max if up else x_min):
-            report = {
-                "n": params.n,
-                "lambda": params.lam,
-                "k": k,
-                "a_range_searched": [_A_MIN, _A_MAX],
-                "evaluations": shot.cache_info().misses,
-            }
-            if up:
+    try:
+        p = proxy(x)
+        step = math.log(2.0)
+        while True:
+            # P < 0: zero k lies beyond the ball (or is absent), so a is too
+            # small.
+            up = p < 0.0
+            if x == (x_max if up else x_min):
+                report = {
+                    "n": params.n,
+                    "lambda": params.lam,
+                    "k": k,
+                    "a_range_searched": [_A_MIN, _A_MAX],
+                    "evaluations": shot.cache_info().misses,
+                }
+                if up:
+                    raise NoBracketFound(
+                        f"no amplitude up to {_A_MAX:g} pulls zero {k} inside "
+                        f"the ball at lambda={params.lam:g}, n={params.n}",
+                        report={**report, "gap_at_largest": p},
+                    )
                 raise NoBracketFound(
-                    f"no amplitude up to {_A_MAX:g} pulls zero {k} inside the "
-                    f"ball at lambda={params.lam:g}, n={params.n}",
-                    report={**report, "gap_at_largest": p},
+                    f"every amplitude down to {_A_MIN:g} already has zero {k} "
+                    f"inside the ball at lambda={params.lam:g}, n={params.n}",
+                    report=report,
                 )
-            raise NoBracketFound(
-                f"every amplitude down to {_A_MIN:g} already has zero {k} "
-                f"inside the ball at lambda={params.lam:g}, n={params.n}",
-                report=report,
-            )
-        x_next = min(x + step, x_max) if up else max(x - step, x_min)
-        p_next = proxy(x_next)
-        if (p_next < 0.0) != up:
-            break
-        x, p = x_next, p_next
-        step *= 2.0
+            x_next = min(x + step, x_max) if up else max(x - step, x_min)
+            p_next = proxy(x_next)
+            if (p_next < 0.0) != up:
+                break
+            x, p = x_next, p_next
+            step *= 2.0
 
-    x_star, result = brentq(proxy, x, x_next, xtol=rtol, full_output=True, disp=False)
-    if not result.converged:
-        raise NonconvergentBisection(
-            f"brentq did not converge on log a in [{min(x, x_next):.17g}, "
-            f"{max(x, x_next):.17g}]: {result.flag}"
+        # brentq's own tolerance is the backstop should no shot land inside
+        # the floor.
+        x_star, result = brentq(
+            proxy, x, x_next, xtol=rtol, full_output=True, disp=False
         )
+    except _RootFound as found:
+        x_star = found.x
+    else:
+        if not result.converged:
+            raise NonconvergentBisection(
+                f"brentq did not converge on log a in [{min(x, x_next):.17g}, "
+                f"{max(x, x_next):.17g}]: {result.flag}"
+            )
 
     a_star = math.exp(x_star)
     # The shooting evaluations count zeros only at integrator steps; the

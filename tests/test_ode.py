@@ -1,6 +1,7 @@
 """Radial integrator: series start, events, and the lambda=0 bubble oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,11 +204,25 @@ def test_rhs_on_floats_matches_numpy_scalars():
 def test_rhs_overflow_in_shoot_is_integration_failure():
     """|w|^(p-1) overflowing inside a shot gives inf with numpy's warning,
     which the failed run reports, not an error escaping the Fortran
-    callback.  (Under an error filter for bnball's RuntimeWarnings, scipy's
-    wrapper mishandles the warning raised inside its callback, so this test
-    lets the warning through as a user's run does.)"""
+    callback.  The marker restores a user's default filter over tier-1's
+    error filter; the error path is the next test's."""
     with pytest.raises(IntegrationFailed, match="overflow encountered in scalar power"):
         shoot(Params(n=4, lam=1e4), 1e28, rtol=1.0, atol=1.0)
+
+
+@pytest.mark.parametrize("run", ["shoot", "integrate"])
+def test_rhs_overflow_under_error_filter_is_integration_failure(run):
+    """With every warning an error, the overflow warning raised inside the
+    right-hand side is named in IntegrationFailed, not leaked raw from
+    solve_ivp or as scipy's ValueError from the dop853 wrapper."""
+    args = (Params(n=4, lam=1e4), 1e28) + ((1.0,) if run == "integrate" else ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            IntegrationFailed,
+            match="RuntimeWarning: overflow encountered in scalar power",
+        ):
+            getattr(ode, run)(*args, rtol=1.0, atol=1.0)
 
 
 def test_rhs_overflow_in_integrate_is_integration_failure():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nodal_fixture
+from conftest import ACCEPTANCE_GRID, nodal_fixture
 from bnball import shooting
 from bnball.bubble import bubble_eval, normalized_mu
 from bnball.model import (
@@ -19,6 +19,7 @@ from bnball.model import (
     NonconvergentBisection,
     Params,
 )
+from bnball.diagnostics import RESIDUAL_TOL
 from bnball.ode import integrate, shoot
 from bnball.shooting import (
     BOUNDARY_TOL,
@@ -154,13 +155,22 @@ def test_each_amplitude_integrated_once(monkeypatch):
     assert fresh.events == sol.profile.events
 
 
-@pytest.mark.parametrize("rtol", [4.610002271499707e-10, 3.395508712874561e-10])
+@pytest.mark.parametrize(
+    "rtol",
+    [
+        pytest.param(4.499318771961189e-10, id="rtol4.50e-10"),
+        pytest.param(1.0476801696241862e-10, id="rtol1.05e-10"),
+    ],
+)
 def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(rtol):
     """At these inputs the full integration at a* puts the boundary zero
-    more than 10 rtol inside the ball, although the shot there puts it on
-    r=1; the Pruefer offset of the profile is still far below the bound."""
+    more than 10 rtol inside the ball, although the shot there puts it
+    within a few rtol of r=1; the Pruefer offset of the profile is still
+    far below the bound."""
     sol = solve_nodal(Params(n=7, lam=2.0 ** (-7 / 4)), 2, rtol=rtol)
     assert sol.features is not None
+    # the node and the boundary zero, so the next line reads the latter
+    assert len(sol.profile.zero_crossings()) == 2
     assert sol.profile.zero_crossings()[-1].r < 1.0 - 10.0 * rtol
     assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
 
@@ -193,6 +203,50 @@ def test_miscounted_zero_pair_is_rejected(monkeypatch):
     monkeypatch.setattr(shooting, "shoot", overcounting)
     with pytest.raises(NonconvergentBisection, match=r"offset -3\.142e\+00"):
         solve_nodal(Params(n=7, lam=2.0), 2)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-7])
+def test_search_stops_at_first_shot_inside_noise_floor(monkeypatch, rtol):
+    """The search ends on the first shot whose proxy lies within the noise
+    floor, min(3 rtol, min(tolerances) / 100), and takes its amplitude as
+    a*; no shot follows it.  At rtol 1e-7 the cap sets the floor."""
+    shots = []
+
+    def recording(params, a, **kwargs):
+        result = shoot(params, a, **kwargs)
+        shots.append((a, _pruefer(*result, 2)))
+        return result
+
+    monkeypatch.setattr(shooting, "shoot", recording)
+    sol = solve_nodal(Params(n=7, lam=2.0), 2, rtol=rtol)
+    floor = min(3.0 * rtol, min(BOUNDARY_TOL, RESIDUAL_TOL) / 100.0)
+    *before, (a_last, p_last) = shots
+    assert abs(p_last) <= floor
+    assert all(abs(p) > floor for _, p in before)
+    assert sol.a_star == a_last
+
+
+def test_loose_rtol_stop_still_certifies():
+    """At rtol 1e-7 a shot with |P| = 2.3e-7 < 3 rtol precedes the root;
+    accepting it fails the Pohozaev check, so the floor is capped."""
+    sol = solve_nodal(Params(n=7, lam=0.5), 1, rtol=1e-7)
+    assert abs(sol.residuals.pohozaev_ball) <= RESIDUAL_TOL
+
+
+def test_reference_sweep_shot_count(monkeypatch):
+    """Shots per point of the warm n=7 reference sweep, a deterministic
+    count: 68 with brentq run to xtol = rtol, 40 with the noise-floor stop."""
+    shot_lams = []
+
+    def recording(params, a, **kwargs):
+        shot_lams.append(params.lam)
+        return shoot(params, a, **kwargs)
+
+    monkeypatch.setattr(shooting, "shoot", recording)
+    points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
+    assert all(p.solution is not None for p in points)
+    per_point = [shot_lams.count(lam) for lam in ACCEPTANCE_GRID]
+    assert sum(per_point) == len(shot_lams) <= 45, per_point
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
