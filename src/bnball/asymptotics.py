@@ -11,6 +11,10 @@ module computes all of those quantities for one solution or a sweep of
 them, so the limits can be checked as monotone-gap trends with Richardson
 extrapolation (the limits come with no rate, so trends are the honest
 desk-scale test).
+
+The windows of a record are fixed, not options: the Green-limit gaps are
+taken on 121 points over 0.2 <= r <= 0.8 against the unit-source kernel
+times c~, and each bubble deviation on 801 rescaled samples.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from .model import (
 )
 
 _DOMAIN_SLACK = 1e-12
+# The window of the Green-limit gaps, fixed by the sweep contract.
+_GREEN_GRID = np.linspace(0.2, 0.8, 121)
+# Samples per rescaled part in the bubble deviations of a record.
+_BUBBLE_SAMPLES = 801
 
 
 @dataclass(frozen=True)
@@ -81,18 +89,10 @@ class AnnulusEnvelope:
     epsilon: float
 
 
-def _solution_parts(solution):
-    profile = getattr(solution, "profile", solution)
-    params = getattr(solution, "params", None) or profile.params
-    features = getattr(solution, "features", None)
-    return profile, params, features
-
-
 def _need_features(solution) -> tuple:
-    profile, params, features = _solution_parts(solution)
-    if features is None:
+    if solution.features is None:
         raise ConfigError("this diagnostic needs a two-region solution with features")
-    return profile, params, features
+    return solution.profile, solution.params, solution.features
 
 
 def rescale_plus(solution, grid_y) -> np.ndarray:
@@ -144,24 +144,10 @@ def rescale_minus(solution, grid_y) -> np.ndarray:
     return vals
 
 
-def bubble_deviation(y, samples, n: int, window: tuple[float, float] | None = None) -> float:
+def bubble_deviation(y, samples, n: int) -> float:
     """Sup distance of rescaled samples from the unit-height bubble."""
-    y = np.asarray(y, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    if window is None:
-        mask = np.ones_like(y, dtype=bool)
-    else:
-        lo, hi = window
-        if lo < y.min() - _DOMAIN_SLACK or hi > y.max() + _DOMAIN_SLACK:
-            raise OutOfDomain(
-                f"window [{lo:g}, {hi:g}] exceeds sample span "
-                f"[{y.min():g}, {y.max():g}]"
-            )
-        mask = (y >= lo - _DOMAIN_SLACK) & (y <= hi + _DOMAIN_SLACK)
-    if not np.any(mask):
-        raise EmptyWindow(f"no samples in window {window}")
-    ref = bubble_eval(n, normalized_mu(n), y[mask])
-    return float(np.max(np.abs(samples[mask] - ref)))
+    ref = bubble_eval(n, normalized_mu(n), y)
+    return float(np.max(np.abs(np.asarray(samples, dtype=float) - ref)))
 
 
 def center_envelope_violation(solution) -> float:
@@ -272,49 +258,35 @@ def annulus_envelope_violation(solution, epsilon: float | None = None) -> Annulu
     )
 
 
-def green_profile_gaps(
-    solution,
-    annulus: tuple[float, float] = (0.2, 0.8),
-    grid=None,
-) -> tuple[float, float]:
+def green_profile_gaps(profile) -> tuple[float, float]:
     """Sup gaps between lambda^{-green_exp} u and its Green-function limit.
 
     Compares against c~ G(r) with the unit-source normalization of the
-    kernel (see green module); the limit carries no usable rate, so
+    kernel (see green module) on 121 points over 0.2 <= r <= 0.8, the
+    window the sweep contract fixes; the limit carries no usable rate, so
     callers check that these gaps shrink along a sweep rather than against
     an absolute tolerance.
     """
-    profile, params, _ = _solution_parts(solution)
-    r_in, r_out = float(annulus[0]), float(annulus[1])
-    if not 0.0 < r_in < r_out < 1.0:
-        raise OutOfDomain(
-            f"annulus must satisfy 0 < r_in < r_out < 1, got ({r_in}, {r_out})"
-        )
-    if grid is None:
-        grid = np.linspace(r_in, r_out, 121)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.min() < r_in - _DOMAIN_SLACK or grid.max() > r_out + _DOMAIN_SLACK:
-            raise OutOfDomain("grid must lie inside the annulus")
+    params = profile.params
     n = params.n
     cte = constants(n).c_tilde
     pref = params.lam ** (-params.green_exp)
-    gref = np.array([cte * unit_source_green_at_center(n, r) for r in grid])
+    gref = np.array([cte * unit_source_green_at_center(n, r) for r in _GREEN_GRID])
     dgref = np.array(
-        [cte * unit_source_green_gradient_at_center(n, r) for r in grid]
+        [cte * unit_source_green_gradient_at_center(n, r) for r in _GREEN_GRID]
     )
-    u, du = profile.u_du(grid)
+    u, du = profile.u_du(_GREEN_GRID)
     u, du = pref * u, pref * du
     return float(np.max(np.abs(u - gref))), float(np.max(np.abs(du - dgref)))
 
 
-def build_record(solution, *, bubble_samples: int = 801) -> SweepRecord:
+def build_record(solution) -> SweepRecord:
     """Assemble the per-lambda scalar record from one accepted solution.
 
-    The Green-limit gaps use green_profile_gaps' default annulus
-    (0.2, 0.8), the window fixed by the sweep contract.
+    Each bubble deviation takes 801 samples; the Green-limit gaps use
+    green_profile_gaps' fixed window.
     """
-    profile, params, f = _solution_parts(solution)
+    params, f = solution.params, solution.features
     res = solution.residuals
     lam = params.lam
     nan = math.nan
@@ -343,16 +315,16 @@ def build_record(solution, *, bubble_samples: int = 801) -> SweepRecord:
         )
         q = (q1, q2, q3, p1, p2, p3, p4)
 
-        y_plus = np.linspace(0.0, min(f.sigma, 10.0), bubble_samples)
+        y_plus = np.linspace(0.0, min(f.sigma, 10.0), _BUBBLE_SAMPLES)
         dev_plus = bubble_deviation(
             y_plus, rescale_plus(solution, y_plus), n
         )
         start = max(2.0 * f.gamma, 0.5)
-        y_minus = np.linspace(start, 10.0, bubble_samples)
+        y_minus = np.linspace(start, 10.0, _BUBBLE_SAMPLES)
         dev_minus = bubble_deviation(
             y_minus, rescale_minus(solution, y_minus), n
         )
-    green_dev, green_grad_dev = green_profile_gaps(solution)
+    green_dev, green_grad_dev = green_profile_gaps(solution.profile)
     return SweepRecord(
         lam=lam,
         features=f,

@@ -66,17 +66,6 @@ def normalized_mu(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class Bubble:
-    """A centered bubble profile, callable on radii."""
-
-    n: int
-    mu: float
-
-    def __call__(self, s):
-        return bubble_eval(self.n, self.mu, s)
-
-
-@dataclass(frozen=True)
 class DimensionalConstants:
     c1: float
     c2: float
@@ -186,7 +175,10 @@ def constants(n: int) -> DimensionalConstants:
             f"the second bubble moment diverges for n={n}; need n >= 5"
         )
     mu = normalized_mu(n)
-    delta = Bubble(n, mu)
+
+    def delta(s):
+        return bubble_eval(n, mu, s)
+
     two_star = exps.two_star
     split = 10.0 * mu
 

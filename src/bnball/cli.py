@@ -10,8 +10,9 @@ limited.
 Exit codes: 0 pass, 2 config or input error, 3 solver error,
 4 verification failure.
 
-Environment overrides (used when the corresponding flag is absent):
-BNBALL_RTOL, BNBALL_ATOL, BNBALL_RESIDUAL_TOL, BNBALL_BOUNDARY_TOL.
+Environment overrides for solve and sweep (used when the corresponding
+flag is absent): BNBALL_RTOL, BNBALL_ATOL, BNBALL_RESIDUAL_TOL,
+BNBALL_BOUNDARY_TOL.  verify and constants read no tolerance.
 """
 
 from __future__ import annotations
@@ -157,11 +158,6 @@ def record_to_dict(record: asymptotics.SweepRecord) -> dict:
     return out
 
 
-def record_to_row(record: asymptotics.SweepRecord) -> list[str]:
-    values = record_to_dict(record)
-    return [_fmt_number(values[name]) for name in CSV_COLUMNS] + [""]
-
-
 def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
     """Rebuild a SweepRecord from one CSV/JSON row; None for failure rows."""
     err = row.get("error")
@@ -292,26 +288,21 @@ def cmd_sweep(config: RunConfig) -> int:
         )
         results = [_sweep_result(p) for p in points]
 
+    # A failed point keeps its lambda and error code; its other fields are
+    # empty in both formats.
+    failed = dict.fromkeys(CSV_COLUMNS)
+    rows = [
+        record_to_dict(record) if record is not None
+        else {**failed, "lambda": lam, "error": code, "detail": detail}
+        for lam, record, code, detail in results
+    ]
     if config.fmt == "json":
-        rows = []
-        for lam, record, code, detail in results:
-            if record is not None:
-                rows.append(record_to_dict(record))
-            else:
-                row = {name: None for name in CSV_COLUMNS}
-                row["lambda"] = lam
-                row["error"] = code
-                row["detail"] = detail
-                rows.append(row)
         text = canonical_json({"n": config.n, "k": config.k, "records": rows})
     else:
         lines = [",".join(CSV_HEADER)]
-        for lam, record, code, _detail in results:
-            if record is not None:
-                lines.append(",".join(record_to_row(record)))
-            else:
-                cells = [_fmt_number(lam)] + [""] * (len(CSV_COLUMNS) - 1) + [code]
-                lines.append(",".join(cells))
+        for row in rows:
+            cells = [_fmt_number(row[name]) for name in CSV_COLUMNS]
+            lines.append(",".join(cells + [row["error"] or ""]))
         text = "\n".join(lines) + "\n"
     _emit(text, config.out)
     solved = sum(1 for r in results if r[1] is not None)
@@ -393,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
             "shooting, with asymptotic-law verification."
         ),
         epilog=(
-            "Tolerance environment overrides: BNBALL_RTOL, BNBALL_ATOL, "
-            "BNBALL_RESIDUAL_TOL, BNBALL_BOUNDARY_TOL."
+            "Tolerance environment overrides for solve and sweep: "
+            "BNBALL_RTOL, BNBALL_ATOL, BNBALL_RESIDUAL_TOL, BNBALL_BOUNDARY_TOL."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -453,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Tolerance settings: RunConfig field (also the flag's dest), environment
 # override, default.  A flag wins over the environment, which wins over the
-# default.
+# default.  Only solve and sweep define the flags; verify and constants read
+# no tolerance, so they take the defaults and ignore the environment.
 _TOLERANCES = (
     ("rtol", "BNBALL_RTOL", DEFAULT_RTOL),
     ("atol", "BNBALL_ATOL", DEFAULT_ATOL),
@@ -468,7 +460,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         grid = _parse_grid(args.lambda_grid)
     tolerances = {}
     for name, env, default in _TOLERANCES:
-        flag = getattr(args, name, None)
+        if not hasattr(args, name):
+            continue
+        flag = getattr(args, name)
         tolerances[name] = flag if flag is not None else _env_float(env, default)
     parallel = getattr(args, "parallel", 0) or 0
     return RunConfig(

@@ -32,6 +32,7 @@ from scipy.optimize import brentq
 
 from . import bubble, diagnostics
 from .model import (
+    CertificationFailed,
     ConfigError,
     Error,
     InvalidLambda,
@@ -104,10 +105,12 @@ def solve_nodal(
     stops at xtol = rtol should none do so.  The profile at a* is
     integrated once.  P read from that profile's zero crossings and
     (u(1), u'(1)) must satisfy |P| <= boundary_tol: next to the root P is
-    about 1 - r_k, so this bounds how far the k-th zero lies from r=1, and
-    a miscounted pair of zeros (|P| about pi or 2 pi) fails it.  The
-    profile must also pass the Nehari / Pohozaev / energy-monotonicity
-    certification, otherwise the solution is rejected.
+    about 1 - r_k, so this bounds how far the k-th zero lies from r=1.  A
+    miss below pi/2 is integration error at the converged root and raises
+    CertificationFailed; a miscounted pair of zeros (|P| about pi or 2 pi)
+    or a NaN offset raises NonconvergentBisection.  The profile must also
+    pass the Nehari / Pohozaev / energy-monotonicity certification,
+    otherwise the solution is rejected.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -192,11 +195,18 @@ def solve_nodal(
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
     # written so that a NaN offset is rejected too
     if not abs(offset) <= boundary_tol:
-        raise NonconvergentBisection(
+        message = (
             f"converged amplitude {a_star:.17g} gives the profile a Pruefer "
             f"offset {offset:.3e} from zero {k} on r=1; wanted |offset| <= "
             f"{boundary_tol:g}"
         )
+        # Short of a quarter turn, the profile is at the root the search
+        # converged on and integration error moved its k-th zero; a
+        # miscounted pair of zeros (|P| about pi or 2 pi) or a NaN offset
+        # is a search defect.
+        if abs(offset) < math.pi / 2.0:
+            raise CertificationFailed(message)
+        raise NonconvergentBisection(message)
 
     features = extract_features(profile, params) if k == 2 else None
     residuals = diagnostics.certify(

@@ -100,15 +100,6 @@ def test_bubble_deviation_of_integrated_bubble():
     assert bubble_deviation(y, profile.u(y), 7) < 1e-8
 
 
-def test_bubble_deviation_window():
-    y = np.linspace(0.0, 10.0, 11)
-    samples = bubble_eval(7, normalized_mu(7), y)
-    with pytest.raises(OutOfDomain):
-        bubble_deviation(y, samples, 7, window=(5.0, 20.0))
-    with pytest.raises(EmptyWindow):
-        bubble_deviation(y, samples, 7, window=(0.2, 0.8))
-
-
 def test_delta_of_epsilon_frozen():
     assert delta_of_epsilon(7, 1.25) == pytest.approx(DELTA_7_AT_1_25, rel=1e-12)
 
@@ -178,13 +169,6 @@ def test_node_flux_ratio_positive(report7, records7):
         f = rec.features
         assert ratio > 0.0
         assert ratio == pytest.approx(abs(f.du_node) * f.r_lambda**3.5, rel=1e-15)
-
-
-def test_green_gaps_annulus_validation(sol7_lam2):
-    with pytest.raises(OutOfDomain):
-        green_profile_gaps(sol7_lam2, annulus=(0.2, 1.0))
-    with pytest.raises(OutOfDomain):
-        green_profile_gaps(sol7_lam2, annulus=(0.2, 0.8), grid=[0.1, 0.5])
 
 
 def test_green_gaps_zero_profile_give_kernel_sups():

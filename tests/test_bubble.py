@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from bnball.bubble import (
-    Bubble,
     bubble_eval,
     constants,
     improper_radial_integral,
@@ -90,7 +89,7 @@ def test_bubble_rejects_nonpositive_mu():
 def test_bubble_callable():
     mu = normalized_mu(7)
     assert mu == pytest.approx(math.sqrt(35.0), rel=1e-15)
-    assert Bubble(7, mu)(0.0) == pytest.approx(1.0, rel=1e-14)
+    assert bubble_eval(7, mu, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gaussian_radial_integral():
@@ -101,7 +100,7 @@ def test_gaussian_radial_integral():
 def test_integral_rejects_divergent_tail():
     mu = normalized_mu(4)
     with pytest.raises(NonconvergentIntegral):
-        improper_radial_integral(Bubble(4, mu), 4, 2.0)
+        improper_radial_integral(lambda s: bubble_eval(4, mu, s), 4, 2.0)
 
 
 def test_integral_rejects_bad_dimension():

@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return rc, captured.out
 
 
+def csv_text(records):
+    """The CSV a sweep writes for solved records, built cell by cell."""
+    lines = [",".join(cli.CSV_HEADER)]
+    for record in records:
+        row = cli.record_to_dict(record)
+        cells = [cli._fmt_number(row[name]) for name in cli.CSV_COLUMNS]
+        lines.append(",".join(cells + [""]))
+    return "\n".join(lines) + "\n"
+
+
 def test_constants_payload_and_determinism(capsys):
     rc1, out1 = run(capsys, "constants", "--n", "7")
     rc2, out2 = run(capsys, "constants", "--n", "7")
@@ -171,9 +181,7 @@ def test_sweep_success_path(capsys, monkeypatch, tmp_path, sweep7, records7, fmt
     assert rc == cli.EXIT_PASS
     assert "5/5 points solved" in out
     if fmt == "csv":
-        lines = [",".join(cli.CSV_HEADER)]
-        lines += [",".join(cli.record_to_row(r)) for r in records7]
-        expected = "\n".join(lines) + "\n"
+        expected = csv_text(records7)
     else:
         rows = [cli.record_to_dict(r) for r in records7]
         expected = cli.canonical_json({"n": 7, "k": 2, "records": rows})
@@ -227,9 +235,7 @@ def test_sweep_parallel_workers_capped_at_grid(capsys, monkeypatch, sweep7, reco
     rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "4,2", "--parallel", "8")
     assert rc == cli.EXIT_PASS
     assert pools == [2]
-    lines = [",".join(cli.CSV_HEADER)]
-    lines += [",".join(cli.record_to_row(r)) for r in records7[:2]]
-    assert out == "\n".join(lines) + "\n"
+    assert out == csv_text(records7[:2])
     rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "", "--parallel", "8")
     assert rc == cli.EXIT_PASS
     assert out == ",".join(cli.CSV_HEADER) + "\n"
@@ -278,11 +284,25 @@ def test_sweep_json_failure_rows(capsys):
     assert row["q1"] is None
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_failure_row(capsys, fmt):
+    """A point that fails keeps its lambda and error code; every other
+    cell is empty (CSV) or null (JSON)."""
+    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "40", "--format", fmt)
+    assert rc == cli.EXIT_SOLVER
+    if fmt == "csv":
+        cells = ["40.0"] + [""] * (len(cli.CSV_COLUMNS) - 1) + ["invalid-lambda"]
+        assert out == ",".join(cli.CSV_HEADER) + "\n" + ",".join(cells) + "\n"
+    else:
+        (row,) = json.loads(out)["records"]
+        assert row["lambda"] == 40.0
+        assert row["error"] == "invalid-lambda"
+        assert all(row[name] is None for name in cli.CSV_COLUMNS[1:])
+
+
 def test_verify_round_trip_csv(capsys, tmp_path, records7):
     path = tmp_path / "records.csv"
-    lines = [",".join(cli.CSV_HEADER)]
-    lines += [",".join(cli.record_to_row(r)) for r in records7]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(records7))
 
     report_path = tmp_path / "report.json"
     rc, out = run(
@@ -297,9 +317,7 @@ def test_verify_round_trip_csv(capsys, tmp_path, records7):
 
 def test_verify_needs_three_records(capsys, tmp_path, records7):
     path = tmp_path / "short.csv"
-    lines = [",".join(cli.CSV_HEADER)]
-    lines += [",".join(cli.record_to_row(r)) for r in records7[:2]]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(records7[:2]))
     rc, out = run(capsys, "verify", str(path), "--n", "7")
     assert rc == cli.EXIT_CONFIG
     assert json.loads(out)["error"] == "insufficient-records"
@@ -321,9 +339,7 @@ def test_json_records_round_trip(tmp_path, records7):
 
 def test_csv_records_round_trip(tmp_path, records7):
     path = tmp_path / "records.csv"
-    lines = [",".join(cli.CSV_HEADER)]
-    lines += [",".join(cli.record_to_row(r)) for r in records7]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(records7))
     loaded = cli.load_records(str(path))
     for back, orig in zip(loaded, records7):
         assert back.q3 == orig.q3
@@ -337,6 +353,26 @@ def test_env_override_must_be_numeric(capsys, monkeypatch):
     assert rc == cli.EXIT_CONFIG
     assert json.loads(out)["error"] == "config-parse-error"
     assert "BNBALL_RTOL" in json.loads(out)["message"]
+
+
+def test_verify_and_constants_ignore_tolerance_overrides(
+    capsys, monkeypatch, tmp_path, records7
+):
+    """verify and constants read no tolerance, so a bad override is moot."""
+    rc, clean = run(capsys, "constants", "--n", "7")
+    assert rc == cli.EXIT_PASS
+    monkeypatch.setenv("BNBALL_RTOL", "abc")
+    rc, out = run(capsys, "constants", "--n", "7")
+    assert rc == cli.EXIT_PASS
+    assert out == clean
+
+    path = tmp_path / "records.csv"
+    path.write_text(csv_text(records7))
+    monkeypatch.delenv("BNBALL_RTOL")
+    monkeypatch.setenv("BNBALL_ATOL", "-1")
+    rc, out = run(capsys, "verify", str(path), "--n", "7")
+    assert rc == cli.EXIT_PASS
+    assert "overall: PASS" in out
 
 
 def _no_solve(*args, **kwargs):

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
+from bnball.bubble import omega_n
 from bnball.green import (
-    green_at_center,
-    green_gradient_at_center,
-    kappa,
     unit_source_green_at_center,
     unit_source_green_gradient_at_center,
 )
@@ -18,9 +16,15 @@ KAPPA_7 = -0.00086388038660355775
 G7_HALF = -0.026780291984710290
 
 
+def kappa(n):
+    """The surface-measure constant 1/(n(2-n)omega_n) of the oracle."""
+    return 1.0 / (n * (2.0 - n) * omega_n(n))
+
+
 def green_two_point(n, x, y):
-    """Oracle: the full two-point G(x,y) of the module docstring, for
-    interior points x != y; green_at_center is its restriction to y = 0."""
+    """Oracle: the two-point G(x,y) = kappa_n (|x-y|^{2-n} - (|x|^2|y|^2
+    + 1 - 2 x.y)^{-(n-2)/2}) for interior points x != y; the unit-source
+    kernel at the center is n times its restriction to y = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d2 = float((x - y) @ (x - y))
@@ -29,46 +33,52 @@ def green_two_point(n, x, y):
     return kappa(n) * (d2**p - refl**p)
 
 
-def test_kappa_frozen():
+def test_oracle_kappa_frozen():
     assert kappa(7) == pytest.approx(KAPPA_7, rel=1e-14)
-    assert kappa(7) < 0.0
 
 
-def test_kappa_rejects_low_dimension():
+def test_low_dimension_rejected():
     with pytest.raises(InvalidDimension):
-        kappa(2)
+        unit_source_green_at_center(2, 0.5)
+    with pytest.raises(InvalidDimension):
+        unit_source_green_gradient_at_center(2, 0.5)
 
 
 def test_center_value_frozen():
-    assert green_at_center(7, 0.5) == pytest.approx(G7_HALF, rel=1e-14)
-    assert green_at_center(7, 0.5) == pytest.approx(31.0 * kappa(7), rel=1e-15)
+    g = unit_source_green_at_center(7, 0.5)
+    assert g == pytest.approx(7.0 * G7_HALF, rel=1e-14)
+    assert g == pytest.approx(7.0 * 31.0 * KAPPA_7, rel=1e-14)
 
 
 def test_center_value_negative_inside():
     for r in np.linspace(0.01, 0.99, 25):
-        assert green_at_center(7, r) < 0.0
+        assert unit_source_green_at_center(7, r) < 0.0
 
 
 def test_center_domain_is_open():
-    with pytest.raises(OutOfDomain):
-        green_at_center(7, 0.0)
-    with pytest.raises(OutOfDomain):
-        green_at_center(7, 1.0)
+    for fn in (unit_source_green_at_center, unit_source_green_gradient_at_center):
+        with pytest.raises(OutOfDomain):
+            fn(7, 0.0)
+        with pytest.raises(OutOfDomain):
+            fn(7, 1.0)
 
 
 def test_gradient_frozen_and_positive():
-    g = green_gradient_at_center(7, 0.5)
-    assert g == pytest.approx(kappa(7) * -320.0, rel=1e-14)
+    g = unit_source_green_gradient_at_center(7, 0.5)
+    assert g == pytest.approx(7.0 * KAPPA_7 * -320.0, rel=1e-14)
     for r in np.linspace(0.01, 0.99, 25):
-        assert green_gradient_at_center(7, r) > 0.0
+        assert unit_source_green_gradient_at_center(7, r) > 0.0
 
 
 def test_gradient_matches_finite_differences():
     r = 0.5
-    exact = green_gradient_at_center(7, r)
+    exact = unit_source_green_gradient_at_center(7, r)
 
     def central(h):
-        return (green_at_center(7, r + h) - green_at_center(7, r - h)) / (2.0 * h)
+        return (
+            unit_source_green_at_center(7, r + h)
+            - unit_source_green_at_center(7, r - h)
+        ) / (2.0 * h)
 
     d1, d2 = central(1e-4), central(1e-5)
     richardson = (100.0 * d2 - d1) / 99.0
@@ -76,10 +86,12 @@ def test_gradient_matches_finite_differences():
 
 
 def test_unit_source_is_n_times_kernel():
-    assert unit_source_green_at_center(7, 0.3) == 7.0 * green_at_center(7, 0.3)
-    assert unit_source_green_gradient_at_center(
-        7, 0.3
-    ) == 7.0 * green_gradient_at_center(7, 0.3)
+    """n kappa_n (r^{2-n} - 1) and its derivative, to the last bit."""
+    k7, r = kappa(7), 0.3
+    assert unit_source_green_at_center(7, r) == 7.0 * (k7 * (r**-5.0 - 1.0))
+    assert unit_source_green_gradient_at_center(7, r) == 7.0 * (
+        k7 * -5.0 * r**-6.0
+    )
 
 
 def test_two_point_symmetry():
@@ -102,8 +114,8 @@ def test_two_point_reduces_to_center_kernel():
     for r in np.linspace(0.05, 0.95, 19):
         x = rng.standard_normal(7)
         x *= r / np.linalg.norm(x)
-        assert green_at_center(7, r) == pytest.approx(
-            green_two_point(7, x, np.zeros(7)), rel=1e-13
+        assert unit_source_green_at_center(7, r) == pytest.approx(
+            7.0 * green_two_point(7, x, np.zeros(7)), rel=1e-13
         )
 
 

@@ -252,6 +252,10 @@ def test_reference_sweep_shot_count(monkeypatch):
 @settings(derandomize=True, max_examples=6, deadline=None)
 @example(log_rtol=-8.0, n=7, k=2)
 @example(log_rtol=-11.0, n=8, k=2)
+# At rtol 1e-4 the search converges but integration error leaves the
+# profile's Pruefer offset at 3.3e-6: a certification failure, not a
+# search defect.
+@example(log_rtol=-4.0, n=7, k=2)
 @given(
     log_rtol=st.floats(min_value=-12.0, max_value=-7.0),
     n=st.sampled_from([7, 8]),
