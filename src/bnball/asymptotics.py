@@ -79,7 +79,7 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class AnnulusEnvelope:
-    """Result of the annular envelope check at one epsilon."""
+    """Result of the annular envelope check at epsilon = (n-2)/4."""
 
     violation: float  # physical frame, scale M-
     rescaled_violation: float  # plateau envelope U_h, scale 1
@@ -205,8 +205,8 @@ def delta_of_epsilon(n: int, epsilon: float) -> float:
     return float(brentq(g, 1e-300, 1.0, xtol=1e-15, rtol=8.9e-16))
 
 
-def annulus_envelope_violation(solution, epsilon: float | None = None) -> AnnulusEnvelope:
-    """Check the annular envelope of the negative part at one epsilon.
+def annulus_envelope_violation(solution) -> AnnulusEnvelope:
+    """Check the annular envelope of the negative part at epsilon = (n-2)/4.
 
     In the physical frame the bound reads, on delta(eps)^{-1/n} s_lambda
     < r < 1,
@@ -221,8 +221,7 @@ def annulus_envelope_violation(solution, epsilon: float | None = None) -> Annulu
     """
     profile, params, f = _need_features(solution)
     n = params.n
-    if epsilon is None:
-        epsilon = (n - 2.0) / 4.0
+    epsilon = (n - 2.0) / 4.0
     delta = delta_of_epsilon(n, epsilon)
     r_in = delta ** (-1.0 / n) * f.s_lambda
     if r_in >= 1.0:

@@ -192,8 +192,9 @@ def load_records(path: str) -> list[asymptotics.SweepRecord]:
             with open(path, newline="") as fh:
                 reader = csv.DictReader(fh)
                 out = [_record_from_mapping(r) for r in reader]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # malformed JSON, a missing "records" key, or a non-numeric cell
+    except (AttributeError, KeyError, TypeError, ValueError, Error) as exc:
+        # malformed JSON, a missing "records" key, a non-numeric cell, or
+        # feature cells that break the NodalFeatures invariants
         raise ConfigError(f"cannot read records from {path}: {exc!r}") from exc
     return [r for r in out if r is not None]
 
@@ -247,26 +248,31 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _sweep_result(point: shooting.SweepPoint):
-    """(lambda, record or None, error code, detail) of one sweep point.
+def _sweep_row(point: shooting.SweepPoint) -> dict:
+    """The output row of one sweep point.
 
-    Plain data, so a pool worker can return it; a solved point whose
-    record cannot be built becomes an error row.
+    Plain data, so a pool worker can return it.  A failed point, or a
+    solved one whose record cannot be built, keeps its lambda and error
+    code; its other fields are empty in both formats.
     """
-    if point.solution is None:
-        return point.lam, None, point.error, point.detail
-    try:
-        return point.lam, asymptotics.build_record(point.solution), None, None
-    except Error as exc:
-        return point.lam, None, exc.code, str(exc)
+    if point.solution is not None:
+        try:
+            return record_to_dict(asymptotics.build_record(point.solution))
+        except Error as exc:
+            error, detail = exc.code, str(exc)
+    else:
+        error, detail = point.error, point.detail
+    return {
+        **dict.fromkeys(CSV_COLUMNS), "lambda": point.lam, "error": error, "detail": detail
+    }
 
 
-def _cold_sweep_result(config: RunConfig, lam: float):
-    """Pool worker: one grid point from a cold seed."""
+def _cold_sweep_row(config: RunConfig, lam: float) -> dict:
+    """One grid point from a cold seed; what both cold modes run per point."""
     (point,) = shooting.continuation_sweep(
         Params(n=config.n, lam=0.0), [lam], config.k, **_solve_options(config)
     )
-    return _sweep_result(point)
+    return _sweep_row(point)
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -277,25 +283,15 @@ def cmd_sweep(config: RunConfig) -> int:
         # Workers cannot share bracket seeds, so each point starts cold.
         workers = min(config.parallel, len(grid))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cold_sweep_result, [config] * len(grid), grid))
-    else:
+            rows = list(pool.map(_cold_sweep_row, [config] * len(grid), grid))
+    elif config.warm_start:
         points = shooting.continuation_sweep(
-            Params(n=config.n, lam=0.0),
-            grid,
-            config.k,
-            warm_start=config.warm_start,
-            **_solve_options(config),
+            Params(n=config.n, lam=0.0), grid, config.k, **_solve_options(config)
         )
-        results = [_sweep_result(p) for p in points]
+        rows = [_sweep_row(p) for p in points]
+    else:
+        rows = [_cold_sweep_row(config, lam) for lam in grid]
 
-    # A failed point keeps its lambda and error code; its other fields are
-    # empty in both formats.
-    failed = dict.fromkeys(CSV_COLUMNS)
-    rows = [
-        record_to_dict(record) if record is not None
-        else {**failed, "lambda": lam, "error": code, "detail": detail}
-        for lam, record, code, detail in results
-    ]
     if config.fmt == "json":
         text = canonical_json({"n": config.n, "k": config.k, "records": rows})
     else:
@@ -305,10 +301,10 @@ def cmd_sweep(config: RunConfig) -> int:
             lines.append(",".join(cells + [row["error"] or ""]))
         text = "\n".join(lines) + "\n"
     _emit(text, config.out)
-    solved = sum(1 for r in results if r[1] is not None)
+    solved = sum(1 for row in rows if row["error"] is None)
     if config.out:
         print(f"wrote {config.out} ({solved}/{len(grid)} points solved)")
-    return EXIT_SOLVER if results and not solved else EXIT_PASS
+    return EXIT_SOLVER if rows and not solved else EXIT_PASS
 
 
 def _verdict_table(report: dict) -> str:

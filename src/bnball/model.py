@@ -148,7 +148,7 @@ class Params:
     lam = 0 is admitted so the pure critical equation (whose explicit
     ground state is the standard bubble) can serve as an integrator oracle;
     boundary-value solving additionally requires 0 < lam < lambda_1(B_1),
-    which `validate_lambda` checks.
+    which `shooting.solve_nodal` checks.
     """
 
     n: int
@@ -217,18 +217,6 @@ class NodalFeatures:
             raise Error("u'(r_lambda) must be negative at the node")
         if self.du_boundary <= 0.0:
             raise Error("u'(1) must be positive (negative part returning to zero)")
-
-
-def validate_lambda(params: Params, lambda1: float) -> bool:
-    """True iff 0 < lambda < lambda1, the admissible range for solving.
-
-    lambda1 is the first Dirichlet eigenvalue of the unit ball in dimension
-    params.n (supplied by the bubble module).  Nonpositive lambda is rejected
-    outright since the problem family is posed for lambda > 0.
-    """
-    if params.lam <= 0.0:
-        raise NonpositiveLambda(f"lambda must be positive, got {params.lam}")
-    return params.lam < lambda1
 
 
 def check_lambda_grid(grid) -> None:

@@ -115,14 +115,12 @@ class RadialProfile:
     events: list[Event]
     r_end: float
     dense: object = field(repr=False)  # r -> (u, u')
-    steps: np.ndarray | None = None  # integrator step radii; quadrature pieces
+    steps: np.ndarray  # integrator step radii; quadrature pieces
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.derivs = np.asarray(self.derivs, dtype=float)
-        if self.steps is None:
-            self.steps = self.knots
         for arr in (self.knots, self.values, self.derivs):
             arr.setflags(write=False)
 
@@ -206,21 +204,6 @@ def _bubble_terms(n: int, y):
     return d, dd
 
 
-def _zero_profile(params: Params, r_stop: float) -> RadialProfile:
-    knots = np.linspace(SCALED_START, r_stop, 64)
-    zeros = np.zeros_like(knots)
-    return RadialProfile(
-        params=params,
-        a=0.0,
-        knots=knots,
-        values=zeros.copy(),
-        derivs=zeros.copy(),
-        events=[],
-        r_end=r_stop,
-        dense=lambda r: (np.zeros_like(np.asarray(r, float)),) * 2,
-    )
-
-
 @dataclass(frozen=True)
 class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
@@ -251,24 +234,23 @@ class _Deviation:
         return self.a * (d + s[0]), self.scale_v * (dd + s[1])
 
 
-def _deviation(params: Params, a: float, r_stop: float, atol: float):
-    """The deviation problem of u(0) = a out to r_stop; None for a = 0."""
+def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviation:
+    """The deviation problem of u(0) = a out to r_stop."""
     if not math.isfinite(a):
         raise IntegrationFailed(f"amplitude must be finite, got {a}")
     if r_stop <= 0.0:
         raise SingularPoint(f"r_stop must be positive, got {r_stop}")
-    if a == 0.0:
-        return None
 
     amp = abs(a)
     scale_r = amp**params.beta
     y_end = scale_r * r_stop
     if y_end <= SCALED_START:
         # The integration would start at or beyond r_stop and run inward,
-        # toward the singular origin.
+        # toward the singular origin; at a = 0 the start radius is infinite.
+        start = SCALED_START / scale_r if scale_r > 0.0 else math.inf
         raise SingularPoint(
             f"r_stop = {r_stop:g} does not lie beyond the series-start radius "
-            f"{SCALED_START / scale_r:g} of amplitude {a:g}"
+            f"{start:g} of amplitude {a:g}"
         )
     lam_hat = params.lam * amp ** (-2.0 * params.beta)
 
@@ -417,8 +399,6 @@ def integrate(
     pieces downstream quadrature integrates piecewise.
     """
     dev = _deviation(params, a, r_stop, atol)
-    if dev is None:
-        return _zero_profile(params, r_stop)
     scale_r = dev.scale_r
 
     def ev_blow(y, s):
@@ -507,8 +487,6 @@ def shoot(
     BlowUpDetected and IntegrationFailed where integrate does.
     """
     dev = _deviation(params, a, 1.0, atol)
-    if dev is None:
-        return 0, 0.0, 0.0
     zeros = 0
     negative = False
     blown_at = None

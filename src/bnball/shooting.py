@@ -41,9 +41,9 @@ from .model import (
     NodalFeatures,
     NonconvergentBisection,
     NoBracketFound,
+    NonpositiveLambda,
     Params,
     check_lambda_grid,
-    validate_lambda,
 )
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, shoot
 
@@ -110,12 +110,15 @@ def solve_nodal(
     CertificationFailed; a miscounted pair of zeros (|P| about pi or 2 pi)
     or a NaN offset raises NonconvergentBisection.  The profile must also
     pass the Nehari / Pohozaev / energy-monotonicity certification,
-    otherwise the solution is rejected.
+    otherwise the solution is rejected.  lambda must lie in (0, lambda_1):
+    lambda <= 0 raises NonpositiveLambda, lambda >= lambda_1 InvalidLambda.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
     lam1 = bubble.lambda_1(params.n)
-    if not validate_lambda(params, lam1):
+    if params.lam <= 0.0:
+        raise NonpositiveLambda(f"lambda must be positive, got {params.lam}")
+    if params.lam >= lam1:
         raise InvalidLambda(
             f"lambda={params.lam} outside the admissible range (0, {lam1:.6g}) "
             f"for n={params.n}"
@@ -272,8 +275,6 @@ def continuation_sweep(
     params_base: Params,
     lambda_grid: list[float],
     k: int = 2,
-    *,
-    warm_start: bool = True,
     **solve_options,
 ) -> list[SweepPoint]:
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
@@ -291,9 +292,9 @@ def continuation_sweep(
     points: list[SweepPoint] = []
     seeds: list[float] = []
     for lam in grid:
-        if warm_start and len(seeds) >= 2:
+        if len(seeds) >= 2:
             a_seed = seeds[-1] * (seeds[-1] / seeds[-2])
-        elif warm_start and seeds:
+        elif seeds:
             a_seed = seeds[-1]
         else:
             a_seed = 1.0

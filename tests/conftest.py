@@ -83,6 +83,7 @@ def polynomial_profile(coeffs, n=7, lam=2.0, r0=1e-6, samples=65, events=(), a=N
         events=list(events),
         r_end=1.0,
         dense=lambda r: (poly(r), dpoly(r)),
+        steps=knots,
     )
 
 

@@ -1,5 +1,6 @@
 """Rescalings, envelopes, Green-limit gaps, and the rate-law report."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from bnball.asymptotics import (
     rescaled_envelope_violation,
 )
 from bnball.bubble import bubble_eval, normalized_mu
+from conftest import polynomial_profile
 from bnball.green import (
     unit_source_green_at_center,
     unit_source_green_gradient_at_center,
@@ -139,21 +141,20 @@ def test_annulus_envelope_on_accepted(sol7_lam2):
 
 
 def test_annulus_envelope_region_can_be_empty(sol7_lam2):
-    # Choose epsilon so that delta(eps) lands just below s_lambda^n, which
-    # pushes the inner radius delta^{-1/n} s_lambda past the boundary.  The
-    # defining function g is explicit, so invert it by evaluation.
+    """Moving the minimum point s_lambda toward 1 pushes the inner radius
+    delta^{-1/n} s_lambda past the boundary, here to 1.1."""
     f = sol7_lam2.features
-    s0 = 0.9 * f.s_lambda**7
-    eps_hopeless = 2.5 + s0 - 3.5 * s0 ** (2.0 / 7.0)
-    assert 0.0 < eps_hopeless < 2.5
+    pushed = dataclasses.replace(f, s_lambda=1.1 * DELTA_7_AT_1_25 ** (1.0 / 7.0))
+    assert f.s_lambda < pushed.s_lambda < 1.0
+    fake = SimpleNamespace(
+        profile=sol7_lam2.profile, params=sol7_lam2.params, features=pushed
+    )
     with pytest.raises(RegionEmpty):
-        annulus_envelope_violation(sol7_lam2, epsilon=eps_hopeless)
+        annulus_envelope_violation(fake)
 
 
 def test_synthetic_envelope_violation_is_detected(sol7_lam2):
     """Shrinking the claimed center height must poke the profile through."""
-    import dataclasses
-
     f = sol7_lam2.features
     shrunk = dataclasses.replace(f, m_plus=f.m_plus / 1.01)
     fake = SimpleNamespace(
@@ -172,8 +173,7 @@ def test_node_flux_ratio_positive(report7, records7):
 
 
 def test_green_gaps_zero_profile_give_kernel_sups():
-    p = Params(n=7, lam=1.0)
-    zero = integrate(p, 0.0, 1.0)
+    zero = polynomial_profile((0.0,), lam=1.0)
     from bnball.bubble import constants
 
     cte = constants(7).c_tilde

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from bnball import cli, shooting
+from bnball.asymptotics import build_record
 from bnball.bubble import constants
-from bnball.model import ConfigError, IntegrationFailed
+from bnball.model import ConfigError, IntegrationFailed, Params
 
 
 def run(capsys, *argv):
@@ -23,6 +24,18 @@ def csv_text(records):
         cells = [cli._fmt_number(row[name]) for name in cli.CSV_COLUMNS]
         lines.append(",".join(cells + [""]))
     return "\n".join(lines) + "\n"
+
+
+def one_row_csv(**features):
+    """A records CSV of one row: valid nodal features, updated by
+    `features`, and every other cell 1.0."""
+    valid = dict(
+        r_lambda=0.5, s_lambda=0.75, m_plus=1.0, m_minus=0.125, du_node=-1.0,
+        du_boundary=1.0, sigma=0.5, rho=0.2, gamma=0.3,
+    )
+    row = {**dict.fromkeys(cli.CSV_COLUMNS, 1.0), **valid, **features}
+    cells = [repr(float(row[name])) for name in cli.CSV_COLUMNS]
+    return ",".join(cli.CSV_HEADER) + "\n" + ",".join(cells + [""]) + "\n"
 
 
 def test_constants_payload_and_determinism(capsys):
@@ -243,11 +256,16 @@ def test_sweep_parallel_workers_capped_at_grid(capsys, monkeypatch, sweep7, reco
 
 
 def test_sweep_parallel_matches_cold_serial(capsys):
+    """Both cold modes write the records of independent solves seeded at a=1."""
+    expected = csv_text(
+        build_record(shooting.solve_nodal(Params(n=7, lam=lam), 1, a_seed=1.0))
+        for lam in (4.0, 2.0)
+    )
     argv = ["sweep", "--n", "7", "--k", "1", "--lambda-grid", "4,2"]
-    rc_serial, serial = run(capsys, *argv, "--no-warm-start")
-    rc_pool, pooled = run(capsys, *argv, "--parallel", "2")
-    assert rc_serial == rc_pool == cli.EXIT_PASS
-    assert pooled == serial
+    for mode in (["--no-warm-start"], ["--parallel", "2"]):
+        rc, out = run(capsys, *argv, *mode)
+        assert rc == cli.EXIT_PASS
+        assert out == expected
 
 
 def test_sweep_rejects_increasing_grid(capsys):
@@ -417,6 +435,8 @@ def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
             "records.csv",
             ",".join(cli.CSV_HEADER) + "\n" + "abc," * len(cli.CSV_COLUMNS) + "\n",
         ),
+        ("records.csv", one_row_csv(r_lambda=0.75, s_lambda=0.5)),
+        ("records.csv", one_row_csv(m_minus=-5.0)),
     ],
     ids=[
         "not-json",
@@ -424,6 +444,8 @@ def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
         "row-not-object",
         "records-not-list",
         "non-numeric-cell",
+        "node-beyond-minimum",
+        "negative-m-minus",
     ],
 )
 def test_verify_malformed_records(capsys, tmp_path, name, text):

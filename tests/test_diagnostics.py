@@ -31,9 +31,8 @@ def test_cone_fixture_norms():
 
 
 def test_norms_zero_profile():
-    p = Params(n=7, lam=1.0)
-    profile = integrate(p, 0.0, 1.0)
-    assert radial_norms(profile, p) == (0.0, 0.0, 0.0)
+    profile = polynomial_profile((0.0,), lam=1.0)
+    assert radial_norms(profile, profile.params) == (0.0, 0.0, 0.0)
 
 
 def test_norms_additive_over_subdomains(sol7_lam2):
@@ -93,9 +92,9 @@ def test_nehari_fixture_nonzero():
 
 
 def test_nehari_undefined_for_zero_profile():
-    p = Params(n=7, lam=1.0)
+    profile = polynomial_profile((0.0,), lam=1.0)
     with pytest.raises(UndefinedResidual):
-        certify(integrate(p, 0.0, 1.0), p)
+        certify(profile, profile.params)
 
 
 def test_pohozaev_on_accepted(sol7_lam2):

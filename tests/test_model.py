@@ -9,10 +9,8 @@ from bnball.model import (
     InvalidDimension,
     InvalidLambda,
     NodalFeatures,
-    NonpositiveLambda,
     Params,
     UndefinedExponent,
-    validate_lambda,
 )
 
 
@@ -78,14 +76,6 @@ def test_nonlinearity():
     assert p.nonlinearity(1.0) == pytest.approx(2.0, rel=1e-15)
     assert p.nonlinearity(-1.0) == pytest.approx(-2.0, rel=1e-15)
     assert p.nonlinearity(0.0) == 0.0
-
-
-def test_validate_lambda():
-    lam1 = 33.217461914268369
-    assert validate_lambda(Params(n=7, lam=1.0), lam1) is True
-    assert validate_lambda(Params(n=7, lam=40.0), lam1) is False
-    with pytest.raises(NonpositiveLambda):
-        validate_lambda(Params(n=7, lam=0.0), lam1)
 
 
 def _features(**overrides):

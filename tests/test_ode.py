@@ -57,11 +57,13 @@ def test_taylor_start_negative_amplitude():
     assert profile.du(BELOW_START) == pytest.approx(2e-7 / 7.0, rel=1e-15)
 
 
-def test_taylor_start_zero_amplitude():
-    profile = integrate(Params(n=7, lam=1.0), 0.0, 1.0)
-    assert BELOW_START < profile.knots[0]
-    assert profile.u(BELOW_START) == 0.0
-    assert profile.du(BELOW_START) == 0.0
+def test_zero_amplitude_is_singular_point():
+    """At a = 0 the series-start radius 1e-6 |a|^(-beta) is infinite, so
+    both integrators refuse the amplitude rather than divide by zero."""
+    with pytest.raises(SingularPoint, match="series-start radius inf"):
+        integrate(Params(n=7, lam=1.0), 0.0, 1.0)
+    with pytest.raises(SingularPoint, match="series-start radius inf"):
+        shoot(Params(n=7, lam=1.0), 0.0)
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -72,13 +74,6 @@ def test_bubble_oracle(n):
     sup = float(np.max(np.abs(profile.u(ys) - bubble_eval(n, normalized_mu(n), ys))))
     assert sup < 1e-8
     assert not profile.events  # the bubble is positive and strictly decreasing
-
-
-def test_zero_amplitude_profile():
-    profile = integrate(Params(n=7, lam=1.0), 0.0, 1.0)
-    assert np.all(profile.values == 0.0)
-    assert np.all(profile.derivs == 0.0)
-    assert not profile.events
 
 
 def test_knots_strictly_increasing(sol7_lam2):

@@ -108,8 +108,7 @@ def test_rescale_round_trip():
 
 
 def test_rescale_zero_profile_stays_zero():
-    p = Params(n=7, lam=1.0)
-    scaled = integrate(p, 0.0, 1.0).rescaled(3.0)
+    scaled = polynomial_profile((0.0,), lam=1.0).rescaled(3.0)
     assert not np.any(scaled.values)
     assert not np.any(scaled.derivs)
     assert scaled.u(0.5) == 0.0
