@@ -4,14 +4,17 @@ import math
 
 import pytest
 
+from bnball.bubble import lambda_1
 from bnball.model import (
     Error,
     InvalidDimension,
     InvalidLambda,
     NodalFeatures,
+    NonpositiveLambda,
     Params,
     UndefinedExponent,
 )
+from bnball.shooting import solve_nodal
 
 
 def test_exponents_n7():
@@ -76,6 +79,20 @@ def test_nonlinearity():
     assert p.nonlinearity(1.0) == pytest.approx(2.0, rel=1e-15)
     assert p.nonlinearity(-1.0) == pytest.approx(-2.0, rel=1e-15)
     assert p.nonlinearity(0.0) == 0.0
+
+
+def test_validate_lambda():
+    """Params admits any finite lambda >= 0; solving needs 0 < lambda <
+    lambda_1, with one error code per side."""
+    lam1 = 33.217461914268369
+    assert lambda_1(7) == pytest.approx(lam1, rel=1e-12)
+    for lam, error in [
+        (0.0, NonpositiveLambda),
+        (lambda_1(7), InvalidLambda),
+        (40.0, InvalidLambda),
+    ]:
+        with pytest.raises(error):
+            solve_nodal(Params(n=7, lam=lam), 2)
 
 
 def _features(**overrides):

@@ -57,11 +57,15 @@ def test_taylor_start_negative_amplitude():
     assert profile.du(BELOW_START) == pytest.approx(2e-7 / 7.0, rel=1e-15)
 
 
-def test_zero_amplitude_is_singular_point():
-    """At a = 0 the series-start radius 1e-6 |a|^(-beta) is infinite, so
-    both integrators refuse the amplitude rather than divide by zero."""
+def test_taylor_start_zero_amplitude():
+    """At a = 0 the series-start radius 1e-6 |a|^(-beta) is infinite, so the
+    integrator refuses the amplitude rather than divide by zero."""
     with pytest.raises(SingularPoint, match="series-start radius inf"):
         integrate(Params(n=7, lam=1.0), 0.0, 1.0)
+
+
+def test_zero_amplitude_profile():
+    """No zero profile is built at a = 0: shooting refuses it like integrate."""
     with pytest.raises(SingularPoint, match="series-start radius inf"):
         shoot(Params(n=7, lam=1.0), 0.0)
 

