@@ -148,7 +148,9 @@ class Params:
     lam = 0 is admitted so the pure critical equation (whose explicit
     ground state is the standard bubble) can serve as an integrator oracle;
     boundary-value solving additionally requires 0 < lam < lambda_1(B_1),
-    which `shooting.solve_nodal` checks.
+    which `shooting.solve_nodal` checks.  A non-finite lam raises
+    InvalidLambda and a negative one NonpositiveLambda, the code
+    solve_nodal gives lam = 0.
     """
 
     n: int
@@ -156,8 +158,10 @@ class Params:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if not math.isfinite(self.lam) or self.lam < 0.0:
+        if not math.isfinite(self.lam):
             raise InvalidLambda(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.lam < 0.0:
+            raise NonpositiveLambda(f"lambda must be >= 0, got {self.lam}")
 
     @property
     def two_star(self) -> float:

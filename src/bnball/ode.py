@@ -37,7 +37,14 @@ otherwise cancel.
 integrate returns the full profile (events, dense output) that features,
 certification and records read; shoot returns only the zero count and the
 end state at r=1, which is all a shooting evaluation needs.  Both build
-the problem with _deviation, so the right-hand side is defined once.
+the problem with _deviation, so the right-hand side and the blow-up guard
+are defined once.
+
+integrate runs solve_ivp with _FloatDop853, scipy's DOP853 stepping on
+Python floats.  It takes the steps, builds the dense output and counts the
+RHS evaluations of stock DOP853 bit for bit, and it checks the blow-up
+guard and the sign changes at each accepted step in place of solve_ivp's
+event functions.
 """
 
 from __future__ import annotations
@@ -47,8 +54,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate import ode as scipy_ode
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.optimize import brentq
 
 from .model import (
     BlowUpDetected,
@@ -208,9 +217,11 @@ def _bubble_terms(n: int, y):
 class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
 
-    f is the right-hand side in s = (v, v') at the scaled radius y; the
-    integration runs from the series state s0 at y0 out to y_end.  trusted
-    says whether sign changes of u can be told from integration noise.
+    f is the right-hand side in s = (v, v') at the scaled radius y, in
+    scipy.integrate.ode's convention; rhs(y, v, vp) is the same on floats,
+    returning (v', v'').  The integration runs from the series state s0 at
+    y0 out to y_end.  trusted says whether sign changes of u can be told
+    from integration noise.
     """
 
     n: int
@@ -223,10 +234,22 @@ class _Deviation:
     atol_scaled: float
     trusted: bool
     f: object = field(repr=False)
+    rhs: object = field(repr=False)
 
     def uhat(self, y, s):
         """u/a, a float, at scaled radius y from the deviation state s there."""
         return _bubble_terms(self.n, float(y))[0] + float(s[0])
+
+    def signs(self, y: float, s) -> tuple[float, float]:
+        """(u/a, u'/(a scale_r)) at scaled radius y from the float state s:
+        the values whose sign changes integrate records as events."""
+        d, dd = _bubble_terms(self.n, y)
+        return d + s[0], dd + s[1]
+
+    @staticmethod
+    def blown_up(w: float) -> bool:
+        """Whether u/a = w has reached the blow-up guard."""
+        return abs(w) >= BLOWUP_BOUND
 
     def u_du(self, y, s):
         """(u, u') at scaled radius y from the deviation state s there."""
@@ -292,6 +315,22 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
         # a list, because scipy.integrate.ode rejects a tuple
         return [vp, -n1 / y * vp - lam * w - df]
 
+    def rhs(y, v, vp):
+        # f's body on float arguments, without its unpacking, for the
+        # float stepper of integrate
+        t = K / (K + y * y)
+        d = t**h
+        w = d + v
+        if w > 0.0 and abs(v) < 0.5 * d:
+            df = d * t * t * math.expm1(p * math.log1p(v / d))
+        else:
+            try:
+                g = abs(w) ** (p - 1.0)
+            except OverflowError:
+                g = np.float64(abs(w)) ** (p - 1.0)
+            df = g * w - d * t * t
+        return vp, -n1 / y * vp - lam * w - df
+
     # The deviation signal has magnitude of order lam_hat while the additive
     # integration noise sits at the absolute tolerance floor atol/amp.  Sign
     # structure is certifiable only when the signal clears that floor; below
@@ -312,6 +351,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
         atol_scaled=atol_scaled,
         trusted=lam_hat >= ZERO_TRUST_FACTOR * atol_scaled,
         f=f,
+        rhs=rhs,
     )
 
 
@@ -380,6 +420,203 @@ def _callback_failure(exc: BaseException) -> IntegrationFailed:
     )
 
 
+def _maximum(a: float, b: float) -> float:
+    """np.maximum on floats: NaN if either is."""
+    return a if a >= b or a != a else b
+
+
+def _root(piece: Dop853DenseOutput, g) -> float:
+    """The root of g(y, (v, v')) over one step, located as solve_ivp
+    locates an event: brentq at xtol = rtol = 4 eps on the step's dense
+    output, evaluated here on floats with Dop853DenseOutput's arithmetic."""
+    coefficients = piece.F[::-1].tolist()
+    t_old, h = piece.t_old, piece.h
+    v_old, vp_old = piece.y_old.tolist()
+
+    def state(y):
+        x = (y - t_old) / h
+        v = vp = 0.0
+        for j, (c, cp) in enumerate(coefficients):
+            factor = x if j % 2 == 0 else 1 - x
+            v = (v + c) * factor
+            vp = (vp + cp) * factor
+        return v + v_old, vp + vp_old
+
+    eps4 = 4 * np.finfo(float).eps
+    return brentq(lambda y: g(y, state(y)), piece.t_old, piece.t, xtol=eps4, rtol=eps4)
+
+
+class _FloatDop853(DOP853):
+    """scipy's DOP853 stepping on Python floats, with the events of integrate.
+
+    Takes the steps, builds the dense output and counts the RHS evaluations
+    (nfev) of stock DOP853 bit for bit.  Every reduction over the stages
+    stays the dot product scipy takes, on the same views of the stage
+    array, because OpenBLAS may fuse its multiply-adds, so a float sum can
+    differ in the last bit; each error norm stays sqrt(err.dot(err))**2 on
+    an array for the same reason.  The rest (stage states, error scale,
+    step factor, the first three dense-output coefficients) is float
+    arithmetic in scipy's order.  fun is a float RHS
+    fun(y, v, v') -> (v', v''), like _Deviation.rhs.
+
+    In place of solve_ivp's events, each accepted step is checked against
+    the deviation problem once its dense output is built (integrate asks
+    for dense output, so that is once per step): the first state past the
+    blow-up guard raises BlowUpDetected at the radius solve_ivp's event
+    location gives, and while the problem is trusted, every step over
+    which u or u' changes sign by solve_ivp's rule for an event of
+    direction 0 is appended to crossings as (0 for u or 1 for u', the
+    step's dense output).
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, *, deviation, crossings, **options):
+        # scipy's own start: the first RHS call and the initial step size
+        super().__init__(
+            lambda t, y: fun(float(t), *y.tolist()), t0, y0, t_bound, **options
+        )
+        self.rhs = fun
+        self.deviation = deviation
+        self.crossings = crossings
+        self.y = tuple(self.y.tolist())
+        self.f = tuple(self.f.tolist())
+        self.direction = float(self.direction)
+        self.h_abs = float(self.h_abs)
+        self.rtol, self.atol = float(self.rtol), float(self.atol)
+        K = self.K_extended
+        # Stage s is written to k[2s], k[2s+1], a flat float view of K:
+        # numpy's row assignment costs as much as the RHS call itself.
+        self.k = memoryview(K.reshape(-1))
+        self.stages = [
+            (2 * s, K[:s].T, a[:s], float(c))
+            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
+        ]
+        self.extra_stages = [
+            (2 * s, K[:s].T, a[:s], float(c))
+            for s, (a, c) in enumerate(
+                zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1
+            )
+        ]
+        self.signs = deviation.signs(t0, self.y)
+
+    def _step_impl(self):
+        t = self.t
+        v, vp = self.y
+        rhs = self.rhs
+        rtol, atol = self.rtol, self.atol
+        k = self.k
+        KT, KT_B = self.K.T, self.K[:-1].T
+        last = 2 * self.n_stages
+
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            k[0], k[1] = self.f
+            for i, KsT, a, c in self.stages:
+                dv, dvp = KsT.dot(a).tolist()
+                k[i], k[i + 1] = rhs(t + c * h, v + dv * h, vp + dvp * h)
+            bv, bvp = KT_B.dot(self.B).tolist()
+            v_new = v + h * bv
+            vp_new = vp + h * bvp
+            f_new = rhs(t + h, v_new, vp_new)
+            k[last], k[last + 1] = f_new
+            self.nfev += self.n_stages
+
+            scale = np.array((
+                atol + _maximum(abs(v), abs(v_new)) * rtol,
+                atol + _maximum(abs(vp), abs(vp_new)) * rtol,
+            ))
+            err5 = KT.dot(self.E5) / scale
+            err3 = KT.dot(self.E3) / scale
+            err5_norm_2 = float(np.sqrt(err5.dot(err5)) ** 2)
+            err3_norm_2 = float(np.sqrt(err3.dot(err3)) ** 2)
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * 2)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
+            step_rejected = True
+
+        self.h_previous = h
+        self.y_old = (v, vp)
+        self.t = t_new
+        self.y = (v_new, vp_new)
+        self.h_abs = h_abs
+        self.f = f_new
+        return True, None
+
+    def _dense_output_impl(self):
+        k = self.k
+        h = self.h_previous
+        t_old = self.t_old
+        v, vp = self.y_old
+        for i, KsT, a, c in self.extra_stages:
+            dv, dvp = KsT.dot(a).tolist()
+            k[i], k[i + 1] = self.rhs(t_old + c * h, v + dv * h, vp + dvp * h)
+        self.nfev += len(self.extra_stages)
+
+        f, fp = self.f
+        f_old, fp_old = k[0], k[1]
+        dv, dvp = self.y[0] - v, self.y[1] - vp
+        F = np.empty((3 + len(self.D), 2))
+        F[:3] = (
+            (dv, dvp),
+            (h * f_old - dv, h * fp_old - dvp),
+            (2 * dv - h * (f + f_old), 2 * dvp - h * (fp + fp_old)),
+        )
+        F[3:] = h * self.D.dot(self.K_extended)
+        piece = Dop853DenseOutput(t_old, self.t, np.array(self.y_old), F)
+        self._check_step(piece)
+        return piece
+
+    def _check_step(self, piece):
+        """The blow-up guard and the sign changes over the step just taken.
+
+        The same order as solve_ivp's event handling: the blow-up radius is
+        located first, then the sign changes of the step are recorded, then
+        BlowUpDetected ends the run.
+        """
+        dev = self.deviation
+        signs = dev.signs(self.t, self.y)
+        blown_at = None
+        if dev.blown_up(signs[0]):
+            blown_at = _root(piece, lambda y, s: abs(dev.uhat(y, s)) - BLOWUP_BOUND)
+        if dev.trusted:
+            for component, (g, g_new) in enumerate(zip(self.signs, signs)):
+                if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
+                    self.crossings.append((component, piece))
+        self.signs = signs
+        if blown_at is not None:
+            raise _blow_up(blown_at / dev.scale_r)
+
+
 def integrate(
     params: Params,
     a: float,
@@ -391,44 +628,47 @@ def integrate(
     """Integrate from the origin series start out to r_stop.
 
     Integrates the unit-amplitude deviation problem out to
-    y = |a|^beta * r_stop and maps it back to physical variables.  All sign
-    changes of u and u' are located on the dense output by the integrator's
-    bracketed root-finding (well below 1e-12 radius accuracy) and recorded
-    as events.  knots hold the integrator steps plus DENSE_SAMPLES interior
-    samples per step; `steps` keeps the raw step radii, whose dense-output
-    pieces downstream quadrature integrates piecewise.
+    y = |a|^beta * r_stop on _FloatDop853 and maps it back to physical
+    variables.  The stepper records each step over which u or u' changes
+    sign; the change is then located on that step's dense output by
+    solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy)
+    and recorded as an event.  knots hold the integrator steps plus
+    DENSE_SAMPLES interior samples per step; `steps` keeps the raw step
+    radii, whose dense-output pieces downstream quadrature integrates
+    piecewise.  Everything returned is bit-identical to solve_ivp with
+    method="DOP853" and the same checks as event functions.
     """
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
-
-    def ev_blow(y, s):
-        return abs(dev.uhat(y, s)) - BLOWUP_BOUND
-
-    ev_blow.terminal = True
-    ev_blow.direction = 1
-
-    def ev_dzero(y, s):
-        return _bubble_terms(dev.n, float(y))[1] + float(s[1])
-
+    crossings = []
     try:
-        sol = solve_ivp(
-            dev.f,
-            (dev.y0, dev.y_end),
-            dev.s0,
-            method="DOP853",
-            rtol=rtol,
-            atol=dev.atol_scaled,
-            dense_output=True,
-            events=(ev_blow, dev.uhat, ev_dzero) if dev.trusted else (ev_blow,),
-        )
+        try:
+            sol = solve_ivp(
+                dev.rhs,
+                (dev.y0, dev.y_end),
+                dev.s0,
+                method=_FloatDop853,
+                rtol=rtol,
+                atol=dev.atol_scaled,
+                dense_output=True,
+                deviation=dev,
+                crossings=crossings,
+            )
+        finally:
+            # solve_ivp would have located each sign change at its own
+            # step, so a root-finder failure there comes before whatever
+            # ends the run later.
+            located = [
+                (c, _root(piece, lambda y, s, c=c: dev.signs(y, s)[c]))
+                for c, piece in crossings
+            ]
     except ValueError as exc:
-        # A NaN state reaches the event root-finder, which refuses it.
+        # brentq refuses a NaN that a step's dense output reaches.
         raise IntegrationFailed(f"integration failed: {exc}") from exc
     except RuntimeWarning as exc:
-        # The right-hand side's overflow, when warnings are errors.
+        # The right-hand side's overflow, or NaN in the stepper's numpy
+        # reductions, when warnings are errors.
         raise _callback_failure(exc) from exc
-    if sol.t_events[0].size > 0:
-        raise _blow_up(sol.t_events[0][0] / scale_r)
     if not sol.success:
         last = sol.t[-1] / scale_r if sol.t.size else None
         raise IntegrationFailed(
@@ -442,13 +682,13 @@ def integrate(
         return dev.u_du(y, dense(y))
 
     # Zero crossings store u' there, derivative zeros store u; untrusted
-    # integrations have no sign events to read.
+    # integrations have no sign events to read.  Ties in r keep the zero
+    # crossing first.
     events = [
-        Event(kind=kind, r=y / scale_r, value=at_y(y)[component])
-        for kind, component, found in zip(
-            ("zero-crossing", "derivative-zero"), (1, 0), sol.t_events[1:]
-        )
-        for y in found
+        Event(kind=kind, r=y / scale_r, value=at_y(y)[1 - component])
+        for component, kind in enumerate(("zero-crossing", "derivative-zero"))
+        for c, y in located
+        if c == component
     ]
     events.sort(key=lambda e: e.r)
 
@@ -494,7 +734,7 @@ def shoot(
     def solout(y, s):
         nonlocal zeros, negative, blown_at
         w = dev.uhat(y, s)
-        if abs(w) > BLOWUP_BOUND:
+        if dev.blown_up(w):
             blown_at = y
             return -1
         if dev.trusted and (w < 0.0) != negative:

@@ -138,6 +138,14 @@ def test_invalid_dimension_is_solver_error(capsys, argv):
     assert json.loads(out)["error"] == "invalid-dimension"
 
 
+@pytest.mark.parametrize("lam", ["-1", "0"])
+def test_solve_nonpositive_lambda_has_one_code(capsys, lam):
+    """A negative lambda fails with the code of lambda = 0."""
+    rc, out = run(capsys, "solve", "--n", "7", "--lambda", lam)
+    assert rc == cli.EXIT_SOLVER
+    assert json.loads(out)["error"] == "nonpositive-lambda"
+
+
 def test_solve_missing_dimension_is_usage_error(capsys):
     rc = cli.main(["solve", "--lambda", "2"])
     capsys.readouterr()

@@ -62,10 +62,13 @@ def test_dimension_not_integer(bad):
 
 
 def test_params_rejects_negative_lambda():
-    with pytest.raises(InvalidLambda):
+    """A negative lambda has the code of lambda = 0 at solve time; a
+    non-finite one is invalid."""
+    with pytest.raises(NonpositiveLambda):
         Params(n=7, lam=-1.0)
-    with pytest.raises(InvalidLambda):
-        Params(n=7, lam=math.nan)
+    for bad in (math.nan, -math.inf, math.inf):
+        with pytest.raises(InvalidLambda):
+            Params(n=7, lam=bad)
 
 
 def test_params_admits_zero_lambda():
@@ -87,6 +90,7 @@ def test_validate_lambda():
     lam1 = 33.217461914268369
     assert lambda_1(7) == pytest.approx(lam1, rel=1e-12)
     for lam, error in [
+        (-1.0, NonpositiveLambda),
         (0.0, NonpositiveLambda),
         (lambda_1(7), InvalidLambda),
         (40.0, InvalidLambda),

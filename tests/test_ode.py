@@ -141,8 +141,8 @@ def test_tolerance_tightening_converges():
 
 def test_nan_state_is_integration_failure():
     """Steps far beyond the stability region overflow the right-hand side
-    to a NaN state before the blow-up event can fire; that is a classified
-    failure, not the event root-finder's ValueError."""
+    to a NaN state before the blow-up guard can fire; that is a classified
+    failure, not the ValueError of brentq locating a sign change on it."""
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationFailed):
         integrate(Params(n=7, lam=1e4), 1.0, 1.0, rtol=1e3, atol=1e9)
 
@@ -171,8 +171,9 @@ def _numpy_scalar_rhs(params, a, y, s):
 
 
 def test_rhs_on_floats_matches_numpy_scalars():
-    """The right-hand side computes on Python floats and returns, bit for
-    bit, what the same formula gives on numpy scalars, in both branches."""
+    """Both right-hand sides (f for shoot, rhs for integrate's stepper)
+    compute on Python floats and return, bit for bit, what the same
+    formula gives on numpy scalars, in both branches."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -190,6 +191,9 @@ def test_rhs_on_floats_matches_numpy_scalars():
                     got = dev.f(float(y), s)
                     assert [type(x) for x in got] == [float, float]
                     want = _numpy_scalar_rhs(params, a, np.float64(y), s)
+                    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+                    # the float stepper's RHS is the same function
+                    got = dev.rhs(float(y), float(v), float(vp))
                     assert [x.hex() for x in got] == [float(x).hex() for x in want]
                     d = ode._bubble_terms(n, float(y))[0]
                     if d + v > 0.0 and abs(v) < 0.5 * d:
@@ -367,8 +371,8 @@ def test_u_du_agrees_with_u_and_du(sol7_lam2):
 
 def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
     """Once solve_ivp returns, integrate and certify read the dense output
-    only through the stacked step polynomials; scipy's per-step
-    interpolants serve solve_ivp's own event location alone."""
+    only through the stacked step polynomials and, for locating sign
+    changes, the pieces' coefficients; no scipy interpolant is called."""
     calls = 0
     call_impl = Dop853DenseOutput._call_impl
 
