@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -122,6 +124,21 @@ def test_solve_loose_rtol_certifies(capsys):
         e["r"] for e in json.loads(out)["events"] if e["kind"] == "zero-crossing"
     ]
     assert len([r for r in zeros if r < 1.0 - 1e-6]) == 1
+
+
+def test_solve_rtol_below_solver_floor_is_raised_to_it(capsys):
+    """solve_ivp runs no rtol below 100 eps; a smaller --rtol is raised to
+    it for the whole solve, without a warning, so the output equals that
+    of --rtol 100 eps."""
+    outputs = []
+    for rtol in ("1e-16", repr(100 * sys.float_info.epsilon)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", "--rtol", rtol)
+        assert rc == cli.EXIT_PASS
+        assert not caught, [str(w.message) for w in caught]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Shooting solver: zero landscape, bracketing, features, and sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +14,16 @@ from bnball.bubble import bubble_eval, normalized_mu
 from bnball.model import (
     ConfigError,
     Error,
+    IntegrationFailed,
     InvalidLambda,
     MissingInteriorZero,
     NoBracketFound,
     NonconvergentBisection,
     Params,
 )
+from bnball import ode
 from bnball.diagnostics import RESIDUAL_TOL
-from bnball.ode import integrate, shoot
+from bnball.ode import DEFAULT_RTOL, integrate, shoot
 from bnball.shooting import (
     BOUNDARY_TOL,
     _pruefer,
@@ -93,24 +96,35 @@ def test_solve_rejects_bad_lambda():
         solve_nodal(Params(n=7, lam=40.0), 2)
 
 
-def _record_amplitudes(monkeypatch):
-    """Amplitudes of every shooting evaluation solve_nodal runs, in call order."""
-    tried = []
+def _record_shots(monkeypatch, fail_at=None):
+    """(amplitude, rtol, result) of every shooting evaluation solve_nodal
+    runs, in call order; result is shoot's (zeros, u1, du1) or the Error it
+    raised.  Shots at rtol fail_at raise IntegrationFailed instead."""
+    shots = []
 
     def recording(params, a, **kwargs):
-        tried.append(a)
-        return shoot(params, a, **kwargs)
+        rtol = kwargs["rtol"]
+        try:
+            if rtol == fail_at:
+                raise IntegrationFailed(f"no shot at rtol {rtol:g}")
+            result = shoot(params, a, **kwargs)
+        except Error as exc:
+            shots.append((a, rtol, exc))
+            raise
+        shots.append((a, rtol, result))
+        return result
 
     monkeypatch.setattr(shooting, "shoot", recording)
-    return tried
+    return shots
 
 
 def test_no_bracket_in_low_dimension(monkeypatch):
     """No second zero enters the ball for n=4 at small lambda; the search
     gives up only after trying the ceiling of the full amplitude range."""
-    tried = _record_amplitudes(monkeypatch)
+    shots = _record_shots(monkeypatch)
     with pytest.raises(NoBracketFound) as info:
         solve_nodal(Params(n=4, lam=0.5), 2)
+    tried = [a for a, _, _ in shots]
     report = info.value.report
     assert report["n"] == 4
     assert report["k"] == 2
@@ -123,16 +137,17 @@ def test_no_bracket_in_low_dimension(monkeypatch):
 def test_no_bracket_classified_quickly(monkeypatch, n):
     """n=5, 6 have no k=2 solution at small lambda (Atkinson-Brezis-Peletier);
     the log-space bracket reaches that verdict in few evaluations."""
-    tried = _record_amplitudes(monkeypatch)
+    shots = _record_shots(monkeypatch)
     with pytest.raises(NoBracketFound):
         solve_nodal(Params(n=n, lam=0.5), 2)
-    assert len(tried) <= 20
+    assert len(shots) <= 20
 
 
 def test_each_amplitude_integrated_once(monkeypatch):
-    """Each amplitude is shot once, and a successful solve runs integrate
-    exactly once, at a*; its profile equals a fresh integration."""
-    tried = _record_amplitudes(monkeypatch)
+    """No amplitude is shot twice at one tolerance, a* was shot at rtol,
+    and a successful solve runs integrate exactly once, at a*; its profile
+    equals a fresh integration."""
+    shots = _record_shots(monkeypatch)
     integrated = []
 
     def recording(params, a, *args, **kwargs):
@@ -143,8 +158,9 @@ def test_each_amplitude_integrated_once(monkeypatch):
     monkeypatch.setattr(shooting, "integrate", recording)
     params = Params(n=7, lam=2.0)
     sol = solve_nodal(params, 2)
+    tried = [(a, rtol) for a, rtol, _ in shots]
     assert tried and len(set(tried)) == len(tried)
-    assert sol.a_star in tried
+    assert (sol.a_star, DEFAULT_RTOL) in tried
     [(a, profile)] = integrated
     assert a == sol.a_star
     assert sol.profile.knots is profile.knots
@@ -158,8 +174,8 @@ def test_each_amplitude_integrated_once(monkeypatch):
 @pytest.mark.parametrize(
     "rtol",
     [
-        pytest.param(4.499318771961189e-10, id="rtol4.50e-10"),
-        pytest.param(1.0476801696241862e-10, id="rtol1.05e-10"),
+        pytest.param(3.4588713384451516e-10, id="rtol3.46e-10"),
+        pytest.param(3.189164926472563e-10, id="rtol3.19e-10"),
     ],
 )
 def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(rtol):
@@ -226,6 +242,82 @@ def test_search_stops_at_first_shot_inside_noise_floor(monkeypatch, rtol):
     assert sol.a_star == a_last
 
 
+def test_a_star_is_shot_at_rtol(monkeypatch):
+    """The search ends on a shot at rtol, whose amplitude is a*, although
+    most shots before it run at the coarse tolerance."""
+    shots = _record_shots(monkeypatch)
+    sol = solve_nodal(Params(n=7, lam=2.0), 2)
+    a_last, rtol_last, _ = shots[-1]
+    assert (a_last, rtol_last) == (sol.a_star, DEFAULT_RTOL)
+    assert any(rtol == shooting._COARSE_RTOL for _, rtol, _ in shots)
+
+
+def _reshot(shots, i):
+    """Whether shot i is followed by a shot at DEFAULT_RTOL of its amplitude."""
+    return i + 1 < len(shots) and shots[i + 1][:2] == (shots[i][0], DEFAULT_RTOL)
+
+
+def test_small_coarse_proxy_is_reshot(monkeypatch):
+    """A coarse shot with |P| <= 1e-2 is shot again at rtol at the same
+    amplitude.  From a seed 1.2 a*, the first shot gives P = 8.2e-3."""
+    shots = _record_shots(monkeypatch)
+    solve_nodal(Params(n=7, lam=2.0), 2, a_seed=5.1e19)
+    small = [
+        i
+        for i, (_, rtol, result) in enumerate(shots)
+        if rtol == shooting._COARSE_RTOL
+        and abs(_pruefer(*result, 2)) <= shooting._COARSE_TRUST
+    ]
+    assert small
+    assert all(_reshot(shots, i) for i in small)
+
+
+def test_failed_coarse_shot_is_reshot(monkeypatch):
+    """A coarse shot that raises is shot again at rtol at the same
+    amplitude; with every coarse shot failing, the search is the one
+    without the coarse tier."""
+    monkeypatch.setattr(shooting, "_COARSE_RTOL", 0.0)
+    plain = solve_nodal(Params(n=7, lam=2.0), 2)
+    monkeypatch.undo()
+
+    shots = _record_shots(monkeypatch, fail_at=shooting._COARSE_RTOL)
+    sol = solve_nodal(Params(n=7, lam=2.0), 2)
+    failed = [i for i, (_, _, result) in enumerate(shots) if isinstance(result, Error)]
+    assert failed and all(_reshot(shots, i) for i in failed)
+    assert sol.a_star == plain.a_star
+
+
+@pytest.mark.parametrize("a_seed", [1.0, 6.4e19])
+def test_no_coarse_shot_after_first_near_shot(monkeypatch, a_seed):
+    """Once a shot returns |P| <= 5e-2, every later shot of the solve runs
+    at rtol.  From a seed 1.5 a*, the first shot is coarse with P =
+    1.9e-2 and is used as it is."""
+    shots = _record_shots(monkeypatch)
+    solve_nodal(Params(n=7, lam=2.0), 2, a_seed=a_seed)
+    near = next(
+        i
+        for i, (_, _, result) in enumerate(shots)
+        if abs(_pruefer(*result, 2)) <= shooting._COARSE_END
+    )
+    assert near < len(shots) - 1
+    assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots[near + 1 :])
+
+
+@pytest.mark.parametrize("rtol", [1e-5, 1e-3])
+def test_no_coarse_tier_at_loose_rtol(monkeypatch, rtol):
+    """At rtol >= 1e-5 every shot runs at rtol and no amplitude is shot
+    twice: the search without the coarse tier.  The seed 1.2 a* gives P =
+    8.2e-3, which a coarse tier would shoot twice."""
+    shots = _record_shots(monkeypatch)
+    try:
+        solve_nodal(Params(n=7, lam=2.0), 2, a_seed=5.1e19, rtol=rtol)
+    except Error:
+        pass
+    amplitudes = [a for a, _, _ in shots]
+    assert shots and all(tol == rtol for _, tol, _ in shots)
+    assert len(set(amplitudes)) == len(amplitudes)
+
+
 def test_loose_rtol_stop_still_certifies():
     """At rtol 1e-7 a shot with |P| = 2.3e-7 < 3 rtol precedes the root;
     accepting it fails the Pohozaev check, so the floor is capped."""
@@ -234,19 +326,41 @@ def test_loose_rtol_stop_still_certifies():
 
 
 def test_reference_sweep_shot_count(monkeypatch):
-    """Shots per point of the warm n=7 reference sweep, a deterministic
-    count: 68 with brentq run to xtol = rtol, 40 with the noise-floor stop."""
+    """Shots per point of the warm n=7 reference sweep, and their RHS
+    evaluations, deterministic counts: 68 shots with brentq run to xtol =
+    rtol, 40 with the noise-floor stop (127,492 RHS evaluations), and 43
+    with the coarse tier, 25 of them at rtol (107,115 RHS evaluations)."""
     shot_lams = []
+    shot_rtols = []
+    rhs_evals = 0
 
     def recording(params, a, **kwargs):
         shot_lams.append(params.lam)
+        shot_rtols.append(kwargs["rtol"])
         return shoot(params, a, **kwargs)
 
+    deviation = ode._deviation
+
+    def counting(*args, **kwargs):
+        dev = deviation(*args, **kwargs)
+        f = dev.f
+
+        def counted(y, s):
+            nonlocal rhs_evals
+            rhs_evals += 1
+            return f(y, s)
+
+        return dataclasses.replace(dev, f=counted)
+
     monkeypatch.setattr(shooting, "shoot", recording)
+    monkeypatch.setattr(ode, "_deviation", counting)
     points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
     assert all(p.solution is not None for p in points)
     per_point = [shot_lams.count(lam) for lam in ACCEPTANCE_GRID]
     assert sum(per_point) == len(shot_lams) <= 45, per_point
+    assert shot_rtols.count(DEFAULT_RTOL) <= 26, shot_rtols
+    # integrate runs _Deviation.rhs, so this counts the shots alone
+    assert rhs_evals <= 112_000
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
