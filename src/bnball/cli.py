@@ -3,9 +3,10 @@
 Owns the persistence formats.  Sweep records go to CSV with a frozen
 column order (or JSON); solutions and verification reports go to
 canonical JSON (sorted keys, two-space indent, trailing newline), which
-round-trips byte-identically.  All numbers are serialized with shortest
-round-trip precision, so downstream extrapolation is not precision
-limited.
+round-trips byte-identically; canonical_json prints it in one pass, each
+float array as one join of reprs.  All numbers are serialized with
+shortest round-trip precision, so downstream extrapolation is not
+precision limited.
 
 Exit codes: 0 pass, 2 config or input error, 3 solver error,
 4 verification failure.
@@ -25,6 +26,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import asymptotics, bubble, diagnostics, shooting
 from .model import (
@@ -97,26 +101,42 @@ def _fmt_number(x) -> str:
     return repr(x)
 
 
-def _scrub(obj):
-    """Make an object JSON-safe: dataclasses/ndarrays to builtins, non-finite to None."""
+def _render(obj, indent: str = "") -> str:
+    """obj as canonical JSON, as json.dumps(sort_keys=True, indent=2) prints
+    its builtin copy: dataclasses and arrays as dicts and lists, non-finite
+    floats null, keys str() (of two that stringify equal, the later wins)."""
     # Floats first: they are most of a payload.  np.float64 is a float too.
     if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _scrub(dataclasses.asdict(obj))
-    if hasattr(obj, "tolist"):
-        return _scrub(obj.tolist())
-    return str(obj)
+        members = {str(k): v for k, v in obj.items()}
+        items = [
+            f"{encode_basestring_ascii(k)}: {_render(members[k], inner)}"
+            for k in sorted(members)
+        ]
+    elif isinstance(obj, (list, tuple)):
+        items = [_render(v, inner) for v in obj]
+    elif isinstance(obj, (int, str)) or obj is None:
+        return json.dumps(obj)  # bool is an int; json prints true/false
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _render(dataclasses.asdict(obj), indent)
+    elif type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64:
+        items = list(map(float.__repr__, obj.tolist()))
+        for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+            items[i] = "null"
+    elif hasattr(obj, "tolist"):
+        return _render(obj.tolist(), indent)
+    else:
+        return encode_basestring_ascii(str(obj))
+    open_, close = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return open_ + close
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_scrub(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _render(obj) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -219,8 +219,10 @@ class _Deviation:
 
     f is the right-hand side in s = (v, v') at the scaled radius y, in
     scipy.integrate.ode's convention; rhs(y, v, vp) is the same on floats,
-    returning (v', v'').  The integration runs from the series state s0 at
-    y0 out to y_end.  trusted says whether sign changes of u can be told
+    returning (v', v'').  f returns one float64 array of shape (2,), the
+    same array on every call, overwritten by the next: a caller that keeps
+    a result must copy it.  The integration runs from the series state s0
+    at y0 out to y_end.  trusted says whether sign changes of u can be told
     from integration noise.
     """
 
@@ -293,6 +295,10 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
     v0 = -c2 * y0 * y0 + c4 * y0**4
     vp0 = -2.0 * c2 * y0 + 4.0 * c4 * y0**3
 
+    # f's one result, which scipy.integrate.ode copies at once
+    out = np.empty(2)
+    slots = memoryview(out)
+
     def f(y, s):
         # On Python floats: the same IEEE results as on numpy scalars, at a
         # third of the cost per call.
@@ -312,8 +318,8 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
                 # keep both, so a failed run reads as it does on numpy.
                 g = np.float64(abs(w)) ** (p - 1.0)
             df = g * w - d * t * t
-        # a list, because scipy.integrate.ode rejects a tuple
-        return [vp, -n1 / y * vp - lam * w - df]
+        slots[0], slots[1] = vp, -n1 / y * vp - lam * w - df
+        return out
 
     def rhs(y, v, vp):
         # f's body on float arguments, without its unpacking, for the
@@ -397,6 +403,11 @@ class _StepPolynomials:
             s *= x if j % 2 == 0 else 1 - x
         s += self.y_old[i]
         return s.T
+
+
+def run_rtol(rtol: float) -> float:
+    """The rtol integrate and shoot run: raised to 100 eps, as solve_ivp would."""
+    return max(rtol, 100.0 * math.ulp(1.0))
 
 
 def _blow_up(radius: float) -> BlowUpDetected:
@@ -627,8 +638,8 @@ def integrate(
 ) -> RadialProfile:
     """Integrate from the origin series start out to r_stop.
 
-    Integrates the unit-amplitude deviation problem out to
-    y = |a|^beta * r_stop on _FloatDop853 and maps it back to physical
+    Integrates the unit-amplitude deviation problem out to y = |a|^beta *
+    r_stop on _FloatDop853 at run_rtol(rtol) and maps it back to physical
     variables.  The stepper records each step over which u or u' changes
     sign; the change is then located on that step's dense output by
     solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy)
@@ -640,6 +651,7 @@ def integrate(
     """
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
+    rtol = run_rtol(rtol)
     crossings = []
     try:
         try:
@@ -720,9 +732,9 @@ def shoot(
     """Zero count and (u(1), u'(1)) of the solution with u(0) = a.
 
     One shooting evaluation: the deviation problem of integrate, out to
-    r = 1 on Hairer's Fortran DOP853 (scipy.integrate.ode), with neither
-    event location nor dense output.  Zeros are the sign changes of u
-    between accepted steps, counted only when integrate would track them;
+    r = 1 on Hairer's Fortran DOP853 (scipy.integrate.ode) at run_rtol(rtol),
+    without event location or dense output.  Zeros are the sign changes of
+    u between accepted steps, counted only when integrate would track them;
     a double crossing inside one step goes uncounted.  Raises
     BlowUpDetected and IntegrationFailed where integrate does.
     """
@@ -730,10 +742,11 @@ def shoot(
     zeros = 0
     negative = False
     blown_at = None
+    K, h = dev.n * (dev.n - 2.0), (dev.n - 2.0) / 2.0
 
     def solout(y, s):
         nonlocal zeros, negative, blown_at
-        w = dev.uhat(y, s)
+        w = (K / (K + y * y)) ** h + float(s[0])  # u/a, as dev.uhat(y, s)
         if dev.blown_up(w):
             blown_at = y
             return -1
@@ -743,7 +756,7 @@ def shoot(
         return 0
 
     solver = scipy_ode(dev.f).set_integrator(
-        "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
+        "dop853", rtol=run_rtol(rtol), atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
     )
     solver.set_solout(solout)
     solver.set_initial_value(dev.s0, dev.y0)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
@@ -56,7 +55,7 @@ from .model import (
     Params,
     check_lambda_grid,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, shoot
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, run_rtol, shoot
 
 _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
@@ -65,8 +64,6 @@ _A_MAX = 1e30
 # Bound on |P| at the converged amplitude, i.e. on how far the k-th zero
 # lies from r=1.
 BOUNDARY_TOL = 1e-6
-# solve_ivp raises any smaller rtol to this, with a warning.
-_MIN_RTOL = 100.0 * sys.float_info.epsilon
 # The coarse tier of the search: shots run at max(rtol, _COARSE_RTOL) until
 # one returns |P| <= _COARSE_END, and a coarse P is used only when |P| >
 # _COARSE_TRUST.  Over 687 shots of 48 cold solves, a shot at 1e-5 moved P
@@ -150,7 +147,7 @@ def solve_nodal(
         )
 
     # One rtol for the shots, the integration, the floor and xtol.
-    rtol = max(rtol, _MIN_RTOL)
+    rtol = run_rtol(rtol)
     # The proxy reproduces only to a few rtol, with a slope of a few
     # hundredths in log a, so shots closer to the root than that refine
     # noise.  The search ends at the first shot inside that floor; the cap

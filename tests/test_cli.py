@@ -1,10 +1,16 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import dataclasses
 import json
+import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bnball import cli, shooting
 from bnball.asymptotics import build_record
@@ -495,10 +501,6 @@ def test_run_config_validation():
 
 
 def test_canonical_json_scrubbing():
-    import dataclasses
-
-    import numpy as np
-
     @dataclasses.dataclass
     class Inner:
         x: float
@@ -526,3 +528,69 @@ def test_canonical_json_scrubbing():
     assert cli.canonical_json({"b": 1, "a": 2}).index('"a"') < cli.canonical_json(
         {"b": 1, "a": 2}
     ).index('"b"')
+
+
+def _scrub(obj):
+    """The builtin copy that canonical_json once handed to json.dumps."""
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {str(k): _scrub(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_scrub(v) for v in obj]
+    if isinstance(obj, (int, str, bool)) or obj is None:
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _scrub(dataclasses.asdict(obj))
+    if hasattr(obj, "tolist"):
+        return _scrub(obj.tolist())
+    return str(obj)
+
+
+@dataclasses.dataclass
+class _Leaf:
+    x: object
+
+
+@dataclasses.dataclass
+class _Node:
+    left: object
+    right: object
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.one_of(
+    _FLOATS,
+    st.integers(),
+    st.text(),
+    st.booleans(),
+    st.none(),
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, st.integers(0, 6), elements=_FLOATS),
+    hnp.arrays(np.int64, st.integers(0, 4)),
+    hnp.arrays(np.float64, (2, 2), elements=_FLOATS),
+    st.builds(_Leaf, _FLOATS | st.text()),
+)
+# A small key pool, so int and str keys often stringify equal.
+_KEYS = st.sampled_from([0, 1, "0", "1", -1, "a", "é", "λ"]) | st.text()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        _LEAVES,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, children, max_size=5),
+            st.builds(_Node, children, children),
+        ),
+        max_leaves=20,
+    )
+)
+def test_canonical_json_matches_json_dumps_of_scrubbed_copy(obj):
+    """canonical_json prints exactly what json.dumps prints for the
+    builtin, JSON-safe copy of any payload, byte for byte."""
+    want = json.dumps(_scrub(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert cli.canonical_json(obj) == want

@@ -41,7 +41,8 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
 
     try:
         sol = solve_ivp(
-            dev.f,
+            # solve_ivp keeps each RHS result, and f reuses one array
+            lambda y, s: np.array(dev.f(y, s)),
             (dev.y0, dev.y_end),
             dev.s0,
             method="DOP853",

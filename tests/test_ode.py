@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
+from scipy.integrate import ode as scipy_ode
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from bnball.bubble import bubble_eval, normalized_mu
 from bnball import diagnostics, ode
-from bnball.model import Error, IntegrationFailed, Params, SingularPoint
+from bnball.model import BlowUpDetected, Error, IntegrationFailed, Params, SingularPoint
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
 from bnball.shooting import BOUNDARY_TOL, _pruefer, extract_features
 
@@ -189,7 +190,9 @@ def test_rhs_on_floats_matches_numpy_scalars():
                 for y, v, vp in zip(ys, vs, vps):
                     s = np.array([v, vp])
                     got = dev.f(float(y), s)
-                    assert [type(x) for x in got] == [float, float]
+                    assert type(got) is np.ndarray
+                    assert got.dtype == np.float64 and got.shape == (2,)
+                    got = got.tolist()
                     want = _numpy_scalar_rhs(params, a, np.float64(y), s)
                     assert [x.hex() for x in got] == [float(x).hex() for x in want]
                     # the float stepper's RHS is the same function
@@ -299,6 +302,152 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
     with pytest.raises(IntegrationFailed) as info:
         shoot(Params(n=7, lam=2.0), 1e4)
     assert 0.0 < info.value.last_radius < 1.0
+
+
+def _list_shoot(params, a, rtol, atol):
+    """shoot as it ran with a list-returning RHS and its solout through
+    dev.uhat: the outcome ((zeros, u1, du1) in hex, or the error) and
+    dop853's counters iwork[16:20] (RHS calls, steps, accepted, rejected)."""
+    dev = ode._deviation(params, a, 1.0, atol)
+    zeros, negative, blown_at = 0, False, None
+
+    def f(y, s):
+        return list(dev.rhs(float(y), *s.tolist()))
+
+    def solout(y, s):
+        nonlocal zeros, negative, blown_at
+        w = dev.uhat(y, s)
+        if dev.blown_up(w):
+            blown_at = y
+            return -1
+        if dev.trusted and (w < 0.0) != negative:
+            zeros += 1
+            negative = not negative
+        return 0
+
+    solver = scipy_ode(f).set_integrator(
+        "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=ode.SHOOT_MAX_STEPS
+    )
+    solver.set_solout(solout)
+    solver.set_initial_value(dev.s0, dev.y0)
+    counters = solver._integrator.iwork[16:20]  # a view: read after the run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings(
+            "always", category=UserWarning, module="scipy.integrate._ode"
+        )
+        try:
+            s1 = solver.integrate(dev.y_end)
+        except ValueError as exc:
+            return _error_outcome(ode._callback_failure(exc)), counters.tolist()
+    if blown_at is not None:
+        return _error_outcome(ode._blow_up(blown_at / dev.scale_r)), counters.tolist()
+    if not solver.successful():
+        reason = "; ".join(str(w.message) for w in caught)
+        error = IntegrationFailed(
+            f"integration failed: {reason} "
+            f"(return code {solver.get_return_code()})",
+            last_radius=solver.t / dev.scale_r,
+        )
+        return _error_outcome(error), counters.tolist()
+    u1, du1 = dev.u_du(dev.y_end, s1)
+    return (zeros, float(u1).hex(), float(du1).hex()), counters.tolist()
+
+
+def _error_outcome(exc):
+    return type(exc), str(exc), getattr(exc, "last_radius", None)
+
+
+def _array_shoot(monkeypatch, params, a, rtol, atol):
+    """shoot's outcome and counters, in _list_shoot's form."""
+    solvers = []
+
+    class Recorded(scipy_ode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ode, "scipy_ode", Recorded)
+        try:
+            zeros, u1, du1 = shoot(params, a, rtol=rtol, atol=atol)
+            outcome = (zeros, u1.hex(), du1.hex())
+        except Error as exc:
+            outcome = _error_outcome(exc)
+    (solver,) = solvers
+    return outcome, solver._integrator.iwork[16:20].tolist()
+
+
+SHOOT_RTOLS = (1e-5, 1e-8, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
+    """shoot, whose RHS fills one reused array and whose solout computes
+    u/a inline, takes the steps and returns the end state of the same run
+    with a list-returning RHS and solout through dev.uhat, bit for bit."""
+    zero_counts = set()
+    for lam in (0.5, 2.0, 10.0):
+        for a in (10.0, 1e6, 1e16, A_STAR.get((n, 2), 1e24), -3.0):
+            for rtol in SHOOT_RTOLS:
+                args = (Params(n=n, lam=lam), a, rtol, DEFAULT_ATOL)
+                want = _list_shoot(*args)
+                assert _array_shoot(monkeypatch, *args) == want
+                zero_counts.add(want[0][0])
+    assert len(zero_counts) >= 2
+
+
+@pytest.mark.parametrize("n, lam, a, rtol, atol, error", [
+    pytest.param(7, 1e8, 1.0, 100.0, 1e6, BlowUpDetected, id="n7-blow-up"),
+    pytest.param(4, 1e4, 1e28, 1.0, 1.0, IntegrationFailed, id="n4-power-overflow"),
+    pytest.param(5, 0.5, 1e28, 1e-10, DEFAULT_ATOL, None, id="n5-untrusted"),
+    pytest.param(6, 1e-10, 1e3, 1e-8, DEFAULT_ATOL, None, id="n6-untrusted"),
+])
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_shoot_fails_as_list_rhs(monkeypatch, n, lam, a, rtol, atol, error, action):
+    """The blow-up guard, the overflow of |w|^(p-1) (raised or only
+    warned, by the RuntimeWarning filter) and the untrusted zero count end
+    exactly as with a list-returning RHS, message and counters too."""
+    args = (Params(n=n, lam=lam), a, rtol, atol)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        want = _list_shoot(*args)
+        assert _array_shoot(monkeypatch, *args) == want
+    if error is None:
+        assert not ode._deviation(*args[:2], 1.0, atol).trusted and want[0][0] == 0
+    else:
+        assert want[0][0] is error
+
+
+@pytest.mark.parametrize("rtol", SHOOT_RTOLS)
+def test_shoot_step_budget_fails_as_list_rhs(monkeypatch, rtol):
+    """Running out of steps ends at the same radius, with the same message
+    and counters, as with a list-returning RHS."""
+    monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", 20)
+    args = (Params(n=7, lam=2.0), 1e4, rtol, DEFAULT_ATOL)
+    want = _list_shoot(*args)
+    assert want[0][0] is IntegrationFailed
+    assert _array_shoot(monkeypatch, *args) == want
+
+
+@pytest.mark.parametrize("run", ["shoot", "integrate"])
+def test_rtol_below_100_eps_runs_at_100_eps(run):
+    """integrate and shoot raise an rtol below 100 eps to 100 eps, the
+    least solve_ivp runs, without scipy's warning, and give exactly their
+    result at 100 eps."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    call = getattr(ode, run)
+    extra = (1.0,) if run == "integrate" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(params, a, *extra, rtol=1e-16)
+    want = call(params, a, *extra, rtol=ode.run_rtol(0.0))
+    assert ode.run_rtol(1e-16) == 100 * np.finfo(float).eps == ode.run_rtol(0.0)
+    if run == "shoot":
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+        return
+    for name in ("knots", "values", "derivs", "steps"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.events == want.events and got.r_end == want.r_end
 
 
 @pytest.mark.parametrize("n, lam, a, trusted", [
