@@ -46,6 +46,21 @@ _DOMAIN_SLACK = 1e-12
 _GREEN_GRID = np.linspace(0.2, 0.8, 121)
 # Samples per rescaled part in the bubble deviations of a record.
 _BUBBLE_SAMPLES = 801
+# The scalar laws of a record, in report order: the limit each converges
+# to (a field of bubble.constants, or 1), the window of its gap trend (the
+# last three records, or the whole sweep when None) and whether its
+# verdict gates overall_pass.
+_LAWS = {
+    "q1": ("c3", 3, False),
+    "q2": ("c3", 3, True),
+    "q3": (1.0, 3, True),
+    "p1": ("c1", None, True),
+    "p2": ("c2", 3, False),
+    "p3": ("c1", None, True),
+    "p4": ("c2", 3, False),
+}
+# Largest relative error of a law's extrapolated limit.
+_LAW_TOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -288,31 +303,24 @@ def build_record(solution) -> SweepRecord:
     params, f = solution.params, solution.features
     res = solution.residuals
     lam = params.lam
-    nan = math.nan
     if f is None:
-        q = (nan,) * 7
-        dev_plus = dev_minus = nan
+        laws = dict.fromkeys(_LAWS, math.nan)
+        dev_plus = dev_minus = math.nan
     else:
         n = params.n
         e = params.rate_exp
         rn2 = f.r_lambda ** (n - 2.0)
-        q1 = f.m_plus**e * rn2 * lam
-        q2 = f.m_minus**e * lam
-        q3 = f.m_minus**e / (f.m_plus**e * rn2)
-        p1 = f.m_plus * abs(f.du_node) * f.r_lambda ** (n - 1.0)
-        p2 = (
-            f.m_plus ** (2.0 * params.beta)
-            * f.r_lambda**n
-            * f.du_node**2
-            / lam
-        )
-        p3 = f.m_minus * abs(f.du_boundary)
-        p4 = (
-            f.m_minus ** (2.0 * params.beta)
+        laws = {
+            "q1": f.m_plus**e * rn2 * lam,
+            "q2": f.m_minus**e * lam,
+            "q3": f.m_minus**e / (f.m_plus**e * rn2),
+            "p1": f.m_plus * abs(f.du_node) * f.r_lambda ** (n - 1.0),
+            "p2": f.m_plus ** (2.0 * params.beta) * f.r_lambda**n * f.du_node**2 / lam,
+            "p3": f.m_minus * abs(f.du_boundary),
+            "p4": f.m_minus ** (2.0 * params.beta)
             * (f.du_boundary**2 - f.du_node**2 * f.r_lambda**n)
-            / lam
-        )
-        q = (q1, q2, q3, p1, p2, p3, p4)
+            / lam,
+        }
 
         y_plus = np.linspace(0.0, min(f.sigma, 10.0), _BUBBLE_SAMPLES)
         dev_plus = bubble_deviation(
@@ -327,13 +335,7 @@ def build_record(solution) -> SweepRecord:
     return SweepRecord(
         lam=lam,
         features=f,
-        q1=q[0],
-        q2=q[1],
-        q3=q[2],
-        p1=q[3],
-        p2=q[4],
-        p3=q[5],
-        p4=q[6],
+        **laws,
         bubble_dev_plus=dev_plus,
         bubble_dev_minus=dev_minus,
         green_dev=green_dev,
@@ -352,11 +354,6 @@ def _aitken(x1: float, x2: float, x3: float) -> float:
     return x3 - (x3 - x2) ** 2 / denom
 
 
-def _gap_series(values, limit: float) -> list[float]:
-    scale = abs(limit) if limit != 0.0 else 1.0
-    return [abs(v - limit) / scale for v in values]
-
-
 def _strictly_decreasing(seq) -> bool:
     return all(b < a for a, b in zip(seq, seq[1:]))
 
@@ -373,30 +370,25 @@ def _decreasing_to_floor(seq, floor: float = _TREND_FLOOR) -> bool:
 
 
 def _quantity_verdict(
-    values: list[float],
-    limit: float,
-    *,
-    tail: int | None,
-    tolerance: float,
-    gated: bool,
+    values: list[float], limit: float, *, tail: int | None, gated: bool
 ) -> dict:
-    gaps = _gap_series(values, limit)
+    scale = abs(limit) if limit != 0.0 else 1.0
+    gaps = [float(abs(v - limit) / scale) for v in values]
     window = gaps if tail is None else gaps[-tail:]
     decreasing = _strictly_decreasing(window)
     extrapolated = float(_aitken(*values[-3:]))
-    scale = abs(limit) if limit != 0.0 else 1.0
     rel_err = float(abs(extrapolated - limit) / scale)
     return {
         "values": [float(v) for v in values],
         "limit": limit,
-        "gaps": [float(g) for g in gaps],
+        "gaps": gaps,
         "gaps_strictly_decreasing": decreasing,
         "trend_window": "tail-3" if tail else "full",
         "extrapolated": extrapolated,
         "relative_error": rel_err,
-        "tolerance": tolerance,
-        "within_tolerance": rel_err <= tolerance,
-        "passed": decreasing and rel_err <= tolerance,
+        "tolerance": _LAW_TOL,
+        "within_tolerance": rel_err <= _LAW_TOL,
+        "passed": decreasing and rel_err <= _LAW_TOL,
         "gated": gated,
     }
 
@@ -420,67 +412,44 @@ def rate_law_report(records: list[SweepRecord], n: int) -> dict:
         raise ConfigError("records must be ordered by strictly decreasing lambda")
 
     cst = constants(n)
-    c1, c2, c3 = cst.c1, cst.c2, cst.c3
     exps = Params(n=n, lam=0.0)
     quantities = {
-        "q1": _quantity_verdict(
-            [r.q1 for r in recs], c3, tail=3, tolerance=0.10, gated=False
-        ),
-        "q2": _quantity_verdict(
-            [r.q2 for r in recs], c3, tail=3, tolerance=0.10, gated=True
-        ),
-        "q3": _quantity_verdict(
-            [r.q3 for r in recs], 1.0, tail=3, tolerance=0.10, gated=True
-        ),
-        "p1": _quantity_verdict(
-            [r.p1 for r in recs], c1, tail=None, tolerance=0.10, gated=True
-        ),
-        "p2": _quantity_verdict(
-            [r.p2 for r in recs], c2, tail=3, tolerance=0.10, gated=False
-        ),
-        "p3": _quantity_verdict(
-            [r.p3 for r in recs], c1, tail=None, tolerance=0.10, gated=True
-        ),
-        "p4": _quantity_verdict(
-            [r.p4 for r in recs], c2, tail=3, tolerance=0.10, gated=False
-        ),
+        name: _quantity_verdict(
+            [getattr(r, name) for r in recs],
+            getattr(cst, limit) if isinstance(limit, str) else limit,
+            tail=tail,
+            gated=gated,
+        )
+        for name, (limit, tail, gated) in _LAWS.items()
     }
 
-    identity_gaps = [float(abs(r.q3 * r.q1 - r.q2) / abs(r.q2)) for r in recs]
+    # A NaN or infinite gap fails the identity; a zero q2 gives an infinite one.
+    gaps = [abs(r.q3 * r.q1 - r.q2) / abs(r.q2) if r.q2 else math.inf for r in recs]
+    worst_gap = float(np.max(gaps))
     identity = {
-        "max_relative_gap": max(identity_gaps),
+        "max_relative_gap": worst_gap,
         "tolerance": 1e-12,
-        "passed": max(identity_gaps) <= 1e-12,
+        "passed": worst_gap <= 1e-12,
     }
 
-    def trend(values, *, final_tol: float | None = None) -> dict:
-        values = [float(v) for v in values]
+    level = (2.0 / n) * cst.s_pow
+    trends = {}
+    for name, series, final_tol in (
+        ("bubble_dev_plus", [r.bubble_dev_plus for r in recs], 5e-2),
+        ("bubble_dev_minus", [r.bubble_dev_minus for r in recs], None),
+        ("green_dev", [r.green_dev for r in recs], None),
+        ("green_grad_dev", [r.green_grad_dev for r in recs], None),
+        ("energy_gap", [abs(r.energy - level) / cst.s_pow for r in recs], None),
+    ):
+        values = [float(v) for v in series]
         ok = _decreasing_to_floor(values)
-        out = {
-            "values": values,
-            "strictly_decreasing": ok,
-            "passed": ok,
-        }
+        trends[name] = {"values": values, "strictly_decreasing": ok, "passed": ok}
         if final_tol is not None:
-            out["final"] = values[-1]
-            out["final_tolerance"] = final_tol
-            out["passed"] = ok and values[-1] < final_tol
-        return out
-
-    trends = {
-        "bubble_dev_plus": trend(
-            [r.bubble_dev_plus for r in recs], final_tol=5e-2
-        ),
-        "bubble_dev_minus": trend([r.bubble_dev_minus for r in recs]),
-        "green_dev": trend([r.green_dev for r in recs]),
-        "green_grad_dev": trend([r.green_grad_dev for r in recs]),
-        "energy_gap": trend(
-            [
-                abs(r.energy - (2.0 / n) * cst.s_pow) / cst.s_pow
-                for r in recs
-            ]
-        ),
-    }
+            trends[name].update(
+                final=values[-1],
+                final_tolerance=final_tol,
+                passed=ok and values[-1] < final_tol,
+            )
     speed = [r.features.m_plus / r.features.m_minus for r in recs]
     small_term = [
         r.features.m_minus ** (2.0 * exps.beta)
@@ -519,7 +488,7 @@ def rate_law_report(records: list[SweepRecord], n: int) -> dict:
     return {
         "n": n,
         "lambda_grid": lams,
-        "limits": {"c1": c1, "c2": c2, "c3": c3, "s_pow": cst.s_pow},
+        "limits": {"c1": cst.c1, "c2": cst.c2, "c3": cst.c3, "s_pow": cst.s_pow},
         "quantities": quantities,
         "identity_q3_q1_q2": identity,
         "trends": trends,

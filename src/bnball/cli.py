@@ -59,6 +59,25 @@ CSV_COLUMNS = ("lambda",) + _FEATURE_COLUMNS + _SCALAR_COLUMNS
 CSV_HEADER = CSV_COLUMNS + ("error",)
 
 
+# Tolerance settings: RunConfig field (also the flag's dest), environment
+# override, default, flag help.  A flag wins over the environment, which
+# wins over the default.  Only solve and sweep define the flags; verify and
+# constants read no tolerance, so they take the defaults and ignore the
+# environment.
+_TOLERANCES = (
+    ("rtol", "BNBALL_RTOL", DEFAULT_RTOL, None),
+    ("atol", "BNBALL_ATOL", DEFAULT_ATOL, None),
+    ("residual_tol", "BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL, None),
+    (
+        "boundary_tol",
+        "BNBALL_BOUNDARY_TOL",
+        shooting.BOUNDARY_TOL,
+        "largest accepted distance of the k-th zero from r=1, as the "
+        f"Pruefer offset at a* (default {shooting.BOUNDARY_TOL:g})",
+    ),
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated settings for one command invocation."""
@@ -77,7 +96,7 @@ class RunConfig:
     parallel: int = 0
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "boundary_tol", "residual_tol"):
+        for name, *_ in _TOLERANCES:
             value = getattr(self, name)
             # NaN fails every comparison, so "<= 0" alone would let it through
             if not (math.isfinite(value) and value > 0.0):
@@ -190,12 +209,15 @@ def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
             return math.nan
         return float(v)
 
+    lam = num("lambda")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ConfigError(f"lambda must be finite and positive, got {lam}")
     feature_vals = {name: num(name) for name in _FEATURE_COLUMNS}
     features = None
     if all(math.isfinite(v) for v in feature_vals.values()):
         features = NodalFeatures(**feature_vals)
     return asymptotics.SweepRecord(
-        lam=num("lambda"),
+        lam=lam,
         features=features,
         **{name: num(name) for name in _SCALAR_COLUMNS},
     )
@@ -213,8 +235,9 @@ def load_records(path: str) -> list[asymptotics.SweepRecord]:
                 reader = csv.DictReader(fh)
                 out = [_record_from_mapping(r) for r in reader]
     except (AttributeError, KeyError, TypeError, ValueError, Error) as exc:
-        # malformed JSON, a missing "records" key, a non-numeric cell, or
-        # feature cells that break the NodalFeatures invariants
+        # malformed JSON, a missing "records" key, a non-numeric cell, a
+        # lambda that is not finite and positive, or feature cells that
+        # break the NodalFeatures invariants
         raise ConfigError(f"cannot read records from {path}: {exc!r}") from exc
     return [r for r in out if r is not None]
 
@@ -242,12 +265,7 @@ def _solution_payload(solution: shooting.SignChangingSolution) -> dict:
 
 def _solve_options(config: RunConfig) -> dict:
     """The solve_nodal keyword options a command carries."""
-    return {
-        "rtol": config.rtol,
-        "atol": config.atol,
-        "boundary_tol": config.boundary_tol,
-        "residual_tol": config.residual_tol,
-    }
+    return {name: getattr(config, name) for name, *_ in _TOLERANCES}
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -401,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Tolerance environment overrides for solve and sweep: "
-            "BNBALL_RTOL, BNBALL_ATOL, BNBALL_RESIDUAL_TOL, BNBALL_BOUNDARY_TOL."
+            + ", ".join(env for _, env, *_ in _TOLERANCES)
+            + "."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,16 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated, strictly decreasing, e.g. 4,2,1,0.5,0.25",
             )
         p.add_argument("--k", type=int, default=2, help="number of nodal regions")
-        p.add_argument("--rtol", type=float, default=None)
-        p.add_argument("--atol", type=float, default=None)
-        p.add_argument("--residual-tol", type=float, default=None)
-        p.add_argument(
-            "--boundary-tol", type=float, default=None,
-            help=(
-                "largest accepted distance of the k-th zero from r=1, as the "
-                f"Pruefer offset at a* (default {shooting.BOUNDARY_TOL:g})"
-            ),
-        )
+        for name, _, _, help_ in _TOLERANCES:
+            p.add_argument("--" + name.replace("_", "-"), type=float, help=help_)
         p.add_argument("--out", default=None, help="output path (stdout when absent)")
 
     p_solve = sub.add_parser("solve", help="solve one (n, lambda, k) problem")
@@ -458,24 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Tolerance settings: RunConfig field (also the flag's dest), environment
-# override, default.  A flag wins over the environment, which wins over the
-# default.  Only solve and sweep define the flags; verify and constants read
-# no tolerance, so they take the defaults and ignore the environment.
-_TOLERANCES = (
-    ("rtol", "BNBALL_RTOL", DEFAULT_RTOL),
-    ("atol", "BNBALL_ATOL", DEFAULT_ATOL),
-    ("residual_tol", "BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL),
-    ("boundary_tol", "BNBALL_BOUNDARY_TOL", shooting.BOUNDARY_TOL),
-)
-
-
 def _config_from(args: argparse.Namespace) -> RunConfig:
     grid = None
     if getattr(args, "lambda_grid", None) is not None:
         grid = _parse_grid(args.lambda_grid)
     tolerances = {}
-    for name, env, default in _TOLERANCES:
+    for name, env, default, _ in _TOLERANCES:
         if not hasattr(args, name):
             continue
         flag = getattr(args, name)

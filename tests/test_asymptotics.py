@@ -230,9 +230,53 @@ def test_report_structure(report7, records7):
     assert report7["trends"]["green_dev"]["values"] == [
         r.green_dev for r in records7
     ]
-    q2 = report7["quantities"]["q2"]
-    assert q2["limit"] == pytest.approx(report7["limits"]["c3"], rel=1e-15)
-    assert q2["trend_window"] == "tail-3"
+
+    # Each law's limit (a key of report7["limits"], or 1), trend window,
+    # gate and tolerance, in report order.
+    wiring = {
+        "q1": ("c3", "tail-3", False, 0.10),
+        "q2": ("c3", "tail-3", True, 0.10),
+        "q3": (1.0, "tail-3", True, 0.10),
+        "p1": ("c1", "full", True, 0.10),
+        "p2": ("c2", "tail-3", False, 0.10),
+        "p3": ("c1", "full", True, 0.10),
+        "p4": ("c2", "tail-3", False, 0.10),
+    }
+    assert list(report7["quantities"]) == list(wiring)
+    for name, (limit, window, gated, tolerance) in wiring.items():
+        v = report7["quantities"][name]
+        if isinstance(limit, str):
+            limit = report7["limits"][limit]
+        assert v["limit"] == limit, name
+        assert v["trend_window"] == window, name
+        assert v["gated"] is gated, name
+        assert v["tolerance"] == tolerance, name
+    assert list(report7["trends"]) == [
+        "bubble_dev_plus",
+        "bubble_dev_minus",
+        "green_dev",
+        "green_grad_dev",
+        "energy_gap",
+    ]
+    finals = {
+        name: t["final_tolerance"]
+        for name, t in report7["trends"].items()
+        if "final_tolerance" in t
+    }
+    assert finals == {"bubble_dev_plus": 5e-2}
+
+
+@pytest.mark.parametrize(
+    "field, value", [("q1", math.nan), ("q2", 0.0)], ids=["nan-q1", "zero-q2"]
+)
+def test_identity_gate_fails_on_nan_or_zero_q2(records7, field, value):
+    """A NaN gap fails the identity wherever it sits, and a zero q2 gives
+    an infinite gap instead of a ZeroDivisionError."""
+    records = list(records7)
+    records[-1] = dataclasses.replace(records[-1], **{field: value})
+    identity = rate_law_report(records, 7)["identity_q3_q1_q2"]
+    assert identity["passed"] is False
+    assert not math.isfinite(identity["max_relative_gap"])
 
 
 def test_report_needs_three_records(records7):

@@ -34,14 +34,14 @@ def csv_text(records):
     return "\n".join(lines) + "\n"
 
 
-def one_row_csv(**features):
+def one_row_csv(**overrides):
     """A records CSV of one row: valid nodal features, updated by
-    `features`, and every other cell 1.0."""
+    `overrides`, and every other cell 1.0."""
     valid = dict(
         r_lambda=0.5, s_lambda=0.75, m_plus=1.0, m_minus=0.125, du_node=-1.0,
         du_boundary=1.0, sigma=0.5, rho=0.2, gamma=0.3,
     )
-    row = {**dict.fromkeys(cli.CSV_COLUMNS, 1.0), **valid, **features}
+    row = {**dict.fromkeys(cli.CSV_COLUMNS, 1.0), **valid, **overrides}
     cells = [repr(float(row[name])) for name in cli.CSV_COLUMNS]
     return ",".join(cli.CSV_HEADER) + "\n" + ",".join(cells + [""]) + "\n"
 
@@ -364,6 +364,21 @@ def test_verify_round_trip_csv(capsys, tmp_path, records7):
     assert report["n"] == 7
 
 
+@pytest.mark.parametrize(
+    "field, value", [("q1", math.nan), ("q2", 0.0)], ids=["nan-q1", "zero-q2"]
+)
+def test_verify_fails_identity_on_nan_or_zero_q2(
+    capsys, tmp_path, records7, field, value
+):
+    records = list(records7)
+    records[-1] = dataclasses.replace(records[-1], **{field: value})
+    path = tmp_path / "records.csv"
+    path.write_text(csv_text(records))
+    rc, out = run(capsys, "verify", str(path), "--n", "7")
+    assert rc == cli.EXIT_VERIFY
+    assert "overall: FAIL" in out
+
+
 def test_verify_needs_three_records(capsys, tmp_path, records7):
     path = tmp_path / "short.csv"
     path.write_text(csv_text(records7[:2]))
@@ -468,6 +483,9 @@ def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
         ),
         ("records.csv", one_row_csv(r_lambda=0.75, s_lambda=0.5)),
         ("records.csv", one_row_csv(m_minus=-5.0)),
+        ("records.csv", one_row_csv(**{"lambda": 0.0})),
+        ("records.csv", one_row_csv(**{"lambda": -0.25})),
+        ("records.csv", one_row_csv(**{"lambda": math.inf})),
     ],
     ids=[
         "not-json",
@@ -477,6 +495,9 @@ def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
         "non-numeric-cell",
         "node-beyond-minimum",
         "negative-m-minus",
+        "lambda=0.0",
+        "lambda=-0.25",
+        "lambda=inf",
     ],
 )
 def test_verify_malformed_records(capsys, tmp_path, name, text):

@@ -71,11 +71,10 @@ def test_bubble_critical_norm_truncation(consts7):
     assert norms.crit_pow + tail == pytest.approx(consts7.s_pow, rel=1e-8)
 
 
-def _residuals_unchecked(profile, params, features=None):
+def _residuals_unchecked(monkeypatch, profile, params, features=None):
     """certify's residuals with every tolerance open, for non-solutions."""
-    return certify(
-        profile, params, features, residual_tol=math.inf, energy_tol=math.inf
-    )
+    monkeypatch.setattr(diagnostics, "ENERGY_TOL", math.inf)
+    return certify(profile, params, features, residual_tol=math.inf)
 
 
 def test_nehari_on_accepted(sol7_lam2):
@@ -86,8 +85,8 @@ def test_nehari_on_accepted(sol7_lam2):
     assert split.nehari == pytest.approx(whole.nehari, rel=0.0, abs=1e-15)
 
 
-def test_nehari_fixture_nonzero():
-    res = _residuals_unchecked(nodal_fixture(), Params(n=7, lam=2.0))
+def test_nehari_fixture_nonzero(monkeypatch):
+    res = _residuals_unchecked(monkeypatch, nodal_fixture(), Params(n=7, lam=2.0))
     assert abs(res.nehari) > 1e-3
 
 
@@ -108,20 +107,21 @@ def test_pohozaev_on_accepted(sol7_lam2):
     assert whole.pohozaev_annulus == 0.0
 
 
-def test_pohozaev_zero_convention():
+def test_pohozaev_zero_convention(monkeypatch):
     """With lambda = 0 and u'(1) = 0 both sides of the whole-ball identity
     vanish, and the residual is 0 by convention; so is the annulus one."""
     p = Params(n=7, lam=0.0)
-    res = _residuals_unchecked(polynomial_profile((1.0, -2.0, 1.0), lam=0.0), p)
+    profile = polynomial_profile((1.0, -2.0, 1.0), lam=0.0)
+    res = _residuals_unchecked(monkeypatch, profile, p)
     assert (res.pohozaev_ball, res.pohozaev_annulus) == (0.0, 0.0)
 
 
-def test_pohozaev_fixture_nonzero():
+def test_pohozaev_fixture_nonzero(monkeypatch):
     profile = nodal_fixture()
     from bnball.shooting import extract_features
 
     f = extract_features(profile, Params(n=7, lam=2.0))
-    res = _residuals_unchecked(profile, Params(n=7, lam=2.0), f)
+    res = _residuals_unchecked(monkeypatch, profile, Params(n=7, lam=2.0), f)
     assert abs(res.pohozaev_ball) > 1e-3 or abs(res.pohozaev_annulus) > 1e-3
 
 
