@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .bubble import bubble_eval, constants, normalized_mu
+from .bubble import constants, delta
 from .green import (
     unit_source_green_at_center,
     unit_source_green_gradient_at_center,
@@ -110,6 +110,21 @@ def _need_features(solution) -> tuple:
     return solution.profile, solution.params, solution.features
 
 
+def _rescaling_grid(grid_y) -> np.ndarray:
+    y = np.atleast_1d(np.asarray(grid_y, dtype=float))
+    if y.size == 0:
+        raise EmptyWindow("empty rescaling grid")
+    return y
+
+
+def _envelope(params: Params, M: float, c: float, r):
+    """The bubble of height M widened by c at radii r, the physical-frame
+    envelope M {1 + (lambda + M^{2 beta}) c r^2 / (n(n-2))}^{-(n-2)/2}."""
+    n = params.n
+    coef = (params.lam + M ** (2.0 * params.beta)) * c / (n * (n - 2.0))
+    return M * (1.0 + coef * r * r) ** (-(n - 2.0) / 2.0)
+
+
 def rescale_plus(solution, grid_y) -> np.ndarray:
     """Sample the rescaled positive part: u~+(y) = u(y M+^{-beta}) / M+.
 
@@ -117,9 +132,7 @@ def rescale_plus(solution, grid_y) -> np.ndarray:
     amplitude is the normalizing constant.
     """
     profile, _, f = _need_features(solution)
-    y = np.atleast_1d(np.asarray(grid_y, dtype=float))
-    if y.size == 0:
-        raise EmptyWindow("empty rescaling grid")
+    y = _rescaling_grid(grid_y)
     if y.min() < -_DOMAIN_SLACK or y.max() > f.sigma * (1.0 + _DOMAIN_SLACK):
         raise OutOfDomain(
             f"grid must lie in [0, sigma={f.sigma:.6g}], got "
@@ -140,9 +153,7 @@ def rescale_minus(solution, grid_y) -> np.ndarray:
     radius map is second order anyway.
     """
     profile, _, f = _need_features(solution)
-    y = np.atleast_1d(np.asarray(grid_y, dtype=float))
-    if y.size == 0:
-        raise EmptyWindow("empty rescaling grid")
+    y = _rescaling_grid(grid_y)
     if y.min() < f.rho * (1.0 - 1e-12):
         raise OutOfDomain(
             f"grid must stay in the rescaled annulus y >= rho={f.rho:.6g}, "
@@ -161,7 +172,7 @@ def rescale_minus(solution, grid_y) -> np.ndarray:
 
 def bubble_deviation(y, samples, n: int) -> float:
     """Sup distance of rescaled samples from the unit-height bubble."""
-    ref = bubble_eval(n, normalized_mu(n), y)
+    ref = delta(n, y)
     return float(np.max(np.abs(np.asarray(samples, dtype=float) - ref)))
 
 
@@ -176,10 +187,7 @@ def center_envelope_violation(solution) -> float:
     knots = np.asarray(profile.knots, dtype=float)
     rs = np.concatenate([[0.0], knots[knots <= f.r_lambda]])
     u = np.maximum(np.asarray(profile.u(rs), dtype=float), 0.0)
-    coef = (params.lam + f.m_plus ** (2.0 * params.beta)) / (
-        params.n * (params.n - 2.0)
-    )
-    env = f.m_plus * (1.0 + coef * rs * rs) ** (-(params.n - 2.0) / 2.0)
+    env = _envelope(params, f.m_plus, 1.0, rs)
     return float(np.max(u - env))
 
 
@@ -190,7 +198,7 @@ def rescaled_envelope_violation(solution) -> float:
     rs = np.concatenate([[0.0], knots[knots <= f.r_lambda]])
     y = f.m_plus**params.beta * rs
     vals = rescale_plus(solution, y)
-    env = bubble_eval(params.n, normalized_mu(params.n), y)
+    env = delta(params.n, y)
     return float(np.max(vals - env))
 
 
@@ -250,8 +258,7 @@ def annulus_envelope_violation(solution) -> AnnulusEnvelope:
 
     rs = knots[(knots > r_in) & (knots < 1.0)]
     uminus = np.maximum(-np.asarray(profile.u(rs), dtype=float), 0.0)
-    coef = (params.lam + f.m_minus ** (2.0 * params.beta)) * c_eps / K
-    env = f.m_minus * (1.0 + coef * rs * rs) ** (-(n - 2.0) / 2.0)
+    env = _envelope(params, f.m_minus, c_eps, rs)
     violation = float(np.max(uminus - env)) if rs.size else -math.inf
 
     scale = f.m_minus**params.beta

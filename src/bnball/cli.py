@@ -223,11 +223,14 @@ def _record_from_mapping(row: dict) -> asymptotics.SweepRecord | None:
     )
 
 
-def load_records(path: str) -> list[asymptotics.SweepRecord]:
+def load_records(path: str, n: int) -> list[asymptotics.SweepRecord]:
+    """The records of a sweep file; one in JSON must be of dimension n."""
     try:
         if path.endswith(".json"):
             with open(path) as fh:
                 payload = json.load(fh)
+            if isinstance(payload, dict) and payload.get("n", n) != n:
+                raise ValueError(f"the records are of n={payload['n']!r}, not n={n}")
             rows = payload["records"] if isinstance(payload, dict) else payload
             out = [_record_from_mapping(r) for r in rows]
         else:
@@ -235,9 +238,9 @@ def load_records(path: str) -> list[asymptotics.SweepRecord]:
                 reader = csv.DictReader(fh)
                 out = [_record_from_mapping(r) for r in reader]
     except (AttributeError, KeyError, TypeError, ValueError, Error) as exc:
-        # malformed JSON, a missing "records" key, a non-numeric cell, a
-        # lambda that is not finite and positive, or feature cells that
-        # break the NodalFeatures invariants
+        # malformed JSON, a missing "records" key, records of another n, a
+        # non-numeric cell, a lambda that is not finite and positive, or
+        # feature cells that break the NodalFeatures invariants
         raise ConfigError(f"cannot read records from {path}: {exc!r}") from exc
     return [r for r in out if r is not None]
 
@@ -380,7 +383,7 @@ def _verdict_table(report: dict) -> str:
 
 
 def cmd_verify(config: RunConfig, records_path: str) -> int:
-    records = load_records(records_path)
+    records = load_records(records_path, config.n)
     try:
         report = asymptotics.rate_law_report(records, config.n)
     except InsufficientRecords as exc:

@@ -200,19 +200,6 @@ class RadialProfile:
         return [e for e in self.events if e.kind == "derivative-zero"]
 
 
-def _bubble_terms(n: int, y):
-    """Unit-center-value bubble delta and delta' at scaled radius y.
-
-    Vectorized; delta^(2*-1) equals delta * t^2 with t = K/(K+y^2), which
-    the integrand evaluation below exploits.
-    """
-    K = n * (n - 2.0)
-    t = K / (K + y * y)
-    d = t ** ((n - 2.0) / 2.0)
-    dd = -(n - 2.0) * y * d * t / K
-    return d, dd
-
-
 @dataclass(frozen=True)
 class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
@@ -227,6 +214,8 @@ class _Deviation:
     """
 
     n: int
+    K: float  # n(n-2), and h = (n-2)/2: the bubble's constants
+    h: float
     a: float
     scale_r: float  # y = scale_r * r
     scale_v: float  # u' = scale_v * uhat'
@@ -238,25 +227,28 @@ class _Deviation:
     f: object = field(repr=False)
     rhs: object = field(repr=False)
 
-    def uhat(self, y, s):
-        """u/a, a float, at scaled radius y from the deviation state s there."""
-        return _bubble_terms(self.n, float(y))[0] + float(s[0])
+    def bubble(self, y):
+        """The unit-center-value bubble delta = (K/(K+y^2))^h and delta' at
+        scaled radius y, scalar or array."""
+        t = self.K / (self.K + y * y)
+        d = t**self.h
+        return d, -(self.n - 2.0) * y * d * t / self.K
 
-    def signs(self, y: float, s) -> tuple[float, float]:
-        """(u/a, u'/(a scale_r)) at scaled radius y from the float state s:
-        the values whose sign changes integrate records as events."""
-        d, dd = _bubble_terms(self.n, y)
+    def signs(self, y, s):
+        """(u/a, u'/(a scale_r)) at scaled radius y from the deviation state
+        s: the values whose sign changes integrate records as events."""
+        d, dd = self.bubble(y)
         return d + s[0], dd + s[1]
-
-    @staticmethod
-    def blown_up(w: float) -> bool:
-        """Whether u/a = w has reached the blow-up guard."""
-        return abs(w) >= BLOWUP_BOUND
 
     def u_du(self, y, s):
         """(u, u') at scaled radius y from the deviation state s there."""
-        d, dd = _bubble_terms(self.n, y)
-        return self.a * (d + s[0]), self.scale_v * (dd + s[1])
+        w, wp = self.signs(y, s)
+        return self.a * w, self.scale_v * wp
+
+
+def _blown_up(w: float) -> bool:
+    """Whether u/a = w has reached the blow-up guard."""
+    return abs(w) >= BLOWUP_BOUND
 
 
 def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviation:
@@ -348,6 +340,8 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
     atol_scaled = atol / max(amp, 1.0)
     return _Deviation(
         n=n,
+        K=K,
+        h=h,
         a=a,
         scale_r=scale_r,
         scale_v=a * scale_r,
@@ -439,22 +433,9 @@ def _maximum(a: float, b: float) -> float:
 def _root(piece: Dop853DenseOutput, g) -> float:
     """The root of g(y, (v, v')) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
-    output, evaluated here on floats with Dop853DenseOutput's arithmetic."""
-    coefficients = piece.F[::-1].tolist()
-    t_old, h = piece.t_old, piece.h
-    v_old, vp_old = piece.y_old.tolist()
-
-    def state(y):
-        x = (y - t_old) / h
-        v = vp = 0.0
-        for j, (c, cp) in enumerate(coefficients):
-            factor = x if j % 2 == 0 else 1 - x
-            v = (v + c) * factor
-            vp = (vp + cp) * factor
-        return v + v_old, vp + vp_old
-
+    output."""
     eps4 = 4 * np.finfo(float).eps
-    return brentq(lambda y: g(y, state(y)), piece.t_old, piece.t, xtol=eps4, rtol=eps4)
+    return brentq(lambda y: g(y, piece(y)), piece.t_old, piece.t, xtol=eps4, rtol=eps4)
 
 
 class _FloatDop853(DOP853):
@@ -617,8 +598,8 @@ class _FloatDop853(DOP853):
         dev = self.deviation
         signs = dev.signs(self.t, self.y)
         blown_at = None
-        if dev.blown_up(signs[0]):
-            blown_at = _root(piece, lambda y, s: abs(dev.uhat(y, s)) - BLOWUP_BOUND)
+        if _blown_up(signs[0]):
+            blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
         if dev.trusted:
             for component, (g, g_new) in enumerate(zip(self.signs, signs)):
                 if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
@@ -742,12 +723,12 @@ def shoot(
     zeros = 0
     negative = False
     blown_at = None
-    K, h = dev.n * (dev.n - 2.0), (dev.n - 2.0) / 2.0
+    K, h = dev.K, dev.h
 
     def solout(y, s):
         nonlocal zeros, negative, blown_at
-        w = (K / (K + y * y)) ** h + float(s[0])  # u/a, as dev.uhat(y, s)
-        if dev.blown_up(w):
+        w = (K / (K + y * y)) ** h + float(s[0])  # u/a, as dev.signs(y, s)[0]
+        if _blown_up(w):
             blown_at = y
             return -1
         if dev.trusted and (w < 0.0) != negative:
@@ -760,27 +741,33 @@ def shoot(
     )
     solver.set_solout(solout)
     solver.set_initial_value(dev.s0, dev.y0)
-    with warnings.catch_warnings(record=True) as caught:
-        # A failed run warns and returns a truncated state; the warning's
-        # text is reported through IntegrationFailed below instead.
-        warnings.filterwarnings(
-            "always", category=UserWarning, module="scipy.integrate._ode"
-        )
-        try:
-            s1 = solver.integrate(dev.y_end)
-        except ValueError as exc:
-            # An exception inside the RHS or solout (a RuntimeWarning when
-            # warnings are errors) comes out of the Fortran wrapper as this
-            # ValueError.
-            raise _callback_failure(exc) from exc
-    if blown_at is not None:
-        raise _blow_up(blown_at / dev.scale_r)
-    if not solver.successful():
-        reason = "; ".join(str(w.message) for w in caught)
-        raise IntegrationFailed(
-            f"integration failed: {reason} "
-            f"(return code {solver.get_return_code()})",
-            last_radius=solver.t / dev.scale_r,
-        )
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            # A failed run warns and returns a truncated state; the warning's
+            # text is reported through IntegrationFailed below instead.
+            warnings.filterwarnings(
+                "always", category=UserWarning, module="scipy.integrate._ode"
+            )
+            try:
+                s1 = solver.integrate(dev.y_end)
+            except ValueError as exc:
+                # An exception inside the RHS or solout (a RuntimeWarning when
+                # warnings are errors) comes out of the Fortran wrapper as this
+                # ValueError.
+                raise _callback_failure(exc) from exc
+        if blown_at is not None:
+            raise _blow_up(blown_at / dev.scale_r)
+        if not solver.successful():
+            reason = "; ".join(str(w.message) for w in caught)
+            raise IntegrationFailed(
+                f"integration failed: {reason} "
+                f"(return code {solver.get_return_code()})",
+                last_radius=solver.t / dev.scale_r,
+            )
+    finally:
+        # scipy's dop853 wrapper keeps a reference to the integrator's bound
+        # _solout on every run; emptied, the integrator no longer keeps its
+        # work arrays, solout's closure and the deviation alive.
+        solver._integrator.__dict__.clear()
     u1, du1 = dev.u_du(dev.y_end, s1)
     return zeros, float(u1), float(du1)

@@ -16,7 +16,7 @@ from bnball.asymptotics import (
     center_envelope_violation,
     rescaled_envelope_violation,
 )
-from bnball.bubble import bubble_eval, constants, normalized_mu, omega_n
+from bnball.bubble import constants, delta, omega_n
 from bnball.model import Params, RegionEmpty
 from bnball.ode import integrate
 
@@ -53,7 +53,7 @@ def test_criterion_01_bubble_oracle():
     for n in (7, 9):
         profile = integrate(Params(n=n, lam=0.0), 1.0, 10.0)
         y = np.linspace(0.0, 10.0, 2001)
-        ref = bubble_eval(n, normalized_mu(n), y)
+        ref = delta(n, y)
         sups[n] = float(np.max(np.abs(profile.u(y) - ref)))
     dt = time.perf_counter() - t0
     ok = all(s < 1e-8 for s in sups.values()) and dt < 1.0

@@ -19,7 +19,7 @@ from bnball.asymptotics import (
     rescale_plus,
     rescaled_envelope_violation,
 )
-from bnball.bubble import bubble_eval, normalized_mu
+from bnball.bubble import delta
 from conftest import polynomial_profile
 from bnball.green import (
     unit_source_green_at_center,
@@ -92,7 +92,7 @@ def test_rescale_minus_domain(sol7_lam2):
 
 def test_bubble_deviation_of_bubble_samples_is_zero():
     y = np.linspace(0.0, 10.0, 101)
-    samples = bubble_eval(7, normalized_mu(7), y)
+    samples = delta(7, y)
     assert bubble_deviation(y, samples, 7) == 0.0
 
 

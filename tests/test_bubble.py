@@ -11,19 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from bnball.bubble import (
-    bubble_eval,
-    constants,
-    improper_radial_integral,
-    lambda_1,
-    normalized_mu,
-    omega_n,
-)
-from bnball.model import (
-    InvalidDimension,
-    NonconvergentIntegral,
-    UndefinedConstants,
-)
+from bnball import bubble
+from bnball.bubble import constants, delta, lambda_1, omega_n
+from bnball.model import NonconvergentIntegral, UndefinedConstants
 
 C1_7 = 36235.988671485148
 C2_7 = 31127.773853175976
@@ -64,48 +54,48 @@ def test_omega_n_value():
 
 
 def test_bubble_normalization():
-    assert bubble_eval(7, math.sqrt(35.0), 0.0) == pytest.approx(1.0, rel=1e-14)
-    assert bubble_eval(9, math.sqrt(63.0), 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert delta(7, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert delta(9, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_bubble_at_mu():
     # (mu^2/(mu^2+mu^2))^{(n-2)/2} = 2^{-5/2} at n=7
-    val = bubble_eval(7, math.sqrt(35.0), math.sqrt(35.0))
+    val = delta(7, math.sqrt(35.0))
     assert val == pytest.approx(2.0 ** (-2.5), rel=1e-14)
 
 
 def test_bubble_strictly_decreasing():
     rng = np.random.default_rng(7)
     s = np.sort(rng.uniform(0.0, 50.0, size=64))
-    vals = bubble_eval(7, math.sqrt(35.0), s)
+    vals = delta(7, s)
     assert np.all(np.diff(vals) < 0.0)
 
 
-def test_bubble_rejects_nonpositive_mu():
-    with pytest.raises(ValueError):
-        bubble_eval(7, 0.0, 1.0)
-
-
 def test_bubble_callable():
-    mu = normalized_mu(7)
-    assert mu == pytest.approx(math.sqrt(35.0), rel=1e-15)
-    assert bubble_eval(7, mu, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_gaussian_radial_integral():
-    val = improper_radial_integral(lambda s: math.exp(-s * s), 2, 1.0)
-    assert val == pytest.approx(0.5, rel=1e-12)
+    """Scalars give floats, arrays give arrays of the same shape."""
+    assert isinstance(delta(7, 1.0), float)
+    s = np.linspace(0.0, 5.0, 11)
+    assert np.array_equal(delta(7, s), [delta(7, x) for x in s])
 
 
 def test_integral_rejects_divergent_tail():
-    mu = normalized_mu(4)
+    """The second moment diverges at n = 4; quadrature reports it."""
     with pytest.raises(NonconvergentIntegral):
-        improper_radial_integral(lambda s: bubble_eval(4, mu, s), 4, 2.0)
+        bubble._moment(4, 2.0)
 
 
-def test_integral_rejects_bad_dimension():
-    with pytest.raises(InvalidDimension):
-        improper_radial_integral(lambda s: math.exp(-s), 0, 1.0)
+def test_moment_rejects_a_large_error_estimate(monkeypatch):
+    """A quadrature whose error estimate exceeds 1e-12 of the value is
+    NonconvergentIntegral, not a number."""
+    quad = bubble._sciint.quad
+
+    def loose(*args, **kwargs):
+        value, error = quad(*args, **kwargs)
+        return value, 1e-9 * abs(value)
+
+    monkeypatch.setattr(bubble._sciint, "quad", loose)
+    with pytest.raises(NonconvergentIntegral, match="error estimate"):
+        bubble._moment(7, 2.0)
 
 
 def test_constants_frozen_n7():

@@ -387,11 +387,23 @@ def test_verify_needs_three_records(capsys, tmp_path, records7):
     assert json.loads(out)["error"] == "insufficient-records"
 
 
+def test_verify_json_records_of_another_dimension(capsys, tmp_path, records7):
+    """A JSON sweep of n=7 verified as n=8 is an input error naming both."""
+    path = tmp_path / "sweep.json"
+    rows = [cli.record_to_dict(r) for r in records7]
+    path.write_text(cli.canonical_json({"n": 7, "k": 2, "records": rows}))
+    rc, out = run(capsys, "verify", str(path), "--n", "8")
+    assert rc == cli.EXIT_CONFIG
+    payload = json.loads(out)
+    assert payload["error"] == "config-parse-error"
+    assert "n=7" in payload["message"] and "n=8" in payload["message"]
+
+
 def test_json_records_round_trip(tmp_path, records7):
     path = tmp_path / "records.json"
     rows = [cli.record_to_dict(r) for r in records7]
     path.write_text(cli.canonical_json({"n": 7, "k": 2, "records": rows}))
-    loaded = cli.load_records(str(path))
+    loaded = cli.load_records(str(path), 7)
     assert len(loaded) == len(records7)
     for back, orig in zip(loaded, records7):
         assert back.lam == orig.lam
@@ -404,7 +416,7 @@ def test_json_records_round_trip(tmp_path, records7):
 def test_csv_records_round_trip(tmp_path, records7):
     path = tmp_path / "records.csv"
     path.write_text(csv_text(records7))
-    loaded = cli.load_records(str(path))
+    loaded = cli.load_records(str(path), 7)
     for back, orig in zip(loaded, records7):
         assert back.q3 == orig.q3
         assert back.energy == orig.energy

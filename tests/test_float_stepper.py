@@ -31,13 +31,16 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
     scale_r = dev.scale_r
 
     def ev_blow(y, s):
-        return abs(dev.uhat(y, s)) - BLOWUP_BOUND
+        return abs(ev_zero(y, s)) - BLOWUP_BOUND
 
     ev_blow.terminal = True
     ev_blow.direction = 1
 
+    def ev_zero(y, s):
+        return dev.bubble(float(y))[0] + float(s[0])
+
     def ev_dzero(y, s):
-        return ode._bubble_terms(dev.n, float(y))[1] + float(s[1])
+        return dev.bubble(float(y))[1] + float(s[1])
 
     try:
         sol = solve_ivp(
@@ -49,7 +52,7 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
             rtol=rtol,
             atol=dev.atol_scaled,
             dense_output=True,
-            events=(ev_blow, dev.uhat, ev_dzero) if dev.trusted else (ev_blow,),
+            events=(ev_blow, ev_zero, ev_dzero) if dev.trusted else (ev_blow,),
         )
     except ValueError as exc:
         raise IntegrationFailed(f"integration failed: {exc}") from exc

@@ -1,6 +1,9 @@
 """Radial integrator: series start, events, and the lambda=0 bubble oracle."""
 
+import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +12,9 @@ from scipy.integrate import OdeSolution
 from scipy.integrate import ode as scipy_ode
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from bnball.bubble import bubble_eval, normalized_mu
 from bnball import diagnostics, ode
+from bnball.asymptotics import build_record
+from bnball.bubble import delta
 from bnball.model import BlowUpDetected, Error, IntegrationFailed, Params, SingularPoint
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
 from bnball.shooting import BOUNDARY_TOL, _pruefer, extract_features
@@ -76,7 +80,7 @@ def test_bubble_oracle(n):
     """lambda=0 from a=1 reproduces the standard bubble to sup error < 1e-8."""
     profile = integrate(Params(n=n, lam=0.0), 1.0, 10.0)
     ys = np.linspace(0.0, 10.0, 2001)
-    sup = float(np.max(np.abs(profile.u(ys) - bubble_eval(n, normalized_mu(n), ys))))
+    sup = float(np.max(np.abs(profile.u(ys) - delta(n, ys))))
     assert sup < 1e-8
     assert not profile.events  # the bubble is positive and strictly decreasing
 
@@ -183,7 +187,7 @@ def test_rhs_on_floats_matches_numpy_scalars():
                 params = Params(n=n, lam=lam)
                 dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
                 ys = np.exp(rng.uniform(math.log(dev.y0), math.log(dev.y_end), 50))
-                ds = ode._bubble_terms(n, ys)[0]
+                ds = dev.bubble(ys)[0]
                 # v from far inside the stable branch to well past -delta
                 vs = ds * rng.choice([-1.0, 1.0], 50) * 10.0 ** rng.uniform(-6, 1.5, 50)
                 vps = rng.standard_normal(50) * 10.0 ** rng.uniform(-12, 2, 50)
@@ -198,7 +202,7 @@ def test_rhs_on_floats_matches_numpy_scalars():
                     # the float stepper's RHS is the same function
                     got = dev.rhs(float(y), float(v), float(vp))
                     assert [x.hex() for x in got] == [float(x).hex() for x in want]
-                    d = ode._bubble_terms(n, float(y))[0]
+                    d = dev.bubble(float(y))[0]
                     if d + v > 0.0 and abs(v) < 0.5 * d:
                         stable += 1
                     else:
@@ -306,7 +310,7 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
 
 def _list_shoot(params, a, rtol, atol):
     """shoot as it ran with a list-returning RHS and its solout through
-    dev.uhat: the outcome ((zeros, u1, du1) in hex, or the error) and
+    dev.bubble: the outcome ((zeros, u1, du1) in hex, or the error) and
     dop853's counters iwork[16:20] (RHS calls, steps, accepted, rejected)."""
     dev = ode._deviation(params, a, 1.0, atol)
     zeros, negative, blown_at = 0, False, None
@@ -316,8 +320,8 @@ def _list_shoot(params, a, rtol, atol):
 
     def solout(y, s):
         nonlocal zeros, negative, blown_at
-        w = dev.uhat(y, s)
-        if dev.blown_up(w):
+        w = dev.bubble(float(y))[0] + float(s[0])
+        if ode._blown_up(w):
             blown_at = y
             return -1
         if dev.trusted and (w < 0.0) != negative:
@@ -359,12 +363,14 @@ def _error_outcome(exc):
 
 def _array_shoot(monkeypatch, params, a, rtol, atol):
     """shoot's outcome and counters, in _list_shoot's form."""
-    solvers = []
+    counters = []
 
     class Recorded(scipy_ode):
-        def __init__(self, *args):
-            super().__init__(*args)
-            solvers.append(self)
+        def set_initial_value(self, *args):
+            super().set_initial_value(*args)
+            # a view, read after the run: shoot empties the integrator
+            counters.append(self._integrator.iwork[16:20])
+            return self
 
     with monkeypatch.context() as patch:
         patch.setattr(ode, "scipy_ode", Recorded)
@@ -373,8 +379,8 @@ def _array_shoot(monkeypatch, params, a, rtol, atol):
             outcome = (zeros, u1.hex(), du1.hex())
         except Error as exc:
             outcome = _error_outcome(exc)
-    (solver,) = solvers
-    return outcome, solver._integrator.iwork[16:20].tolist()
+    (view,) = counters
+    return outcome, view.tolist()
 
 
 SHOOT_RTOLS = (1e-5, 1e-8, 1e-10, 1e-12)
@@ -384,7 +390,7 @@ SHOOT_RTOLS = (1e-5, 1e-8, 1e-10, 1e-12)
 def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
     """shoot, whose RHS fills one reused array and whose solout computes
     u/a inline, takes the steps and returns the end state of the same run
-    with a list-returning RHS and solout through dev.uhat, bit for bit."""
+    with a list-returning RHS and solout through dev.bubble, bit for bit."""
     zero_counts = set()
     for lam in (0.5, 2.0, 10.0):
         for a in (10.0, 1e6, 1e16, A_STAR.get((n, 2), 1e24), -3.0):
@@ -519,9 +525,9 @@ def test_u_du_agrees_with_u_and_du(sol7_lam2):
 
 
 def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
-    """Once solve_ivp returns, integrate and certify read the dense output
-    only through the stacked step polynomials and, for locating sign
-    changes, the pieces' coefficients; no scipy interpolant is called."""
+    """Once integrate returns, features, certify and build_record read the
+    dense output only through the stacked step polynomials; no scipy
+    interpolant is called."""
     calls = 0
     call_impl = Dop853DenseOutput._call_impl
 
@@ -530,15 +536,43 @@ def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
         calls += 1
         return call_impl(self, t)
 
-    solve_ivp = ode.solve_ivp
-
-    def solve_then_count(*args, **kwargs):
-        result = solve_ivp(*args, **kwargs)
-        monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counting)
-        return result
-
-    monkeypatch.setattr(ode, "solve_ivp", solve_then_count)
     params = sol7_lam2.params
     profile = integrate(params, sol7_lam2.a_star, 1.0, rtol=DEFAULT_RTOL)
-    diagnostics.certify(profile, params, features=extract_features(profile, params))
+    monkeypatch.setattr(Dop853DenseOutput, "_call_impl", counting)
+    features = extract_features(profile, params)
+    residuals = diagnostics.certify(profile, params, features=features)
+    build_record(dataclasses.replace(
+        sol7_lam2, profile=profile, features=features, residuals=residuals
+    ))
     assert calls == 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_deviation_bubble_matches_unit_bubble(n):
+    """The integrator's (K/(K+y^2))^h form of the bubble agrees with
+    bubble.delta's prefactor form to 8 eps relative."""
+    dev = ode._deviation(Params(n=n, lam=2.0), 1.0, 1.0, DEFAULT_ATOL)
+    ys = np.concatenate([np.linspace(0.0, 10.0, 1001), np.geomspace(10.0, 1e6, 1001)])
+    got = dev.bubble(ys)[0]
+    want = delta(n, ys)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+    assert dev.bubble(0.0)[0] == 1.0 and delta(n, 0.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_shoot_releases_its_solver():
+    """Repeated shots hold on to no integrator state: tracemalloc growth
+    over 200 shots stays below 2 KB per shot."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    for _ in range(20):
+        shoot(params, a)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            shoot(params, a)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / 200 < 2048

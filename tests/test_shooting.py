@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_GRID, nodal_fixture
 from bnball import shooting
-from bnball.bubble import bubble_eval, normalized_mu
+from bnball.bubble import delta
 from bnball.model import (
     ConfigError,
     Error,
@@ -50,7 +50,7 @@ def test_landscape_bubble():
     profile = integrate(Params(n=7, lam=0.0), 1.0, 1.0)
     assert not profile.zero_crossings()
     assert profile.u(1.0) == pytest.approx(
-        bubble_eval(7, normalized_mu(7), 1.0), rel=1e-10
+        delta(7, 1.0), rel=1e-10
     )
 
 
