@@ -18,28 +18,22 @@ The dimensional constants are moments of that unit-height bubble:
     c_tilde(n) = omega_n c2^((n-2)/(2n-8)) / c1^(4/(2n-8))
 
 with omega_n = 2 pi^(n/2) / Gamma(n/2) the surface measure of S^(n-1).
-Production values come from adaptive quadrature; the Beta-function closed
-forms are kept in the test suite as independent oracles.
+With K = n(n-2), the substitution s = sqrt(K) t gives each moment in closed
+form, int_0^inf delta^p s^(n-1) ds = K^(n/2) B(n/2, q) / 2 with
+q = p(n-2)/2 - n/2: q = 1 for c1, (n-4)/2 for c2 and n/2 for S^(n/2).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 from scipy import special as _special
 
-from .model import (
-    NonconvergentIntegral,
-    Params,
-    UndefinedConstants,
-    check_dimension,
-)
+from .model import Params, UndefinedConstants, check_dimension
 
 
 def omega_n(n: int) -> float:
@@ -69,41 +63,11 @@ class DimensionalConstants:
     lambda1: float
 
 
-def _moment(n: int, power: float) -> float:
-    """int_0^inf delta(s)^power s^(n-1) ds of the unit-height bubble.
-
-    The axis is split at 10 mu; the tail is compactified by s = 10 mu / t so
-    ordinary adaptive quadrature handles the improper part.  Raises
-    NonconvergentIntegral when quad warns or its error estimate exceeds
-    1e-12 of the value.
-    """
-    r0 = 10.0 * math.sqrt(n * (n - 2.0))
-
-    def g(s: float) -> float:
-        return delta(n, s) ** power * s ** (n - 1.0)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _sciint.IntegrationWarning)
-        try:
-            head, e_head = _sciint.quad(g, 0.0, r0, epsabs=0.0, epsrel=1e-13, limit=200)
-            tail, e_tail = _sciint.quad(
-                lambda t: g(r0 / t) * r0 / (t * t),
-                0.0,
-                1.0,
-                epsabs=0.0,
-                epsrel=1e-13,
-                limit=200,
-            )
-        except _sciint.IntegrationWarning as exc:
-            raise NonconvergentIntegral(f"quadrature did not converge: {exc}") from exc
-
-    value = head + tail
-    if not math.isfinite(value) or (e_head + e_tail) > max(1e-12 * abs(value), 5e-300):
-        raise NonconvergentIntegral(
-            f"quadrature error estimate {e_head + e_tail:.3e} exceeds "
-            f"1e-12 * |value| for value {value:.6e}"
-        )
-    return value
+def _moment(n: int, q: float) -> float:
+    """int_0^inf delta(s)^p s^(n-1) ds of the unit-height bubble, with
+    q = p(n-2)/2 - n/2 passed exactly.  Raises OverflowError when K^(n/2)
+    does not fit a float."""
+    return (n * (n - 2.0)) ** (n / 2.0) * float(_special.beta(n / 2.0, q)) / 2.0
 
 
 def lambda_1(n: int) -> float:
@@ -124,7 +88,7 @@ def lambda_1(n: int) -> float:
     # J_nu has no zero before nu, so this scan meets the first sign change.
     while j(a) * j(a + step) > 0.0:
         a += step
-        if a > nu + 50.0:
+        if a > 2.0 * nu + 50.0:
             raise RuntimeError("failed to bracket the first Bessel zero")
     z = _sciopt.brentq(j, a, a + step, xtol=1e-14, rtol=8.9e-16)
     return z * z
@@ -132,23 +96,27 @@ def lambda_1(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def constants(n: int) -> DimensionalConstants:
-    """All dimensional constants for dimension n, by adaptive quadrature of
-    the unit-height bubble.  c2 (and everything downstream of it) requires
-    n >= 5 for its integral to converge.
+    """All dimensional constants for dimension n, from the Beta-function
+    moments of the unit-height bubble.  They are finite floats for
+    5 <= n <= 81.  Below, the c2 integral diverges; above, a field that
+    overflows raises UndefinedConstants naming it.
     """
     exps = Params(n=n, lam=0.0)
     if n < 5:
         raise UndefinedConstants(
             f"the second bubble moment diverges for n={n}; need n >= 5"
         )
-    two_star = exps.two_star
-    c1 = _moment(n, two_star - 1.0)
-    c2 = 2.0 * _moment(n, 2.0)
+    # K^(n/2) is the first factor to overflow (n >= 144): only c1 can raise.
+    try:
+        c1 = _moment(n, 1.0)
+    except OverflowError:
+        raise UndefinedConstants(f"c1 is not a finite float for n={n}") from None
+    c2 = 2.0 * _moment(n, (n - 4.0) / 2.0)
     c3 = c1 * c1 / c2
     om = omega_n(n)
-    s_pow = om * _moment(n, two_star)
+    s_pow = om * _moment(n, n / 2.0)
     c_tilde = om * c2**exps.green_exp / c1 ** (4.0 / (2.0 * n - 8.0))
-    return DimensionalConstants(
+    cst = DimensionalConstants(
         c1=c1,
         c2=c2,
         c3=c3,
@@ -157,4 +125,7 @@ def constants(n: int) -> DimensionalConstants:
         omega_n=om,
         lambda1=lambda_1(n),
     )
-
+    for name, value in vars(cst).items():
+        if not math.isfinite(value):
+            raise UndefinedConstants(f"{name} is not a finite float for n={n}")
+    return cst

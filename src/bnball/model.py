@@ -89,10 +89,6 @@ class MissingMinimum(Error):
     code = "missing-minimum"
 
 
-class NonconvergentIntegral(Error):
-    code = "nonconvergent-integral"
-
-
 class UndefinedConstants(Error):
     code = "undefined-constants"
 

@@ -17,6 +17,84 @@ ACCEPTANCE_GRID = (4.0, 2.0, 1.0, 0.5, 0.25)
 # verdicts stay visible without -s.
 ACCEPTANCE_LINES = []
 
+# The five constants of the unit-height bubble, (c1, c2, c3, c_tilde, S^{n/2}),
+# to 50 digits for n = 5..10: the one oracle the package's closed forms are
+# checked against.  Generated with mpmath 1.3.0 by direct quadrature of the
+# moments (not through the Beta function); the rows at 60 and 80 digits
+# agree to 1e-50 relative:
+#
+#     import mpmath as mp
+#
+#     def row(n, dps):
+#         mp.mp.dps = dps
+#         K, h = mp.mpf(n * (n - 2)), mp.mpf(n - 2) / 2
+#         def moment(p):
+#             f = lambda s: (K / (K + s * s)) ** (h * p) * s ** (n - 1)
+#             return mp.quad(f, [0, mp.sqrt(K), 10 * mp.sqrt(K), mp.inf])
+#         om = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+#         c1, c2 = moment(1 + 2 / h), 2 * moment(2)
+#         c_tilde = om * c2 ** (h / (n - 4)) / c1 ** (mp.mpf(2) / (n - 4))
+#         return c1, c2, c1 * c1 / c2, c_tilde, om * moment(2 + 2 / h)
+#
+#     for n in range(5, 11):
+#         lo, hi = row(n, 60), row(n, 80)
+#         assert all(abs(a - b) <= mp.mpf(10) ** -50 * abs(b) for a, b in zip(lo, hi))
+#         print(n, [mp.nstr(v, 50) for v in hi])
+BUBBLE_FIELDS = ("c1", "c2", "c3", "c_tilde", "s_pow")
+BUBBLE_MOMENTS = {
+    5: (
+        "174.28425057933375983306694299020798248748147673812",
+        "1026.6189773558205114162181949816658220198616691158",
+        "29.587413314951990667118516528486922160055849956023",
+        "28.50139539937104369957252344221342874495474887897",
+        "844.36026476273855969378096266908516763248563858624",
+    ),
+    6: (
+        "2304.0",
+        "4608.0",
+        "1152.0",
+        "62.01255336059964035095263013420279040445057713177",
+        "7143.8461471410785684297429914601614545927064855799",
+    ),
+    7: (
+        "36235.988671485148260724885785814904421544945038615",
+        "31127.773853175976342723413955947579435196562814262",
+        "42182.48568604366879206995618466494054290932889312",
+        "167.62610369572509235738069000239482060998232261789",
+        "64343.757902225116922030863403783182916799529882359",
+    ),
+    8: (
+        "663552.0",
+        "265420.8",
+        "1658880.0",
+        "466.1138097841998911303282590724512126518162211957",
+        "615580.92546470843079156624415481575219027846598364",
+    ),
+    9: (
+        "13892805.739633121351046307801354959185019036736997",
+        "2685223.4338974963417442903892351809380739536676616",
+        "71878581.455337774900933301492704765027926122686322",
+        "1305.3605539083927374127056847681107497290325920429",
+        "6227742.2361704249310013115982751680297986204788262",
+    ),
+    10: (
+        "327680000.0",
+        "31207619.047619047619047619047619047619047619047619",
+        "3440640000.0",
+        "3666.5580311616135692559778745152741526576810842745",
+        "66320456.554524488495459704017878954716577338325322",
+    ),
+}
+
+
+def worst_moment_gap(n, cst):
+    """Largest relative gap of cst's five bubble constants from the pinned
+    50-digit row for dimension n."""
+    return max(
+        abs(getattr(cst, name) - float(ref)) / float(ref)
+        for name, ref in zip(BUBBLE_FIELDS, BUBBLE_MOMENTS[n])
+    )
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:

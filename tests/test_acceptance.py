@@ -16,7 +16,7 @@ from bnball.asymptotics import (
     center_envelope_violation,
     rescaled_envelope_violation,
 )
-from bnball.bubble import constants, delta, omega_n
+from bnball.bubble import constants, delta
 from bnball.model import Params, RegionEmpty
 from bnball.ode import integrate
 
@@ -68,36 +68,16 @@ def test_criterion_01_bubble_oracle():
 def test_criterion_02_constants_against_beta_oracles():
     constants.cache_clear()
     t0 = time.perf_counter()
-    computed = {n: constants(n) for n in (7, 8, 9, 10)}
+    computed = {n: constants(n) for n in conftest.BUBBLE_MOMENTS}
     dt = time.perf_counter() - t0
 
-    worst_quad = 0.0
-    worst_form = 0.0
-    for n, cst in computed.items():
-        K = float(n * (n - 2))
-        g = math.gamma
-        c1 = K ** (n / 2.0) / n
-        c2 = K ** (n / 2.0) * g(n / 2.0) * g((n - 4.0) / 2.0) / g(n - 2.0)
-        s_pow = omega_n(n) * K ** (n / 2.0) * g(n / 2.0) ** 2 / (2.0 * g(n))
-        gexp = (n - 2.0) / (2.0 * n - 8.0)
-        c_tilde = omega_n(n) * c2**gexp / c1 ** (4.0 / (2.0 * n - 8.0))
-        worst_quad = max(
-            worst_quad,
-            abs(cst.c1 - c1) / c1,
-            abs(cst.c2 - c2) / c2,
-            abs(cst.s_pow - s_pow) / s_pow,
-        )
-        worst_form = max(
-            worst_form,
-            abs(cst.c3 - c1 * c1 / c2) / (c1 * c1 / c2),
-            abs(cst.c_tilde - c_tilde) / c_tilde,
-        )
-    ok = worst_quad < 1e-10 and worst_form < 1e-12 and dt < 1.0
+    worst = max(conftest.worst_moment_gap(n, cst) for n, cst in computed.items())
+    ok = worst < 1e-12 and dt < 1.0
     _record(
         2,
         ok,
-        f"Beta-oracle gaps: quadrature {worst_quad:.2e} (tol 1e-10), "
-        f"c3/c~ formulas {worst_form:.2e} (tol 1e-12); runtime {dt:.3f}s < 1s",
+        f"c1, c2, c3, c~, S^(n/2) against the 50-digit table, n=5..10: worst "
+        f"gap {worst:.2e} (tol 1e-12); runtime {dt:.3f}s < 1s",
     )
 
 

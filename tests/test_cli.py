@@ -65,6 +65,33 @@ def test_constants_invalid_dimension(capsys):
     assert json.loads(out)["error"] == "undefined-constants"
 
 
+@pytest.mark.parametrize(
+    "n, rc_expected", [(56, cli.EXIT_PASS), (400, cli.EXIT_SOLVER)]
+)
+def test_constants_high_dimension(capsys, n, rc_expected):
+    """Past n = 55 the constants are still finite floats; once one is not,
+    the dimension is undefined-constants, never a raw exception."""
+    rc, out = run(capsys, "constants", "--n", str(n))
+    assert rc == rc_expected
+    payload = json.loads(out)
+    if rc == cli.EXIT_PASS:
+        assert all(math.isfinite(payload[name]) for name in payload)
+    else:
+        assert payload["error"] == "undefined-constants"
+        assert "c1 is not a finite float" in payload["message"]
+
+
+def test_sweep_high_dimension_writes_a_solved_row(capsys):
+    """build_record needs constants(56); the point solves and is written."""
+    rc, out = run(capsys, "sweep", "--n", "56", "--k", "1", "--lambda-grid", "1072")
+    assert rc == cli.EXIT_PASS
+    header, row = out.splitlines()
+    cells = row.split(",")
+    assert cells[0] == "1072.0"
+    assert cells[-1] == ""
+    assert math.isfinite(float(cells[cli.CSV_COLUMNS.index("green_dev")]))
+
+
 def test_csv_header_frozen():
     assert cli.CSV_HEADER == (
         "lambda",
@@ -184,6 +211,14 @@ def test_solve_reports_solver_failure(capsys):
     report = payload["report"]
     assert report["a_range_searched"] == [1e-3, 1e30]
     assert 0 < report["evaluations"] <= 20
+
+
+def test_solve_huge_dimension_is_a_solver_failure(capsys):
+    """lambda_1 brackets its Bessel zero at n = 40,000; the solve then fails
+    with a classified error."""
+    rc, out = run(capsys, "solve", "--n", "40000", "--lambda", "1")
+    assert rc == cli.EXIT_SOLVER
+    assert json.loads(out)["error"] == "integration-failed"
 
 
 def test_error_payload_carries_last_radius():
