@@ -306,9 +306,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
             try:
                 g = abs(w) ** (p - 1.0)
             except OverflowError:
-                # numpy gives inf and a RuntimeWarning where a float raises;
-                # keep both, so a failed run reads as it does on numpy.
-                g = np.float64(abs(w)) ** (p - 1.0)
+                g = math.inf  # numpy's result, without its warning
             df = g * w - d * t * t
         slots[0], slots[1] = vp, -n1 / y * vp - lam * w - df
         return out
@@ -325,7 +323,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
             try:
                 g = abs(w) ** (p - 1.0)
             except OverflowError:
-                g = np.float64(abs(w)) ** (p - 1.0)
+                g = math.inf
             df = g * w - d * t * t
         return vp, -n1 / y * vp - lam * w - df
 
@@ -430,6 +428,9 @@ def _maximum(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
+_EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
+
+
 def _root(piece: Dop853DenseOutput, g) -> float:
     """The root of g(y, (v, v')) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
@@ -455,10 +456,10 @@ class _FloatDop853(DOP853):
     the deviation problem once its dense output is built (integrate asks
     for dense output, so that is once per step): the first state past the
     blow-up guard raises BlowUpDetected at the radius solve_ivp's event
-    location gives, and while the problem is trusted, every step over
-    which u or u' changes sign by solve_ivp's rule for an event of
-    direction 0 is appended to crossings as (0 for u or 1 for u', the
-    step's dense output).
+    location gives, and while the problem is trusted, each change of sign
+    of u or u' over the step, by solve_ivp's rule for an event of direction
+    0, is located on the step's dense output as solve_ivp locates an event
+    and appended to crossings as a finished Event.
     """
 
     def __init__(self, fun, t0, y0, t_bound, *, deviation, crossings, **options):
@@ -592,8 +593,9 @@ class _FloatDop853(DOP853):
         """The blow-up guard and the sign changes over the step just taken.
 
         The same order as solve_ivp's event handling: the blow-up radius is
-        located first, then the sign changes of the step are recorded, then
-        BlowUpDetected ends the run.
+        located first, then the sign changes of the step are located and
+        recorded, then BlowUpDetected ends the run.  Zero crossings store u'
+        there, derivative zeros store u.
         """
         dev = self.deviation
         signs = dev.signs(self.t, self.y)
@@ -601,9 +603,11 @@ class _FloatDop853(DOP853):
         if _blown_up(signs[0]):
             blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
         if dev.trusted:
-            for component, (g, g_new) in enumerate(zip(self.signs, signs)):
+            for c, (kind, g, g_new) in enumerate(zip(_EVENT_KINDS, self.signs, signs)):
                 if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-                    self.crossings.append((component, piece))
+                    root = _root(piece, lambda y, s: dev.signs(y, s)[c])
+                    value = dev.u_du(root, piece(root))[1 - c]
+                    self.crossings.append(Event(kind, root / dev.scale_r, value))
         self.signs = signs
         if blown_at is not None:
             raise _blow_up(blown_at / dev.scale_r)
@@ -621,69 +625,50 @@ def integrate(
 
     Integrates the unit-amplitude deviation problem out to y = |a|^beta *
     r_stop on _FloatDop853 at run_rtol(rtol) and maps it back to physical
-    variables.  The stepper records each step over which u or u' changes
-    sign; the change is then located on that step's dense output by
-    solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy)
-    and recorded as an event.  knots hold the integrator steps plus
-    DENSE_SAMPLES interior samples per step; `steps` keeps the raw step
-    radii, whose dense-output pieces downstream quadrature integrates
-    piecewise.  Everything returned is bit-identical to solve_ivp with
+    variables.  The stepper locates each sign change of u or u' on the
+    dense output of the step that finds it, by solve_ivp's bracketed
+    root-finding (well below 1e-12 radius accuracy), and records it as an
+    event.  knots hold the integrator steps plus DENSE_SAMPLES interior
+    samples per step; `steps` keeps the raw step radii, whose dense-output
+    pieces downstream quadrature integrates piecewise.  Everything returned is bit-identical to solve_ivp with
     method="DOP853" and the same checks as event functions.
     """
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
     rtol = run_rtol(rtol)
-    crossings = []
+    events = []
     try:
-        try:
-            sol = solve_ivp(
-                dev.rhs,
-                (dev.y0, dev.y_end),
-                dev.s0,
-                method=_FloatDop853,
-                rtol=rtol,
-                atol=dev.atol_scaled,
-                dense_output=True,
-                deviation=dev,
-                crossings=crossings,
-            )
-        finally:
-            # solve_ivp would have located each sign change at its own
-            # step, so a root-finder failure there comes before whatever
-            # ends the run later.
-            located = [
-                (c, _root(piece, lambda y, s, c=c: dev.signs(y, s)[c]))
-                for c, piece in crossings
-            ]
+        sol = solve_ivp(
+            dev.rhs,
+            (dev.y0, dev.y_end),
+            dev.s0,
+            method=_FloatDop853,
+            rtol=rtol,
+            atol=dev.atol_scaled,
+            dense_output=True,
+            deviation=dev,
+            crossings=events,
+        )
     except ValueError as exc:
         # brentq refuses a NaN that a step's dense output reaches.
         raise IntegrationFailed(f"integration failed: {exc}") from exc
     except RuntimeWarning as exc:
-        # The right-hand side's overflow, or NaN in the stepper's numpy
-        # reductions, when warnings are errors.
+        # The stepper's NaN in its numpy reductions, when warnings are
+        # errors.
         raise _callback_failure(exc) from exc
     if not sol.success:
-        last = sol.t[-1] / scale_r if sol.t.size else None
         raise IntegrationFailed(
-            f"integration failed: {sol.message}", last_radius=last
+            f"integration failed: {sol.message}", last_radius=sol.t[-1] / scale_r
         )
+    # Untrusted integrations have no sign events.  The stable sort keeps a
+    # zero crossing before a derivative zero at the same radius.
+    events.sort(key=lambda e: e.r)
 
     dense = _StepPolynomials.of(sol.sol)
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""
         return dev.u_du(y, dense(y))
-
-    # Zero crossings store u' there, derivative zeros store u; untrusted
-    # integrations have no sign events to read.  Ties in r keep the zero
-    # crossing first.
-    events = [
-        Event(kind=kind, r=y / scale_r, value=at_y(y)[1 - component])
-        for component, kind in enumerate(("zero-crossing", "derivative-zero"))
-        for c, y in located
-        if c == component
-    ]
-    events.sort(key=lambda e: e.r)
 
     ys = sol.t
     fill = np.linspace(ys[:-1], ys[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from . import bubble, diagnostics
+from . import bubble, diagnostics, ode
 from .model import (
     CertificationFailed,
     ConfigError,
@@ -127,9 +127,10 @@ def solve_nodal(
     The profile at a* is integrated once.  P read from that profile's
     zero crossings and (u(1), u'(1)) must satisfy |P| <= boundary_tol:
     next to the root P is about 1 - r_k, so this bounds how far the k-th
-    zero lies from r=1.  A miss below pi/2 is integration error at the
-    converged root and raises CertificationFailed; a miscounted pair of
-    zeros (|P| about pi or 2 pi) or a NaN offset raises
+    zero lies from r=1.  A miss on brentq's final bracket across the zero-
+    trust floor of this atol raises NoBracketFound.  A miss below pi/2 is
+    integration error at the converged root and raises CertificationFailed;
+    a miscounted pair of zeros (|P| about pi or 2 pi) or a NaN offset raises
     NonconvergentBisection.  The profile must also pass the Nehari /
     Pohozaev / energy-monotonicity certification, otherwise the solution
     is rejected.  lambda must lie in (0, lambda_1):
@@ -178,10 +179,13 @@ def solve_nodal(
                     return p
         return shot(x, rtol)
 
+    latest = {}  # amplitude of the last shot with P < 0 (True), P > 0 (False)
+
     def proxy(x: float) -> float:
         p = evaluate(x)
         if abs(p) <= floor:
             raise _RootFound(x)
+        latest[p < 0.0] = math.exp(x)
         return p
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
@@ -226,6 +230,7 @@ def solve_nodal(
         )
     except _RootFound as found:
         x_star = found.x
+        latest.clear()  # the search ended without brentq's final bracket
     else:
         if not result.converged:
             raise NonconvergentBisection(
@@ -245,6 +250,14 @@ def solve_nodal(
             f"offset {offset:.3e} from zero {k} on r=1; wanted |offset| <= "
             f"{boundary_tol:g}"
         )
+        # Below the zero-trust floor no zero is counted, so P jumps there; a
+        # final bracket across the floor is a jump brentq took for a root.
+        trust = {ode._deviation(params, a, 1.0, atol).trusted for a in latest.values()}
+        if len(trust) > 1:
+            raise NoBracketFound(
+                f"{message}: brentq converged on the zero-trust floor, below "
+                f"which atol={atol:g} stops the count of zeros"
+            )
         # Short of a quarter turn, the profile is at the root the search
         # converged on and integration error moved its k-th zero; a
         # miscounted pair of zeros (|P| about pi or 2 pi) or a NaN offset

@@ -213,6 +213,31 @@ def test_solve_reports_solver_failure(capsys):
     assert 0 < report["evaluations"] <= 20
 
 
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["--n", "7", "--lambda", "2", "--atol", "1e3"],
+                 "no-bracket-found", id="n7-lam2"),
+    pytest.param(["--n", "8", "--lambda", "2", "--atol", "1e5"],
+                 "no-bracket-found", id="n8-lam2"),
+    pytest.param(["--n", "7", "--lambda", "0.5", "--atol", "1e2"],
+                 "no-bracket-found", id="n7-lam0.5"),
+    pytest.param(["--n", "7", "--lambda", "2", "--k", "1", "--atol", "1e3"],
+                 "certification-failed", id="n7-lam2-k1"),
+])
+def test_solve_loose_atol_failure_is_classified(capsys, argv, code):
+    """A loose atol moves the zero-trust floor into the search: below it
+    no zero is counted, so P jumps there and brentq converges on the jump.
+    That is no bracket, named with the floor and the atol; where the whole
+    search lies below the floor (k=1), the miss is a certification
+    failure."""
+    rc, out = run(capsys, "solve", *argv)
+    assert rc == cli.EXIT_SOLVER
+    payload = json.loads(out)
+    assert payload["error"] == code
+    if code == "no-bracket-found":
+        assert "zero-trust floor" in payload["message"]
+        assert f"atol={float(argv[-1]):g}" in payload["message"]
+
+
 def test_solve_huge_dimension_is_a_solver_failure(capsys):
     """lambda_1 brackets its Bessel zero at n = 40,000; the solve then fails
     with a classified error."""

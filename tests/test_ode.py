@@ -212,27 +212,50 @@ def test_rhs_on_floats_matches_numpy_scalars():
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_rhs_overflow_in_shoot_is_integration_failure():
-    """|w|^(p-1) overflowing inside a shot gives inf with numpy's warning,
-    which the failed run reports, not an error escaping the Fortran
-    callback.  The marker restores a user's default filter over tier-1's
-    error filter; the error path is the next test's."""
-    with pytest.raises(IntegrationFailed, match="overflow encountered in scalar power"):
-        shoot(Params(n=4, lam=1e4), 1e28, rtol=1.0, atol=1.0)
+    """|w|^(p-1) overflowing inside a shot gives inf without a warning, and
+    the failed run reports dop853's own message.  The marker restores a
+    user's default filter over tier-1's error filter; the error path is
+    the next test's."""
+    with warnings.catch_warnings(record=True) as caught:
+        with pytest.raises(
+            IntegrationFailed, match=r"step size becomes too small \(return code -3\)"
+        ):
+            shoot(Params(n=4, lam=1e4), 1e28, rtol=1.0, atol=1.0)
+    assert not caught
 
 
-@pytest.mark.parametrize("run", ["shoot", "integrate"])
-def test_rhs_overflow_under_error_filter_is_integration_failure(run):
-    """With every warning an error, the overflow warning raised inside the
-    right-hand side is named in IntegrationFailed, not leaked raw from
-    solve_ivp or as scipy's ValueError from the dop853 wrapper."""
+@pytest.mark.parametrize("run, message", [
+    pytest.param(
+        "shoot", r"dop853: step size becomes too small \(return code -3\)", id="shoot"
+    ),
+    pytest.param(
+        "integrate", "RuntimeWarning: invalid value encountered in dot", id="integrate"
+    ),
+])
+def test_rhs_overflow_under_error_filter_is_integration_failure(run, message):
+    """With every warning an error, the overflow is still a classified
+    failure, not leaked raw from solve_ivp or as scipy's ValueError from
+    the dop853 wrapper: shoot ends as under the default filter, and
+    integrate names the NaN warning of the stepper's reductions."""
     args = (Params(n=4, lam=1e4), 1e28) + ((1.0,) if run == "integrate" else ())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            IntegrationFailed,
-            match="RuntimeWarning: overflow encountered in scalar power",
-        ):
+        with pytest.raises(IntegrationFailed, match=message):
             getattr(ode, run)(*args, rtol=1.0, atol=1.0)
+
+
+def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
+    """The overflow raises no warning inside the Fortran callback, so a
+    failing shot ends with the same class, message and radius under the
+    default and the error filter."""
+    outcomes = []
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(Error) as info:
+                shoot(Params(n=4, lam=1e4), 1e28, rtol=1.0, atol=1.0)
+        outcomes.append(_error_outcome(info.value))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_rhs_overflow_in_integrate_is_integration_failure():
