@@ -35,20 +35,21 @@ The nonlinear difference is evaluated with expm1/log1p where it would
 otherwise cancel.
 
 integrate returns the full profile (events, dense output) that features,
-certification and records read; shoot returns only the zero count and the
-end state at r=1, which is all a shooting evaluation needs.  Both build
-the problem with _deviation, so the right-hand side and the blow-up guard
-are defined once.
+certification and records read; shoot returns only the radius of the k-th
+zero of u, which is all a shooting evaluation needs.  Both build the
+problem with _deviation, so the right-hand side and the blow-up guard are
+defined once.
 
 integrate runs solve_ivp with _FloatDop853, scipy's DOP853 stepping on
 Python floats.  It takes the steps, builds the dense output and counts the
 RHS evaluations of stock DOP853 bit for bit, and it checks the blow-up
 guard and the sign changes at each accepted step in place of solve_ivp's
-event functions.
+event functions.  shoot locates its zero with the same stepper.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -86,6 +87,9 @@ DENSE_SAMPLES = 8
 # Step budget of one shooting evaluation; a full integration to r=1 takes a
 # few hundred steps.
 SHOOT_MAX_STEPS = 100_000
+
+# Outer end of a shooting evaluation: zero k beyond it counts as absent.
+SHOOT_END = 1e6
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -423,6 +427,19 @@ def _callback_failure(exc: BaseException) -> IntegrationFailed:
     )
 
 
+@contextlib.contextmanager
+def _stepper_failures():
+    """IntegrationFailed for a _FloatDop853 run that ends on a NaN: brentq's
+    ValueError on a step's dense output, or the RuntimeWarning of the
+    stepper's numpy reductions when warnings are errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise IntegrationFailed(f"integration failed: {exc}") from exc
+    except RuntimeWarning as exc:
+        raise _callback_failure(exc) from exc
+
+
 def _maximum(a: float, b: float) -> float:
     """np.maximum on floats: NaN if either is."""
     return a if a >= b or a != a else b
@@ -637,7 +654,7 @@ def integrate(
     scale_r = dev.scale_r
     rtol = run_rtol(rtol)
     events = []
-    try:
+    with _stepper_failures():
         sol = solve_ivp(
             dev.rhs,
             (dev.y0, dev.y_end),
@@ -649,13 +666,6 @@ def integrate(
             deviation=dev,
             crossings=events,
         )
-    except ValueError as exc:
-        # brentq refuses a NaN that a step's dense output reaches.
-        raise IntegrationFailed(f"integration failed: {exc}") from exc
-    except RuntimeWarning as exc:
-        # The stepper's NaN in its numpy reductions, when warnings are
-        # errors.
-        raise _callback_failure(exc) from exc
     if not sol.success:
         raise IntegrationFailed(
             f"integration failed: {sol.message}", last_radius=sol.t[-1] / scale_r
@@ -691,38 +701,46 @@ def integrate(
 def shoot(
     params: Params,
     a: float,
+    k: int,
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> tuple[int, float, float]:
-    """Zero count and (u(1), u'(1)) of the solution with u(0) = a.
+) -> float:
+    """Radius r_k of the k-th zero of the solution with u(0) = a.
 
-    One shooting evaluation: the deviation problem of integrate, out to
-    r = 1 on Hairer's Fortran DOP853 (scipy.integrate.ode) at run_rtol(rtol),
-    without event location or dense output.  Zeros are the sign changes of
-    u between accepted steps, counted only when integrate would track them;
-    a double crossing inside one step goes uncounted.  Raises
-    BlowUpDetected and IntegrationFailed where integrate does.
+    One shooting evaluation: the deviation problem of integrate on Hairer's
+    Fortran DOP853 (scipy.integrate.ode) at run_rtol(rtol), without events
+    or dense output, to the accepted step on which u changes sign for the
+    k-th time (a double crossing inside one step goes uncounted), past r=1
+    if need be; _locate_zero then locates zero k on that step.  inf where
+    the problem is not trusted (at once) or zero k lies beyond SHOOT_END.
+    Raises BlowUpDetected and IntegrationFailed where integrate does.
     """
-    dev = _deviation(params, a, 1.0, atol)
+    dev = _deviation(params, a, SHOOT_END, atol)
+    if not dev.trusted:
+        return math.inf
+    rtol = run_rtol(rtol)
     zeros = 0
-    negative = False
     blown_at = None
+    before = (dev.y0, list(dev.s0))  # the state at the start of the last step
     K, h = dev.K, dev.h
 
     def solout(y, s):
-        nonlocal zeros, negative, blown_at
-        w = (K / (K + y * y)) ** h + float(s[0])  # u/a, as dev.signs(y, s)[0]
+        nonlocal zeros, blown_at, before
+        state = s.tolist()
+        w = (K / (K + y * y)) ** h + state[0]  # u/a, as dev.signs(y, s)[0]
         if _blown_up(w):
             blown_at = y
             return -1
-        if dev.trusted and (w < 0.0) != negative:
+        if (w < 0.0) != zeros % 2:
             zeros += 1
-            negative = not negative
+            if zeros == k:
+                return -1
+        before = (y, state)
         return 0
 
     solver = scipy_ode(dev.f).set_integrator(
-        "dop853", rtol=run_rtol(rtol), atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
+        "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
     )
     solver.set_solout(solout)
     solver.set_initial_value(dev.s0, dev.y0)
@@ -734,7 +752,7 @@ def shoot(
                 "always", category=UserWarning, module="scipy.integrate._ode"
             )
             try:
-                s1 = solver.integrate(dev.y_end)
+                solver.integrate(dev.y_end)
             except ValueError as exc:
                 # An exception inside the RHS or solout (a RuntimeWarning when
                 # warnings are errors) comes out of the Fortran wrapper as this
@@ -754,5 +772,31 @@ def shoot(
         # _solout on every run; emptied, the integrator no longer keeps its
         # work arrays, solout's closure and the deviation alive.
         solver._integrator.__dict__.clear()
-    u1, du1 = dev.u_du(dev.y_end, s1)
-    return zeros, float(u1), float(du1)
+    if zeros < k:
+        return math.inf
+    return _locate_zero(dev, *before, solver.t, rtol)
+
+
+def _locate_zero(dev: _Deviation, y: float, state, end: float, rtol: float) -> float:
+    """Radius of the zero of u on a Fortran step from scaled radius y, with
+    deviation state there, to end: _FloatDop853 runs over the step from
+    half its length, and its step check locates the zero as in integrate.
+    A run that has not yet crossed at the end puts the zero there."""
+    crossings = []
+    with _stepper_failures():
+        stepper = _FloatDop853(
+            dev.rhs, y, state, end, deviation=dev, crossings=crossings,
+            rtol=rtol, atol=dev.atol_scaled, first_step=(end - y) / 2.0,
+        )
+        while stepper.status == "running":
+            message = stepper.step()
+            if stepper.status == "failed":
+                raise IntegrationFailed(
+                    f"integration failed: {message}",
+                    last_radius=stepper.t / dev.scale_r,
+                )
+            stepper.dense_output()
+            for event in crossings:
+                if event.kind == "zero-crossing":
+                    return event.r
+    return end / dev.scale_r

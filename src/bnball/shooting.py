@@ -1,35 +1,16 @@
 """Node-targeted shooting for radial sign-changing solutions.
 
-For the boundary-value problem on the unit ball, the free parameter is the
-center amplitude a = u(0) > 0.  The zeros of the radial solution move
-inward as a grows (for admissible lambda they lie beyond the ball at small
-a, where the equation is essentially linear, and shrink toward the origin
-in the blow-up regime).  The shooting proxy is the Pruefer angle of
-(u(1), u'(1)) unwrapped by the zero count,
-
-    P(a) = (Z - k) pi + atan2(s u(1), s u'(1)),    s = (-1)^Z,
-
-where Z is the number of zeros in the ball.  P is continuous in a (when a
-zero passes r=1, Z gains one and the angle drops from pi to 0), and is 0
-exactly when the k-th zero sits on r=1, leaving k-1 interior zeros, i.e. a
-solution with exactly k nodal regions; next to that root P is about
-r_k - 1.  The amplitude spans tens of decades, so the search runs in
-x = log a: a geometric bracket from the seed, then brentq.  P reproduces
-only to a few rtol between integrations, so the search stops at the
-first shot with |P| inside that noise floor and takes its amplitude as
-the root; brentq's xtol = rtol is the backstop.  Each evaluation of P is
-one ode.shoot, which returns Z and (u(1), u'(1)) without events or dense
-output; only the converged amplitude is integrated in full.
-
-Far from the root the search needs only the sign of P and a rough value
-for brentq's interpolation, so shots there run at the coarse tolerance
-max(rtol, 1e-5), which takes about 0.3 of the RHS evaluations of a
-shot at rtol = 1e-10.  A
-coarse P is used only while |P| > 1e-2, where a coarse shot moves P by
-about 5e-5 at most; below that, or when the coarse shot fails, the same
-amplitude is shot again at rtol.  From the first shot with |P| <= 5e-2
-on, every shot runs at rtol, so the noise-floor stop, far below 1e-2,
-only ever reads a full-rtol shot.
+On the unit ball the free parameter is the center amplitude a = u(0) > 0,
+and the zeros of the radial solution move inward as a grows.  Each
+evaluation is one ode.shoot, which returns the radius r_k of the k-th zero,
+beyond the ball too; the search solves P(x) = -log r_k(e^x) = 0 in
+x = log a.  By the scaling of the equation, a profile whose k-th zero sits
+at r_k solves the ball problem at lambda r_k^2, so P is smooth in x and
+about 1 - r_k next to the root.  Only the converged amplitude is integrated
+in full, and its profile is accepted by its Pruefer offset
+(Z - k) pi + atan2(s u(1), s u'(1)), s = (-1)^Z, over its Z zeros: 0 when
+zero k sits on r = 1, about 1 - r_k next to it, and about pi or 2 pi
+off for a miscounted pair of zeros.
 """
 
 from __future__ import annotations
@@ -40,7 +21,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from . import bubble, diagnostics, ode
+from . import bubble, diagnostics
 from .model import (
     CertificationFailed,
     ConfigError,
@@ -61,33 +42,25 @@ _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
 # as lambda decreases; the ceiling must sit far above the sweep's range.
 _A_MAX = 1e30
-# Bound on |P| at the converged amplitude, i.e. on how far the k-th zero
-# lies from r=1.
+# Bound on the Pruefer offset of the converged profile, i.e. on how far the
+# k-th zero lies from r=1.
 BOUNDARY_TOL = 1e-6
-# The coarse tier of the search: shots run at max(rtol, _COARSE_RTOL) until
-# one returns |P| <= _COARSE_END, and a coarse P is used only when |P| >
-# _COARSE_TRUST.  Over 687 shots of 48 cold solves, a shot at 1e-5 moved P
-# by at most 5.3e-5 wherever |P| > 1e-2, and never changed its sign.
-_COARSE_RTOL = 1e-5
-_COARSE_TRUST = 1e-2
-_COARSE_END = 5e-2
+# d log r_k / d log a assumed for the first step from the seed; measured
+# slopes run from -0.03 to -0.23.
+_SLOPE = -0.1
 
 
 def _pruefer(zeros: int, u1: float, du1: float, k: int) -> float:
-    """The proxy P from the zero count and the end state (u(1), u'(1))."""
+    """The Pruefer offset from the zero count and the end state (u(1), u'(1))."""
     s = -1.0 if zeros % 2 else 1.0
-    # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps P
+    # s*u(1) >= 0 up to roundoff; taking the angle mod 2 pi keeps the offset
     # continuous should the last zero sit on r=1 and be miscounted.
     angle = math.atan2(s * u1, s * du1) % (2.0 * math.pi)
     return (zeros - k) * math.pi + angle
 
 
 class _RootFound(Exception):
-    """Raised by the proxy at the first shot inside its noise floor."""
-
-    def __init__(self, x: float):
-        super().__init__(x)
-        self.x = x
+    """Raised with x by the residual at the first x inside its noise floor."""
 
 
 @dataclass(frozen=True)
@@ -114,27 +87,24 @@ def solve_nodal(
 ) -> SignChangingSolution:
     """Find the amplitude whose radial solution has exactly k nodal regions.
 
-    Bracket the root of the Pruefer proxy P in x = log a by steps from
-    a_seed that double in length each time (up while P < 0, down while
-    P > 0), within a in [1e-3, 1e30]; then refine with brentq.  The first
-    shot, in either phase, with |P| <= min(3 rtol, min(boundary_tol,
-    residual_tol) / 100) ends the search and its amplitude is a*; brentq
-    stops at xtol = rtol should none do so.  Until some shot returns
-    |P| <= 5e-2, each amplitude is shot first at max(rtol, 1e-5), and
-    again at rtol when that shot fails or gives |P| <= 1e-2; every later
-    shot runs at rtol, so a* is the amplitude of a shot at rtol.  An rtol
-    below 100 eps is raised to 100 eps, the least that solve_ivp runs.
-    The profile at a* is integrated once.  P read from that profile's
-    zero crossings and (u(1), u'(1)) must satisfy |P| <= boundary_tol:
-    next to the root P is about 1 - r_k, so this bounds how far the k-th
-    zero lies from r=1.  A miss on brentq's final bracket across the zero-
-    trust floor of this atol raises NoBracketFound.  A miss below pi/2 is
-    integration error at the converged root and raises CertificationFailed;
-    a miscounted pair of zeros (|P| about pi or 2 pi) or a NaN offset raises
-    NonconvergentBisection.  The profile must also pass the Nehari /
-    Pohozaev / energy-monotonicity certification, otherwise the solution
-    is rejected.  lambda must lie in (0, lambda_1):
-    lambda <= 0 raises NonpositiveLambda, lambda >= lambda_1 InvalidLambda.
+    Bracket the root of P = -log r_k in x = log a from a_seed, within a in
+    [1e-3, 1e30], up while P < 0 and down while P > 0.  The first step
+    assumes d log r_k / d log a = -0.1, later ones follow the secant
+    through the last two points, or double the last step while an end is
+    infinite or the secant slope is not positive.  Then refine with brentq
+    at xtol = rtol.  The first evaluation with |P| <= min(3 rtol,
+    min(boundary_tol, residual_tol) / 100) ends the search, and its
+    amplitude is a*.  Below the zero-trust floor of this atol P is -inf; a
+    bracket end there is bisected inward, and NoBracketFound is raised
+    once the bracket is narrower than rtol.  Every evaluation runs at
+    run_rtol(rtol).  The profile at a* is integrated once, and its Pruefer
+    offset must satisfy |offset| <= boundary_tol, which bounds how far the
+    k-th zero lies from r=1: a miss below pi/2 is integration error and
+    raises CertificationFailed, a larger or NaN one (a miscounted pair of
+    zeros) NonconvergentBisection.  The profile must also pass the Nehari /
+    Pohozaev / energy-monotonicity certification.  lambda must lie in
+    (0, lambda_1): lambda <= 0 raises NonpositiveLambda, lambda >= lambda_1
+    InvalidLambda.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -147,55 +117,29 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    # One rtol for the shots, the integration, the floor and xtol.
+    # One rtol for the evaluations, the integration, the floor and xtol.
     rtol = run_rtol(rtol)
-    # The proxy reproduces only to a few rtol, with a slope of a few
-    # hundredths in log a, so shots closer to the root than that refine
-    # noise.  The search ends at the first shot inside that floor; the cap
-    # keeps the offset, which the certification residuals track at about
-    # 5 |P|, two decades below the acceptance tolerances at loose rtol.
+    # P reproduces only to a few rtol, so closer evaluations refine noise;
+    # the cap keeps the offset, which the certification residuals track at
+    # about 5 |P|, two decades below the acceptance tolerances.
     floor = min(3.0 * rtol, min(boundary_tol, residual_tol) / 100.0)
-    rtol_c = max(rtol, _COARSE_RTOL)
-    coarse = rtol_c > rtol
 
-    def shot(x: float, tol: float) -> float:
-        nonlocal coarse
-        p = _pruefer(*shoot(params, math.exp(x), rtol=tol, atol=atol), k)
-        if abs(p) <= _COARSE_END:
-            coarse = False
-        return p
-
-    # Cached on x alone, so brentq sees one function; it evaluates the
-    # bracket ends once more.
+    # Cached on x, so brentq evaluates the bracket ends without a shot.
     @functools.lru_cache(maxsize=None)
-    def evaluate(x: float) -> float:
-        if coarse:
-            try:
-                p = shot(x, rtol_c)
-            except Error:
-                pass  # the shot at rtol classifies the failure
-            else:
-                if abs(p) > _COARSE_TRUST:
-                    return p
-        return shot(x, rtol)
-
-    latest = {}  # amplitude of the last shot with P < 0 (True), P > 0 (False)
-
-    def proxy(x: float) -> float:
-        p = evaluate(x)
+    def residual(x: float) -> float:
+        p = -math.log(shoot(params, math.exp(x), k, rtol=rtol, atol=atol))
         if abs(p) <= floor:
             raise _RootFound(x)
-        latest[p < 0.0] = math.exp(x)
         return p
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
     try:
-        p = proxy(x)
-        step = math.log(2.0)
+        p = residual(x)
+        step = p / _SLOPE if math.isfinite(p) else math.log(2.0)
         while True:
-            # P < 0: zero k lies beyond the ball (or is absent), so a is too
-            # small.
+            # P < 0: zero k lies beyond the ball (or cannot be told from
+            # noise), so a is too small.
             up = p < 0.0
             if x == (x_max if up else x_min):
                 report = {
@@ -203,34 +147,50 @@ def solve_nodal(
                     "lambda": params.lam,
                     "k": k,
                     "a_range_searched": [_A_MIN, _A_MAX],
-                    "evaluations": evaluate.cache_info().misses,
+                    "evaluations": residual.cache_info().misses,
                 }
                 if up:
-                    raise NoBracketFound(
-                        f"no amplitude up to {_A_MAX:g} pulls zero {k} inside "
-                        f"the ball at lambda={params.lam:g}, n={params.n}",
-                        report={**report, "gap_at_largest": p},
-                    )
+                    message = f"no amplitude up to {_A_MAX:g} pulls zero {k}"
+                    report["gap_at_largest"] = p if math.isfinite(p) else None
+                else:
+                    message = f"every amplitude down to {_A_MIN:g} already has zero {k}"
                 raise NoBracketFound(
-                    f"every amplitude down to {_A_MIN:g} already has zero {k} "
-                    f"inside the ball at lambda={params.lam:g}, n={params.n}",
+                    f"{message} inside the ball at lambda={params.lam:g}, n={params.n}",
                     report=report,
                 )
-            x_next = min(x + step, x_max) if up else max(x - step, x_min)
-            p_next = proxy(x_next)
+            x_next = min(max(x + step, x_min), x_max)
+            p_next = residual(x_next)
             if (p_next < 0.0) != up:
                 break
+            slope = (p_next - p) / (x_next - x)
+            if math.isfinite(slope) and slope > 0.0:
+                step = -p_next / slope
+            else:
+                step = 2.0 * (x_next - x)
             x, p = x_next, p_next
-            step *= 2.0
 
-        # brentq's own tolerance is the backstop should no shot land inside
-        # the floor.
+        # Below the zero-trust floor P is -inf; bisect such an end inward.
+        while not (math.isfinite(p) and math.isfinite(p_next)):
+            if abs(x_next - x) < rtol:
+                raise NoBracketFound(
+                    f"zero {k} reaches r=1 only at the zero-trust floor near "
+                    f"a={math.exp(x):.6g}, where atol={atol:g} stops the count "
+                    f"of zeros (lambda={params.lam:g}, n={params.n})"
+                )
+            x_mid = 0.5 * (x + x_next)
+            p_mid = residual(x_mid)
+            if (p_mid < 0.0) == (p < 0.0):
+                x, p = x_mid, p_mid
+            else:
+                x_next, p_next = x_mid, p_mid
+
+        # brentq's own tolerance is the backstop should no evaluation land
+        # inside the floor.
         x_star, result = brentq(
-            proxy, x, x_next, xtol=rtol, full_output=True, disp=False
+            residual, x, x_next, xtol=rtol, full_output=True, disp=False
         )
     except _RootFound as found:
-        x_star = found.x
-        latest.clear()  # the search ended without brentq's final bracket
+        (x_star,) = found.args
     else:
         if not result.converged:
             raise NonconvergentBisection(
@@ -240,7 +200,7 @@ def solve_nodal(
 
     a_star = math.exp(x_star)
     # The shooting evaluations count zeros only at integrator steps; the
-    # same proxy on the full profile rejects a miscounted double crossing.
+    # Pruefer offset of the full profile rejects a miscounted double crossing.
     profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
     # written so that a NaN offset is rejected too
@@ -250,18 +210,10 @@ def solve_nodal(
             f"offset {offset:.3e} from zero {k} on r=1; wanted |offset| <= "
             f"{boundary_tol:g}"
         )
-        # Below the zero-trust floor no zero is counted, so P jumps there; a
-        # final bracket across the floor is a jump brentq took for a root.
-        trust = {ode._deviation(params, a, 1.0, atol).trusted for a in latest.values()}
-        if len(trust) > 1:
-            raise NoBracketFound(
-                f"{message}: brentq converged on the zero-trust floor, below "
-                f"which atol={atol:g} stops the count of zeros"
-            )
         # Short of a quarter turn, the profile is at the root the search
         # converged on and integration error moved its k-th zero; a
-        # miscounted pair of zeros (|P| about pi or 2 pi) or a NaN offset
-        # is a search defect.
+        # miscounted pair of zeros (about pi or 2 pi) or a NaN offset is a
+        # search defect.
         if abs(offset) < math.pi / 2.0:
             raise CertificationFailed(message)
         raise NonconvergentBisection(message)
@@ -335,8 +287,8 @@ def continuation_sweep(
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
     The amplitude grows as lambda shrinks, so the seed for the next point is
-    the geometric extrapolation of the previous two converged amplitudes;
-    solve_nodal's log-space bracket then starts one factor of 2 from it.
+    the geometric extrapolation of the previous two converged amplitudes,
+    from which solve_nodal's log-space bracket starts.
     Only the dimension of params_base is used.  solve_options are passed
     to every solve_nodal call (rtol, atol, boundary_tol, residual_tol).
     Per-point failures are recorded and the sweep continues.

@@ -221,14 +221,18 @@ def test_solve_reports_solver_failure(capsys):
     pytest.param(["--n", "7", "--lambda", "0.5", "--atol", "1e2"],
                  "no-bracket-found", id="n7-lam0.5"),
     pytest.param(["--n", "7", "--lambda", "2", "--k", "1", "--atol", "1e3"],
-                 "certification-failed", id="n7-lam2-k1"),
+                 "no-bracket-found", id="n7-lam2-k1"),
+    pytest.param(["--n", "7", "--lambda", "2", "--rtol", "1", "--atol", "1"],
+                 "certification-failed", id="n7-lam2-rtol1-atol1"),
 ])
 def test_solve_loose_atol_failure_is_classified(capsys, argv, code):
     """A loose atol moves the zero-trust floor into the search: below it
-    no zero is counted, so P jumps there and brentq converges on the jump.
-    That is no bracket, named with the floor and the atol; where the whole
-    search lies below the floor (k=1), the miss is a certification
-    failure."""
+    no zero can be told from noise, so the shot returns inf.  Where the
+    root lies below the floor, the bracket closes on the floor itself;
+    that is no bracket, named with the floor and the atol (at k=1 every
+    amplitude below a = 3.1e28 is below it).  Where the root lies above
+    the floor (a* ~ 4.6e18 at atol 1), the search converges on it and
+    rtol 1 fails certification."""
     rc, out = run(capsys, "solve", *argv)
     assert rc == cli.EXIT_SOLVER
     payload = json.loads(out)
@@ -236,6 +240,31 @@ def test_solve_loose_atol_failure_is_classified(capsys, argv, code):
     if code == "no-bracket-found":
         assert "zero-trust floor" in payload["message"]
         assert f"atol={float(argv[-1]):g}" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, a_star, r_lambda, energy", [
+    pytest.param(["--n", "5", "--lambda", "20.14776"], 3.9043e4, 0.1131, None, id="n5"),
+    pytest.param(["--n", "6", "--lambda", "22.4"], 7.9253e4, 0.1595, 1201.135, id="n6"),
+])
+def test_solve_low_dimension_branch(capsys, argv, a_star, r_lambda, energy):
+    """In dimensions 5 and 6 the k=2 branch exists only in a narrow window
+    of amplitudes below lambda_1 (Atkinson, Brezis and Peletier, 1990); the
+    search finds a certified solution there, at n=6 the one of lower
+    action."""
+    rc, out = run(capsys, "solve", *argv)
+    assert rc == cli.EXIT_PASS
+    payload = json.loads(out)
+    assert payload["a_star"] == pytest.approx(a_star, rel=1e-4)
+    assert payload["features"]["r_lambda"] == pytest.approx(r_lambda, abs=1e-4)
+    if energy is not None:
+        assert payload["residuals"]["energy"] == pytest.approx(energy, abs=5e-4)
+
+
+def test_solve_below_the_low_dimension_branch(capsys):
+    """At n=5 no k=2 solution exists below lambda = 20.10: no bracket."""
+    rc, out = run(capsys, "solve", "--n", "5", "--lambda", "19.7")
+    assert rc == cli.EXIT_SOLVER
+    assert json.loads(out)["error"] == "no-bracket-found"
 
 
 def test_solve_huge_dimension_is_a_solver_failure(capsys):

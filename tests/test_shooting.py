@@ -14,7 +14,6 @@ from bnball.bubble import delta
 from bnball.model import (
     ConfigError,
     Error,
-    IntegrationFailed,
     InvalidLambda,
     MissingInteriorZero,
     NoBracketFound,
@@ -96,23 +95,15 @@ def test_solve_rejects_bad_lambda():
         solve_nodal(Params(n=7, lam=40.0), 2)
 
 
-def _record_shots(monkeypatch, fail_at=None):
-    """(amplitude, rtol, result) of every shooting evaluation solve_nodal
-    runs, in call order; result is shoot's (zeros, u1, du1) or the Error it
-    raised.  Shots at rtol fail_at raise IntegrationFailed instead."""
+def _record_shots(monkeypatch):
+    """(amplitude, rtol, r_k) of every shooting evaluation solve_nodal runs,
+    in call order."""
     shots = []
 
-    def recording(params, a, **kwargs):
-        rtol = kwargs["rtol"]
-        try:
-            if rtol == fail_at:
-                raise IntegrationFailed(f"no shot at rtol {rtol:g}")
-            result = shoot(params, a, **kwargs)
-        except Error as exc:
-            shots.append((a, rtol, exc))
-            raise
-        shots.append((a, rtol, result))
-        return result
+    def recording(params, a, k, **kwargs):
+        r_k = shoot(params, a, k, **kwargs)
+        shots.append((a, kwargs["rtol"], r_k))
+        return r_k
 
     monkeypatch.setattr(shooting, "shoot", recording)
     return shots
@@ -120,7 +111,9 @@ def _record_shots(monkeypatch, fail_at=None):
 
 def test_no_bracket_in_low_dimension(monkeypatch):
     """No second zero enters the ball for n=4 at small lambda; the search
-    gives up only after trying the ceiling of the full amplitude range."""
+    gives up only after trying the ceiling of the full amplitude range.
+    There the deviation lies below the zero-trust floor, so the shot finds
+    no zero 2 and the report has no gap."""
     shots = _record_shots(monkeypatch)
     with pytest.raises(NoBracketFound) as info:
         solve_nodal(Params(n=4, lam=0.5), 2)
@@ -131,6 +124,7 @@ def test_no_bracket_in_low_dimension(monkeypatch):
     assert report["a_range_searched"] == [1e-3, 1e30]
     assert max(tried) == pytest.approx(report["a_range_searched"][1], rel=1e-14)
     assert report["evaluations"] == len(tried)
+    assert shots[-1][2] == math.inf and report["gap_at_largest"] is None
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -144,9 +138,9 @@ def test_no_bracket_classified_quickly(monkeypatch, n):
 
 
 def test_each_amplitude_integrated_once(monkeypatch):
-    """No amplitude is shot twice at one tolerance, a* was shot at rtol,
-    and a successful solve runs integrate exactly once, at a*; its profile
-    equals a fresh integration."""
+    """No amplitude is shot twice, every shot runs at rtol, a* is one of
+    them, and a successful solve runs integrate exactly once, at a*; its
+    profile equals a fresh integration."""
     shots = _record_shots(monkeypatch)
     integrated = []
 
@@ -158,9 +152,10 @@ def test_each_amplitude_integrated_once(monkeypatch):
     monkeypatch.setattr(shooting, "integrate", recording)
     params = Params(n=7, lam=2.0)
     sol = solve_nodal(params, 2)
-    tried = [(a, rtol) for a, rtol, _ in shots]
+    tried = [a for a, _, _ in shots]
     assert tried and len(set(tried)) == len(tried)
-    assert (sol.a_star, DEFAULT_RTOL) in tried
+    assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots)
+    assert sol.a_star in tried
     [(a, profile)] = integrated
     assert a == sol.a_star
     assert sol.profile.knots is profile.knots
@@ -178,16 +173,19 @@ def test_each_amplitude_integrated_once(monkeypatch):
         pytest.param(3.189164926472563e-10, id="rtol3.19e-10"),
     ],
 )
-def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(rtol):
+def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtol):
     """At these inputs the full integration at a* puts the boundary zero
-    more than 10 rtol inside the ball, although the shot there puts it
-    within a few rtol of r=1; the Pruefer offset of the profile is still
-    far below the bound."""
+    more than 2 rtol inside the ball, and further inside than the shot at
+    a* put it; the Pruefer offset of the profile is still far below the
+    bound."""
+    shots = _record_shots(monkeypatch)
     sol = solve_nodal(Params(n=7, lam=2.0 ** (-7 / 4)), 2, rtol=rtol)
     assert sol.features is not None
     # the node and the boundary zero, so the next line reads the latter
     assert len(sol.profile.zero_crossings()) == 2
-    assert sol.profile.zero_crossings()[-1].r < 1.0 - 10.0 * rtol
+    boundary = sol.profile.zero_crossings()[-1].r
+    (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
+    assert boundary < 1.0 - 2.0 * rtol and boundary < r_shot
     assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
 
 
@@ -208,114 +206,31 @@ def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
 
 
 def test_miscounted_zero_pair_is_rejected(monkeypatch):
-    """Shots that count a pair of zeros the solution does not have leave
-    (u(1), u'(1)) as they are; the full profile at the root they converge
-    on is off the root of the same proxy by -pi."""
+    """Shots that count a pair of zeros the solution does not have report
+    zero 2 as zero 4; the search converges on the k=2 a*, whose full
+    profile is off the k=4 root of the Pruefer offset by -2 pi."""
 
-    def overcounting(params, a, **kwargs):
-        zeros, u1, du1 = shoot(params, a, **kwargs)
-        return (zeros + 2 if zeros else 0), u1, du1
+    def overcounting(params, a, k, **kwargs):
+        return shoot(params, a, k - 2, **kwargs)
 
     monkeypatch.setattr(shooting, "shoot", overcounting)
-    with pytest.raises(NonconvergentBisection, match=r"offset -3\.142e\+00"):
-        solve_nodal(Params(n=7, lam=2.0), 2)
+    with pytest.raises(NonconvergentBisection, match=r"offset -6\.283e\+00"):
+        solve_nodal(Params(n=7, lam=2.0), 4)
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-7])
 def test_search_stops_at_first_shot_inside_noise_floor(monkeypatch, rtol):
-    """The search ends on the first shot whose proxy lies within the noise
-    floor, min(3 rtol, min(tolerances) / 100), and takes its amplitude as
-    a*; no shot follows it.  At rtol 1e-7 the cap sets the floor."""
-    shots = []
-
-    def recording(params, a, **kwargs):
-        result = shoot(params, a, **kwargs)
-        shots.append((a, _pruefer(*result, 2)))
-        return result
-
-    monkeypatch.setattr(shooting, "shoot", recording)
+    """The search ends on the first shot whose residual -log r_k lies within
+    the noise floor, min(3 rtol, min(tolerances) / 100), and takes its
+    amplitude as a*; no shot follows it.  At rtol 1e-7 the cap sets the
+    floor."""
+    shots = _record_shots(monkeypatch)
     sol = solve_nodal(Params(n=7, lam=2.0), 2, rtol=rtol)
     floor = min(3.0 * rtol, min(BOUNDARY_TOL, RESIDUAL_TOL) / 100.0)
-    *before, (a_last, p_last) = shots
-    assert abs(p_last) <= floor
-    assert all(abs(p) > floor for _, p in before)
+    *before, (a_last, _, r_last) = shots
+    assert abs(math.log(r_last)) <= floor
+    assert all(abs(math.log(r)) > floor for _, _, r in before)
     assert sol.a_star == a_last
-
-
-def test_a_star_is_shot_at_rtol(monkeypatch):
-    """The search ends on a shot at rtol, whose amplitude is a*, although
-    most shots before it run at the coarse tolerance."""
-    shots = _record_shots(monkeypatch)
-    sol = solve_nodal(Params(n=7, lam=2.0), 2)
-    a_last, rtol_last, _ = shots[-1]
-    assert (a_last, rtol_last) == (sol.a_star, DEFAULT_RTOL)
-    assert any(rtol == shooting._COARSE_RTOL for _, rtol, _ in shots)
-
-
-def _reshot(shots, i):
-    """Whether shot i is followed by a shot at DEFAULT_RTOL of its amplitude."""
-    return i + 1 < len(shots) and shots[i + 1][:2] == (shots[i][0], DEFAULT_RTOL)
-
-
-def test_small_coarse_proxy_is_reshot(monkeypatch):
-    """A coarse shot with |P| <= 1e-2 is shot again at rtol at the same
-    amplitude.  From a seed 1.2 a*, the first shot gives P = 8.2e-3."""
-    shots = _record_shots(monkeypatch)
-    solve_nodal(Params(n=7, lam=2.0), 2, a_seed=5.1e19)
-    small = [
-        i
-        for i, (_, rtol, result) in enumerate(shots)
-        if rtol == shooting._COARSE_RTOL
-        and abs(_pruefer(*result, 2)) <= shooting._COARSE_TRUST
-    ]
-    assert small
-    assert all(_reshot(shots, i) for i in small)
-
-
-def test_failed_coarse_shot_is_reshot(monkeypatch):
-    """A coarse shot that raises is shot again at rtol at the same
-    amplitude; with every coarse shot failing, the search is the one
-    without the coarse tier."""
-    monkeypatch.setattr(shooting, "_COARSE_RTOL", 0.0)
-    plain = solve_nodal(Params(n=7, lam=2.0), 2)
-    monkeypatch.undo()
-
-    shots = _record_shots(monkeypatch, fail_at=shooting._COARSE_RTOL)
-    sol = solve_nodal(Params(n=7, lam=2.0), 2)
-    failed = [i for i, (_, _, result) in enumerate(shots) if isinstance(result, Error)]
-    assert failed and all(_reshot(shots, i) for i in failed)
-    assert sol.a_star == plain.a_star
-
-
-@pytest.mark.parametrize("a_seed", [1.0, 6.4e19])
-def test_no_coarse_shot_after_first_near_shot(monkeypatch, a_seed):
-    """Once a shot returns |P| <= 5e-2, every later shot of the solve runs
-    at rtol.  From a seed 1.5 a*, the first shot is coarse with P =
-    1.9e-2 and is used as it is."""
-    shots = _record_shots(monkeypatch)
-    solve_nodal(Params(n=7, lam=2.0), 2, a_seed=a_seed)
-    near = next(
-        i
-        for i, (_, _, result) in enumerate(shots)
-        if abs(_pruefer(*result, 2)) <= shooting._COARSE_END
-    )
-    assert near < len(shots) - 1
-    assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots[near + 1 :])
-
-
-@pytest.mark.parametrize("rtol", [1e-5, 1e-3])
-def test_no_coarse_tier_at_loose_rtol(monkeypatch, rtol):
-    """At rtol >= 1e-5 every shot runs at rtol and no amplitude is shot
-    twice: the search without the coarse tier.  The seed 1.2 a* gives P =
-    8.2e-3, which a coarse tier would shoot twice."""
-    shots = _record_shots(monkeypatch)
-    try:
-        solve_nodal(Params(n=7, lam=2.0), 2, a_seed=5.1e19, rtol=rtol)
-    except Error:
-        pass
-    amplitudes = [a for a, _, _ in shots]
-    assert shots and all(tol == rtol for _, tol, _ in shots)
-    assert len(set(amplitudes)) == len(amplitudes)
 
 
 def test_loose_rtol_stop_still_certifies():
@@ -326,41 +241,46 @@ def test_loose_rtol_stop_still_certifies():
 
 
 def test_reference_sweep_shot_count(monkeypatch):
-    """Shots per point of the warm n=7 reference sweep, and their RHS
-    evaluations, deterministic counts: 68 shots with brentq run to xtol =
-    rtol, 40 with the noise-floor stop (127,492 RHS evaluations), and 43
-    with the coarse tier, 25 of them at rtol (107,115 RHS evaluations)."""
-    shot_lams = []
-    shot_rtols = []
-    rhs_evals = 0
+    """Evaluations per point of the warm n=7 reference sweep, and the RHS
+    calls of the shots, Fortran run and zero location together:
+    deterministic counts, 26 evaluations and 90,267 RHS calls.  The Pruefer
+    search before the residual -log r_k took 43 shots, 25 of them at
+    rtol, and 107,115 RHS calls."""
+    evaluations = []
+    rhs_calls = 0
+    shooting_now = False
 
-    def recording(params, a, **kwargs):
-        shot_lams.append(params.lam)
-        shot_rtols.append(kwargs["rtol"])
-        return shoot(params, a, **kwargs)
+    def recording(params, a, k, **kwargs):
+        nonlocal shooting_now
+        evaluations.append(params.lam)
+        shooting_now = True
+        try:
+            return shoot(params, a, k, **kwargs)
+        finally:
+            shooting_now = False
 
     deviation = ode._deviation
 
     def counting(*args, **kwargs):
         dev = deviation(*args, **kwargs)
-        f = dev.f
 
-        def counted(y, s):
-            nonlocal rhs_evals
-            rhs_evals += 1
-            return f(y, s)
+        def counted(fn):
+            def call(*args):
+                nonlocal rhs_calls
+                rhs_calls += shooting_now
+                return fn(*args)
 
-        return dataclasses.replace(dev, f=counted)
+            return call
+
+        return dataclasses.replace(dev, f=counted(dev.f), rhs=counted(dev.rhs))
 
     monkeypatch.setattr(shooting, "shoot", recording)
     monkeypatch.setattr(ode, "_deviation", counting)
     points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
     assert all(p.solution is not None for p in points)
-    per_point = [shot_lams.count(lam) for lam in ACCEPTANCE_GRID]
-    assert sum(per_point) == len(shot_lams) <= 45, per_point
-    assert shot_rtols.count(DEFAULT_RTOL) <= 26, shot_rtols
-    # integrate runs _Deviation.rhs, so this counts the shots alone
-    assert rhs_evals <= 112_000
+    per_point = [evaluations.count(lam) for lam in ACCEPTANCE_GRID]
+    assert sum(per_point) == len(evaluations) <= 27, per_point
+    assert rhs_calls <= 94_000
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
