@@ -42,14 +42,15 @@ defined once.
 
 integrate runs solve_ivp with _FloatDop853, scipy's DOP853 stepping on
 Python floats.  It takes the steps, builds the dense output and counts the
-RHS evaluations of stock DOP853 bit for bit, and it checks the blow-up
-guard and the sign changes at each accepted step in place of solve_ivp's
-event functions.  shoot locates its zero with the same stepper.
+RHS evaluations of stock DOP853 bit for bit.  Each step is finished inside
+the stepper: it records the step's dense-output polynomial, checks the
+blow-up guard and the sign changes in place of solve_ivp's event
+functions, and fails a step whose polynomial is not finite.  shoot
+locates its zero with the same stepper.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -367,7 +368,8 @@ class _StepPolynomials:
     II.6), so every value is bit-identical to it.  ts holds the ascending
     step radii of an outward integration and piece i spans ts[i]..ts[i+1];
     on a step radius the step that ends there is used, as OdeSolution
-    does.
+    does.  The other fields stack the rows _FloatDop853 records, one per
+    step.
     """
 
     ts: np.ndarray
@@ -375,18 +377,6 @@ class _StepPolynomials:
     h: np.ndarray  # (pieces,) step length
     F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
     y_old: np.ndarray  # (pieces, 2) state at t_old
-
-    @classmethod
-    def of(cls, sol) -> "_StepPolynomials":
-        """Stack the pieces of an ascending DOP853 OdeSolution."""
-        pieces = sol.interpolants
-        return cls(
-            ts=sol.ts,
-            t_old=np.array([p.t_old for p in pieces]),
-            h=np.array([p.h for p in pieces]),
-            F=np.array([p.F for p in pieces]),
-            y_old=np.array([p.y_old for p in pieces]),
-        )
 
     def __call__(self, y):
         """State (v, v') at y: shape (2,) for scalar y, else (2, len(y))."""
@@ -427,19 +417,6 @@ def _callback_failure(exc: BaseException) -> IntegrationFailed:
     )
 
 
-@contextlib.contextmanager
-def _stepper_failures():
-    """IntegrationFailed for a _FloatDop853 run that ends on a NaN: brentq's
-    ValueError on a step's dense output, or the RuntimeWarning of the
-    stepper's numpy reductions when warnings are errors."""
-    try:
-        yield
-    except ValueError as exc:
-        raise IntegrationFailed(f"integration failed: {exc}") from exc
-    except RuntimeWarning as exc:
-        raise _callback_failure(exc) from exc
-
-
 def _maximum(a: float, b: float) -> float:
     """np.maximum on floats: NaN if either is."""
     return a if a >= b or a != a else b
@@ -451,9 +428,13 @@ _EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
 def _root(piece: Dop853DenseOutput, g) -> float:
     """The root of g(y, (v, v')) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
-    output."""
-    eps4 = 4 * np.finfo(float).eps
-    return brentq(lambda y: g(y, piece(y)), piece.t_old, piece.t, xtol=eps4, rtol=eps4)
+    output.  The step-end state and the polynomial there may disagree in
+    sign in the last bit; brentq's ValueError is then IntegrationFailed."""
+    tol = 4 * np.finfo(float).eps
+    try:
+        return brentq(lambda y: g(y, piece(y)), piece.t_old, piece.t, xtol=tol, rtol=tol)
+    except ValueError as exc:
+        raise IntegrationFailed(f"integration failed: {exc}") from exc
 
 
 class _FloatDop853(DOP853):
@@ -469,17 +450,23 @@ class _FloatDop853(DOP853):
     arithmetic in scipy's order.  fun is a float RHS
     fun(y, v, v') -> (v', v''), like _Deviation.rhs.
 
-    In place of solve_ivp's events, each accepted step is checked against
-    the deviation problem once its dense output is built (integrate asks
-    for dense output, so that is once per step): the first state past the
-    blow-up guard raises BlowUpDetected at the radius solve_ivp's event
-    location gives, and while the problem is trusted, each change of sign
-    of u or u' over the step, by solve_ivp's rule for an event of direction
-    0, is located on the step's dense output as solve_ivp locates an event
-    and appended to crossings as a finished Event.
+    _step_impl finishes each step that passes error control: it computes
+    the three extra stages and the dense-output coefficients F, fails the
+    step before committing it if F is not finite (t stays the last
+    accepted radius), and otherwise appends the row (t_old, h, F, y_old)
+    to rows and checks the step in place of solve_ivp's events.  The first
+    state past the blow-up guard raises BlowUpDetected at the radius
+    solve_ivp's event location gives, and while the problem is trusted,
+    each change of sign of u or u' over the step, by solve_ivp's rule for
+    an event of direction 0, is located on the step's dense output as
+    solve_ivp locates an event and appended to crossings as a finished
+    Event.  Callers run the stepper under np.errstate(all="ignore"): a NaN
+    trial step is then rejected as in stock DOP853, without a warning.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, deviation, crossings, **options):
+    NON_FINITE_STEP = "Dense output of the step is not finite."
+
+    def __init__(self, fun, t0, y0, t_bound, *, deviation, crossings, rows, **options):
         # scipy's own start: the first RHS call and the initial step size
         super().__init__(
             lambda t, y: fun(float(t), *y.tolist()), t0, y0, t_bound, **options
@@ -487,6 +474,7 @@ class _FloatDop853(DOP853):
         self.rhs = fun
         self.deviation = deviation
         self.crossings = crossings
+        self.rows = rows
         self.y = tuple(self.y.tolist())
         self.f = tuple(self.f.tolist())
         self.direction = float(self.direction)
@@ -574,27 +562,14 @@ class _FloatDop853(DOP853):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
             step_rejected = True
 
-        self.h_previous = h
-        self.y_old = (v, vp)
-        self.t = t_new
-        self.y = (v_new, vp_new)
-        self.h_abs = h_abs
-        self.f = f_new
-        return True, None
-
-    def _dense_output_impl(self):
-        k = self.k
-        h = self.h_previous
-        t_old = self.t_old
-        v, vp = self.y_old
+        # the step's dense output, as scipy's _dense_output_impl builds it
         for i, KsT, a, c in self.extra_stages:
             dv, dvp = KsT.dot(a).tolist()
-            k[i], k[i + 1] = self.rhs(t_old + c * h, v + dv * h, vp + dvp * h)
+            k[i], k[i + 1] = rhs(t + c * h, v + dv * h, vp + dvp * h)
         self.nfev += len(self.extra_stages)
-
-        f, fp = self.f
+        f, fp = f_new
         f_old, fp_old = k[0], k[1]
-        dv, dvp = self.y[0] - v, self.y[1] - vp
+        dv, dvp = v_new - v, vp_new - vp
         F = np.empty((3 + len(self.D), 2))
         F[:3] = (
             (dv, dvp),
@@ -602,31 +577,45 @@ class _FloatDop853(DOP853):
             (2 * dv - h * (f + f_old), 2 * dvp - h * (fp + fp_old)),
         )
         F[3:] = h * self.D.dot(self.K_extended)
-        piece = Dop853DenseOutput(t_old, self.t, np.array(self.y_old), F)
-        self._check_step(piece)
-        return piece
+        if not np.isfinite(F).all():
+            return False, self.NON_FINITE_STEP
 
-    def _check_step(self, piece):
-        """The blow-up guard and the sign changes over the step just taken.
+        self.t = t_new
+        self.y = (v_new, vp_new)
+        self.h_abs = h_abs
+        self.f = f_new
+        self.rows.append((t, h, F, (v, vp)))
+        self._check_step(t, (v, vp), F)
+        return True, None
+
+    def _check_step(self, t_old, y_old, F):
+        """The blow-up guard and the sign changes over the step just taken
+        from t_old, y_old, whose dense-output coefficients are F.
 
         The same order as solve_ivp's event handling: the blow-up radius is
         located first, then the sign changes of the step are located and
         recorded, then BlowUpDetected ends the run.  Zero crossings store u'
-        there, derivative zeros store u.
+        there, derivative zeros store u.  The step's Dop853DenseOutput is
+        built only when there is a root to locate.
         """
         dev = self.deviation
         signs = dev.signs(self.t, self.y)
-        blown_at = None
-        if _blown_up(signs[0]):
-            blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
-        if dev.trusted:
-            for c, (kind, g, g_new) in enumerate(zip(_EVENT_KINDS, self.signs, signs)):
-                if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-                    root = _root(piece, lambda y, s: dev.signs(y, s)[c])
-                    value = dev.u_du(root, piece(root))[1 - c]
-                    self.crossings.append(Event(kind, root / dev.scale_r, value))
+        blown = _blown_up(signs[0])
+        changes = [
+            c for c, (g, g_new) in enumerate(zip(self.signs, signs))
+            if dev.trusted and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
+        ]
         self.signs = signs
-        if blown_at is not None:
+        if not (blown or changes):
+            return
+        piece = Dop853DenseOutput(t_old, self.t, np.array(y_old), F)
+        if blown:
+            blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
+        for c in changes:
+            root = _root(piece, lambda y, s: dev.signs(y, s)[c])
+            value = dev.u_du(root, piece(root))[1 - c]
+            self.crossings.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
+        if blown:
             raise _blow_up(blown_at / dev.scale_r)
 
 
@@ -641,20 +630,24 @@ def integrate(
     """Integrate from the origin series start out to r_stop.
 
     Integrates the unit-amplitude deviation problem out to y = |a|^beta *
-    r_stop on _FloatDop853 at run_rtol(rtol) and maps it back to physical
-    variables.  The stepper locates each sign change of u or u' on the
-    dense output of the step that finds it, by solve_ivp's bracketed
-    root-finding (well below 1e-12 radius accuracy), and records it as an
-    event.  knots hold the integrator steps plus DENSE_SAMPLES interior
-    samples per step; `steps` keeps the raw step radii, whose dense-output
-    pieces downstream quadrature integrates piecewise.  Everything returned is bit-identical to solve_ivp with
-    method="DOP853" and the same checks as event functions.
+    r_stop on _FloatDop853 at run_rtol(rtol), in one solve_ivp call, and
+    maps it back to physical variables.  The stepper locates each sign
+    change of u or u' on the dense output of the step that finds it, by
+    solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy),
+    and records it as an event; the dense output is stacked from the rows
+    it records.  knots hold the integrator steps plus DENSE_SAMPLES
+    interior samples per step; `steps` keeps the raw step radii, whose
+    dense-output pieces downstream quadrature integrates piecewise.
+    Everything returned is bit-identical to solve_ivp with method="DOP853"
+    and the same checks as event functions.  A step whose dense output is
+    not finite is IntegrationFailed at the last accepted radius, under any
+    warnings filter.
     """
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
     rtol = run_rtol(rtol)
-    events = []
-    with _stepper_failures():
+    events, rows = [], []
+    with np.errstate(all="ignore"):
         sol = solve_ivp(
             dev.rhs,
             (dev.y0, dev.y_end),
@@ -662,9 +655,9 @@ def integrate(
             method=_FloatDop853,
             rtol=rtol,
             atol=dev.atol_scaled,
-            dense_output=True,
             deviation=dev,
             crossings=events,
+            rows=rows,
         )
     if not sol.success:
         raise IntegrationFailed(
@@ -674,7 +667,10 @@ def integrate(
     # zero crossing before a derivative zero at the same radius.
     events.sort(key=lambda e: e.r)
 
-    dense = _StepPolynomials.of(sol.sol)
+    dense = _StepPolynomials(sol.t, *(np.array(column) for column in zip(*rows)))
+    # scipy's solver keeps itself in a reference cycle, so the stepper
+    # outlives this call until the next collection; its rows need not.
+    rows.clear()
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""
@@ -783,9 +779,9 @@ def _locate_zero(dev: _Deviation, y: float, state, end: float, rtol: float) -> f
     half its length, and its step check locates the zero as in integrate.
     A run that has not yet crossed at the end puts the zero there."""
     crossings = []
-    with _stepper_failures():
+    with np.errstate(all="ignore"):
         stepper = _FloatDop853(
-            dev.rhs, y, state, end, deviation=dev, crossings=crossings,
+            dev.rhs, y, state, end, deviation=dev, crossings=crossings, rows=[],
             rtol=rtol, atol=dev.atol_scaled, first_step=(end - y) / 2.0,
         )
         while stepper.status == "running":
@@ -795,7 +791,6 @@ def _locate_zero(dev: _Deviation, y: float, state, end: float, rtol: float) -> f
                     f"integration failed: {message}",
                     last_radius=stepper.t / dev.scale_r,
                 )
-            stepper.dense_output()
             for event in crossings:
                 if event.kind == "zero-crossing":
                     return event.r

@@ -3,10 +3,13 @@
 The oracle below is integrate as it ran on solve_ivp(method="DOP853") with
 the blow-up guard and the sign changes of u and u' as event functions.
 integrate must return the same profile bit for bit, with the same step
-count and RHS evaluations, and fail with the same error and message.
+count and RHS evaluations, and fail with the same error and message; only
+a step whose dense output is NaN ends differently, failed by the float
+stepper before stock DOP853 would accept it.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -64,10 +67,8 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
         last = sol.t[-1] / scale_r if sol.t.size else None
         raise IntegrationFailed(f"integration failed: {sol.message}", last_radius=last)
 
-    dense = ode._StepPolynomials.of(sol.sol)
-
     def at_y(y):
-        return dev.u_du(y, dense(y))
+        return dev.u_du(y, sol.sol(y))
 
     events = [
         Event(kind=kind, r=y / scale_r, value=at_y(y)[component])
@@ -112,18 +113,18 @@ def _float_integrate(monkeypatch, params, a, r_stop, rtol, atol):
 
 
 def _outcome(run, *args):
-    """run's result, or the class and message of the Error it raises.
+    """run's result, or the class, message and last_radius of the Error it
+    raises.
 
-    Warnings are ignored: the stepper's numpy reductions warn from bnball
-    where stock DOP853 warned from scipy, and its float arithmetic raises
-    no warning where scipy's array arithmetic did.
+    Warnings are ignored: stock DOP853's array arithmetic warns on a NaN
+    step where the float stepper, run under np.errstate, does not.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             return run(*args)
         except Error as exc:
-            return type(exc), str(exc)
+            return type(exc), str(exc), getattr(exc, "last_radius", None)
 
 
 def _assert_same(stock, got):
@@ -161,21 +162,37 @@ def test_float_stepper_matches_stock_dop853(monkeypatch, n, lam):
     assert zeros > 0
 
 
-@pytest.mark.parametrize("n, lam, a, rtol, atol", [
+@pytest.mark.parametrize("n, lam, a, rtol, atol, nan_step", [
     # steps far beyond the stability region drive |u| over the blow-up bound
-    pytest.param(7, 1e8, 1.0, 100.0, 1e6, id="n7-blow-up"),
-    pytest.param(5, 0.5, 1e28, DEFAULT_RTOL, DEFAULT_ATOL, id="n5-untrusted"),
-    # the dense output of an accepted step reaches NaN inside a sign event
-    pytest.param(7, 1e4, 1.0, 1e3, 1e9, id="nan-state"),
+    pytest.param(7, 1e8, 1.0, 100.0, 1e6, False, id="n7-blow-up"),
+    pytest.param(5, 0.5, 1e28, DEFAULT_RTOL, DEFAULT_ATOL, False, id="n5-untrusted"),
+    # the dense output of a step that passes error control is NaN
+    pytest.param(7, 1e4, 1.0, 1e3, 1e9, True, id="nan-state"),
 ])
-def test_float_stepper_fails_as_stock_dop853(monkeypatch, n, lam, a, rtol, atol):
-    """The blow-up guard, an untrusted run without sign events and a NaN
-    state end as they did on stock DOP853: the same profile, or the same
-    error class and message."""
+def test_float_stepper_fails_as_stock_dop853(
+    monkeypatch, n, lam, a, rtol, atol, nan_step
+):
+    """The blow-up guard and an untrusted run without sign events end as
+    they did on stock DOP853: the same profile, or the same error class,
+    message and last radius.  Stock DOP853 accepts a step whose dense
+    output is NaN and meets the NaN in brentq, at the step's start, while
+    locating a sign change on it; the float stepper fails that step before
+    accepting it, so it ends as integration-failed with that radius as its
+    last radius."""
     args = (Params(n=n, lam=lam), a, 1.0, rtol, atol)
     stock = _outcome(_stock_integrate, *args)
     got = _outcome(_float_integrate, monkeypatch, *args)
-    if isinstance(stock[0], type):
+    if nan_step:
+        nan_at = re.fullmatch(
+            r"integration failed: The function value at x=(\S+) is NaN; "
+            r"solver cannot continue\.",
+            stock[1],
+        )
+        assert nan_at, stock
+        scale_r = ode._deviation(args[0], a, 1.0, atol).scale_r
+        message = "integration failed: Dense output of the step is not finite."
+        assert got == (IntegrationFailed, message, float(nan_at.group(1)) / scale_r)
+    elif isinstance(stock[0], type):
         assert got == stock
     else:
         assert not got[0].events

@@ -147,12 +147,37 @@ def test_tolerance_tightening_converges():
     assert gap < 1e-7
 
 
+def _fails_without_warning(run, *args, **tolerances):
+    """The IntegrationFailed that run(*args, **tolerances) raises, asserting
+    that no warning of any kind is raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationFailed) as info:
+            run(*args, **tolerances)
+    assert not caught, [str(w.message) for w in caught]
+    return info.value
+
+
 def test_nan_state_is_integration_failure():
     """Steps far beyond the stability region overflow the right-hand side
-    to a NaN state before the blow-up guard can fire; that is a classified
-    failure, not the ValueError of brentq locating a sign change on it."""
-    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationFailed):
-        integrate(Params(n=7, lam=1e4), 1.0, 1.0, rtol=1e3, atol=1e9)
+    to a NaN dense output before the blow-up guard can fire; the stepper
+    fails that step, without a warning, and reports the last accepted
+    radius."""
+    error = _fails_without_warning(
+        integrate, Params(n=7, lam=1e4), 1.0, 1.0, rtol=1e3, atol=1e9
+    )
+    assert str(error) == "integration failed: Dense output of the step is not finite."
+    assert 0.0 < error.last_radius < 1.0
+
+
+def test_root_without_sign_change_is_integration_failure():
+    """A step-end state and its polynomial may disagree in sign in the last
+    bit, so brentq can find no sign change on the step; that is a
+    classified failure, not brentq's ValueError."""
+    piece = Dop853DenseOutput(0.0, 1.0, np.zeros(2), np.zeros((7, 2)))
+    message = r"^integration failed: f\(a\) and f\(b\) must have different signs"
+    with pytest.raises(IntegrationFailed, match=message):
+        ode._root(piece, lambda y, s: 1.0)
 
 
 def test_amplitude_must_be_finite():
@@ -233,47 +258,65 @@ def test_rhs_overflow_in_shoot_is_integration_failure():
     assert info.value.last_radius > 1.0
 
 
+# An integration whose power overflows to a NaN dense output at loose
+# tolerances, and a shot that passes zero 3 on the Fortran run and then
+# meets a NaN dense output while _locate_zero's stepper locates it.
+OVERFLOW_INTEGRATE = (Params(n=4, lam=1e4), 1e28, 1.0)
+NAN_ZERO_LOCATION_SHOT = (Params(n=4, lam=1.0), 1e3, 3)
+
+
 @pytest.mark.parametrize("run, args, tolerances, message", [
     pytest.param(
         "shoot", OVERFLOW_SHOT, {"rtol": 100.0},
         r"dop853: step size becomes too small \(return code -3\)", id="shoot",
     ),
     pytest.param(
-        "integrate", (Params(n=4, lam=1e4), 1e28, 1.0), {"rtol": 1.0, "atol": 1.0},
-        "RuntimeWarning: invalid value encountered in dot", id="integrate",
+        "integrate", OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0},
+        r"Dense output of the step is not finite\.", id="integrate",
     ),
 ])
 def test_rhs_overflow_under_error_filter_is_integration_failure(
     run, args, tolerances, message
 ):
     """With every warning an error, the overflow is still a classified
-    failure, not leaked raw from solve_ivp or as scipy's ValueError from
-    the dop853 wrapper: shoot ends as under the default filter, and
-    integrate names the NaN warning of the stepper's reductions."""
+    failure with a last radius, not leaked raw from solve_ivp or as
+    scipy's ValueError from the dop853 wrapper: shoot ends as under the
+    default filter, and integrate fails the step whose dense output is
+    not finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationFailed, match=message):
+        with pytest.raises(IntegrationFailed, match=message) as info:
             getattr(ode, run)(*args, **tolerances)
+    assert info.value.last_radius is not None
 
 
 def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
-    """The overflow raises no warning inside the Fortran callback, so a
-    failing shot ends with the same class, message and radius under the
-    default and the error filter."""
-    outcomes = []
-    for action in ("default", "error"):
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            with pytest.raises(Error) as info:
-                shoot(*OVERFLOW_SHOT, rtol=100.0)
-        outcomes.append(_error_outcome(info.value))
-    assert outcomes[0] == outcomes[1]
+    """A failing run ends with the same class, message and radius under
+    the default and the error filter: the Fortran shot whose callback
+    overflows (no warning is raised there), the integration and the zero
+    location that meet a NaN dense output (the stepper runs under
+    np.errstate and fails that step)."""
+    for run, args, tolerances in (
+        (shoot, OVERFLOW_SHOT, {"rtol": 100.0}),
+        (integrate, OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0}),
+        (shoot, NAN_ZERO_LOCATION_SHOT, {"rtol": 1e3}),
+    ):
+        outcomes = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(Error) as info:
+                    run(*args, **tolerances)
+            outcomes.append(_error_outcome(info.value))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is IntegrationFailed and outcomes[0][2] is not None
 
 
 def test_rhs_overflow_in_integrate_is_integration_failure():
-    """The same overflow in a full integration is a classified failure."""
-    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationFailed):
-        integrate(Params(n=4, lam=1e4), 1e28, 1.0, rtol=1.0, atol=1.0)
+    """The same overflow in a full integration is a classified failure,
+    without a warning, at the last accepted radius."""
+    error = _fails_without_warning(integrate, *OVERFLOW_INTEGRATE, rtol=1.0, atol=1.0)
+    assert 0.0 < error.last_radius < 1.0
 
 
 # Shooting amplitudes a* at lambda = 2, keyed by (n, k): n = 7, 8 from the
@@ -532,20 +575,34 @@ def test_rtol_below_100_eps_runs_at_100_eps(run):
 ])
 def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
     """The stacked step polynomials evaluate bit for bit as scipy's own
-    OdeSolution over the same DOP853 pieces, on and between step radii."""
-    results = []
-    solve_ivp = ode.solve_ivp
+    OdeSolution over Dop853DenseOutput pieces built from the same rows
+    (t_old, h, F, y_old) the stepper recorded, on and between step
+    radii."""
+    results, rows, stacked = [], [], []
+    solve_ivp, step_polynomials = ode.solve_ivp, ode._StepPolynomials
 
     def capture(*args, **kwargs):
         results.append(solve_ivp(*args, **kwargs))
+        rows.extend(kwargs["rows"])
         return results[-1]
 
+    def stack(*args):
+        stacked.append(step_polynomials(*args))
+        return stacked[-1]
+
     monkeypatch.setattr(ode, "solve_ivp", capture)
+    monkeypatch.setattr(ode, "_StepPolynomials", stack)
     params = Params(n=n, lam=lam)
     profile = integrate(params, a, 1.0)
     dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
     assert dev.trusted == trusted
-    (result,) = results
+    (result,), (pieces,) = results, stacked
+    assert [row[0] for row in rows] == result.t[:-1].tolist()
+    assert [row[1] for row in rows] == np.diff(result.t).tolist()
+    sol = OdeSolution(result.t, [
+        Dop853DenseOutput(t_old, t, np.array(y_old), F)
+        for (t_old, _, F, y_old), t in zip(rows, result.t[1:])
+    ])
     rng = np.random.default_rng(n)
     r0, r_end = profile.knots[0], profile.r_end
     random_radii = rng.uniform(r0, profile.knots[-1], 257)
@@ -555,13 +612,12 @@ def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
         # the oracle, since numpy's scalar and array powers may differ in
         # the last bit.
         y = np.atleast_1d(r) * dev.scale_r
-        want = dev.u_du(y, result.sol(y))
+        want = dev.u_du(y, sol(y))
         assert np.array_equal(np.reshape(profile.u_du(r), np.shape(want)), want)
     # Step radii in the scaled variable are exact segment-boundary ties.
-    pieces = ode._StepPolynomials.of(result.sol)
-    assert np.array_equal(pieces(result.t), result.sol(result.t))
+    assert np.array_equal(pieces(result.t), sol(result.t))
     for y in (result.t[0], result.t[1], result.t[-1]):
-        assert np.array_equal(pieces(y), result.sol(y))
+        assert np.array_equal(pieces(y), sol(y))
 
 
 def test_step_polynomials_match_odesolution():
@@ -570,15 +626,60 @@ def test_step_polynomials_match_odesolution():
     extrapolate."""
     rng = np.random.default_rng(3)
     ts = np.cumsum(rng.uniform(0.5, 1.5, 9))
+    t_old, h = ts[:-1], ts[1:] - ts[:-1]
+    F, y_old = rng.normal(size=(8, 7, 2)), rng.normal(size=(8, 2))
     sol = OdeSolution(ts, [
-        Dop853DenseOutput(t_old, t, rng.normal(size=2), rng.normal(size=(7, 2)))
-        for t_old, t in zip(ts[:-1], ts[1:])
+        Dop853DenseOutput(*row) for row in zip(t_old, ts[1:], y_old, F)
     ])
-    stacked = ode._StepPolynomials.of(sol)
+    stacked = ode._StepPolynomials(ts, t_old, h, F, y_old)
     y = np.concatenate([ts, rng.uniform(ts.min() - 1.0, ts.max() + 1.0, 64)])
     assert np.array_equal(stacked(y), sol(y))
     for t in y[:16]:
         assert np.array_equal(stacked(t), sol(t))
+
+
+@pytest.mark.parametrize("args, tolerances, roots", [
+    pytest.param((Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0), {}, True, id="n7-k2"),
+    pytest.param((Params(n=5, lam=0.5), 1e28, 1.0), {}, False, id="n5-untrusted"),
+    pytest.param(
+        (Params(n=7, lam=1e8), 1.0, 1.0), {"rtol": 100.0, "atol": 1e6}, True,
+        id="n7-blow-up",
+    ),
+])
+def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, roots):
+    """integrate passes no dense_output to its one solve_ivp call, and the
+    stepper builds a Dop853DenseOutput only on a step where it locates a
+    root, one per step: every piece built is one that brentq ran on, and
+    brentq runs once per event and once for the blow-up radius."""
+    calls, built, rooted = [], [], []
+    solve_ivp, piece, root = ode.solve_ivp, ode.Dop853DenseOutput, ode._root
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs)
+        return solve_ivp(*args, **kwargs)
+
+    def build(*row):
+        built.append(piece(*row))
+        return built[-1]
+
+    def located(step, g):
+        rooted.append(step)
+        return root(step, g)
+
+    monkeypatch.setattr(ode, "solve_ivp", capture)
+    monkeypatch.setattr(ode, "Dop853DenseOutput", build)
+    monkeypatch.setattr(ode, "_root", located)
+    try:
+        integrate(*args, **tolerances)
+        blown = False
+    except BlowUpDetected:
+        blown = True
+    (kwargs,) = calls
+    assert "dense_output" not in kwargs
+    assert len(rooted) == len(kwargs["crossings"]) + blown
+    assert {id(step) for step in rooted} == {id(step) for step in built}
+    assert len({step.t_old for step in built}) == len(built)
+    assert bool(built) == roots
 
 
 def test_u_du_agrees_with_u_and_du(sol7_lam2):
@@ -645,3 +746,25 @@ def test_shoot_releases_its_solver():
     finally:
         tracemalloc.stop()
     assert growth / 200 < 2048
+
+
+def test_integrate_leaves_no_step_rows_to_the_collector():
+    """scipy's solver sits in a reference cycle, so the stepper outlives
+    each integrate until the next collection, but its rows of step
+    polynomials do not: with the collector off, tracemalloc growth stays
+    below 60 KB per integration of the n=7 k=2 a* (about 28 KB here, 145 KB
+    with the rows kept)."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    integrate(params, a, 1.0)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            integrate(params, a, 1.0)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert growth / 5 < 60_000
