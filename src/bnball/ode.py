@@ -4,8 +4,9 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
     u'' + (n-1)/r u' + lambda u + |u|^(2*-2) u = 0,    u'(0) = 0,
 
-which is singular at the origin; integration starts from a second-order
-Taylor expansion at a small radius r0 instead.
+which is singular at the origin.  integrate starts from a second-order
+Taylor expansion at a small radius r0 instead; shoot starts further out,
+where a longer Taylor series of the deviation below is exact to rounding.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -94,6 +95,12 @@ SHOOT_END = 1e6
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+# A shot starts from this many terms of the deviation's Taylor series in
+# y^2, at the largest radius where the last term is at most SERIES_CUTOFF
+# of the first.
+SERIES_TERMS = 8
+SERIES_CUTOFF = 1e-19
 
 
 @dataclass(frozen=True)
@@ -213,15 +220,17 @@ class _Deviation:
     scipy.integrate.ode's convention; rhs(y, v, vp) is the same on floats,
     returning (v', v'').  f returns one float64 array of shape (2,), the
     same array on every call, overwritten by the next: a caller that keeps
-    a result must copy it.  The integration runs from the series state s0
-    at y0 out to y_end.  trusted says whether sign changes of u can be told
-    from integration noise.
+    a result must copy it.  integrate runs from the two-term series state
+    s0 at y0 out to y_end, shoot from series_start().  trusted says whether
+    sign changes of u can be told from integration noise.
     """
 
     n: int
     K: float  # n(n-2), and h = (n-2)/2: the bubble's constants
     h: float
+    p: float  # 2* - 1
     a: float
+    lam_hat: float
     scale_r: float  # y = scale_r * r
     scale_v: float  # u' = scale_v * uhat'
     y0: float
@@ -238,6 +247,59 @@ class _Deviation:
         t = self.K / (self.K + y * y)
         d = t**self.h
         return d, -(self.n - 2.0) * y * d * t / self.K
+
+    def series(self) -> list[float]:
+        """The coefficients v_0 = 0, v_1, ..., v_J, J = SERIES_TERMS, of the
+        Taylor series v = sum_j v_j z^j in z = y^2.
+
+        The deviation equation gives, term by term,
+
+            2(j+1)(2j+n) v_{j+1} = -lamhat (delta_j + v_j) - D_j,
+
+        with delta = (1 + z/K)^(-h) and D = delta^p ((1 + v/delta)^p - 1);
+        (1 + q)^p, q = v/delta, is expanded by Miller's power recurrence.
+        Every coefficient is O(lamhat), so nothing cancels however small
+        lamhat is; v_1 = -lamhat/(2n) and v_2 = lamhat(lamhat+p+1)/(8n(n+2))
+        are the coefficients of integrate's two-term start.
+        """
+        n, K, h, p, lam = self.n, self.K, self.h, self.p, self.lam_hat
+        # series of delta, 1/delta and delta^p
+        d, d_inv, d_p = [1.0], [1.0], [1.0]
+        for j in range(SERIES_TERMS):
+            d.append(d[j] * (-h - j) / ((j + 1) * K))
+            d_inv.append(d_inv[j] * (h - j) / ((j + 1) * K))
+            d_p.append(d_p[j] * (-h * p - j) / ((j + 1) * K))
+        v, q, g = [0.0], [0.0], [1.0]  # v, q = v/delta and g = (1 + q)^p
+        for j in range(SERIES_TERMS):
+            D = sum(d_p[i] * g[j - i] for i in range(j))  # g_m = (g - 1)_m, m >= 1
+            v.append((-lam * (d[j] + v[j]) - D) / (2.0 * (j + 1) * (2 * j + n)))
+            m = j + 1
+            q.append(sum(v[i] * d_inv[m - i] for i in range(1, m + 1)))
+            g.append(sum(((p + 1.0) * i - m) * q[i] * g[m - i] for i in range(1, m + 1)) / m)
+        return v
+
+    def series_start(self) -> tuple[float, tuple[float, float]]:
+        """The scaled radius y_s where a shot starts and the state (v, v')
+        there from series().
+
+        y_s is the largest y <= 1, and below half of y_end, at which the
+        last term is at most SERIES_CUTOFF of the first, so that the series
+        is exact to rounding there, but never below SCALED_START; a series
+        that overflows gives integrate's start.
+        """
+        v = self.series()
+        J = SERIES_TERMS
+        ratio = abs(v[J] / v[1]) if v[1] else 0.0
+        if not ratio < math.inf:  # overflowed at an absurd lamhat
+            return self.y0, self.s0
+        y = (SERIES_CUTOFF / ratio) ** (0.5 / (J - 1)) if ratio else 1.0
+        y = max(min(y, 1.0, 0.5 * self.y_end), SCALED_START)
+        z = y * y
+        w = wp = 0.0
+        for j in range(J, 0, -1):  # Horner in z
+            w = w * z + v[j]
+            wp = wp * z + j * v[j]
+        return y, (w * z, 2.0 * y * wp)
 
     def signs(self, y, s):
         """(u/a, u'/(a scale_r)) at scaled radius y from the deviation state
@@ -345,7 +407,9 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
         n=n,
         K=K,
         h=h,
+        p=p,
         a=a,
+        lam_hat=lam_hat,
         scale_r=scale_r,
         scale_v=a * scale_r,
         y0=y0,
@@ -383,10 +447,12 @@ class _StepPolynomials:
         y = np.asarray(y, dtype=float)
         i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.h) - 1)
         x = ((y - self.t_old[i]) / self.h[i])[..., None]
+        factors = (x, 1 - x)
+        F = self.F[i]
         s = np.zeros(y.shape + (2,))
-        for j in range(self.F.shape[1]):
-            s += self.F[i, -1 - j]
-            s *= x if j % 2 == 0 else 1 - x
+        for j in range(F.shape[-2]):
+            s += F[..., -1 - j, :]
+            s *= factors[j % 2]
         s += self.y_old[i]
         return s.T
 
@@ -429,12 +495,18 @@ def _root(piece: Dop853DenseOutput, g) -> float:
     """The root of g(y, (v, v')) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
     output.  The step-end state and the polynomial there may disagree in
-    sign in the last bit; brentq's ValueError is then IntegrationFailed."""
+    sign in the last bit; brentq's ValueError is then IntegrationFailed.
+    piece and g go to brentq as args: its NaN guard wraps the function in
+    a closure over itself, a cycle that would keep them alive."""
     tol = 4 * np.finfo(float).eps
     try:
-        return brentq(lambda y: g(y, piece(y)), piece.t_old, piece.t, xtol=tol, rtol=tol)
+        return brentq(_on_piece, piece.t_old, piece.t, args=(piece, g), xtol=tol, rtol=tol)
     except ValueError as exc:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
+
+
+def _on_piece(y: float, piece: Dop853DenseOutput, g) -> float:
+    return g(y, piece(y))
 
 
 class _FloatDop853(DOP853):
@@ -462,6 +534,12 @@ class _FloatDop853(DOP853):
     solve_ivp locates an event and appended to crossings as a finished
     Event.  Callers run the stepper under np.errstate(all="ignore"): a NaN
     trial step is then rejected as in stock DOP853, without a warning.
+
+    scipy's OdeSolver wraps the RHS in closures over the solver, a
+    reference cycle; a run that ends (finished, failed or raising) drops
+    them, and the RHS and deviation, through release(), so reference
+    counting frees the stepper.  A caller that stops stepping a running
+    stepper calls release() itself.
     """
 
     NON_FINITE_STEP = "Dense output of the step is not finite."
@@ -495,6 +573,21 @@ class _FloatDop853(DOP853):
             )
         ]
         self.signs = deviation.signs(t0, self.y)
+
+    def step(self):
+        try:
+            message = super().step()
+        except BaseException:
+            self.release()
+            raise
+        if self.status != "running":
+            self.release()
+        return message
+
+    def release(self):
+        """Drop the references that keep the stepper in a cycle."""
+        self.fun = self.fun_single = self.fun_vectorized = None
+        self.rhs = self.deviation = None
 
     def _step_impl(self):
         t = self.t
@@ -668,9 +761,6 @@ def integrate(
     events.sort(key=lambda e: e.r)
 
     dense = _StepPolynomials(sol.t, *(np.array(column) for column in zip(*rows)))
-    # scipy's solver keeps itself in a reference cycle, so the stepper
-    # outlives this call until the next collection; its rows need not.
-    rows.clear()
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""
@@ -706,11 +796,13 @@ def shoot(
 
     One shooting evaluation: the deviation problem of integrate on Hairer's
     Fortran DOP853 (scipy.integrate.ode) at run_rtol(rtol), without events
-    or dense output, to the accepted step on which u changes sign for the
-    k-th time (a double crossing inside one step goes uncounted), past r=1
-    if need be; _locate_zero then locates zero k on that step.  inf where
-    the problem is not trusted (at once) or zero k lies beyond SHOOT_END.
-    Raises BlowUpDetected and IntegrationFailed where integrate does.
+    or dense output, from _Deviation.series_start (further out than
+    integrate's start, where the series is exact to rounding) to the
+    accepted step on which u changes sign for the k-th time (a double
+    crossing inside one step goes uncounted), past r=1 if need be;
+    _locate_zero then locates zero k on that step.  inf where the problem
+    is not trusted (at once) or zero k lies beyond SHOOT_END.  Raises
+    BlowUpDetected and IntegrationFailed where integrate does.
     """
     dev = _deviation(params, a, SHOOT_END, atol)
     if not dev.trusted:
@@ -718,7 +810,8 @@ def shoot(
     rtol = run_rtol(rtol)
     zeros = 0
     blown_at = None
-    before = (dev.y0, list(dev.s0))  # the state at the start of the last step
+    y0, s0 = dev.series_start()
+    before = (y0, list(s0))  # the state at the start of the last step
     K, h = dev.K, dev.h
 
     def solout(y, s):
@@ -739,7 +832,7 @@ def shoot(
         "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
     )
     solver.set_solout(solout)
-    solver.set_initial_value(dev.s0, dev.y0)
+    solver.set_initial_value(s0, y0)
     try:
         with warnings.catch_warnings(record=True) as caught:
             # A failed run warns and returns a truncated state; the warning's
@@ -784,14 +877,17 @@ def _locate_zero(dev: _Deviation, y: float, state, end: float, rtol: float) -> f
             dev.rhs, y, state, end, deviation=dev, crossings=crossings, rows=[],
             rtol=rtol, atol=dev.atol_scaled, first_step=(end - y) / 2.0,
         )
-        while stepper.status == "running":
-            message = stepper.step()
-            if stepper.status == "failed":
-                raise IntegrationFailed(
-                    f"integration failed: {message}",
-                    last_radius=stepper.t / dev.scale_r,
-                )
-            for event in crossings:
-                if event.kind == "zero-crossing":
-                    return event.r
+        try:
+            while stepper.status == "running":
+                message = stepper.step()
+                if stepper.status == "failed":
+                    raise IntegrationFailed(
+                        f"integration failed: {message}",
+                        last_radius=stepper.t / dev.scale_r,
+                    )
+                for event in crossings:
+                    if event.kind == "zero-crossing":
+                        return event.r
+        finally:
+            stepper.release()
     return end / dev.scale_r

@@ -45,9 +45,14 @@ _A_MAX = 1e30
 # Bound on the Pruefer offset of the converged profile, i.e. on how far the
 # k-th zero lies from r=1.
 BOUNDARY_TOL = 1e-6
-# d log r_k / d log a assumed for the first step from the seed; measured
-# slopes run from -0.03 to -0.23.
-_SLOPE = -0.1
+# dP/dlog a = -d log r_k / d log a assumed for the first step from a cold
+# seed; measured slopes run from 0.03 to 0.23 (0.042-0.047 near the k=2 a*
+# of the n=7 reference sweep).  A warm sweep passes the slope its previous
+# solve measured instead.
+_SLOPE = 0.1
+# An evaluation enters the measured slope only when its |P| exceeds the
+# noise floor by this factor.
+_SLOPE_FLOOR_FACTOR = 100.0
 
 
 def _pruefer(zeros: int, u1: float, du1: float, k: int) -> float:
@@ -65,7 +70,12 @@ class _RootFound(Exception):
 
 @dataclass(frozen=True)
 class SignChangingSolution:
-    """A converged k-nodal radial solution."""
+    """A converged k-nodal radial solution.
+
+    slope is dP/dlog a near a*, the chord through the two shooting
+    evaluations nearest a* whose |P| clears the noise floor a hundredfold;
+    NaN when fewer than two do (or the solution was not shot).
+    """
 
     params: Params
     k: int
@@ -73,6 +83,7 @@ class SignChangingSolution:
     profile: RadialProfile
     features: NodalFeatures | None
     residuals: diagnostics.Residuals
+    slope: float = math.nan
 
 
 def solve_nodal(
@@ -80,6 +91,7 @@ def solve_nodal(
     k: int,
     *,
     a_seed: float = 1.0,
+    slope: float = _SLOPE,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     boundary_tol: float = BOUNDARY_TOL,
@@ -89,12 +101,12 @@ def solve_nodal(
 
     Bracket the root of P = -log r_k in x = log a from a_seed, within a in
     [1e-3, 1e30], up while P < 0 and down while P > 0.  The first step
-    assumes d log r_k / d log a = -0.1, later ones follow the secant
-    through the last two points, or double the last step while an end is
-    infinite or the secant slope is not positive.  Then refine with brentq
-    at xtol = rtol.  The first evaluation with |P| <= min(3 rtol,
-    min(boundary_tol, residual_tol) / 100) ends the search, and its
-    amplitude is a*.  Below the zero-trust floor of this atol P is -inf; a
+    assumes dP/dx = slope (0.1 unless a warm sweep measured it), later
+    ones follow the secant through the last two points, or double the last
+    step while an end is infinite or the secant slope is not positive.
+    Then refine with brentq at xtol = rtol.  The first evaluation with |P|
+    <= min(3 rtol, min(boundary_tol, residual_tol) / 100) ends the search,
+    and its amplitude is a*.  Below the zero-trust floor of this atol P is -inf; a
     bracket end there is bisected inward, and NoBracketFound is raised
     once the bracket is narrower than rtol.  Every evaluation runs at
     run_rtol(rtol).  The profile at a* is integrated once, and its Pruefer
@@ -124,19 +136,24 @@ def solve_nodal(
     # about 5 |P|, two decades below the acceptance tolerances.
     floor = min(3.0 * rtol, min(boundary_tol, residual_tol) / 100.0)
 
+    # x -> P of the evaluations the measured slope may use
+    above_floor = {}
+
     # Cached on x, so brentq evaluates the bracket ends without a shot.
     @functools.lru_cache(maxsize=None)
     def residual(x: float) -> float:
         p = -math.log(shoot(params, math.exp(x), k, rtol=rtol, atol=atol))
         if abs(p) <= floor:
             raise _RootFound(x)
+        if _SLOPE_FLOOR_FACTOR * floor < abs(p) < math.inf:
+            above_floor[x] = p
         return p
 
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
     try:
         p = residual(x)
-        step = p / _SLOPE if math.isfinite(p) else math.log(2.0)
+        step = -p / slope if math.isfinite(p) else math.log(2.0)
         while True:
             # P < 0: zero k lies beyond the ball (or cannot be told from
             # noise), so a is too small.
@@ -229,7 +246,18 @@ def solve_nodal(
         profile=profile,
         features=features,
         residuals=residuals,
+        slope=_chord_slope(above_floor, x_star),
     )
+
+
+def _chord_slope(evaluations: dict[float, float], x_star: float) -> float:
+    """dP/dx of the chord through the two evaluations x -> P nearest x_star;
+    NaN with fewer than two."""
+    nearest = sorted(evaluations.items(), key=lambda e: abs(e[0] - x_star))[:2]
+    if len(nearest) < 2:
+        return math.nan
+    (x0, p0), (x1, p1) = nearest
+    return (p1 - p0) / (x1 - x0)
 
 
 def extract_features(profile: RadialProfile, params: Params) -> NodalFeatures:
@@ -286,34 +314,68 @@ def continuation_sweep(
 ) -> list[SweepPoint]:
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
-    The amplitude grows as lambda shrinks, so the seed for the next point is
-    the geometric extrapolation of the previous two converged amplitudes,
-    from which solve_nodal's log-space bracket starts.
-    Only the dimension of params_base is used.  solve_options are passed
-    to every solve_nodal call (rtol, atol, boundary_tol, residual_tol).
-    Per-point failures are recorded and the sweep continues.
+    Each point calls solve_nodal with the seed and first-step slope of
+    _warm_start, from the points solved before it: the first point starts
+    cold at a = 1.  Only the dimension of params_base is used.
+    solve_options are passed to every solve_nodal call (rtol, atol,
+    boundary_tol, residual_tol).  Per-point failures are recorded and the
+    sweep continues.
     """
     grid = [float(x) for x in lambda_grid]
     check_lambda_grid(grid)
 
     points: list[SweepPoint] = []
-    seeds: list[float] = []
+    solved: list[tuple[float, float, float]] = []  # (log lambda, a*, slope)
     for lam in grid:
-        if len(seeds) >= 2:
-            a_seed = seeds[-1] * (seeds[-1] / seeds[-2])
-        elif seeds:
-            a_seed = seeds[-1]
-        else:
-            a_seed = 1.0
+        a_seed, slope = _warm_start(solved, math.log(lam), params_base.beta)
         try:
             sol = solve_nodal(
-                Params(n=params_base.n, lam=lam), k, a_seed=a_seed, **solve_options
+                Params(n=params_base.n, lam=lam), k, a_seed=a_seed, slope=slope,
+                **solve_options,
             )
         except Error as exc:
             points.append(
                 SweepPoint(lam=lam, solution=None, error=exc.code, detail=str(exc))
             )
             continue
-        seeds.append(sol.a_star)
+        solved.append((math.log(lam), sol.a_star, sol.slope))
         points.append(SweepPoint(lam=lam, solution=sol, error=None))
     return points
+
+
+def _warm_start(
+    solved: list[tuple[float, float, float]], t: float, beta: float
+) -> tuple[float, float]:
+    """Seed amplitude and first-step slope dP/dx at t = log lambda, from the
+    (log lambda, a*, slope) of the points solved before it.
+
+    By the scaling identity (a zero at r_k solves the ball problem at
+    lambda r_k^2, with amplitude a r_k^(1/beta)), the branch x*(t) = log a*
+    has the tangent x' = -(1 - m/beta) / (2m), m = dP/dx at a*.  The seed
+    is x_i + x'_i dt + x''_i dt^2 / 2 from the last solved point i, dt =
+    t - t_i, with x'' the difference quotient of x' over the last two
+    points (0 with one), and its measured m is the first-step slope.
+    Where m is missing or not positive, the seed extrapolates the last two
+    amplitudes geometrically (the last one alone, 1 before any) and the
+    slope is the default.
+    """
+    if not solved:
+        return 1.0, _SLOPE
+    t_i, a_i, m_i = solved[-1]
+    if not m_i > 0.0:
+        if len(solved) >= 2:
+            return a_i * (a_i / solved[-2][1]), _SLOPE
+        return a_i, _SLOPE
+
+    def tangent(m):
+        return -(1.0 - m / beta) / (2.0 * m)
+
+    curvature = 0.0
+    if len(solved) >= 2 and solved[-2][2] > 0.0:
+        t_h, _, m_h = solved[-2]
+        curvature = (tangent(m_i) - tangent(m_h)) / (t_i - t_h)
+    dt = t - t_i
+    x = math.log(a_i) + tangent(m_i) * dt + 0.5 * curvature * dt * dt
+    # the search's own clamp, before exp can overflow
+    x = min(max(x, math.log(_A_MIN)), math.log(_A_MAX))
+    return math.exp(x), m_i

@@ -297,12 +297,14 @@ def test_sweep_empty_grid_writes_header_only(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_success_path(capsys, monkeypatch, tmp_path, sweep7, records7, fmt):
     """The CLI sweep writes one record per solved point and seeds each solve
-    by extrapolating the previous two amplitudes."""
+    from the branch tangent of the previous solves, handing on the slope
+    the previous solve measured."""
     solutions = {p.lam: p.solution for p in sweep7}
-    seeds = []
+    seeds, slopes = [], []
 
-    def fake_solve(params, k, *, a_seed=1.0, **options):
+    def fake_solve(params, k, *, a_seed=1.0, slope=shooting._SLOPE, **options):
         seeds.append(a_seed)
+        slopes.append(slope)
         return solutions[params.lam]
 
     monkeypatch.setattr(shooting, "solve_nodal", fake_solve)
@@ -320,8 +322,21 @@ def test_sweep_success_path(capsys, monkeypatch, tmp_path, sweep7, records7, fmt
         expected = cli.canonical_json({"n": 7, "k": 2, "records": rows})
     assert out_path.read_text() == expected
 
-    a = [p.solution.a_star for p in sweep7]
-    assert seeds == [1.0, a[0]] + [a[i] * (a[i] / a[i - 1]) for i in (1, 2, 3)]
+    # x = log a* along t = log lambda has the tangent -(1 - m/beta)/(2m) at
+    # measured slope m; from the third point on the seed adds half the
+    # difference quotient of the tangent.
+    t = [math.log(p.lam) for p in sweep7]
+    x = [math.log(p.solution.a_star) for p in sweep7]
+    m = [p.solution.slope for p in sweep7]
+    assert all(0.03 < slope < 0.06 for slope in m)
+    tangent = [-(1.0 - mi / Params(n=7, lam=1.0).beta) / (2.0 * mi) for mi in m]
+    want = [1.0, math.exp(x[0] + tangent[0] * (t[1] - t[0]))]
+    for i in (1, 2, 3):
+        dt = t[i + 1] - t[i]
+        curvature = (tangent[i] - tangent[i - 1]) / (t[i] - t[i - 1])
+        want.append(math.exp(x[i] + tangent[i] * dt + 0.5 * curvature * dt * dt))
+    assert seeds == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert slopes == [shooting._SLOPE] + m[:4]
 
     rc, out = run(capsys, "verify", str(out_path), "--n", "7")
     assert rc == cli.EXIT_PASS

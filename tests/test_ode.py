@@ -6,10 +6,11 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate import ode as scipy_ode
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
@@ -238,9 +239,10 @@ def test_rhs_on_floats_matches_numpy_scalars():
     assert stable > 500 and other > 500
 
 
-# A shot whose power |w|^(p-1) overflows: n=3, zero 2 sought at a loose rtol.
-# The run passes r=1 and fails near r = 260; the problem is trusted.
-OVERFLOW_SHOT = (Params(n=3, lam=0.01), 100.0, 2)
+# A shot whose power |w|^(p-1) overflows: n=3, zero 3 sought at a loose rtol.
+# The run passes r=1 and fails near r = 136; the problem is trusted.
+OVERFLOW_SHOT = (Params(n=3, lam=0.01), 10.0, 3)
+OVERFLOW_SHOT_RTOL = 1e3
 
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")
@@ -253,7 +255,7 @@ def test_rhs_overflow_in_shoot_is_integration_failure():
         with pytest.raises(
             IntegrationFailed, match=r"step size becomes too small \(return code -3\)"
         ) as info:
-            shoot(*OVERFLOW_SHOT, rtol=100.0)
+            shoot(*OVERFLOW_SHOT, rtol=OVERFLOW_SHOT_RTOL)
     assert not caught
     assert info.value.last_radius > 1.0
 
@@ -262,12 +264,12 @@ def test_rhs_overflow_in_shoot_is_integration_failure():
 # tolerances, and a shot that passes zero 3 on the Fortran run and then
 # meets a NaN dense output while _locate_zero's stepper locates it.
 OVERFLOW_INTEGRATE = (Params(n=4, lam=1e4), 1e28, 1.0)
-NAN_ZERO_LOCATION_SHOT = (Params(n=4, lam=1.0), 1e3, 3)
+NAN_ZERO_LOCATION_SHOT = (Params(n=4, lam=2.0), 10.0, 3)
 
 
 @pytest.mark.parametrize("run, args, tolerances, message", [
     pytest.param(
-        "shoot", OVERFLOW_SHOT, {"rtol": 100.0},
+        "shoot", OVERFLOW_SHOT, {"rtol": OVERFLOW_SHOT_RTOL},
         r"dop853: step size becomes too small \(return code -3\)", id="shoot",
     ),
     pytest.param(
@@ -296,10 +298,13 @@ def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
     overflows (no warning is raised there), the integration and the zero
     location that meet a NaN dense output (the stepper runs under
     np.errstate and fails that step)."""
-    for run, args, tolerances in (
-        (shoot, OVERFLOW_SHOT, {"rtol": 100.0}),
-        (integrate, OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0}),
-        (shoot, NAN_ZERO_LOCATION_SHOT, {"rtol": 1e3}),
+    not_finite = "integration failed: Dense output of the step is not finite."
+    for run, args, tolerances, message in (
+        (shoot, OVERFLOW_SHOT, {"rtol": OVERFLOW_SHOT_RTOL},
+         "integration failed: dop853: step size becomes too small (return code -3)"),
+        (integrate, OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0}, not_finite),
+        # in a shot only _locate_zero's stepper fails a step this way
+        (shoot, NAN_ZERO_LOCATION_SHOT, {"rtol": 20.0}, not_finite),
     ):
         outcomes = []
         for action in ("default", "error"):
@@ -309,7 +314,8 @@ def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
                     run(*args, **tolerances)
             outcomes.append(_error_outcome(info.value))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] is IntegrationFailed and outcomes[0][2] is not None
+        assert outcomes[0][:2] == (IntegrationFailed, message)
+        assert outcomes[0][2] is not None
 
 
 def test_rhs_overflow_in_integrate_is_integration_failure():
@@ -331,6 +337,105 @@ A_STAR = {
     (8, 2): 1752977281187904.0,
 }
 
+
+def _binomial(x, k):
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (x - i) / (i + 1)
+    return out
+
+
+def _exact_series(n, lam_hat, terms):
+    """v_0..v_terms of v = uhat - delta in z = y^2, in exact rational
+    arithmetic: uhat = sum u_j z^j from 2(j+1)(2j+n) u_{j+1} = -lamhat u_j
+    - (uhat^p)_j, uhat^p by the binomial series in uhat - 1, and delta_j =
+    binom(-h, j) K^-j.  p and h are rational, lamhat is its float's exact
+    value."""
+    K, h, p = Fraction(n * (n - 2)), Fraction(n - 2, 2), Fraction(n + 2, n - 2)
+    lam = Fraction(lam_hat)
+    u = [Fraction(1)]
+    for j in range(terms):
+        w = [Fraction(0)] + u[1:]
+        power, w_k = Fraction(0), [Fraction(1)] + [Fraction(0)] * j
+        for k in range(j + 1):
+            power += _binomial(p, k) * w_k[j]
+            w_k = [sum(w_k[i] * w[m - i] for i in range(m + 1)) for m in range(j + 1)]
+        u.append((-lam * u[j] - power) / (2 * (j + 1) * (2 * j + n)))
+    return [float(u[j] - _binomial(-h, j) / K**j) for j in range(terms + 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_deviation_series_is_exact(n):
+    """The float coefficients of the shot's series agree with the exact
+    ones to 1e-14 relative, at lamhat = 1e-20 too, where uhat - delta
+    cancels in every term, and its first two are integrate's start."""
+    for lam_hat in (1e-20, 1e-6, 1.0, 20.0):
+        # at a = 1 lamhat is lambda
+        dev = ode._deviation(Params(n=n, lam=lam_hat), 1.0, ode.SHOOT_END, DEFAULT_ATOL)
+        got = dev.series()
+        want = _exact_series(n, lam_hat, ode.SERIES_TERMS)
+        assert got[0] == want[0] == 0.0
+        assert got[1:] == pytest.approx(want[1:], rel=1e-14, abs=0.0)
+        p = Params(n=n, lam=1.0).two_star - 1.0
+        assert got[1] == -lam_hat / (2.0 * n)
+        assert got[2] == pytest.approx(
+            lam_hat * (lam_hat + p + 1.0) / (8.0 * n * (n + 2.0)), rel=1e-15, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("n, y_small", [(5, 0.1444), (7, 0.2002), (9, 0.2478)])
+def test_series_start_matches_integration_from_scaled_start(n, y_small):
+    """A shot starts where the series is exact to rounding: about 0.2 at
+    n=7 for small lamhat, nearer the origin for large lamhat, never inside
+    SCALED_START; its state agrees with stock DOP853 run from integrate's
+    start at rtol 1e-13 to 4e-15 relative."""
+    for lam_hat in (1e-20, 1e-6, 1.0, 20.0):
+        dev = ode._deviation(Params(n=n, lam=lam_hat), 1.0, ode.SHOOT_END, 1e-40)
+        y, state = dev.series_start()
+        if lam_hat <= 1e-6:
+            assert y == pytest.approx(y_small, abs=1e-4)
+        elif lam_hat == 20.0:
+            assert 0.06 < y < 0.1
+        sol = solve_ivp(
+            lambda t, s: np.array(dev.rhs(t, *s)), (dev.y0, y), dev.s0,
+            method="DOP853", rtol=1e-13, atol=1e-300,
+        )
+        assert sol.t[-1] == y
+        assert np.allclose(state, sol.y[:, -1], rtol=4e-15, atol=0.0)
+    dev = ode._deviation(Params(n=n, lam=1e30), 1.0, ode.SHOOT_END, DEFAULT_ATOL)
+    assert dev.series_start()[0] == ode.SCALED_START
+    # a series that overflows (lamhat^8 beyond the float range, inf or NaN
+    # coefficients) starts where integrate does
+    for lam_hat in (1e42, 1e60):
+        dev = ode._deviation(Params(n=n, lam=lam_hat), 1.0, ode.SHOOT_END, DEFAULT_ATOL)
+        assert not math.isfinite(dev.series()[-1])
+        assert dev.series_start() == (dev.y0, dev.s0)
+
+
+def test_series_start_lies_inside_the_shot():
+    """An amplitude so small that the shot ends at a scaled radius below the
+    series' own start radius (y_end = 0.158 here, against about 0.2) starts
+    at half its end, not beyond it."""
+    params, a = Params(n=7, lam=1e-20), 1e-17
+    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+    assert dev.trusted and dev.y_end < 0.2
+    assert dev.series_start()[0] == 0.5 * dev.y_end
+    assert shoot(params, a, 1) == math.inf
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("k", [1, 2])
+def test_shot_from_series_start_matches_scaled_start(monkeypatch, n, k):
+    """At the least rtol a shot finds zero k of the k-nodal a* where a shot
+    from integrate's start at SCALED_START finds it, to 1e-12 relative."""
+    params, a, rtol = Params(n=n, lam=2.0), A_STAR[(n, k)], 2.3e-14
+    got = shoot(params, a, k, rtol=rtol)
+    monkeypatch.setattr(ode._Deviation, "series_start", lambda dev: (dev.y0, dev.s0))
+    want = shoot(params, a, k, rtol=rtol)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(1.0, abs=1e-10)
+
+
 # (n, lambda, a, k, rtol, atol, trusted): zero k of each k-nodal a* and of
 # half and twice it, and the other of zeros 1 and 2 at a*; trusted is
 # whether the zero-trust floor lets sign changes count.
@@ -349,7 +454,7 @@ SHOOT_CASES = [
     pytest.param(6, 1e-10, 1e3, 1, DEFAULT_RTOL, DEFAULT_ATOL, False,
                  id="n6-untrusted"),
     # steps far beyond the stability region drive |u| over the blow-up bound
-    pytest.param(7, 1e4, 1.0, 1, 100.0, DEFAULT_ATOL, True, id="n7-blow-up"),
+    pytest.param(7, 1e4, 1.0, 1, 1e3, DEFAULT_ATOL, True, id="n7-blow-up"),
 ]
 
 # How far integrate runs beyond r=1 to find the zero shoot locates.
@@ -409,14 +514,16 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
 
 def _list_shoot(params, a, k, rtol, atol):
     """shoot as it ran with a list-returning RHS and its solout through
-    dev.bubble, zero k located by ode._locate_zero as in shoot: the
-    outcome (r_k in hex, or the error) and dop853's counters iwork[16:20]
-    (RHS calls, steps, accepted, rejected), none for an untrusted shot."""
+    dev.bubble, from the same series start, zero k located by
+    ode._locate_zero as in shoot: the outcome (r_k in hex, or the error)
+    and dop853's counters iwork[16:20] (RHS calls, steps, accepted,
+    rejected), none for an untrusted shot."""
     dev = ode._deviation(params, a, ode.SHOOT_END, atol)
     if not dev.trusted:
         return math.inf.hex(), []
     zeros, negative, blown_at = 0, False, None
-    before = (dev.y0, list(dev.s0))
+    y0, s0 = dev.series_start()
+    before = (y0, list(s0))
 
     def f(y, s):
         return list(dev.rhs(float(y), *s.tolist()))
@@ -439,7 +546,7 @@ def _list_shoot(params, a, k, rtol, atol):
         "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=ode.SHOOT_MAX_STEPS
     )
     solver.set_solout(solout)
-    solver.set_initial_value(dev.s0, dev.y0)
+    solver.set_initial_value(s0, y0)
     counters = solver._integrator.iwork[16:20]  # a view: read after the run
     with warnings.catch_warnings(record=True) as caught:
         warnings.filterwarnings(
@@ -512,8 +619,8 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, lam, a, k, rtol, error", [
-    pytest.param(7, 1e4, 1.0, 1, 100.0, BlowUpDetected, id="n7-blow-up"),
-    pytest.param(3, 0.01, 100.0, 2, 100.0, IntegrationFailed, id="n3-power-overflow"),
+    pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected, id="n7-blow-up"),
+    pytest.param(3, 0.01, 10.0, 3, 1e3, IntegrationFailed, id="n3-power-overflow"),
     pytest.param(5, 0.5, 1e28, 2, 1e-10, None, id="n5-untrusted"),
     pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, id="n6-untrusted"),
 ])
@@ -749,11 +856,14 @@ def test_shoot_releases_its_solver():
 
 
 def test_integrate_leaves_no_step_rows_to_the_collector():
-    """scipy's solver sits in a reference cycle, so the stepper outlives
-    each integrate until the next collection, but its rows of step
-    polynomials do not: with the collector off, tracemalloc growth stays
-    below 60 KB per integration of the n=7 k=2 a* (about 28 KB here, 145 KB
-    with the rows kept)."""
+    """The float stepper drops the closures scipy's solver keeps over
+    itself once its run ends, and brentq gets its function's data as
+    args, so reference counting frees each integration's stepper, rows and
+    located steps: with the collector off, tracemalloc growth stays below
+    16 KB per integration of the n=7 k=2 a* (about 13 KB here, 28 KB with
+    the stepper left in its cycle, 145 KB with its rows kept too).  Most of
+    what remains is the tuples of the rows on CPython's tuple free lists, a
+    fixed pool that does not grow with more integrations."""
     params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
     integrate(params, a, 1.0)
     gc.collect()
@@ -767,4 +877,24 @@ def test_integrate_leaves_no_step_rows_to_the_collector():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert growth / 5 < 60_000
+    assert growth / 5 < 16_000
+
+
+def test_shot_leaves_its_stepper_to_reference_counting():
+    """With the collector off, each shot of the n=7 k=2 a* grows tracemalloc
+    by less than 3 KB (about 2.4 KB here; 14 KB with _locate_zero's
+    stepper, and the deviation its located zero holds, left in cycles)."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    shoot(params, a, 2)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            shoot(params, a, 2)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert growth / 20 < 3_000

@@ -190,15 +190,13 @@ def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtol
 
 
 def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
-    """At n=7, lambda=2^-5, rtol=1e-12 the full integration at a* puts the
-    boundary zero 1.7e-10 = 173 rtol inside the ball, where an rtol-sized
-    band would count it as interior; the Pruefer offset accepts it.  The
-    amplitude lies above the default search ceiling, so the ceiling is
-    raised here."""
+    """At n=7, lambda=2^-5, rtol=1e-12 from a = 1e37 the full integration at
+    a* puts the boundary zero 1.9e-10 = 186 rtol inside the ball, where an
+    rtol-sized band would count it as interior; the Pruefer offset accepts
+    it.  The amplitude lies above the default search ceiling, so the
+    ceiling is raised here."""
     monkeypatch.setattr(shooting, "_A_MAX", 1e300)
-    sol = solve_nodal(
-        Params(n=7, lam=2.0**-5), 2, a_seed=7.04193464683702e36, rtol=1e-12
-    )
+    sol = solve_nodal(Params(n=7, lam=2.0**-5), 2, a_seed=1e37, rtol=1e-12)
     boundary = sol.profile.zero_crossings()[-1].r
     assert 1e-10 < 1.0 - boundary < 1e-9
     assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
@@ -243,9 +241,11 @@ def test_loose_rtol_stop_still_certifies():
 def test_reference_sweep_shot_count(monkeypatch):
     """Evaluations per point of the warm n=7 reference sweep, and the RHS
     calls of the shots, Fortran run and zero location together:
-    deterministic counts, 26 evaluations and 90,267 RHS calls.  The Pruefer
-    search before the residual -log r_k took 43 shots, 25 of them at
-    rtol, and 107,115 RHS calls."""
+    deterministic counts, 22 evaluations ([7, 4, 4, 4, 3]) and 65,493 RHS
+    calls.  Shots from integrate's two-term start and seeds extrapolated
+    by grid index took 26 evaluations and 90,267 RHS calls; the Pruefer
+    search before the residual -log r_k took 43 shots and 107,115 RHS
+    calls."""
     evaluations = []
     rhs_calls = 0
     shooting_now = False
@@ -279,8 +279,8 @@ def test_reference_sweep_shot_count(monkeypatch):
     points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
     assert all(p.solution is not None for p in points)
     per_point = [evaluations.count(lam) for lam in ACCEPTANCE_GRID]
-    assert sum(per_point) == len(evaluations) <= 27, per_point
-    assert rhs_calls <= 94_000
+    assert sum(per_point) == len(evaluations) <= 23, per_point
+    assert rhs_calls <= 68_000
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
@@ -305,6 +305,91 @@ def test_rtol_never_breaks_the_search(log_rtol, n, k):
         assert exc.code not in ("nonconvergent-bisection", "missing-interior-zero")
     else:
         assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
+
+
+def _fake_sweep(monkeypatch, grid, branch, slopes):
+    """The (a_seed, slope) each point of continuation_sweep(grid) hands
+    solve_nodal, whose solutions here sit on x* = branch(log lambda) and
+    report the given measured slopes in turn."""
+    calls = []
+
+    def fake_solve(params, k, *, a_seed, slope, **options):
+        calls.append((a_seed, slope))
+        return shooting.SignChangingSolution(
+            params, k, math.exp(branch(math.log(params.lam))), None, None, None,
+            slope=slopes[len(calls) - 1],
+        )
+
+    monkeypatch.setattr(shooting, "solve_nodal", fake_solve)
+    points = continuation_sweep(Params(n=7, lam=1.0), grid)
+    assert all(p.solution is not None for p in points)
+    return calls
+
+
+def test_sweep_seeds_follow_log_lambda_on_uneven_grid(monkeypatch):
+    """On a branch quadratic in t = log lambda, with the slopes m whose
+    tangent -(1 - m/beta)/(2m) is the branch's own, every seed from the
+    third point on is the branch itself, however unevenly the grid is
+    spaced; the second follows the tangent alone.  Each solve gets the
+    slope the previous one measured."""
+    beta = Params(n=7, lam=1.0).beta
+    grid = [4.0, 3.0, 1.0, 0.9, 0.2, 0.01]
+
+    def branch(t):
+        return 10.0 - 9.0 * t + 0.3 * t * t
+
+    def slope_of(t):
+        # m solving -(1 - m/beta)/(2m) = branch'(t) = -9 + 0.6 t
+        return 1.0 / (2.0 * (9.0 - 0.6 * t) + 1.0 / beta)
+
+    slopes = [slope_of(math.log(lam)) for lam in grid]
+    calls = _fake_sweep(monkeypatch, grid, branch, slopes)
+    seeds = [math.log(a_seed) for a_seed, _ in calls]
+    t = [math.log(lam) for lam in grid]
+    assert calls[0] == (1.0, shooting._SLOPE)
+    assert seeds[1] == pytest.approx(
+        branch(t[0]) + (-9.0 + 0.6 * t[0]) * (t[1] - t[0]), rel=1e-13
+    )
+    assert seeds[2:] == pytest.approx([branch(ti) for ti in t[2:]], rel=1e-13)
+    assert [slope for _, slope in calls[1:]] == slopes[:-1]
+    # the grid-index rule a_i^2 / a_(i-1) misses the third a* a thousandfold
+    assert abs(2.0 * branch(t[1]) - branch(t[0]) - branch(t[2])) > math.log(1e3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.05])
+def test_sweep_without_measured_slope_extrapolates_amplitudes(monkeypatch, bad):
+    """Where the previous solve measured no positive slope, the seed
+    extrapolates the last two amplitudes geometrically, or repeats the
+    last one, and the first step assumes the default slope."""
+    grid = [4.0, 2.0, 1.0, 0.5]
+
+    def branch(t):
+        return 40.0 - 9.0 * t
+
+    calls = _fake_sweep(monkeypatch, grid, branch, [bad] * 4)
+    a = [math.exp(branch(math.log(lam))) for lam in grid]
+    assert calls == [
+        (1.0, shooting._SLOPE),
+        (a[0], shooting._SLOPE),
+        (a[1] * (a[1] / a[0]), shooting._SLOPE),
+        (a[2] * (a[2] / a[1]), shooting._SLOPE),
+    ]
+
+
+def test_measured_slope_is_the_chord_nearest_a_star(sol7_lam2):
+    """slope is the chord through the two evaluations nearest a*; with
+    fewer than two it is NaN, as it is for a solution built without
+    shooting."""
+    evaluations = {0.0: -0.5, 1.0: 0.04, 1.5: 0.06, 3.0: 0.2}
+    assert shooting._chord_slope(evaluations, 0.9) == pytest.approx(0.04, rel=1e-12)
+    assert math.isnan(shooting._chord_slope({1.0: 0.04}, 0.9))
+    assert math.isnan(shooting._chord_slope({}, 0.9))
+    sol = sol7_lam2
+    assert 0.03 < sol.slope < 0.06
+    six = shooting.SignChangingSolution(
+        sol.params, sol.k, sol.a_star, sol.profile, sol.features, sol.residuals
+    )
+    assert math.isnan(six.slope)
 
 
 def test_sweep_empty_grid():
