@@ -1,5 +1,8 @@
 """Command-line interface: solve, sweep, verify, constants.
 
+sweep follows one branch: a single shooting.continuation_sweep over the
+grid, each point seeded from the points solved before it.
+
 Owns the persistence formats.  Sweep records go to CSV with a frozen
 column order (or JSON); solutions and verification reports go to
 canonical JSON (sorted keys, two-space indent, trailing newline), which
@@ -25,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -92,8 +94,6 @@ class RunConfig:
     residual_tol: float = diagnostics.RESIDUAL_TOL
     out: str | None = None
     fmt: str = "csv"
-    warm_start: bool = True
-    parallel: int = 0
 
     def __post_init__(self):
         for name, *_ in _TOLERANCES:
@@ -107,8 +107,6 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.parallel < 0:
-            raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
 
 
 def _fmt_number(x) -> str:
@@ -292,9 +290,8 @@ def cmd_solve(config: RunConfig) -> int:
 def _sweep_row(point: shooting.SweepPoint) -> dict:
     """The output row of one sweep point.
 
-    Plain data, so a pool worker can return it.  A failed point, or a
-    solved one whose record cannot be built, keeps its lambda and error
-    code; its other fields are empty in both formats.
+    A failed point, or a solved one whose record cannot be built, keeps its
+    lambda and error code; its other fields are empty in both formats.
     """
     if point.solution is not None:
         try:
@@ -308,30 +305,14 @@ def _sweep_row(point: shooting.SweepPoint) -> dict:
     }
 
 
-def _cold_sweep_row(config: RunConfig, lam: float) -> dict:
-    """One grid point from a cold seed; what both cold modes run per point."""
-    (point,) = shooting.continuation_sweep(
-        Params(n=config.n, lam=0.0), [lam], config.k, **_solve_options(config)
-    )
-    return _sweep_row(point)
-
-
 def cmd_sweep(config: RunConfig) -> int:
     if config.lambda_grid is None:
         raise ConfigError("sweep needs --lambda-grid")
     grid = list(config.lambda_grid)
-    if config.parallel > 0 and grid:
-        # Workers cannot share bracket seeds, so each point starts cold.
-        workers = min(config.parallel, len(grid))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cold_sweep_row, [config] * len(grid), grid))
-    elif config.warm_start:
-        points = shooting.continuation_sweep(
-            Params(n=config.n, lam=0.0), grid, config.k, **_solve_options(config)
-        )
-        rows = [_sweep_row(p) for p in points]
-    else:
-        rows = [_cold_sweep_row(config, lam) for lam in grid]
+    points = shooting.continuation_sweep(
+        Params(n=config.n, lam=0.0), grid, config.k, **_solve_options(config)
+    )
+    rows = [_sweep_row(p) for p in points]
 
     if config.fmt == "json":
         text = canonical_json({"n": config.n, "k": config.k, "records": rows})
@@ -451,14 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="solve along a decreasing lambda grid")
     common(p_sweep, need_grid=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument(
-        "--no-warm-start", action="store_true",
-        help="seed every point at a=1 instead of extrapolating the bracket",
-    )
-    p_sweep.add_argument(
-        "--parallel", type=int, default=0, metavar="WORKERS",
-        help="solve points on a process pool (implies --no-warm-start)",
-    )
 
     p_verify = sub.add_parser("verify", help="check rate laws over a records file")
     p_verify.add_argument("records", help="CSV or JSON produced by sweep")
@@ -482,7 +455,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             continue
         flag = getattr(args, name)
         tolerances[name] = flag if flag is not None else _env_float(env, default)
-    parallel = getattr(args, "parallel", 0) or 0
     return RunConfig(
         n=args.n,
         lam=getattr(args, "lam", None),
@@ -491,10 +463,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         **tolerances,
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "csv"),
-        warm_start=not (
-            getattr(args, "no_warm_start", False) or parallel > 0
-        ),
-        parallel=parallel,
     )
 
 

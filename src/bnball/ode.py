@@ -432,28 +432,27 @@ class _StepPolynomials:
     II.6), so every value is bit-identical to it.  ts holds the ascending
     step radii of an outward integration and piece i spans ts[i]..ts[i+1];
     on a step radius the step that ends there is used, as OdeSolution
-    does.  The other fields stack the rows _FloatDop853 records, one per
-    step.
+    does.  ys holds the states at ts, and F stacks the coefficient rows
+    _FloatDop853 records, one per step.
     """
 
-    ts: np.ndarray
-    t_old: np.ndarray  # (pieces,) start of each step
-    h: np.ndarray  # (pieces,) step length
+    ts: np.ndarray  # (pieces + 1,) step radii
+    ys: np.ndarray  # (pieces + 1, 2) state at each step radius
     F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
-    y_old: np.ndarray  # (pieces, 2) state at t_old
 
     def __call__(self, y):
         """State (v, v') at y: shape (2,) for scalar y, else (2, len(y))."""
         y = np.asarray(y, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.h) - 1)
-        x = ((y - self.t_old[i]) / self.h[i])[..., None]
+        i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.F) - 1)
+        t_old = self.ts[i]
+        x = ((y - t_old) / (self.ts[i + 1] - t_old))[..., None]
         factors = (x, 1 - x)
         F = self.F[i]
         s = np.zeros(y.shape + (2,))
         for j in range(F.shape[-2]):
             s += F[..., -1 - j, :]
             s *= factors[j % 2]
-        s += self.y_old[i]
+        s += self.ys[i]
         return s.T
 
 
@@ -471,13 +470,17 @@ def _callback_failure(exc: BaseException) -> IntegrationFailed:
 
     scipy's dop853 wrapper reports an exception raised in its callbacks as
     a ValueError on top of a chain of SystemErrors (one per later callback
-    call); the exception that started it is the last in __context__.
+    call); the exception that started it is the last in __context__.  A
+    cause that is not an Exception (KeyboardInterrupt, SystemExit) is no
+    integration failure and is raised again as itself.
     """
     cause = exc
     while isinstance(cause, (ValueError, SystemError)):
         if cause.__context__ is None:
             break
         cause = cause.__context__
+    if not isinstance(cause, Exception):
+        raise cause
     return IntegrationFailed(
         f"integration failed: {type(cause).__name__}: {cause}"
     )
@@ -525,14 +528,13 @@ class _FloatDop853(DOP853):
     _step_impl finishes each step that passes error control: it computes
     the three extra stages and the dense-output coefficients F, fails the
     step before committing it if F is not finite (t stays the last
-    accepted radius), and otherwise appends the row (t_old, h, F, y_old)
-    to rows and checks the step in place of solve_ivp's events.  The first
-    state past the blow-up guard raises BlowUpDetected at the radius
-    solve_ivp's event location gives, and while the problem is trusted,
-    each change of sign of u or u' over the step, by solve_ivp's rule for
-    an event of direction 0, is located on the step's dense output as
-    solve_ivp locates an event and appended to crossings as a finished
-    Event.  Callers run the stepper under np.errstate(all="ignore"): a NaN
+    accepted radius), and otherwise appends F to rows and checks the step
+    in place of solve_ivp's events.  The first state past the blow-up
+    guard raises BlowUpDetected at the radius solve_ivp's event location
+    gives, and while the problem is trusted, each change of sign of u or
+    u' over the step, by solve_ivp's rule for an event of direction 0, is
+    located on the step's dense output as solve_ivp locates an event and
+    appended to crossings as a finished Event.  Callers run the stepper under np.errstate(all="ignore"): a NaN
     trial step is then rejected as in stock DOP853, without a warning.
 
     scipy's OdeSolver wraps the RHS in closures over the solver, a
@@ -677,7 +679,7 @@ class _FloatDop853(DOP853):
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
         self.f = f_new
-        self.rows.append((t, h, F, (v, vp)))
+        self.rows.append(F)
         self._check_step(t, (v, vp), F)
         return True, None
 
@@ -727,10 +729,11 @@ def integrate(
     maps it back to physical variables.  The stepper locates each sign
     change of u or u' on the dense output of the step that finds it, by
     solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy),
-    and records it as an event; the dense output is stacked from the rows
-    it records.  knots hold the integrator steps plus DENSE_SAMPLES
-    interior samples per step; `steps` keeps the raw step radii, whose
-    dense-output pieces downstream quadrature integrates piecewise.
+    and records it as an event; the dense output is stacked from the step
+    states and the coefficient rows it records.  knots hold the integrator
+    steps plus DENSE_SAMPLES interior samples per step; `steps` keeps the
+    raw step radii, whose dense-output pieces downstream quadrature
+    integrates piecewise.
     Everything returned is bit-identical to solve_ivp with method="DOP853"
     and the same checks as event functions.  A step whose dense output is
     not finite is IntegrationFailed at the last accepted radius, under any
@@ -760,7 +763,7 @@ def integrate(
     # zero crossing before a derivative zero at the same radius.
     events.sort(key=lambda e: e.r)
 
-    dense = _StepPolynomials(sol.t, *(np.array(column) for column in zip(*rows)))
+    dense = _StepPolynomials(sol.t, sol.y.T, np.array(rows))
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""

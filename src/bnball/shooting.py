@@ -314,9 +314,10 @@ def continuation_sweep(
 ) -> list[SweepPoint]:
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
-    Each point calls solve_nodal with the seed and first-step slope of
-    _warm_start, from the points solved before it: the first point starts
-    cold at a = 1.  Only the dimension of params_base is used.
+    The one sweep loop, which `bnball sweep` runs.  Each point calls
+    solve_nodal with the seed and first-step slope _warm_start takes from
+    the points solved before it, along the branch tangent: the first point
+    starts cold at a = 1.  Only the dimension of params_base is used.
     solve_options are passed to every solve_nodal call (rtol, atol,
     boundary_tol, residual_tol).  Per-point failures are recorded and the
     sweep continues.
@@ -352,30 +353,27 @@ def _warm_start(
     By the scaling identity (a zero at r_k solves the ball problem at
     lambda r_k^2, with amplitude a r_k^(1/beta)), the branch x*(t) = log a*
     has the tangent x' = -(1 - m/beta) / (2m), m = dP/dx at a*.  The seed
-    is x_i + x'_i dt + x''_i dt^2 / 2 from the last solved point i, dt =
-    t - t_i, with x'' the difference quotient of x' over the last two
-    points (0 with one), and its measured m is the first-step slope.
-    Where m is missing or not positive, the seed extrapolates the last two
-    amplitudes geometrically (the last one alone, 1 before any) and the
-    slope is the default.
+    is x_i + x' dt + x'' dt^2 / 2 from the last solved point i, dt = t -
+    t_i, where m is the last positive measured slope (_SLOPE before any)
+    and x'' the difference quotient of x' over the last two points that
+    measured one (0 with fewer); m is also the first-step slope.  The
+    first point starts at a = 1.
     """
     if not solved:
         return 1.0, _SLOPE
-    t_i, a_i, m_i = solved[-1]
-    if not m_i > 0.0:
-        if len(solved) >= 2:
-            return a_i * (a_i / solved[-2][1]), _SLOPE
-        return a_i, _SLOPE
 
     def tangent(m):
         return -(1.0 - m / beta) / (2.0 * m)
 
+    measured = [(t_j, m_j) for t_j, _, m_j in solved if m_j > 0.0]
+    m = measured[-1][1] if measured else _SLOPE
     curvature = 0.0
-    if len(solved) >= 2 and solved[-2][2] > 0.0:
-        t_h, _, m_h = solved[-2]
-        curvature = (tangent(m_i) - tangent(m_h)) / (t_i - t_h)
+    if len(measured) >= 2:
+        (t_h, m_h), (t_j, m_j) = measured[-2:]
+        curvature = (tangent(m_j) - tangent(m_h)) / (t_j - t_h)
+    t_i, a_i, _ = solved[-1]
     dt = t - t_i
-    x = math.log(a_i) + tangent(m_i) * dt + 0.5 * curvature * dt * dt
+    x = math.log(a_i) + tangent(m) * dt + 0.5 * curvature * dt * dt
     # the search's own clamp, before exp can overflow
     x = min(max(x, math.log(_A_MIN)), math.log(_A_MAX))
-    return math.exp(x), m_i
+    return math.exp(x), m

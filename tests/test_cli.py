@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bnball import cli, shooting
-from bnball.asymptotics import build_record
 from bnball.bubble import constants
 from bnball.model import ConfigError, IntegrationFailed, Params
 
@@ -351,56 +350,14 @@ def test_sweep_has_no_annulus_option(capsys):
     assert rc == cli.EXIT_CONFIG
 
 
-def test_sweep_rejects_negative_parallel(capsys):
-    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "", "--parallel", "-1")
+@pytest.mark.parametrize(
+    "mode", [["--parallel", "2"], ["--no-warm-start"]], ids=["parallel", "no-warm-start"]
+)
+def test_sweep_has_no_cold_modes(capsys, mode):
+    # A sweep follows one branch by warm continuation; there is no cold
+    # per-point mode to select.
+    rc, _ = run(capsys, "sweep", "--n", "7", "--lambda-grid", "2", *mode)
     assert rc == cli.EXIT_CONFIG
-    assert json.loads(out)["error"] == "config-parse-error"
-
-
-def test_sweep_parallel_workers_capped_at_grid(capsys, monkeypatch, sweep7, records7):
-    solutions = {p.lam: p.solution for p in sweep7}
-    monkeypatch.setattr(
-        shooting, "solve_nodal", lambda params, k, **options: solutions[params.lam]
-    )
-    pools = []
-
-    class FakePool:
-        """Records the requested worker count and runs the jobs in process."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "4,2", "--parallel", "8")
-    assert rc == cli.EXIT_PASS
-    assert pools == [2]
-    assert out == csv_text(records7[:2])
-    rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", "", "--parallel", "8")
-    assert rc == cli.EXIT_PASS
-    assert out == ",".join(cli.CSV_HEADER) + "\n"
-    assert pools == [2]  # no pool for an empty grid
-
-
-def test_sweep_parallel_matches_cold_serial(capsys):
-    """Both cold modes write the records of independent solves seeded at a=1."""
-    expected = csv_text(
-        build_record(shooting.solve_nodal(Params(n=7, lam=lam), 1, a_seed=1.0))
-        for lam in (4.0, 2.0)
-    )
-    argv = ["sweep", "--n", "7", "--k", "1", "--lambda-grid", "4,2"]
-    for mode in (["--no-warm-start"], ["--parallel", "2"]):
-        rc, out = run(capsys, *argv, *mode)
-        assert rc == cli.EXIT_PASS
-        assert out == expected
 
 
 def test_sweep_rejects_increasing_grid(capsys):

@@ -358,22 +358,40 @@ def test_sweep_seeds_follow_log_lambda_on_uneven_grid(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.05])
 def test_sweep_without_measured_slope_extrapolates_amplitudes(monkeypatch, bad):
-    """Where the previous solve measured no positive slope, the seed
-    extrapolates the last two amplitudes geometrically, or repeats the
-    last one, and the first step assumes the default slope."""
+    """A solve that measures no positive slope leaves the seed on the
+    tangent of the last slope measured, or of the default slope before
+    any, from the last amplitude; that slope is the first step's.  The
+    curvature term comes from the last two points that measured a slope,
+    however far apart."""
     grid = [4.0, 2.0, 1.0, 0.5]
+    t = [math.log(lam) for lam in grid]
+    beta = Params(n=7, lam=1.0).beta
 
     def branch(t):
         return 40.0 - 9.0 * t
 
-    calls = _fake_sweep(monkeypatch, grid, branch, [bad] * 4)
-    a = [math.exp(branch(math.log(lam))) for lam in grid]
-    assert calls == [
-        (1.0, shooting._SLOPE),
-        (a[0], shooting._SLOPE),
-        (a[1] * (a[1] / a[0]), shooting._SLOPE),
-        (a[2] * (a[2] / a[1]), shooting._SLOPE),
-    ]
+    def tangent(m):
+        return -(1.0 - m / beta) / (2.0 * m)
+
+    def seed(i, m, curvature=0.0):
+        # log a_seed of point i + 1 from point i
+        dt = t[i + 1] - t[i]
+        return branch(t[i]) + tangent(m) * dt + 0.5 * curvature * dt * dt
+
+    gap_curvature = (tangent(0.04) - tangent(0.05)) / (t[2] - t[0])
+    for slopes, expected in (
+        ([0.05, bad, bad, bad], [(seed(i, 0.05), 0.05) for i in range(3)]),
+        ([bad] * 4, [(seed(i, shooting._SLOPE), shooting._SLOPE) for i in range(3)]),
+        ([0.05, bad, 0.04, bad],
+         [(seed(0, 0.05), 0.05), (seed(1, 0.05), 0.05),
+          (seed(2, 0.04, gap_curvature), 0.04)]),
+    ):
+        calls = _fake_sweep(monkeypatch, grid, branch, slopes)
+        assert calls[0] == (1.0, shooting._SLOPE)
+        assert [slope for _, slope in calls[1:]] == [m for _, m in expected]
+        assert [math.log(a_seed) for a_seed, _ in calls[1:]] == pytest.approx(
+            [x for x, _ in expected], rel=1e-13
+        )
 
 
 def test_measured_slope_is_the_chord_nearest_a_star(sol7_lam2):
@@ -416,6 +434,34 @@ def test_sweep_records_per_point_errors():
     assert len(points) == 1
     assert points[0].solution is None
     assert points[0].error == "invalid-lambda"
+
+
+def test_interrupt_in_a_shot_escapes(monkeypatch):
+    """Ctrl-C inside the Fortran stepper's RHS is no integration failure:
+    it leaves shoot, and the sweep, as KeyboardInterrupt."""
+    # After a callback raises, dop853 runs out its step budget with every
+    # later callback failing; a small budget keeps that short here.
+    monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", 100)
+    deviation = ode._deviation
+
+    def interrupted(*args):
+        dev = deviation(*args)
+        calls = 0
+
+        def f(y, s):
+            nonlocal calls
+            calls += 1
+            if calls == 500:
+                raise KeyboardInterrupt
+            return dev.f(y, s)
+
+        return dataclasses.replace(dev, f=f)
+
+    monkeypatch.setattr(ode, "_deviation", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        shoot(Params(n=7, lam=2.0), 4.25e19, 2)
+    with pytest.raises(KeyboardInterrupt):
+        continuation_sweep(Params(n=7, lam=2.0), [2.0, 1.0])
 
 
 def test_sweep_trends(sweep7):
