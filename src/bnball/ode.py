@@ -36,39 +36,29 @@ The nonlinear difference is evaluated with expm1/log1p where it would
 otherwise cancel.
 
 integrate returns the full profile (events, dense output) that features,
-certification and records read; shoot returns only the radius of the k-th
-zero of u, which is all a shooting evaluation needs.  Both build the
-problem with _deviation, so the right-hand side and the blow-up guard are
-defined once.
-
-integrate runs solve_ivp with _FloatDop853, scipy's DOP853 stepping on
-Python floats.  It takes the steps, builds the dense output and counts the
-RHS evaluations of stock DOP853 bit for bit.  Each step is finished inside
-the stepper: it records the step's dense-output polynomial, checks the
-blow-up guard and the sign changes in place of solve_ivp's event
-functions, and fails a step whose polynomial is not finite.  shoot
-locates its zero with the same stepper.
+certification and records read, on _FloatDop853: stock DOP853 bit for bit
+on Python floats, each step finished in the stepper (dense output, blow-up
+guard, sign changes).  shoot returns only the radius of the k-th zero of
+u, from DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6)
+with Hairer's dop853 step rules as float code generated at import: the
+stages straight-line without the tableau's zeros, each with the
+right-hand side inlined.  Both build the problem with _deviation, whose
+rhs comes from the same source lines, so the right-hand side and the
+blow-up guard are defined once.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate import ode as scipy_ode
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.optimize import brentq
 
-from .model import (
-    BlowUpDetected,
-    ConfigError,
-    IntegrationFailed,
-    Params,
-    SingularPoint,
-)
+from .model import BlowUpDetected, ConfigError, IntegrationFailed, Params, SingularPoint
 
 # Fixed start radius of the unit-amplitude problem; physical start radius is
 # SCALED_START * |a|^(-beta).
@@ -86,8 +76,8 @@ ZERO_TRUST_FACTOR = 1e3
 # Dense-output samples stored between consecutive integrator steps.
 DENSE_SAMPLES = 8
 
-# Step budget of one shooting evaluation; a full integration to r=1 takes a
-# few hundred steps.
+# Step budget of one shooting evaluation, rejected steps included; a full
+# integration to r=1 takes a few hundred steps.
 SHOOT_MAX_STEPS = 100_000
 
 # Outer end of a shooting evaluation: zero k beyond it counts as absent.
@@ -216,13 +206,10 @@ class RadialProfile:
 class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
 
-    f is the right-hand side in s = (v, v') at the scaled radius y, in
-    scipy.integrate.ode's convention; rhs(y, v, vp) is the same on floats,
-    returning (v', v'').  f returns one float64 array of shape (2,), the
-    same array on every call, overwritten by the next: a caller that keeps
-    a result must copy it.  integrate runs from the two-term series state
-    s0 at y0 out to y_end, shoot from series_start().  trusted says whether
-    sign changes of u can be told from integration noise.
+    rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
+    on Python floats.  integrate runs from the two-term series state s0 at
+    y0 out to y_end, shoot from series_start().  trusted says whether sign
+    changes of u can be told from integration noise.
     """
 
     n: int
@@ -238,7 +225,6 @@ class _Deviation:
     s0: tuple[float, float]
     atol_scaled: float
     trusted: bool
-    f: object = field(repr=False)
     rhs: object = field(repr=False)
 
     def bubble(self, y):
@@ -313,11 +299,6 @@ class _Deviation:
         return self.a * w, self.scale_v * wp
 
 
-def _blown_up(w: float) -> bool:
-    """Whether u/a = w has reached the blow-up guard."""
-    return abs(w) >= BLOWUP_BOUND
-
-
 def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviation:
     """The deviation problem of u(0) = a out to r_stop."""
     if not math.isfinite(a):
@@ -342,57 +323,15 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
     K = n * (n - 2.0)
     h = (n - 2.0) / 2.0
     p = params.two_star - 1.0
-    n1 = n - 1.0
-    lam = lam_hat
 
     # Deviation series start: uhat and delta share the lamhat-free part of
     # their expansions at 0, so v = uhat - delta starts at
     #   v(y) = -lamhat/(2n) y^2 + lamhat(lamhat+p+1)/(8n(n+2)) y^4 + O(y^6).
     y0 = SCALED_START
-    c2 = lam / (2.0 * n)
-    c4 = lam * (lam + p + 1.0) / (8.0 * n * (n + 2.0))
+    c2 = lam_hat / (2.0 * n)
+    c4 = lam_hat * (lam_hat + p + 1.0) / (8.0 * n * (n + 2.0))
     v0 = -c2 * y0 * y0 + c4 * y0**4
     vp0 = -2.0 * c2 * y0 + 4.0 * c4 * y0**3
-
-    # f's one result, which scipy.integrate.ode copies at once
-    out = np.empty(2)
-    slots = memoryview(out)
-
-    def f(y, s):
-        # On Python floats: the same IEEE results as on numpy scalars, at a
-        # third of the cost per call.
-        v, vp = s.tolist()
-        y = float(y)
-        t = K / (K + y * y)
-        d = t**h
-        w = d + v
-        if w > 0.0 and abs(v) < 0.5 * d:
-            # delta^(2*-1) = d t^2; difference kept in stable form
-            df = d * t * t * math.expm1(p * math.log1p(v / d))
-        else:
-            try:
-                g = abs(w) ** (p - 1.0)
-            except OverflowError:
-                g = math.inf  # numpy's result, without its warning
-            df = g * w - d * t * t
-        slots[0], slots[1] = vp, -n1 / y * vp - lam * w - df
-        return out
-
-    def rhs(y, v, vp):
-        # f's body on float arguments, without its unpacking, for the
-        # float stepper of integrate
-        t = K / (K + y * y)
-        d = t**h
-        w = d + v
-        if w > 0.0 and abs(v) < 0.5 * d:
-            df = d * t * t * math.expm1(p * math.log1p(v / d))
-        else:
-            try:
-                g = abs(w) ** (p - 1.0)
-            except OverflowError:
-                g = math.inf
-            df = g * w - d * t * t
-        return vp, -n1 / y * vp - lam * w - df
 
     # The deviation signal has magnitude of order lam_hat while the additive
     # integration noise sits at the absolute tolerance floor atol/amp.  Sign
@@ -417,8 +356,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
         s0=(v0, vp0),
         atol_scaled=atol_scaled,
         trusted=lam_hat >= ZERO_TRUST_FACTOR * atol_scaled,
-        f=f,
-        rhs=rhs,
+        rhs=_make_rhs(K, h, p, n - 1.0, lam_hat),
     )
 
 
@@ -463,27 +401,6 @@ def run_rtol(rtol: float) -> float:
 
 def _blow_up(radius: float) -> BlowUpDetected:
     return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
-
-
-def _callback_failure(exc: BaseException) -> IntegrationFailed:
-    """IntegrationFailed naming the exception at the bottom of exc's chain.
-
-    scipy's dop853 wrapper reports an exception raised in its callbacks as
-    a ValueError on top of a chain of SystemErrors (one per later callback
-    call); the exception that started it is the last in __context__.  A
-    cause that is not an Exception (KeyboardInterrupt, SystemExit) is no
-    integration failure and is raised again as itself.
-    """
-    cause = exc
-    while isinstance(cause, (ValueError, SystemError)):
-        if cause.__context__ is None:
-            break
-        cause = cause.__context__
-    if not isinstance(cause, Exception):
-        raise cause
-    return IntegrationFailed(
-        f"integration failed: {type(cause).__name__}: {cause}"
-    )
 
 
 def _maximum(a: float, b: float) -> float:
@@ -695,7 +612,7 @@ class _FloatDop853(DOP853):
         """
         dev = self.deviation
         signs = dev.signs(self.t, self.y)
-        blown = _blown_up(signs[0])
+        blown = abs(signs[0]) >= BLOWUP_BOUND
         changes = [
             c for c, (g, g_new) in enumerate(zip(self.signs, signs))
             if dev.trusted and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
@@ -787,6 +704,153 @@ def integrate(
     )
 
 
+def _rhs_lines(y: str, v: str, vp: str, out: str) -> list[str]:
+    """Source lines that set out to v'' of the deviation at scaled radius y
+    and state (v, vp) from float locals K, h, p, n1 and lam, leaving u/a in
+    w; on Python floats, numpy scalars' IEEE results at a third the cost."""
+    return [
+        f"t = K / (K + {y} * {y})",
+        "d = t**h",
+        f"w = d + {v}",
+        f"if w > 0.0 and abs({v}) < 0.5 * d:",
+        "    # delta^(2*-1) = d t^2; difference kept in stable form",
+        f"    df = d * t * t * expm1(p * log1p({v} / d))",
+        "else:",
+        "    try:",
+        "        g = abs(w) ** (p - 1.0)",
+        "    except OverflowError:",
+        "        g = inf  # numpy's result, without its warning",
+        "    df = g * w - d * t * t",
+        f"{out} = -n1 / {y} * {vp} - lam * w - df",
+    ]
+
+
+def _sum(coefficients, names) -> str:
+    """Source of the sum of c * name over the nonzero coefficients c."""
+    return " + ".join(f"{c!r} * {x}" for c, x in zip(coefficients.tolist(), names) if c)
+
+
+def _stage_lines(s: int) -> list[str]:
+    """Stage s of step hh from (y, v, vp): radius x{s}, state and RHS k{s}."""
+    a, c = dop853_coefficients.A[s, :s], float(dop853_coefficients.C[s])
+    return [
+        f"x{s} = y + {c!r} * hh",
+        f"v{s} = v + hh * ({_sum(a, [f'k{j}v' for j in range(s)])})",
+        f"k{s}v = vp + hh * ({_sum(a, [f'k{j}p' for j in range(s)])})",
+        *_rhs_lines(f"x{s}", f"v{s}", f"k{s}v", f"k{s}p"),
+    ]
+
+
+# Hairer's dop853 (FAC1 = 0.333, FAC2 = 6, SAFE = 0.9, UROUND = 2.3e-16)
+# from y to y_end.  After a step of error norm err the next is h/fac, fac =
+# min(1/FAC1, err^(1/8)/SAFE): the step is accepted if err <= 1, with fac at
+# least 1/FAC2, and at least 1 if it follows a rejection.  hinit picks the
+# first step; 0.1 h <= y UROUND is too small.  The estimate misses what the
+# kink of |u|^(p-1) u at u = 0 costs a step across a zero (85 times the
+# tolerance at n=7, lambda=2, a = 4.25e19, rtol 2.3e-14): the step on which
+# u changes sign for the k-th time is taken again in steps of at most an
+# eighth of it (hlim) until its end (until).  Returns (RHS evaluations, end,
+# radius, step): "zero" with the step (y, v, vp, h, F) that then changes
+# sign, F its dense output; "end"; "blow-up"; or why the run failed.
+_SHOT_SOURCE = """\
+def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
+{start}
+    k0v, hmax, hlim, until = vp, y_end - y, y_end - y, inf
+    sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
+    e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
+    dnf, dny = e1 * e1 + e2 * e2, e3 * e3 + e4 * e4
+    hh = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10 else sqrt(dny / dnf) * 0.01, hmax)
+    xe, ve, ke = y + hh, v + hh * k0v, vp + hh * k0p
+{euler}
+    e1, e2 = (ke - k0v) / sk1, (kep - k0p) / sk2
+    der12 = max(sqrt(e1 * e1 + e2 * e2) / hh, sqrt(dnf))
+    h1 = max(1e-6, hh * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
+    hh = min(100.0 * hh, h1, hmax)
+    nfev, attempts, zeros, reject, last = 2, 0, 0, False, False
+    while True:
+        if attempts >= max_steps:
+            return nfev, "step budget spent", y, None
+        if not 0.1 * hh > y * {uround!r}:
+            return nfev, "step size becomes too small", y, None
+        if y + 1.01 * hh - y_end > 0.0:
+            hh, last = y_end - y, True
+        attempts, nfev = attempts + 1, nfev + 11
+{stages}
+        vnew, pnew = v + hh * ({b_v}), vp + hh * ({b_p})
+        sk1, sk2 = atol + rtol * max(abs(v), abs(vnew)), atol + rtol * max(abs(vp), abs(pnew))
+        e1, e2, e3, e4 = ({e5_v}) / sk1, ({e5_p}) / sk2, ({e3_v}) / sk1, ({e3_p}) / sk2
+        err = e1 * e1 + e2 * e2
+        deno = err + 0.01 * (e3 * e3 + e4 * e4)
+        err = hh * err * sqrt(1.0 / (2.0 * (1.0 if deno <= 0.0 else deno)))
+        fac11 = err ** 0.125
+        if not err <= 1.0:
+            hh /= min({facc1!r}, fac11 / {safe!r})
+            reject, last = True, False
+            continue
+        xnew = y + hh
+{new}
+        k12v, nfev = pnew, nfev + 1
+        if abs(w) >= {blowup!r}:
+            return nfev, "blow-up", xnew, None
+        if (w < 0.0) != zeros % 2:
+            if zeros + 1 == k and until == inf:
+                until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
+                continue
+            zeros += 1
+            if zeros == k:
+{extra}
+                dv, dp = vnew - v, pnew - vp
+                F = ((dv, dp), (hh * k0v - dv, hh * k0p - dp),
+                     (2.0 * dv - hh * (k12v + k0v), 2.0 * dp - hh * (k12p + k0p)),
+{rows})
+                return nfev + 3, "zero", xnew, (y, v, vp, hh, F)
+        if last:
+            return nfev, "end", xnew, None
+        if xnew >= until:  # re-taken without the sign change
+            hlim, until = hmax, inf
+        hnew = min(hh / max({facc2!r}, min({facc1!r}, fac11 / {safe!r})), hlim)
+        y, v, vp, k0v, k0p = xnew, vnew, pnew, k12v, k12p
+        hh, reject = min(hnew, hh) if reject else hnew, False
+
+
+def _make_rhs(K, h, p, n1, lam):
+    def rhs(y, v, vp):
+{rhs}
+        return vp, vpp
+    return rhs
+"""
+
+
+def _generate() -> dict:
+    """Compile _SHOT_SOURCE with DOP853's coefficients written in."""
+    T = dop853_coefficients
+    kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES_EXTENDED)] for c in "vp")
+
+    def block(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    source = _SHOT_SOURCE.format(
+        start=block(_rhs_lines("y", "v", "vp", "k0p"), 4),
+        euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
+        stages=block([x for s in range(1, T.N_STAGES) for x in _stage_lines(s)], 8),
+        new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
+        extra=block([x for s in range(T.N_STAGES + 1, T.N_STAGES_EXTENDED)
+                     for x in _stage_lines(s)], 16),
+        rows=block([f"(hh * ({_sum(d, kv)}), hh * ({_sum(d, kp)}))," for d in T.D], 21),
+        b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
+        e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
+        rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
+        facc1=1.0 / 0.333, facc2=1.0 / 6.0, safe=0.9, uround=2.3e-16, blowup=BLOWUP_BOUND,
+    )
+    namespace = {"expm1": math.expm1, "log1p": math.log1p, "sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(source, "<bnball.ode DOP853>", "exec"), namespace)
+    return dict(namespace, source=source)
+
+
+_GENERATED = _generate()
+_make_rhs, _dop853_shot = _GENERATED["_make_rhs"], _GENERATED["_dop853_shot"]
+
+
 def shoot(
     params: Params,
     a: float,
@@ -797,100 +861,36 @@ def shoot(
 ) -> float:
     """Radius r_k of the k-th zero of the solution with u(0) = a.
 
-    One shooting evaluation: the deviation problem of integrate on Hairer's
-    Fortran DOP853 (scipy.integrate.ode) at run_rtol(rtol), without events
-    or dense output, from _Deviation.series_start (further out than
-    integrate's start, where the series is exact to rounding) to the
-    accepted step on which u changes sign for the k-th time (a double
-    crossing inside one step goes uncounted), past r=1 if need be;
-    _locate_zero then locates zero k on that step.  inf where the problem
-    is not trusted (at once) or zero k lies beyond SHOOT_END.  Raises
-    BlowUpDetected and IntegrationFailed where integrate does.
-    """
+    One shooting evaluation: integrate's deviation problem on _dop853_shot
+    at run_rtol(rtol), from _Deviation.series_start (where the series is
+    exact to rounding) to the step on which u changes sign for the k-th
+    time, past r=1 if need be, re-taken in eighths; zero k is located on
+    the dense output of the re-taken step that changes sign, as integrate
+    locates an event (a double crossing in one step goes uncounted).  inf
+    where the problem is untrusted (at once) or zero k lies beyond
+    SHOOT_END.  Raises as integrate does, and IntegrationFailed at the
+    radius reached when the step size becomes too small or after
+    SHOOT_MAX_STEPS steps."""
     dev = _deviation(params, a, SHOOT_END, atol)
     if not dev.trusted:
         return math.inf
-    rtol = run_rtol(rtol)
-    zeros = 0
-    blown_at = None
-    y0, s0 = dev.series_start()
-    before = (y0, list(s0))  # the state at the start of the last step
-    K, h = dev.K, dev.h
-
-    def solout(y, s):
-        nonlocal zeros, blown_at, before
-        state = s.tolist()
-        w = (K / (K + y * y)) ** h + state[0]  # u/a, as dev.signs(y, s)[0]
-        if _blown_up(w):
-            blown_at = y
-            return -1
-        if (w < 0.0) != zeros % 2:
-            zeros += 1
-            if zeros == k:
-                return -1
-        before = (y, state)
-        return 0
-
-    solver = scipy_ode(dev.f).set_integrator(
-        "dop853", rtol=rtol, atol=dev.atol_scaled, nsteps=SHOOT_MAX_STEPS
-    )
-    solver.set_solout(solout)
-    solver.set_initial_value(s0, y0)
+    y0, (v0, vp0) = dev.series_start()
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            # A failed run warns and returns a truncated state; the warning's
-            # text is reported through IntegrationFailed below instead.
-            warnings.filterwarnings(
-                "always", category=UserWarning, module="scipy.integrate._ode"
-            )
-            try:
-                solver.integrate(dev.y_end)
-            except ValueError as exc:
-                # An exception inside the RHS or solout (a RuntimeWarning when
-                # warnings are errors) comes out of the Fortran wrapper as this
-                # ValueError.
-                raise _callback_failure(exc) from exc
-        if blown_at is not None:
-            raise _blow_up(blown_at / dev.scale_r)
-        if not solver.successful():
-            reason = "; ".join(str(w.message) for w in caught)
-            raise IntegrationFailed(
-                f"integration failed: {reason} "
-                f"(return code {solver.get_return_code()})",
-                last_radius=solver.t / dev.scale_r,
-            )
-    finally:
-        # scipy's dop853 wrapper keeps a reference to the integrator's bound
-        # _solout on every run; emptied, the integrator no longer keeps its
-        # work arrays, solout's closure and the deviation alive.
-        solver._integrator.__dict__.clear()
-    if zeros < k:
-        return math.inf
-    return _locate_zero(dev, *before, solver.t, rtol)
-
-
-def _locate_zero(dev: _Deviation, y: float, state, end: float, rtol: float) -> float:
-    """Radius of the zero of u on a Fortran step from scaled radius y, with
-    deviation state there, to end: _FloatDop853 runs over the step from
-    half its length, and its step check locates the zero as in integrate.
-    A run that has not yet crossed at the end puts the zero there."""
-    crossings = []
-    with np.errstate(all="ignore"):
-        stepper = _FloatDop853(
-            dev.rhs, y, state, end, deviation=dev, crossings=crossings, rows=[],
-            rtol=rtol, atol=dev.atol_scaled, first_step=(end - y) / 2.0,
+        _, end, y1, step = _dop853_shot(
+            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, v0, vp0,
+            dev.y_end, run_rtol(rtol), dev.atol_scaled, SHOOT_MAX_STEPS,
         )
-        try:
-            while stepper.status == "running":
-                message = stepper.step()
-                if stepper.status == "failed":
-                    raise IntegrationFailed(
-                        f"integration failed: {message}",
-                        last_radius=stepper.t / dev.scale_r,
-                    )
-                for event in crossings:
-                    if event.kind == "zero-crossing":
-                        return event.r
-        finally:
-            stepper.release()
-    return end / dev.scale_r
+    except ZeroDivisionError as exc:  # an error scale of 0: atol 0 on a zero state
+        raise IntegrationFailed(f"integration failed: {exc}") from exc
+    if end == "end":
+        return math.inf
+    if end == "blow-up":
+        raise _blow_up(y1 / dev.scale_r)
+    if end != "zero":
+        raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
+    y0, v0, vp0, _, F = step
+    if not np.isfinite(F).all():
+        message = f"integration failed: {_FloatDop853.NON_FINITE_STEP}"
+        raise IntegrationFailed(message, last_radius=y0 / dev.scale_r)
+    piece = Dop853DenseOutput(y0, y1, np.array((v0, vp0)), np.array(F))
+    return _root(piece, lambda y, s: dev.signs(y, s)[0]) / dev.scale_r

@@ -47,8 +47,7 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
 
     try:
         sol = solve_ivp(
-            # solve_ivp keeps each RHS result, and f reuses one array
-            lambda y, s: np.array(dev.f(y, s)),
+            lambda y, s: np.array(dev.rhs(float(y), *s.tolist())),
             (dev.y0, dev.y_end),
             dev.s0,
             method="DOP853",
@@ -59,8 +58,6 @@ def _stock_integrate(params, a, r_stop, rtol, atol):
         )
     except ValueError as exc:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    except RuntimeWarning as exc:
-        raise ode._callback_failure(exc) from exc
     if sol.t_events[0].size > 0:
         raise ode._blow_up(sol.t_events[0][0] / scale_r)
     if not sol.success:
