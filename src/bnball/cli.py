@@ -14,9 +14,8 @@ precision limited.
 Exit codes: 0 pass, 2 config or input error, 3 solver error,
 4 verification failure.
 
-Environment overrides for solve and sweep (used when the corresponding
-flag is absent): BNBALL_RTOL, BNBALL_ATOL, BNBALL_RESIDUAL_TOL,
-BNBALL_BOUNDARY_TOL.  verify and constants read no tolerance.
+solve and sweep take their only accuracy settings, --rtol and --atol, as
+flags; nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import asymptotics, bubble, diagnostics, shooting
+from . import asymptotics, bubble, shooting
 from .model import (
     ConfigError,
     Error,
@@ -61,23 +59,9 @@ CSV_COLUMNS = ("lambda",) + _FEATURE_COLUMNS + _SCALAR_COLUMNS
 CSV_HEADER = CSV_COLUMNS + ("error",)
 
 
-# Tolerance settings: RunConfig field (also the flag's dest), environment
-# override, default, flag help.  A flag wins over the environment, which
-# wins over the default.  Only solve and sweep define the flags; verify and
-# constants read no tolerance, so they take the defaults and ignore the
-# environment.
-_TOLERANCES = (
-    ("rtol", "BNBALL_RTOL", DEFAULT_RTOL, None),
-    ("atol", "BNBALL_ATOL", DEFAULT_ATOL, None),
-    ("residual_tol", "BNBALL_RESIDUAL_TOL", diagnostics.RESIDUAL_TOL, None),
-    (
-        "boundary_tol",
-        "BNBALL_BOUNDARY_TOL",
-        shooting.BOUNDARY_TOL,
-        "largest accepted distance of the k-th zero from r=1, as the "
-        f"Pruefer offset at a* (default {shooting.BOUNDARY_TOL:g})",
-    ),
-)
+# The RunConfig fields (also the flags' dests) that only solve and sweep
+# define; verify and constants keep the defaults.
+_TOLERANCES = ("rtol", "atol")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,13 +74,11 @@ class RunConfig:
     k: int = 2
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    boundary_tol: float = shooting.BOUNDARY_TOL
-    residual_tol: float = diagnostics.RESIDUAL_TOL
     out: str | None = None
     fmt: str = "csv"
 
     def __post_init__(self):
-        for name, *_ in _TOLERANCES:
+        for name in _TOLERANCES:
             value = getattr(self, name)
             # NaN fails every comparison, so "<= 0" alone would let it through
             if not (math.isfinite(value) and value > 0.0):
@@ -172,16 +154,6 @@ def _error_payload(exc: Error) -> str:
     if getattr(exc, "last_radius", None) is not None:
         payload["last_radius"] = exc.last_radius
     return canonical_json(payload)
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
 
 
 def record_to_dict(record: asymptotics.SweepRecord) -> dict:
@@ -264,17 +236,13 @@ def _solution_payload(solution: shooting.SignChangingSolution) -> dict:
     }
 
 
-def _solve_options(config: RunConfig) -> dict:
-    """The solve_nodal keyword options a command carries."""
-    return {name: getattr(config, name) for name, *_ in _TOLERANCES}
-
-
 def cmd_solve(config: RunConfig) -> int:
     if config.lam is None:
         raise ConfigError("solve needs --lambda")
     try:
         solution = shooting.solve_nodal(
-            Params(n=config.n, lam=config.lam), config.k, **_solve_options(config)
+            Params(n=config.n, lam=config.lam), config.k,
+            rtol=config.rtol, atol=config.atol,
         )
     except ConfigError:
         raise
@@ -310,7 +278,8 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ConfigError("sweep needs --lambda-grid")
     grid = list(config.lambda_grid)
     points = shooting.continuation_sweep(
-        Params(n=config.n, lam=0.0), grid, config.k, **_solve_options(config)
+        Params(n=config.n, lam=0.0), grid, config.k,
+        rtol=config.rtol, atol=config.atol,
     )
     rows = [_sweep_row(p) for p in points]
 
@@ -401,11 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Brezis-Nirenberg problem on the unit ball, by node-targeted "
             "shooting, with asymptotic-law verification."
         ),
-        epilog=(
-            "Tolerance environment overrides for solve and sweep: "
-            + ", ".join(env for _, env, *_ in _TOLERANCES)
-            + "."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,8 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated, strictly decreasing, e.g. 4,2,1,0.5,0.25",
             )
         p.add_argument("--k", type=int, default=2, help="number of nodal regions")
-        for name, _, _, help_ in _TOLERANCES:
-            p.add_argument("--" + name.replace("_", "-"), type=float, help=help_)
+        p.add_argument(
+            "--rtol", type=float, default=RunConfig.rtol,
+            help="relative tolerance of the shots, integration and search "
+            "(default %(default)g)",
+        )
+        p.add_argument(
+            "--atol", type=float, default=RunConfig.atol,
+            help="absolute tolerance of the shots and integration "
+            "(default %(default)g)",
+        )
         p.add_argument("--out", default=None, help="output path (stdout when absent)")
 
     p_solve = sub.add_parser("solve", help="solve one (n, lambda, k) problem")
@@ -449,12 +421,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     grid = None
     if getattr(args, "lambda_grid", None) is not None:
         grid = _parse_grid(args.lambda_grid)
-    tolerances = {}
-    for name, env, default, _ in _TOLERANCES:
-        if not hasattr(args, name):
-            continue
-        flag = getattr(args, name)
-        tolerances[name] = flag if flag is not None else _env_float(env, default)
+    tolerances = {
+        name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)
+    }
     return RunConfig(
         n=args.n,
         lam=getattr(args, "lam", None),

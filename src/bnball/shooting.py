@@ -45,6 +45,10 @@ _A_MAX = 1e30
 # Bound on the Pruefer offset of the converged profile, i.e. on how far the
 # k-th zero lies from r=1.
 BOUNDARY_TOL = 1e-6
+# Cap on the search's noise floor: at loose rtol it keeps the offset, which
+# the certification residuals track at about 5 |P|, two decades below
+# BOUNDARY_TOL and diagnostics.RESIDUAL_TOL.
+_FLOOR_CAP = 1e-8
 # dP/dlog a = -d log r_k / d log a assumed for the first step from a cold
 # seed; measured slopes run from 0.03 to 0.23 (0.042-0.047 near the k=2 a*
 # of the n=7 reference sweep).  A warm sweep passes the slope its previous
@@ -94,8 +98,6 @@ def solve_nodal(
     slope: float = _SLOPE,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    boundary_tol: float = BOUNDARY_TOL,
-    residual_tol: float = diagnostics.RESIDUAL_TOL,
 ) -> SignChangingSolution:
     """Find the amplitude whose radial solution has exactly k nodal regions.
 
@@ -105,18 +107,18 @@ def solve_nodal(
     ones follow the secant through the last two points, or double the last
     step while an end is infinite or the secant slope is not positive.
     Then refine with brentq at xtol = rtol.  The first evaluation with |P|
-    <= min(3 rtol, min(boundary_tol, residual_tol) / 100) ends the search,
-    and its amplitude is a*.  Below the zero-trust floor of this atol P is -inf; a
-    bracket end there is bisected inward, and NoBracketFound is raised
-    once the bracket is narrower than rtol.  Every evaluation runs at
-    run_rtol(rtol).  The profile at a* is integrated once, and its Pruefer
-    offset must satisfy |offset| <= boundary_tol, which bounds how far the
-    k-th zero lies from r=1: a miss below pi/2 is integration error and
-    raises CertificationFailed, a larger or NaN one (a miscounted pair of
-    zeros) NonconvergentBisection.  The profile must also pass the Nehari /
-    Pohozaev / energy-monotonicity certification.  lambda must lie in
-    (0, lambda_1): lambda <= 0 raises NonpositiveLambda, lambda >= lambda_1
-    InvalidLambda.
+    <= min(3 rtol, 1e-8) ends the search, and its amplitude is a*.  Below
+    the zero-trust floor of this atol P is -inf; a bracket end there is
+    bisected inward, and NoBracketFound is raised once the bracket is
+    narrower than rtol.  Every evaluation runs at run_rtol(rtol).  The
+    profile at a* is integrated once, and its Pruefer offset must satisfy
+    |offset| <= BOUNDARY_TOL (1e-6), which bounds how far the k-th zero
+    lies from r=1: a miss below pi/2 is integration error and raises
+    CertificationFailed, a larger or NaN one (a miscounted pair of zeros)
+    NonconvergentBisection.  The profile must also pass the Nehari /
+    Pohozaev / energy-monotonicity certification at its default
+    tolerances.  lambda must lie in (0, lambda_1): lambda <= 0 raises
+    NonpositiveLambda, lambda >= lambda_1 InvalidLambda.
     """
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -131,10 +133,8 @@ def solve_nodal(
 
     # One rtol for the evaluations, the integration, the floor and xtol.
     rtol = run_rtol(rtol)
-    # P reproduces only to a few rtol, so closer evaluations refine noise;
-    # the cap keeps the offset, which the certification residuals track at
-    # about 5 |P|, two decades below the acceptance tolerances.
-    floor = min(3.0 * rtol, min(boundary_tol, residual_tol) / 100.0)
+    # P reproduces only to a few rtol, so closer evaluations refine noise.
+    floor = min(3.0 * rtol, _FLOOR_CAP)
 
     # x -> P of the evaluations the measured slope may use
     above_floor = {}
@@ -221,11 +221,11 @@ def solve_nodal(
     profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
     # written so that a NaN offset is rejected too
-    if not abs(offset) <= boundary_tol:
+    if not abs(offset) <= BOUNDARY_TOL:
         message = (
             f"converged amplitude {a_star:.17g} gives the profile a Pruefer "
             f"offset {offset:.3e} from zero {k} on r=1; wanted |offset| <= "
-            f"{boundary_tol:g}"
+            f"{BOUNDARY_TOL:g}"
         )
         # Short of a quarter turn, the profile is at the root the search
         # converged on and integration error moved its k-th zero; a
@@ -236,9 +236,7 @@ def solve_nodal(
         raise NonconvergentBisection(message)
 
     features = extract_features(profile, params) if k == 2 else None
-    residuals = diagnostics.certify(
-        profile, params, features=features, residual_tol=residual_tol
-    )
+    residuals = diagnostics.certify(profile, params, features=features)
     return SignChangingSolution(
         params=params,
         k=k,
@@ -310,7 +308,9 @@ def continuation_sweep(
     params_base: Params,
     lambda_grid: list[float],
     k: int = 2,
-    **solve_options,
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> list[SweepPoint]:
     """Solve at each lambda of a decreasing grid, warm-starting the bracket.
 
@@ -318,9 +318,8 @@ def continuation_sweep(
     solve_nodal with the seed and first-step slope _warm_start takes from
     the points solved before it, along the branch tangent: the first point
     starts cold at a = 1.  Only the dimension of params_base is used.
-    solve_options are passed to every solve_nodal call (rtol, atol,
-    boundary_tol, residual_tol).  Per-point failures are recorded and the
-    sweep continues.
+    Every solve runs at rtol and atol.  Per-point failures are recorded
+    and the sweep continues.
     """
     grid = [float(x) for x in lambda_grid]
     check_lambda_grid(grid)
@@ -332,7 +331,7 @@ def continuation_sweep(
         try:
             sol = solve_nodal(
                 Params(n=params_base.n, lam=lam), k, a_seed=a_seed, slope=slope,
-                **solve_options,
+                rtol=rtol, atol=atol,
             )
         except Error as exc:
             points.append(

@@ -148,8 +148,8 @@ def test_solve_payload(capsys):
 
 def test_solve_loose_rtol_certifies(capsys):
     """At rtol=1e-8 the boundary zero lands within ~1e-9 of r=1, well
-    inside the --boundary-tol default, so the solve certifies with one
-    interior zero."""
+    inside the 1e-6 bound on the Pruefer offset, so the solve certifies
+    with one interior zero."""
     rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", "--rtol", "1e-8")
     assert rc == cli.EXIT_PASS
     zeros = [
@@ -350,13 +350,34 @@ def test_sweep_has_no_annulus_option(capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+_SWEEP_ARGS = ["sweep", "--n", "7", "--lambda-grid", "2"]
+_SOLVE_ARGS = ["solve", "--n", "7", "--lambda", "2"]
+
+
 @pytest.mark.parametrize(
-    "mode", [["--parallel", "2"], ["--no-warm-start"]], ids=["parallel", "no-warm-start"]
+    "argv",
+    [
+        _SWEEP_ARGS + ["--parallel", "2"],
+        _SWEEP_ARGS + ["--no-warm-start"],
+        _SOLVE_ARGS + ["--residual-tol", "1e-3"],
+        _SOLVE_ARGS + ["--boundary-tol", "1e-3"],
+        _SWEEP_ARGS + ["--residual-tol", "1e-3"],
+        _SWEEP_ARGS + ["--boundary-tol", "1e-3"],
+    ],
+    ids=[
+        "parallel",
+        "no-warm-start",
+        "solve-residual-tol",
+        "solve-boundary-tol",
+        "sweep-residual-tol",
+        "sweep-boundary-tol",
+    ],
 )
-def test_sweep_has_no_cold_modes(capsys, mode):
+def test_sweep_has_no_cold_modes(capsys, argv):
     # A sweep follows one branch by warm continuation; there is no cold
-    # per-point mode to select.
-    rc, _ = run(capsys, "sweep", "--n", "7", "--lambda-grid", "2", *mode)
+    # per-point mode to select.  Nor do solve or sweep take tolerances
+    # other than --rtol and --atol.
+    rc, _ = run(capsys, *argv)
     assert rc == cli.EXIT_CONFIG
 
 
@@ -484,32 +505,16 @@ def test_csv_records_round_trip(tmp_path, records7):
         assert back.features.gamma == orig.features.gamma
 
 
-def test_env_override_must_be_numeric(capsys, monkeypatch):
-    monkeypatch.setenv("BNBALL_RTOL", "fast")
-    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2")
-    assert rc == cli.EXIT_CONFIG
-    assert json.loads(out)["error"] == "config-parse-error"
-    assert "BNBALL_RTOL" in json.loads(out)["message"]
-
-
-def test_verify_and_constants_ignore_tolerance_overrides(
-    capsys, monkeypatch, tmp_path, records7
-):
-    """verify and constants read no tolerance, so a bad override is moot."""
-    rc, clean = run(capsys, "constants", "--n", "7")
+def test_tolerance_environment_is_ignored(capsys, monkeypatch):
+    """The tolerances come from the flags alone: variables that once
+    overrode them change nothing."""
+    rc, clean = run(capsys, "solve", "--n", "7", "--lambda", "2")
     assert rc == cli.EXIT_PASS
-    monkeypatch.setenv("BNBALL_RTOL", "abc")
-    rc, out = run(capsys, "constants", "--n", "7")
+    monkeypatch.setenv("BNBALL_RTOL", "fast")
+    monkeypatch.setenv("BNBALL_RESIDUAL_TOL", "nan")
+    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2")
     assert rc == cli.EXIT_PASS
     assert out == clean
-
-    path = tmp_path / "records.csv"
-    path.write_text(csv_text(records7))
-    monkeypatch.delenv("BNBALL_RTOL")
-    monkeypatch.setenv("BNBALL_ATOL", "-1")
-    rc, out = run(capsys, "verify", str(path), "--n", "7")
-    assert rc == cli.EXIT_PASS
-    assert "overall: PASS" in out
 
 
 def _no_solve(*args, **kwargs):
@@ -517,9 +522,7 @@ def _no_solve(*args, **kwargs):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize(
-    "flag", ["--rtol", "--atol", "--residual-tol", "--boundary-tol"]
-)
+@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
 def test_non_finite_tolerance_rejected(capsys, monkeypatch, flag, value):
     monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
     rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", flag, value)
@@ -531,14 +534,6 @@ def test_non_finite_tolerance_rejected(capsys, monkeypatch, flag, value):
 def test_non_finite_lambda_grid_rejected(capsys, monkeypatch, grid):
     monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
     rc, out = run(capsys, "sweep", "--n", "7", "--lambda-grid", grid)
-    assert rc == cli.EXIT_CONFIG
-    assert json.loads(out)["error"] == "config-parse-error"
-
-
-def test_non_finite_tolerance_from_environment(capsys, monkeypatch):
-    monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
-    monkeypatch.setenv("BNBALL_RESIDUAL_TOL", "nan")
-    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2")
     assert rc == cli.EXIT_CONFIG
     assert json.loads(out)["error"] == "config-parse-error"
 
