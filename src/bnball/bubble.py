@@ -70,12 +70,15 @@ def _moment(n: int, q: float) -> float:
     return (n * (n - 2.0)) ** (n / 2.0) * float(_special.beta(n / 2.0, q)) / 2.0
 
 
+@lru_cache(maxsize=None, typed=True)
 def lambda_1(n: int) -> float:
     """First Dirichlet eigenvalue of the unit ball: the squared first
     positive zero of the Bessel function J_(n/2-1).
 
     The zero is bracketed by stepping out from the order (J_nu > 0 on
-    (0, j_nu1)) and then polished by bracketed root-finding.
+    (0, j_nu1)) and then polished by bracketed root-finding, once per
+    dimension: the value is cached, per argument type, so a float or bool
+    n still meets check_dimension.
     """
     check_dimension(n)
     nu = n / 2.0 - 1.0

@@ -37,12 +37,12 @@ otherwise cancel.
 
 integrate returns the full profile (events, dense output) that features,
 certification and records read, on _FloatDop853: stock DOP853 bit for bit
-on Python floats, each step finished in the stepper (dense output, blow-up
-guard, sign changes).  shoot returns only the radius of the k-th zero of
-u, from DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6)
-with Hairer's dop853 step rules as float code generated at import: the
-stages straight-line without the tableau's zeros, each with the
-right-hand side inlined.  Both build the problem with _deviation, whose
+on Python floats, with the blow-up guard and sign changes checked per step
+and the dense output built in one batched pass when the run ends.  shoot
+returns only the radius of the k-th zero of u, from DOP853 (Hairer,
+Norsett and Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step
+rules as float code generated at import: the stages straight-line without
+the tableau's zeros, each with the right-hand side inlined.  Both build the problem with _deviation, whose
 rhs comes from the same source lines, so the right-hand side and the
 blow-up guard are defined once.
 """
@@ -439,20 +439,28 @@ class _FloatDop853(DOP853):
     differ in the last bit; each error norm stays sqrt(err.dot(err))**2 on
     an array for the same reason.  The rest (stage states, error scale,
     step factor, the first three dense-output coefficients) is float
-    arithmetic in scipy's order.  fun is a float RHS
+    arithmetic in scipy's order, elementwise on arrays in the batched pass.  fun is a float RHS
     fun(y, v, v') -> (v', v''), like _Deviation.rhs.
 
-    _step_impl finishes each step that passes error control: it computes
-    the three extra stages and the dense-output coefficients F, fails the
-    step before committing it if F is not finite (t stays the last
-    accepted radius), and otherwise appends F to rows and checks the step
-    in place of solve_ivp's events.  The first state past the blow-up
-    guard raises BlowUpDetected at the radius solve_ivp's event location
-    gives, and while the problem is trusted, each change of sign of u or
-    u' over the step, by solve_ivp's rule for an event of direction 0, is
-    located on the step's dense output as solve_ivp locates an event and
-    appended to crossings as a finished Event.  Callers run the stepper under np.errstate(all="ignore"): a NaN
-    trial step is then rejected as in stock DOP853, without a warning.
+    A step's three extra stages and dense-output coefficients F depend only
+    on its own stages and never feed step-size control, so they are built
+    after the run.  _step_impl commits each step that passes error control
+    and keeps its states and a copy of its 13 stage rows; it checks the
+    step-end state against the blow-up guard and, while the problem is
+    trusted, for a change of sign of u or u' by solve_ivp's rule for an
+    event of direction 0, and keeps the step for _finish when either
+    fires.  When the run ends (finished, failed, or at once when the guard
+    trips), still inside step() and so inside solve_ivp, _finish builds
+    every step's extra stages and F in one batched pass, on the same
+    products scipy takes per step, and appends the stacked F to rows.  It
+    then goes through the steps in order: the first step whose F is not
+    finite raises IntegrationFailed at its start radius, ahead of the
+    outcome of any later step; before it, each kept step locates its roots
+    on its Dop853DenseOutput as solve_ivp locates an event.  The blow-up
+    radius is located first and raises BlowUpDetected after the step's
+    sign changes, which are appended to crossings as finished Events.
+    Callers run the stepper under np.errstate(all="ignore"): a NaN trial
+    step is then rejected as in stock DOP853, without a warning.
 
     scipy's OdeSolver wraps the RHS in closures over the solver, a
     reference cycle; a run that ends (finished, failed or raising) drops
@@ -485,17 +493,17 @@ class _FloatDop853(DOP853):
             (2 * s, K[:s].T, a[:s], float(c))
             for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
         ]
-        self.extra_stages = [
-            (2 * s, K[:s].T, a[:s], float(c))
-            for s, (a, c) in enumerate(
-                zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1
-            )
-        ]
         self.signs = deviation.signs(t0, self.y)
+        self.taken = []  # (t_old, v, v', h, v_new, v'_new, t_new) of each step
+        self.stage_rows = []  # the bytes of each step's stage rows 0..n_stages
+        self.checks = []  # (step index, components that change sign, blown)
 
     def step(self):
         try:
             message = super().step()
+            # the run ends: finished, failed, or past the blow-up guard
+            if self.status != "running" or self.checks and self.checks[-1][2]:
+                self._finish()
         except BaseException:
             self.release()
             raise
@@ -574,61 +582,74 @@ class _FloatDop853(DOP853):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
             step_rejected = True
 
-        # the step's dense output, as scipy's _dense_output_impl builds it
-        for i, KsT, a, c in self.extra_stages:
-            dv, dvp = KsT.dot(a).tolist()
-            k[i], k[i + 1] = rhs(t + c * h, v + dv * h, vp + dvp * h)
-        self.nfev += len(self.extra_stages)
-        f, fp = f_new
-        f_old, fp_old = k[0], k[1]
-        dv, dvp = v_new - v, vp_new - vp
-        F = np.empty((3 + len(self.D), 2))
-        F[:3] = (
-            (dv, dvp),
-            (h * f_old - dv, h * fp_old - dvp),
-            (2 * dv - h * (f + f_old), 2 * dvp - h * (fp + fp_old)),
-        )
-        F[3:] = h * self.D.dot(self.K_extended)
-        if not np.isfinite(F).all():
-            return False, self.NON_FINITE_STEP
-
         self.t = t_new
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
         self.f = f_new
-        self.rows.append(F)
-        self._check_step(t, (v, vp), F)
-        return True, None
+        self.taken.append((t, v, vp, h, v_new, vp_new, t_new))
+        self.stage_rows.append(bytes(k[:last + 2]))
 
-    def _check_step(self, t_old, y_old, F):
-        """The blow-up guard and the sign changes over the step just taken
-        from t_old, y_old, whose dense-output coefficients are F.
-
-        The same order as solve_ivp's event handling: the blow-up radius is
-        located first, then the sign changes of the step are located and
-        recorded, then BlowUpDetected ends the run.  Zero crossings store u'
-        there, derivative zeros store u.  The step's Dop853DenseOutput is
-        built only when there is a root to locate.
-        """
         dev = self.deviation
-        signs = dev.signs(self.t, self.y)
+        signs = dev.signs(t_new, self.y)
         blown = abs(signs[0]) >= BLOWUP_BOUND
         changes = [
             c for c, (g, g_new) in enumerate(zip(self.signs, signs))
             if dev.trusted and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
         ]
         self.signs = signs
-        if not (blown or changes):
-            return
-        piece = Dop853DenseOutput(t_old, self.t, np.array(y_old), F)
-        if blown:
-            blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
-        for c in changes:
-            root = _root(piece, lambda y, s: dev.signs(y, s)[c])
-            value = dev.u_du(root, piece(root))[1 - c]
-            self.crossings.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
-        if blown:
-            raise _blow_up(blown_at / dev.scale_r)
+        if blown or changes:
+            self.checks.append((len(self.taken) - 1, changes, blown))
+        return True, None
+
+    def _finish(self):
+        """Build the dense output of every step taken, as scipy's
+        _dense_output_impl builds it per step, then locate the checked
+        steps' roots in step order.
+
+        Zero crossings store u' there, derivative zeros store u.
+        """
+        rhs, dev = self.rhs, self.deviation
+        n_rows = self.n_stages + 1
+        taken = np.reshape(self.taken, (-1, 7))
+        t_old, y_old, h, y_new = taken[:, 0], taken[:, 1:3], taken[:, 3:4], taken[:, 4:6]
+        steps = len(taken)
+        KX = np.empty((steps, self.K_extended.shape[0], 2))
+        KX[:, :n_rows] = np.frombuffer(b"".join(self.stage_rows)).reshape(steps, n_rows, 2)
+        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=n_rows):
+            dy = np.matmul(KX[:, :s].transpose(0, 2, 1), a[:s])
+            radii = (t_old + c * h[:, 0]).tolist()
+            states = (y_old + dy * h).tolist()
+            KX[:, s] = np.array([rhs(x, *y) for x, y in zip(radii, states)]).reshape(steps, 2)
+        self.nfev += len(self.A_EXTRA) * steps
+        dy = y_new - y_old
+        f_old, f = KX[:, 0], KX[:, self.n_stages]
+        F = np.empty((steps, 3 + len(self.D), 2))
+        F[:, 0] = dy
+        F[:, 1] = h * f_old - dy
+        F[:, 2] = 2 * dy - h * (f + f_old)
+        F[:, 3:] = h[..., None] * np.matmul(self.D, KX)
+        finite = np.isfinite(F).all(axis=(1, 2))
+        good = steps if finite.all() else int(np.argmin(finite))  # steps before the first bad
+
+        for i, changes, blown in self.checks:
+            if i >= good:
+                break
+            step = self.taken[i]
+            piece = Dop853DenseOutput(step[0], step[6], np.array(step[1:3]), F[i])
+            if blown:
+                blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
+            for c in changes:
+                root = _root(piece, lambda y, s: dev.signs(y, s)[c])
+                value = dev.u_du(root, piece(root))[1 - c]
+                self.crossings.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
+            if blown:
+                raise _blow_up(blown_at / dev.scale_r)
+        if good < steps:
+            raise IntegrationFailed(
+                f"integration failed: {self.NON_FINITE_STEP}",
+                last_radius=self.taken[good][0] / dev.scale_r,
+            )
+        self.rows.append(F)
 
 
 def integrate(
@@ -647,14 +668,14 @@ def integrate(
     change of u or u' on the dense output of the step that finds it, by
     solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy),
     and records it as an event; the dense output is stacked from the step
-    states and the coefficient rows it records.  knots hold the integrator
-    steps plus DENSE_SAMPLES interior samples per step; `steps` keeps the
-    raw step radii, whose dense-output pieces downstream quadrature
-    integrates piecewise.
+    states and the coefficient rows it builds when the run ends.  knots
+    hold the integrator steps plus DENSE_SAMPLES interior samples per step;
+    `steps` keeps the raw step radii, whose dense-output pieces downstream
+    quadrature integrates piecewise.
     Everything returned is bit-identical to solve_ivp with method="DOP853"
     and the same checks as event functions.  A step whose dense output is
-    not finite is IntegrationFailed at the last accepted radius, under any
-    warnings filter.
+    not finite is IntegrationFailed at its start radius, under any warnings
+    filter, whatever later steps would have found.
     """
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
@@ -680,7 +701,8 @@ def integrate(
     # zero crossing before a derivative zero at the same radius.
     events.sort(key=lambda e: e.r)
 
-    dense = _StepPolynomials(sol.t, sol.y.T, np.array(rows))
+    (F,) = rows
+    dense = _StepPolynomials(sol.t, sol.y.T, F)
 
     def at_y(y):
         """(u, u') at scaled radius y, from the dense output."""

@@ -14,7 +14,7 @@ from scipy import special
 
 import conftest
 from bnball.bubble import constants, delta, lambda_1, omega_n
-from bnball.model import UndefinedConstants
+from bnball.model import InvalidDimension, UndefinedConstants
 
 OMEGA_7 = 33.073361792319808
 
@@ -100,6 +100,19 @@ def test_constants_undefined_below_n5():
 @pytest.mark.parametrize("n", sorted(LAMBDA1))
 def test_lambda_1(n):
     assert lambda_1(n) == pytest.approx(LAMBDA1[n], rel=1e-12)
+
+
+def test_lambda_1_is_computed_once_per_dimension():
+    """Every solve reads lambda_1; repeated calls hit the cache and return
+    the same float without bracketing the Bessel zero again, and a float n
+    equal to a cached dimension is still rejected."""
+    first = lambda_1(7)
+    before = lambda_1.cache_info()
+    assert all(lambda_1(7) is first for _ in range(3))
+    after = lambda_1.cache_info()
+    assert (after.hits - before.hits, after.misses) == (3, before.misses)
+    with pytest.raises(InvalidDimension):
+        lambda_1(7.0)
 
 
 @pytest.mark.parametrize("n", [40_000, 100_000])

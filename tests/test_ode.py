@@ -881,7 +881,8 @@ def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
 
     def capture(*args, **kwargs):
         results.append(solve_ivp(*args, **kwargs))
-        rows.extend(kwargs["rows"])
+        (F,) = kwargs["rows"]
+        rows.extend(F)
         return results[-1]
 
     def stack(*args):
@@ -976,6 +977,98 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
     assert {id(step) for step in rooted} == {id(step) for step in built}
     assert len({step.t_old for step in built}) == len(built)
     assert bool(built) == roots
+
+
+def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
+    """The stepper builds the dense output after its later steps are taken.
+    A step whose dense output is NaN (its first extra stage is) still fails
+    integrate as integration-failed at that step's start radius, with the
+    events of the steps before it located and none of a later step."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+    calls, results, reached = [], [], []
+    stock_solve_ivp = ode.solve_ivp
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs)
+        results.append(stock_solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "solve_ivp", capture)
+    clean = integrate(params, a, 1.0)
+    (result,) = results
+    ys = result.t
+    # step i follows the step that holds the first event
+    i = int(np.searchsorted(ys, dev.scale_r * clean.events[0].r))
+    nan_at = ys[i] + DOP853.C_EXTRA[0] * (ys[i + 1] - ys[i])
+    assert any(e.r > ys[i + 1] / dev.scale_r for e in clean.events)
+
+    def rhs(y, v, vp):
+        reached.append(y)
+        return (math.nan, math.nan) if y == nan_at else dev.rhs(y, v, vp)
+
+    calls.clear()
+    monkeypatch.setattr(ode, "_deviation", lambda *args: dataclasses.replace(dev, rhs=rhs))
+    with pytest.raises(IntegrationFailed) as info:
+        integrate(params, a, 1.0)
+    assert str(info.value) == f"integration failed: {ode._FloatDop853.NON_FINITE_STEP}"
+    assert info.value.last_radius == ys[i] / dev.scale_r
+    (kwargs,) = calls
+    assert len(results) == 1
+    earlier = [e for e in clean.events if e.r <= ys[i] / dev.scale_r]
+    assert earlier and kwargs["crossings"] == earlier
+    # the run went on past the failing step before its dense output was built
+    assert max(reached) == dev.y_end
+
+
+@pytest.mark.parametrize("n, lam, a", [
+    pytest.param(7, 2.0, A_STAR[(7, 1)], id="n7-k1"),
+    pytest.param(7, 2.0, A_STAR[(7, 2)], id="n7-k2"),
+    pytest.param(5, 0.5, 1e28, id="n5-untrusted"),
+])
+def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
+    """Each integrate makes exactly 2 + 12 attempts + 3 steps RHS calls (the
+    start, every attempted step and the extra stages of every accepted
+    step's dense output), all inside its one solve_ivp call, whose nfev
+    reports them.  The attempts are counted on stock DOP853 without dense
+    output or events, which takes the same steps."""
+    params = Params(n=n, lam=lam)
+    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+    calls = {True: 0, False: 0}  # RHS calls inside and outside solve_ivp
+    inside, results = False, []
+    stock_solve_ivp = ode.solve_ivp
+
+    def capture(*args, **kwargs):
+        nonlocal inside
+        inside = True
+        try:
+            results.append(stock_solve_ivp(*args, **kwargs))
+        finally:
+            inside = False
+        return results[-1]
+
+    def rhs(*state):
+        calls[inside] += 1
+        return dev.rhs(*state)
+
+    monkeypatch.setattr(ode, "solve_ivp", capture)
+    monkeypatch.setattr(ode, "_deviation", lambda *args: dataclasses.replace(dev, rhs=rhs))
+    profile = integrate(params, a, 1.0)
+    (result,) = results
+    plain = solve_ivp(
+        lambda y, s: np.array(dev.rhs(float(y), *s.tolist())),
+        (dev.y0, dev.y_end),
+        dev.s0,
+        method="DOP853",
+        rtol=ode.run_rtol(DEFAULT_RTOL),
+        atol=dev.atol_scaled,
+    )
+    assert np.array_equal(plain.t, result.t)
+    attempts, rest = divmod(plain.nfev - 2, 12)
+    steps = len(profile.steps) - 1
+    assert rest == 0 and attempts >= steps
+    assert calls == {True: 2 + 12 * attempts + 3 * steps, False: 0}
+    assert result.nfev == calls[True]
 
 
 def test_u_du_agrees_with_u_and_du(sol7_lam2):
