@@ -41,10 +41,13 @@ on Python floats, with the blow-up guard and sign changes checked per step
 and the dense output built in one batched pass when the run ends.  shoot
 returns only the radius of the k-th zero of u, from DOP853 (Hairer,
 Norsett and Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step
-rules as float code generated at import: the stages straight-line without
-the tableau's zeros, each with the right-hand side inlined.  Both build the problem with _deviation, whose
-rhs comes from the same source lines, so the right-hand side and the
-blow-up guard are defined once.
+rules.  Both step on float code generated at import, each stage straight-
+line with the right-hand side inlined: the shot's stage sums are float
+sums without the tableau's zeros, an attempted step of integrate keeps
+scipy's numpy products.  Both build the problem with _deviation, whose rhs
+comes from the same source lines, so the right-hand side and the blow-up
+guard are defined once, and both locate roots on the same float
+evaluator of a step's dense output.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from .model import BlowUpDetected, ConfigError, IntegrationFailed, Params, SingularPoint
@@ -403,44 +406,63 @@ def _blow_up(radius: float) -> BlowUpDetected:
     return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
 
 
-def _maximum(a: float, b: float) -> float:
-    """np.maximum on floats: NaN if either is."""
-    return a if a >= b or a != a else b
-
-
 _EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
 
 
-def _root(piece: Dop853DenseOutput, g) -> float:
-    """The root of g(y, (v, v')) over one step, located as solve_ivp
+def _dense_state(y: float, step) -> tuple[float, float]:
+    """(v, v') at scaled radius y on the dense output of one step, step =
+    (t_old, t, v, v', F) with F its seven coefficient rows: on floats,
+    bit for bit scipy's Dop853DenseOutput(t_old, t, (v, v'), F) at a
+    scalar y (Hairer, Norsett and Wanner, Solving ODEs I, II.6)."""
+    t_old, t, v, vp, F = step
+    x = (y - t_old) / (t - t_old)
+    factors = (x, 1 - x)
+    w = wp = 0.0
+    for i, (f, fp) in enumerate(reversed(F)):
+        w = (w + f) * factors[i % 2]
+        wp = (wp + fp) * factors[i % 2]
+    return w + v, wp + vp
+
+
+def _sign(y: float, step, dev: _Deviation, c: int) -> float:
+    """u/a (c = 0) or u'/(a scale_r) (c = 1) at y on step's dense output."""
+    return dev.signs(y, _dense_state(y, step))[c]
+
+
+def _over_bound(y: float, step, dev: _Deviation) -> float:
+    """|u/a| at y on step's dense output, less the blow-up bound."""
+    return abs(_sign(y, step, dev, 0)) - BLOWUP_BOUND
+
+
+def _root(step, g, *args) -> float:
+    """The root of g(y, step, *args) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
     output.  The step-end state and the polynomial there may disagree in
     sign in the last bit; brentq's ValueError is then IntegrationFailed.
-    piece and g go to brentq as args: its NaN guard wraps the function in
-    a closure over itself, a cycle that would keep them alive."""
+    g is a module function and its data go to brentq as args: its NaN
+    guard wraps g in a closure over itself, a cycle that would keep a
+    closure's data alive."""
     tol = 4 * np.finfo(float).eps
     try:
-        return brentq(_on_piece, piece.t_old, piece.t, args=(piece, g), xtol=tol, rtol=tol)
+        return brentq(g, step[0], step[1], args=(step, *args), xtol=tol, rtol=tol)
     except ValueError as exc:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-
-
-def _on_piece(y: float, piece: Dop853DenseOutput, g) -> float:
-    return g(y, piece(y))
 
 
 class _FloatDop853(DOP853):
     """scipy's DOP853 stepping on Python floats, with the events of integrate.
 
     Takes the steps, builds the dense output and counts the RHS evaluations
-    (nfev) of stock DOP853 bit for bit.  Every reduction over the stages
-    stays the dot product scipy takes, on the same views of the stage
-    array, because OpenBLAS may fuse its multiply-adds, so a float sum can
-    differ in the last bit; each error norm stays sqrt(err.dot(err))**2 on
-    an array for the same reason.  The rest (stage states, error scale,
-    step factor, the first three dense-output coefficients) is float
-    arithmetic in scipy's order, elementwise on arrays in the batched pass.  fun is a float RHS
-    fun(y, v, v') -> (v', v''), like _Deviation.rhs.
+    (nfev) of stock DOP853 bit for bit.  Each attempted step is one call of
+    the generated _make_attempt closure: its 11 stages and the new state
+    inline the right-hand side, every reduction over the stages stays the
+    dot product scipy takes, on the same views of the stage array, because
+    OpenBLAS may fuse its multiply-adds, so a float sum can differ in the
+    last bit, and each error norm stays sqrt(err.dot(err))**2 on an array
+    for the same reason.  The rest is float arithmetic in scipy's order.
+    fun is a float RHS fun(y, v, v') -> (v', v''), like _Deviation.rhs;
+    scipy's start and the extra stages call it, the attempts inline the
+    deviation's.
 
     A step's three extra stages and dense-output coefficients F depend only
     on its own stages and never feed step-size control, so they are built
@@ -452,11 +474,12 @@ class _FloatDop853(DOP853):
     fires.  When the run ends (finished, failed, or at once when the guard
     trips), still inside step() and so inside solve_ivp, _finish builds
     every step's extra stages and F in one batched pass, on the same
-    products scipy takes per step, and appends the stacked F to rows.  It
-    then goes through the steps in order: the first step whose F is not
-    finite raises IntegrationFailed at its start radius, ahead of the
-    outcome of any later step; before it, each kept step locates its roots
-    on its Dop853DenseOutput as solve_ivp locates an event.  The blow-up
+    products scipy takes per step, elementwise on arrays where scipy is on
+    floats, and appends the stacked F to rows.  It then goes through the
+    steps in order: the first step whose F is not finite raises
+    IntegrationFailed at its start radius, ahead of the outcome of any
+    later step; before it, each kept step locates its roots on its dense
+    output (_dense_state) as solve_ivp locates an event.  The blow-up
     radius is located first and raises BlowUpDetected after the step's
     sign changes, which are appended to crossings as finished Events.
     Callers run the stepper under np.errstate(all="ignore"): a NaN trial
@@ -489,10 +512,13 @@ class _FloatDop853(DOP853):
         # Stage s is written to k[2s], k[2s+1], a flat float view of K:
         # numpy's row assignment costs as much as the RHS call itself.
         self.k = memoryview(K.reshape(-1))
-        self.stages = [
-            (2 * s, K[:s].T, a[:s], float(c))
-            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
-        ]
+        # the views scipy's rk_step and _estimate_error_norm reduce over
+        dots = [K[:s].T.dot for s in range(1, self.n_stages)]
+        dots += [self.K[:-1].T.dot, self.K.T.dot, self.K.T.dot]
+        self.attempt = _make_attempt(
+            deviation.K, deviation.h, deviation.p, deviation.n - 1.0, deviation.lam_hat,
+            self.rtol, self.atol, self.k, dots, np.empty(2),
+        )
         self.signs = deviation.signs(t0, self.y)
         self.taken = []  # (t_old, v, v', h, v_new, v'_new, t_new) of each step
         self.stage_rows = []  # the bytes of each step's stage rows 0..n_stages
@@ -519,11 +545,7 @@ class _FloatDop853(DOP853):
     def _step_impl(self):
         t = self.t
         v, vp = self.y
-        rhs = self.rhs
-        rtol, atol = self.rtol, self.atol
-        k = self.k
-        KT, KT_B = self.K.T, self.K[:-1].T
-        last = 2 * self.n_stages
+        attempt = self.attempt
 
         min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         if self.h_abs > self.max_step:
@@ -533,6 +555,7 @@ class _FloatDop853(DOP853):
         else:
             h_abs = self.h_abs
 
+        self.k[0], self.k[1] = self.f
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -545,30 +568,8 @@ class _FloatDop853(DOP853):
             h = t_new - t
             h_abs = abs(h)
 
-            k[0], k[1] = self.f
-            for i, KsT, a, c in self.stages:
-                dv, dvp = KsT.dot(a).tolist()
-                k[i], k[i + 1] = rhs(t + c * h, v + dv * h, vp + dvp * h)
-            bv, bvp = KT_B.dot(self.B).tolist()
-            v_new = v + h * bv
-            vp_new = vp + h * bvp
-            f_new = rhs(t + h, v_new, vp_new)
-            k[last], k[last + 1] = f_new
+            error_norm, v_new, vp_new, f_new, w, dw = attempt(t, v, vp, h, t_new)
             self.nfev += self.n_stages
-
-            scale = np.array((
-                atol + _maximum(abs(v), abs(v_new)) * rtol,
-                atol + _maximum(abs(vp), abs(vp_new)) * rtol,
-            ))
-            err5 = KT.dot(self.E5) / scale
-            err3 = KT.dot(self.E3) / scale
-            err5_norm_2 = float(np.sqrt(err5.dot(err5)) ** 2)
-            err3_norm_2 = float(np.sqrt(err3.dot(err3)) ** 2)
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                error_norm = 0.0
-            else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * 2)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -585,16 +586,16 @@ class _FloatDop853(DOP853):
         self.t = t_new
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
-        self.f = f_new
+        self.f = (vp_new, f_new)
         self.taken.append((t, v, vp, h, v_new, vp_new, t_new))
-        self.stage_rows.append(bytes(k[:last + 2]))
+        self.stage_rows.append(bytes(self.k[:2 * self.n_stages + 2]))
 
-        dev = self.deviation
-        signs = dev.signs(t_new, self.y)
-        blown = abs(signs[0]) >= BLOWUP_BOUND
+        signs = (w, dw)
+        blown = abs(w) >= BLOWUP_BOUND
         changes = [
             c for c, (g, g_new) in enumerate(zip(self.signs, signs))
-            if dev.trusted and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
+            if self.deviation.trusted
+            and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
         ]
         self.signs = signs
         if blown or changes:
@@ -634,13 +635,13 @@ class _FloatDop853(DOP853):
         for i, changes, blown in self.checks:
             if i >= good:
                 break
-            step = self.taken[i]
-            piece = Dop853DenseOutput(step[0], step[6], np.array(step[1:3]), F[i])
+            y0, v, vp, _, _, _, y1 = self.taken[i]
+            step = (y0, y1, v, vp, F[i].tolist())
             if blown:
-                blown_at = _root(piece, lambda y, s: abs(dev.signs(y, s)[0]) - BLOWUP_BOUND)
+                blown_at = _root(step, _over_bound, dev)
             for c in changes:
-                root = _root(piece, lambda y, s: dev.signs(y, s)[c])
-                value = dev.u_du(root, piece(root))[1 - c]
+                root = _root(step, _sign, dev, c)
+                value = dev.u_du(root, _dense_state(root, step))[1 - c]
                 self.crossings.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
             if blown:
                 raise _blow_up(blown_at / dev.scale_r)
@@ -752,14 +753,33 @@ def _sum(coefficients, names) -> str:
     return " + ".join(f"{c!r} * {x}" for c, x in zip(coefficients.tolist(), names) if c)
 
 
-def _stage_lines(s: int) -> list[str]:
-    """Stage s of step hh from (y, v, vp): radius x{s}, state and RHS k{s}."""
-    a, c = dop853_coefficients.A[s, :s], float(dop853_coefficients.C[s])
+def _stage_lines(s: int, sum_v: str, sum_p: str) -> list[str]:
+    """Stage s of step hh from (y, v, vp), given the sources of its stage
+    sums of the k_j v and k_j p: radius x{s}, state and RHS k{s}."""
+    c = float(dop853_coefficients.C[s])
     return [
         f"x{s} = y + {c!r} * hh",
-        f"v{s} = v + hh * ({_sum(a, [f'k{j}v' for j in range(s)])})",
-        f"k{s}v = vp + hh * ({_sum(a, [f'k{j}p' for j in range(s)])})",
+        f"v{s} = v + hh * ({sum_v})",
+        f"k{s}v = vp + hh * ({sum_p})",
         *_rhs_lines(f"x{s}", f"v{s}", f"k{s}v", f"k{s}p"),
+    ]
+
+
+def _shot_stage_lines(s: int) -> list[str]:
+    """Stage s of a shot: its stage sums as float sums over the tableau."""
+    a = dop853_coefficients.A[s, :s]
+    return _stage_lines(
+        s, _sum(a, [f"k{j}v" for j in range(s)]), _sum(a, [f"k{j}p" for j in range(s)])
+    )
+
+
+def _attempt_stage_lines(s: int) -> list[str]:
+    """Stage s of an attempt of integrate: its stage sums on scipy's product
+    dot{s}(A{s}) = K[:s].T.dot(A[s, :s]), its RHS written to stage row s."""
+    return [
+        f"sv, sp = dot{s}(A{s}).tolist()",
+        *_stage_lines(s, "sv", "sp"),
+        f"k[{2 * s}], k[{2 * s + 1}] = k{s}v, k{s}p",
     ]
 
 
@@ -842,35 +862,89 @@ def _make_rhs(K, h, p, n1, lam):
     return rhs
 """
 
+# One attempted step of scipy's DOP853 (rk_step and _estimate_error_norm)
+# for _FloatDop853, from (y, v, vp) to ynew, with h = ynew - y as hh.  dots
+# are the bound dot methods of the views K[:s].T, s = 1..11, K[:-1].T and
+# K.T (twice) of the run's stage array, k a flat float view of it, err a
+# 2-array for the error norms.  The 14 products and 2 norm dots are
+# scipy's; the rest is float arithmetic in scipy's order, the error scale
+# with np.maximum's NaN rule.  Returns the error norm, the new state and
+# its v'', and u/a and u'/(a scale_r) at ynew.
+_ATTEMPT_SOURCE = """\
+def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, err):
+    {dots} = dots
+    e, norm = memoryview(err), err.dot
+    def attempt(y, v, vp, hh, ynew):
+{stages}
+        sv, sp = dotb(B).tolist()
+        vnew, pnew = v + hh * sv, vp + hh * sp
+        xnew = y + hh
+{new}
+        k[{last}], k[{last1}] = pnew, k12p
+        a1, a2, a3, a4 = abs(v), abs(vnew), abs(vp), abs(pnew)
+        sk1 = atol + (a1 if a1 >= a2 or a1 != a1 else a2) * rtol
+        sk2 = atol + (a3 if a3 >= a4 or a3 != a3 else a4) * rtol
+        sv, sp = dote5(E5).tolist()
+        e[0], e[1] = sv / sk1, sp / sk2
+        err5 = sqrt(norm(err)) ** 2
+        sv, sp = dote3(E3).tolist()
+        e[0], e[1] = sv / sk1, sp / sk2
+        err3 = sqrt(norm(err)) ** 2
+        if err5 == 0 and err3 == 0:
+            error = 0.0
+        else:
+            error = abs(hh) * err5 / sqrt((err5 + 0.01 * err3) * 2)
+        tb, db = t, d  # the bubble at ynew: the RHS's at xnew, unless rounded off
+        if xnew != ynew:
+            tb = K / (K + ynew * ynew)
+            db = tb**h
+            w = db + vnew
+        return error, vnew, pnew, k12p, w, -(n1 - 1.0) * ynew * db * tb / K + pnew
+    return attempt
+"""
+
 
 def _generate() -> dict:
-    """Compile _SHOT_SOURCE with DOP853's coefficients written in."""
+    """Compile _SHOT_SOURCE and _ATTEMPT_SOURCE with DOP853's coefficients
+    written in, the attempt's as arrays A1..A11, B, E5 and E3."""
     T = dop853_coefficients
     kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES_EXTENDED)] for c in "vp")
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
 
-    source = _SHOT_SOURCE.format(
+    shot = _SHOT_SOURCE.format(
         start=block(_rhs_lines("y", "v", "vp", "k0p"), 4),
         euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
-        stages=block([x for s in range(1, T.N_STAGES) for x in _stage_lines(s)], 8),
+        stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
         extra=block([x for s in range(T.N_STAGES + 1, T.N_STAGES_EXTENDED)
-                     for x in _stage_lines(s)], 16),
+                     for x in _shot_stage_lines(s)], 16),
         rows=block([f"(hh * ({_sum(d, kv)}), hh * ({_sum(d, kp)}))," for d in T.D], 21),
         b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
         e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
         rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
         facc1=1.0 / 0.333, facc2=1.0 / 6.0, safe=0.9, uround=2.3e-16, blowup=BLOWUP_BOUND,
     )
-    namespace = {"expm1": math.expm1, "log1p": math.log1p, "sqrt": math.sqrt, "inf": math.inf}
+    attempt = _ATTEMPT_SOURCE.format(
+        dots=", ".join([f"dot{s}" for s in range(1, T.N_STAGES)] + ["dotb", "dote5", "dote3"]),
+        stages=block([x for s in range(1, T.N_STAGES) for x in _attempt_stage_lines(s)], 8),
+        new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
+        last=2 * T.N_STAGES, last1=2 * T.N_STAGES + 1,
+    )
+    source = shot + "\n\n" + attempt
+    # the row views scipy's rk_step takes, and its B, E5 and E3
+    A = DOP853.A
+    namespace = {f"A{s}": A[s, :s] for s in range(1, T.N_STAGES)}
+    namespace.update(B=DOP853.B, E5=DOP853.E5, E3=DOP853.E3, expm1=math.expm1,
+                     log1p=math.log1p, sqrt=math.sqrt, inf=math.inf)
     exec(compile(source, "<bnball.ode DOP853>", "exec"), namespace)
     return dict(namespace, source=source)
 
 
 _GENERATED = _generate()
 _make_rhs, _dop853_shot = _GENERATED["_make_rhs"], _GENERATED["_dop853_shot"]
+_make_attempt = _GENERATED["_make_attempt"]
 
 
 def shoot(
@@ -911,8 +985,7 @@ def shoot(
     if end != "zero":
         raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
     y0, v0, vp0, _, F = step
-    if not np.isfinite(F).all():
+    if not all(math.isfinite(f) for row in F for f in row):
         message = f"integration failed: {_FloatDop853.NON_FINITE_STEP}"
         raise IntegrationFailed(message, last_radius=y0 / dev.scale_r)
-    piece = Dop853DenseOutput(y0, y1, np.array((v0, vp0)), np.array(F))
-    return _root(piece, lambda y, s: dev.signs(y, s)[0]) / dev.scale_r
+    return _root((y0, y1, v0, vp0, F), _sign, dev, 0) / dev.scale_r

@@ -198,12 +198,15 @@ def test_float_stepper_fails_as_stock_dop853(
 
 def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
     """Each integrate makes one solve_ivp call, and the nfev it reports
-    equals the calls of the deviation's float RHS, so the benchmark's RHS
-    counter reads the real work."""
+    counts the RHS evaluations, so the benchmark's RHS counter reads the
+    real work: 2 to start and 3 per step's dense output, all calls of the
+    deviation's float RHS, and 12 inlined in each attempted step, with the
+    attempts counted on stock DOP853, which takes the same steps."""
     results = []
-    calls = 0
+    calls = attempts = 0
     stock_solve_ivp = ode.solve_ivp
     stock_deviation = ode._deviation
+    stock_make_attempt = ode._make_attempt
 
     def capture(*args, **kwargs):
         results.append(stock_solve_ivp(*args, **kwargs))
@@ -219,15 +222,36 @@ def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
 
         return dataclasses.replace(dev, rhs=rhs)
 
+    def make_attempt(*args):
+        attempt = stock_make_attempt(*args)
+
+        def counted_attempt(*state):
+            nonlocal attempts
+            attempts += 1
+            return attempt(*state)
+
+        return counted_attempt
+
     monkeypatch.setattr(ode, "solve_ivp", capture)
     monkeypatch.setattr(ode, "_deviation", counted)
+    monkeypatch.setattr(ode, "_make_attempt", make_attempt)
     for n, a in ((7, 2896.0889828723157), (7, 4.253137119342074e19), (5, 1e28)):
         results.clear()
-        calls = 0
-        profile = ode.integrate(Params(n=n, lam=2.0), a, 1.0)
+        calls = attempts = 0
+        params = Params(n=n, lam=2.0)
+        profile = ode.integrate(params, a, 1.0)
         (result,) = results
-        assert result.nfev == calls
+        dev = stock_deviation(params, a, 1.0, DEFAULT_ATOL)
+        plain = solve_ivp(
+            lambda y, s: np.array(dev.rhs(float(y), *s.tolist())),
+            (dev.y0, dev.y_end),
+            dev.s0,
+            method="DOP853",
+            rtol=ode.run_rtol(DEFAULT_RTOL),
+            atol=dev.atol_scaled,
+        )
+        stock_attempts, rest = divmod(plain.nfev - 2, 12)
         steps = len(profile.steps) - 1
-        # 2 to start, 12 per attempted step, 3 per dense output
-        rejected, rest = divmod(result.nfev - 2 - 15 * steps, 12)
-        assert rejected >= 0 and rest == 0
+        assert rest == 0 and attempts == stock_attempts >= steps
+        assert calls == 2 + 3 * steps
+        assert result.nfev == calls + 12 * attempts

@@ -180,10 +180,10 @@ def test_root_without_sign_change_is_integration_failure():
     """A step-end state and its polynomial may disagree in sign in the last
     bit, so brentq can find no sign change on the step; that is a
     classified failure, not brentq's ValueError."""
-    piece = Dop853DenseOutput(0.0, 1.0, np.zeros(2), np.zeros((7, 2)))
+    step = (0.0, 1.0, 0.0, 0.0, [[0.0, 0.0]] * 7)
     message = r"^integration failed: f\(a\) and f\(b\) must have different signs"
     with pytest.raises(IntegrationFailed, match=message):
-        ode._root(piece, lambda y, s: 1.0)
+        ode._root(step, lambda y, step: 1.0)
 
 
 def test_amplitude_must_be_finite():
@@ -212,7 +212,8 @@ def _numpy_scalar_rhs(params, a, y, s):
 def test_rhs_on_floats_matches_numpy_scalars():
     """The right-hand side computes on Python floats and returns, bit for
     bit, what the same formula gives on numpy scalars, in both branches.
-    Every stage of a shot inlines the same source lines as rhs."""
+    Every stage of a shot and of integrate's attempted step inlines the
+    same source lines as rhs."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -246,9 +247,9 @@ def test_rhs_on_floats_matches_numpy_scalars():
         ).groups()
         block = [line.strip() for line in ode._rhs_lines(y, v, vp, out)]
         assert source[i:i + size] == block
-    # the start, hinit's Euler step, 11 stages, the new state, 3 dense
-    # stages and rhs itself
-    assert len(starts) == 18
+    # the shot's start, hinit's Euler step, 11 stages, the new state and 3
+    # dense stages, rhs itself, and an attempt's 11 stages and new state
+    assert len(starts) == 30
 
 
 # A shot whose power |w|^(p-1) overflows: n=3, zero 3 sought at a loose rtol.
@@ -775,13 +776,17 @@ def _terms(node):
     return terms
 
 
-def test_generated_tableau_is_scipys():
-    """The stages, the new state, both error estimates and the dense rows
-    of the generated shot carry scipy's DOP853 coefficients exactly, with
-    every zero entry of the tableau left out."""
-    T = dop853_coefficients
-    assigned = {}  # name -> every expression assigned to it
-    for node in ast.walk(ast.parse(ode._GENERATED["source"])):
+def _function(name):
+    """The generated function named name."""
+    (function,) = [node for node in ast.walk(ast.parse(ode._GENERATED["source"]))
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def _assigned(function):
+    """{name: every expression assigned to it} in a generated function."""
+    assigned = {}
+    for node in ast.walk(function):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target, value = node.targets[0], node.value
             pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
@@ -789,6 +794,19 @@ def test_generated_tableau_is_scipys():
             for name, expr in pairs:
                 if isinstance(name, ast.Name):
                     assigned.setdefault(name.id, []).append(expr)
+    return assigned
+
+
+def test_generated_tableau_is_scipys():
+    """The stages, the new state, both error estimates and the dense rows
+    of the generated shot carry scipy's DOP853 coefficients exactly, with
+    every zero entry of the tableau left out.  Each stage of integrate's
+    attempted step carries C[s] in its radius and takes its stage sum on
+    scipy's product K[:s].T.dot(A[s, :s]); the attempt makes exactly these
+    11 products, the B, E5 and E3 products and the 2 norm dots, on scipy's
+    coefficient arrays and views of the run's stage array."""
+    T = dop853_coefficients
+    assigned = _assigned(_function("_dop853_shot"))
 
     def terms(name):
         return [_terms(expr) for expr in assigned[name]]
@@ -808,6 +826,39 @@ def test_generated_tableau_is_scipys():
     (F,) = assigned["F"]
     for row, d in zip(F.elts[3:], T.D, strict=True):
         assert [_terms(x) for x in row.elts] == [combination(d, "v"), combination(d, "p")]
+
+    attempt = _function("attempt")
+    assigned = _assigned(attempt)
+    calls = [ast.unparse(node) for node in ast.walk(attempt) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id.startswith(("dot", "norm"))]
+    stages = range(1, T.N_STAGES)
+    assert sorted(calls) == sorted([f"dot{s}(A{s})" for s in stages] + [
+        "dotb(B)", "dote5(E5)", "dote3(E3)", "norm(err)", "norm(err)"
+    ])
+    for s in stages:
+        assert [_terms(x) for x in assigned[f"x{s}"]] == [{"hh": T.C[s]}]
+        assert [ast.unparse(x) for x in assigned[f"v{s}"]] == ["v + hh * sv"]
+        assert [ast.unparse(x) for x in assigned[f"k{s}v"]] == ["vp + hh * sp"]
+        a = ode._GENERATED[f"A{s}"]
+        assert np.array_equal(a, T.A[s, :s]) and np.shares_memory(a, DOP853.A)
+    for name in ("B", "E5", "E3"):
+        assert ode._GENERATED[name] is getattr(DOP853, name)
+
+    views = []
+    make_attempt = ode._make_attempt
+
+    def capture(*args):
+        views.append([dot.__self__ for dot in args[-2]])
+        return make_attempt(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ode, "_make_attempt", capture)
+        integrate(Params(n=7, lam=2.0), A_STAR[(7, 1)], 1.0)
+    (views,) = views
+    assert [view.shape for view in views] == [(2, s) for s in stages] + [
+        (2, T.N_STAGES), (2, T.N_STAGES + 1), (2, T.N_STAGES + 1)
+    ]
+    assert all(view.base is views[0].base for view in views)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -935,6 +986,32 @@ def test_step_polynomials_match_odesolution():
         assert np.array_equal(stacked(t), sol(t))
 
 
+def test_dense_state_is_scipys_dense_output():
+    """The float evaluator that locates roots gives, bit for bit, scipy's
+    Dop853DenseOutput at a scalar radius on random pieces: at both ends,
+    inside, with signed zeros in the rows and with rows that are not
+    finite."""
+    rng = np.random.default_rng(31)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    non_finite = 0
+    for trial in range(300):
+        t_old = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 3))
+        t = t_old + float(10.0 ** rng.uniform(-9, 1))
+        y_old = rng.standard_normal(2) * 10.0 ** rng.uniform(-12, 12, 2)
+        F = rng.standard_normal((7, 2)) * 10.0 ** rng.uniform(-15, 15, (7, 2))
+        if trial % 3 == 0:  # some entries signed zeros, infinite or NaN
+            spots = rng.random((7, 2)) < 0.2
+            F[spots] = rng.choice(special, spots.sum())
+        piece = Dop853DenseOutput(t_old, t, y_old, F)
+        step = (t_old, t, *y_old.tolist(), F.tolist())
+        for y in (t_old, t, *rng.uniform(t_old, t, 6).tolist()):
+            with np.errstate(all="ignore"):
+                want = [float(x).hex() for x in piece(y)]
+            assert [x.hex() for x in ode._dense_state(y, step)] == want
+            non_finite += "nan" in want or "inf" in want or "-inf" in want
+    assert non_finite > 100
+
+
 @pytest.mark.parametrize("args, tolerances, roots", [
     pytest.param((Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0), {}, True, id="n7-k2"),
     pytest.param((Params(n=5, lam=0.5), 1e28, 1.0), {}, False, id="n5-untrusted"),
@@ -945,26 +1022,27 @@ def test_step_polynomials_match_odesolution():
 ])
 def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, roots):
     """integrate passes no dense_output to its one solve_ivp call, and the
-    stepper builds a Dop853DenseOutput only on a step where it locates a
-    root, one per step: every piece built is one that brentq ran on, and
-    brentq runs once per event and once for the blow-up radius."""
-    calls, built, rooted = [], [], []
-    solve_ivp, piece, root = ode.solve_ivp, ode.Dop853DenseOutput, ode._root
+    stepper builds a step's float dense output (the piece _dense_state
+    evaluates) only on a step where it locates a root, one per step: every
+    piece evaluated is one that brentq ran on, and brentq runs once per
+    event and once for the blow-up radius."""
+    calls, evaluated, rooted = [], [], []
+    solve_ivp, state, root = ode.solve_ivp, ode._dense_state, ode._root
 
     def capture(*args, **kwargs):
         calls.append(kwargs)
         return solve_ivp(*args, **kwargs)
 
-    def build(*row):
-        built.append(piece(*row))
-        return built[-1]
+    def evaluate(y, step):
+        evaluated.append(step)
+        return state(y, step)
 
-    def located(step, g):
+    def located(step, g, *args):
         rooted.append(step)
-        return root(step, g)
+        return root(step, g, *args)
 
     monkeypatch.setattr(ode, "solve_ivp", capture)
-    monkeypatch.setattr(ode, "Dop853DenseOutput", build)
+    monkeypatch.setattr(ode, "_dense_state", evaluate)
     monkeypatch.setattr(ode, "_root", located)
     try:
         integrate(*args, **tolerances)
@@ -974,8 +1052,9 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
     (kwargs,) = calls
     assert "dense_output" not in kwargs
     assert len(rooted) == len(kwargs["crossings"]) + blown
-    assert {id(step) for step in rooted} == {id(step) for step in built}
-    assert len({step.t_old for step in built}) == len(built)
+    built = list({id(step): step for step in rooted}.values())
+    assert {id(step) for step in evaluated} == {id(step) for step in built}
+    assert len({step[0] for step in built}) == len(built)
     assert bool(built) == roots
 
 
@@ -1003,6 +1082,8 @@ def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
     nan_at = ys[i] + DOP853.C_EXTRA[0] * (ys[i + 1] - ys[i])
     assert any(e.r > ys[i + 1] / dev.scale_r for e in clean.events)
 
+    # scipy's start and the extra stages call the deviation's rhs; the
+    # attempted steps inline it
     def rhs(y, v, vp):
         reached.append(y)
         return (math.nan, math.nan) if y == nan_at else dev.rhs(y, v, vp)
@@ -1017,8 +1098,10 @@ def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
     assert len(results) == 1
     earlier = [e for e in clean.events if e.r <= ys[i] / dev.scale_r]
     assert earlier and kwargs["crossings"] == earlier
-    # the run went on past the failing step before its dense output was built
-    assert max(reached) == dev.y_end
+    # the run took every step of the clean run before its dense output
+    # was built: the extra stages of each step, the last one's too
+    assert nan_at in reached
+    assert len(reached) == 2 + 3 * (len(ys) - 1) and max(reached) > ys[-2]
 
 
 @pytest.mark.parametrize("n, lam, a", [
@@ -1027,16 +1110,19 @@ def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
     pytest.param(5, 0.5, 1e28, id="n5-untrusted"),
 ])
 def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
-    """Each integrate makes exactly 2 + 12 attempts + 3 steps RHS calls (the
-    start, every attempted step and the extra stages of every accepted
-    step's dense output), all inside its one solve_ivp call, whose nfev
-    reports them.  The attempts are counted on stock DOP853 without dense
-    output or events, which takes the same steps."""
+    """Each integrate makes exactly 2 + 12 attempts + 3 steps RHS
+    evaluations (the start, every attempted step and the extra stages of
+    every accepted step's dense output), all inside its one solve_ivp
+    call, whose nfev reports them.  The start and the extra stages call the
+    deviation's rhs; each attempt (a call of the generated attempt) inlines
+    12.  The attempts are counted on stock DOP853 without dense output or
+    events, which takes the same steps."""
     params = Params(n=n, lam=lam)
     dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
     calls = {True: 0, False: 0}  # RHS calls inside and outside solve_ivp
+    attempts = {True: 0, False: 0}  # attempted steps inside and outside
     inside, results = False, []
-    stock_solve_ivp = ode.solve_ivp
+    stock_solve_ivp, stock_make_attempt = ode.solve_ivp, ode._make_attempt
 
     def capture(*args, **kwargs):
         nonlocal inside
@@ -1051,7 +1137,17 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
         calls[inside] += 1
         return dev.rhs(*state)
 
+    def make_attempt(*args):
+        attempt = stock_make_attempt(*args)
+
+        def counted(*state):
+            attempts[inside] += 1
+            return attempt(*state)
+
+        return counted
+
     monkeypatch.setattr(ode, "solve_ivp", capture)
+    monkeypatch.setattr(ode, "_make_attempt", make_attempt)
     monkeypatch.setattr(ode, "_deviation", lambda *args: dataclasses.replace(dev, rhs=rhs))
     profile = integrate(params, a, 1.0)
     (result,) = results
@@ -1064,11 +1160,12 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
         atol=dev.atol_scaled,
     )
     assert np.array_equal(plain.t, result.t)
-    attempts, rest = divmod(plain.nfev - 2, 12)
+    stock_attempts, rest = divmod(plain.nfev - 2, 12)
     steps = len(profile.steps) - 1
-    assert rest == 0 and attempts >= steps
-    assert calls == {True: 2 + 12 * attempts + 3 * steps, False: 0}
-    assert result.nfev == calls[True]
+    assert rest == 0 and stock_attempts >= steps
+    assert attempts == {True: stock_attempts, False: 0}
+    assert calls == {True: 2 + 3 * steps, False: 0}
+    assert result.nfev == 2 + 12 * stock_attempts + 3 * steps
 
 
 def test_u_du_agrees_with_u_and_du(sol7_lam2):
