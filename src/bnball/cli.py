@@ -239,16 +239,9 @@ def _solution_payload(solution: shooting.SignChangingSolution) -> dict:
 def cmd_solve(config: RunConfig) -> int:
     if config.lam is None:
         raise ConfigError("solve needs --lambda")
-    try:
-        solution = shooting.solve_nodal(
-            Params(n=config.n, lam=config.lam), config.k,
-            rtol=config.rtol, atol=config.atol,
-        )
-    except ConfigError:
-        raise
-    except Error as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_SOLVER
+    solution = shooting.solve_nodal(
+        Params(n=config.n, lam=config.lam), config.k, rtol=config.rtol, atol=config.atol
+    )
     _emit(canonical_json(_solution_payload(solution)), config.out)
     if config.out:
         print(f"wrote {config.out} (a_star={solution.a_star:.12g})")

@@ -46,8 +46,9 @@ line with the right-hand side inlined: the shot's stage sums are float
 sums without the tableau's zeros, an attempted step of integrate keeps
 scipy's numpy products.  Both build the problem with _deviation, whose rhs
 comes from the same source lines, so the right-hand side and the blow-up
-guard are defined once, and both locate roots on the same float
-evaluator of a step's dense output.
+guard are defined once.  One evaluator of DOP853's dense output,
+_dense_state, locates the roots of both on floats and evaluates
+integrate's profiles elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -367,10 +368,10 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
 class _StepPolynomials:
     """DOP853's dense output with every step polynomial stacked in arrays.
 
-    Evaluates the deviation state at any scaled radii, scalar or array, in
-    one numpy pass, with exactly the arithmetic of scipy's OdeSolution over
-    Dop853DenseOutput pieces (Hairer, Norsett, Wanner, Solving ODEs I,
-    II.6), so every value is bit-identical to it.  ts holds the ascending
+    Evaluates the deviation state at an array of scaled radii in one pass
+    of _dense_state, elementwise over the pieces the radii fall in, with
+    exactly the arithmetic of scipy's OdeSolution over Dop853DenseOutput
+    pieces, so every value is bit-identical to it.  ts holds the ascending
     step radii of an outward integration and piece i spans ts[i]..ts[i+1];
     on a step radius the step that ends there is used, as OdeSolution
     does.  ys holds the states at ts, and F stacks the coefficient rows
@@ -382,19 +383,10 @@ class _StepPolynomials:
     F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
 
     def __call__(self, y):
-        """State (v, v') at y: shape (2,) for scalar y, else (2, len(y))."""
-        y = np.asarray(y, dtype=float)
+        """State (v, v') at y, each of y's shape."""
         i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.F) - 1)
-        t_old = self.ts[i]
-        x = ((y - t_old) / (self.ts[i + 1] - t_old))[..., None]
-        factors = (x, 1 - x)
-        F = self.F[i]
-        s = np.zeros(y.shape + (2,))
-        for j in range(F.shape[-2]):
-            s += F[..., -1 - j, :]
-            s *= factors[j % 2]
-        s += self.ys[i]
-        return s.T
+        rows = self.F.transpose(1, 2, 0)[..., i]  # 7 rows of (v, v') coefficients
+        return _dense_state(y, (self.ts[i], self.ts[i + 1], *self.ys[i].T, rows))
 
 
 def run_rtol(rtol: float) -> float:
@@ -409,11 +401,12 @@ def _blow_up(radius: float) -> BlowUpDetected:
 _EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
 
 
-def _dense_state(y: float, step) -> tuple[float, float]:
+def _dense_state(y, step):
     """(v, v') at scaled radius y on the dense output of one step, step =
-    (t_old, t, v, v', F) with F its seven coefficient rows: on floats,
-    bit for bit scipy's Dop853DenseOutput(t_old, t, (v, v'), F) at a
-    scalar y (Hairer, Norsett and Wanner, Solving ODEs I, II.6)."""
+    (t_old, t, v, v', F) with F its seven coefficient rows (v, v'): bit for
+    bit scipy's Dop853DenseOutput(t_old, t, (v, v'), F) at y (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.6).  On floats for a scalar y;
+    on arrays, elementwise over one piece per radius."""
     t_old, t, v, vp, F = step
     x = (y - t_old) / (t - t_old)
     factors = (x, 1 - x)
@@ -450,7 +443,8 @@ def _root(step, g, *args) -> float:
 
 
 class _FloatDop853(DOP853):
-    """scipy's DOP853 stepping on Python floats, with the events of integrate.
+    """scipy's DOP853 stepping outward on Python floats, with the events of
+    integrate.
 
     Takes the steps, builds the dense output and counts the RHS evaluations
     (nfev) of stock DOP853 bit for bit.  Each attempted step is one call of
@@ -483,7 +477,9 @@ class _FloatDop853(DOP853):
     radius is located first and raises BlowUpDetected after the step's
     sign changes, which are appended to crossings as finished Events.
     Callers run the stepper under np.errstate(all="ignore"): a NaN trial
-    step is then rejected as in stock DOP853, without a warning.
+    step is then rejected as in stock DOP853, without a warning, and a NaN
+    step size is too small.  Runs go outward (_deviation refuses inward
+    ones) without a cap on the step.
 
     scipy's OdeSolver wraps the RHS in closures over the solver, a
     reference cycle; a run that ends (finished, failed or raising) drops
@@ -505,7 +501,6 @@ class _FloatDop853(DOP853):
         self.rows = rows
         self.y = tuple(self.y.tolist())
         self.f = tuple(self.f.tolist())
-        self.direction = float(self.direction)
         self.h_abs = float(self.h_abs)
         self.rtol, self.atol = float(self.rtol), float(self.atol)
         K = self.K_extended
@@ -547,26 +542,17 @@ class _FloatDop853(DOP853):
         v, vp = self.y
         attempt = self.attempt
 
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
 
         self.k[0], self.k[1] = self.f
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # NaN too: a zero error scale at the start
                 return False, self.TOO_SMALL_STEP
 
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
 
             error_norm, v_new, vp_new, f_new, w, dw = attempt(t, v, vp, h, t_new)
             self.nfev += self.n_stages

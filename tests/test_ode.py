@@ -6,6 +6,7 @@ import gc
 import math
 import operator
 import re
+import signal
 import sys
 import tracemalloc
 import warnings
@@ -558,10 +559,26 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
 
 def test_zero_error_scale_is_integration_failure():
     """At lambda = 0 the deviation is 0, so with atol = 0 the error scale
-    atol + rtol |v| of a shot is 0: a classified failure, not a raw
-    ZeroDivisionError."""
+    atol + rtol |v| is 0.  A shot divides by it: a classified failure, not
+    a raw ZeroDivisionError.  scipy's start of integrate divides by it and
+    starts with a NaN step size, which is too small at once rather than
+    rejected forever; an alarm fails the test if integrate hangs."""
+    params = Params(n=7, lam=0.0)
     with pytest.raises(IntegrationFailed, match="division by zero"):
-        shoot(Params(n=7, lam=0.0), 1.0, 1, atol=0.0)
+        shoot(params, 1.0, 1, atol=0.0)
+
+    def hang(signum, frame):
+        raise TimeoutError("integrate did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(IntegrationFailed, match="less than spacing") as info:
+            integrate(params, 1.0, 1.0, atol=0.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.last_radius == ode.SCALED_START
 
 
 def _combination(coefficients, values):
@@ -972,18 +989,25 @@ def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
 def test_step_polynomials_match_odesolution():
     """Pieces whose ends do not meet: on a step radius only the piece that
     OdeSolution picks gives its value, and beyond the ends the end pieces
-    extrapolate."""
+    extrapolate; with rows that hold signed zeros, inf and NaN, too."""
     rng = np.random.default_rng(3)
     ts = np.cumsum(rng.uniform(0.5, 1.5, 9))
     ys, F = rng.normal(size=(9, 2)), rng.normal(size=(8, 7, 2))
-    sol = OdeSolution(ts, [
-        Dop853DenseOutput(*piece) for piece in zip(ts[:-1], ts[1:], ys, F)
-    ])
-    stacked = ode._StepPolynomials(ts, ys, F)
     y = np.concatenate([ts, rng.uniform(ts.min() - 1.0, ts.max() + 1.0, 64)])
-    assert np.array_equal(stacked(y), sol(y))
-    for t in y[:16]:
-        assert np.array_equal(stacked(t), sol(t))
+    special = F.copy()
+    spots = rng.random(F.shape) < 0.2
+    special[spots] = rng.choice((0.0, -0.0, math.inf, -math.inf, math.nan), spots.sum())
+    for rows in (F, special):
+        sol = OdeSolution(ts, [
+            Dop853DenseOutput(*piece) for piece in zip(ts[:-1], ts[1:], ys, rows)
+        ])
+        stacked = ode._StepPolynomials(ts, ys, rows)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(stacked(y), sol(y), equal_nan=True)
+            for t in y[:16]:
+                assert np.array_equal(stacked(t), sol(t), equal_nan=True)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(stacked(y)).all()
 
 
 def test_dense_state_is_scipys_dense_output():
@@ -1022,10 +1046,11 @@ def test_dense_state_is_scipys_dense_output():
 ])
 def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, roots):
     """integrate passes no dense_output to its one solve_ivp call, and the
-    stepper builds a step's float dense output (the piece _dense_state
-    evaluates) only on a step where it locates a root, one per step: every
-    piece evaluated is one that brentq ran on, and brentq runs once per
-    event and once for the blow-up radius."""
+    stepper builds a step's float dense output (the piece of list rows
+    _dense_state evaluates) only on a step where it locates a root, one
+    per step: every float piece evaluated is one that brentq ran on, and
+    brentq runs once per event and once for the blow-up radius.  The
+    profile's arrays of pieces go through _dense_state too, uncounted."""
     calls, evaluated, rooted = [], [], []
     solve_ivp, state, root = ode.solve_ivp, ode._dense_state, ode._root
 
@@ -1034,7 +1059,8 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
         return solve_ivp(*args, **kwargs)
 
     def evaluate(y, step):
-        evaluated.append(step)
+        if isinstance(step[4], list):
+            evaluated.append(step)
         return state(y, step)
 
     def located(step, g, *args):
