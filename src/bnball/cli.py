@@ -15,7 +15,9 @@ Exit codes: 0 pass, 2 config or input error, 3 solver error,
 4 verification failure.
 
 solve and sweep take their only accuracy settings, --rtol and --atol, as
-flags; nothing is read from the environment.
+flags; nothing is read from the environment.  Each cmd_* takes the parsed
+namespace as it is: main checks the tolerances, and the library each
+setting argparse does not.
 """
 
 from __future__ import annotations
@@ -31,15 +33,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import asymptotics, bubble, shooting
-from .model import (
-    ConfigError,
-    Error,
-    FileIOError,
-    InsufficientRecords,
-    NodalFeatures,
-    Params,
-    check_lambda_grid,
-)
+from .model import ConfigError, Error, FileIOError, NodalFeatures, Params
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL
 
 EXIT_PASS = 0
@@ -57,38 +51,6 @@ _SCALAR_COLUMNS = tuple(
 # record's scalars.
 CSV_COLUMNS = ("lambda",) + _FEATURE_COLUMNS + _SCALAR_COLUMNS
 CSV_HEADER = CSV_COLUMNS + ("error",)
-
-
-# The RunConfig fields (also the flags' dests) that only solve and sweep
-# define; verify and constants keep the defaults.
-_TOLERANCES = ("rtol", "atol")
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one command invocation."""
-
-    n: int
-    lam: float | None = None
-    lambda_grid: tuple[float, ...] | None = None
-    k: int = 2
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        for name in _TOLERANCES:
-            value = getattr(self, name)
-            # NaN fails every comparison, so "<= 0" alone would let it through
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.lambda_grid is not None:
-            check_lambda_grid(self.lambda_grid)
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 def _fmt_number(x) -> str:
@@ -236,15 +198,13 @@ def _solution_payload(solution: shooting.SignChangingSolution) -> dict:
     }
 
 
-def cmd_solve(config: RunConfig) -> int:
-    if config.lam is None:
-        raise ConfigError("solve needs --lambda")
+def cmd_solve(args: argparse.Namespace) -> int:
     solution = shooting.solve_nodal(
-        Params(n=config.n, lam=config.lam), config.k, rtol=config.rtol, atol=config.atol
+        Params(n=args.n, lam=args.lam), args.k, rtol=args.rtol, atol=args.atol
     )
-    _emit(canonical_json(_solution_payload(solution)), config.out)
-    if config.out:
-        print(f"wrote {config.out} (a_star={solution.a_star:.12g})")
+    _emit(canonical_json(_solution_payload(solution)), args.out)
+    if args.out:
+        print(f"wrote {args.out} (a_star={solution.a_star:.12g})")
     return EXIT_PASS
 
 
@@ -266,28 +226,32 @@ def _sweep_row(point: shooting.SweepPoint) -> dict:
     }
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.lambda_grid is None:
-        raise ConfigError("sweep needs --lambda-grid")
-    grid = list(config.lambda_grid)
+def _parse_grid(raw: str) -> list[float]:
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse lambda grid {raw!r}") from exc
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.lambda_grid)
     points = shooting.continuation_sweep(
-        Params(n=config.n, lam=0.0), grid, config.k,
-        rtol=config.rtol, atol=config.atol,
+        Params(n=args.n, lam=0.0), grid, args.k, rtol=args.rtol, atol=args.atol
     )
     rows = [_sweep_row(p) for p in points]
 
-    if config.fmt == "json":
-        text = canonical_json({"n": config.n, "k": config.k, "records": rows})
+    if args.format == "json":
+        text = canonical_json({"n": args.n, "k": args.k, "records": rows})
     else:
         lines = [",".join(CSV_HEADER)]
         for row in rows:
             cells = [_fmt_number(row[name]) for name in CSV_COLUMNS]
             lines.append(",".join(cells + [row["error"] or ""]))
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
+    _emit(text, args.out)
     solved = sum(1 for row in rows if row["error"] is None)
-    if config.out:
-        print(f"wrote {config.out} ({solved}/{len(grid)} points solved)")
+    if args.out:
+        print(f"wrote {args.out} ({solved}/{len(grid)} points solved)")
     return EXIT_SOLVER if rows and not solved else EXIT_PASS
 
 
@@ -325,34 +289,23 @@ def _verdict_table(report: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_verify(config: RunConfig, records_path: str) -> int:
-    records = load_records(records_path, config.n)
-    try:
-        report = asymptotics.rate_law_report(records, config.n)
-    except InsufficientRecords as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_CONFIG
-    sys.stdout.write(_verdict_table(report))
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(canonical_json(report))
-        print(f"wrote {config.out}")
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = asymptotics.rate_law_report(load_records(args.records, args.n), args.n)
+    table = _verdict_table(report)
+    # written before the table is printed, so an unwritable --out prints
+    # only the error payload
+    if args.out:
+        _emit(canonical_json(report), args.out)
+        table += f"wrote {args.out}\n"
+    sys.stdout.write(table)
     return EXIT_PASS if report["overall_pass"] else EXIT_VERIFY
 
 
-def cmd_constants(config: RunConfig) -> int:
-    cst = bubble.constants(config.n)
-    payload = dataclasses.asdict(cst)
-    payload["n"] = config.n
-    _emit(canonical_json(payload), config.out)
+def cmd_constants(args: argparse.Namespace) -> int:
+    payload = dataclasses.asdict(bubble.constants(args.n))
+    payload["n"] = args.n
+    _emit(canonical_json(payload), args.out)
     return EXIT_PASS
-
-
-def _parse_grid(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse lambda grid {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--k", type=int, default=2, help="number of nodal regions")
         p.add_argument(
-            "--rtol", type=float, default=RunConfig.rtol,
+            "--rtol", type=float, default=DEFAULT_RTOL,
             help="relative tolerance of the shots, integration and search "
             "(default %(default)g)",
         )
         p.add_argument(
-            "--atol", type=float, default=RunConfig.atol,
+            "--atol", type=float, default=DEFAULT_ATOL,
             help="absolute tolerance of the shots and integration "
             "(default %(default)g)",
         )
@@ -393,39 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one (n, lambda, k) problem")
     common(p_solve, need_lambda=True)
+    p_solve.set_defaults(run=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="solve along a decreasing lambda grid")
     common(p_sweep, need_grid=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="check rate laws over a records file")
     p_verify.add_argument("records", help="CSV or JSON produced by sweep")
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--out", default=None, help="write the JSON report here")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_const = sub.add_parser("constants", help="print the dimensional constants")
     p_const.add_argument("--n", type=int, required=True)
     p_const.add_argument("--out", default=None)
+    p_const.set_defaults(run=cmd_constants)
 
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    grid = None
-    if getattr(args, "lambda_grid", None) is not None:
-        grid = _parse_grid(args.lambda_grid)
-    tolerances = {
-        name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)
-    }
-    return RunConfig(
-        n=args.n,
-        lam=getattr(args, "lam", None),
-        lambda_grid=grid,
-        k=getattr(args, "k", 2),
-        **tolerances,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "csv"),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -436,16 +375,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code or 0)
     try:
-        config = _config_from(args)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.records)
-        if args.command == "constants":
-            return cmd_constants(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # solve and sweep take the tolerances; verify and constants have none
+        for name in ("rtol", "atol"):
+            value = getattr(args, name, None)
+            # NaN fails every comparison, so "<= 0" alone would let it through
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        return args.run(args)
     except ConfigError as exc:
         sys.stdout.write(_error_payload(exc))
         return EXIT_CONFIG

@@ -117,12 +117,14 @@ class EpsilonOutOfRange(Error):
     code = "epsilon-out-of-range"
 
 
-class InsufficientRecords(Error):
-    code = "insufficient-records"
-
-
 class ConfigError(Error):
     code = "config-parse-error"
+
+
+class InsufficientRecords(ConfigError):
+    """Too few records for a report: an input error, as a ConfigError."""
+
+    code = "insufficient-records"
 
 
 class FileIOError(Error):

@@ -304,7 +304,11 @@ class _Deviation:
 
 
 def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviation:
-    """The deviation problem of u(0) = a out to r_stop."""
+    """The deviation problem of u(0) = a out to r_stop; an atol that is
+    negative or not finite is a ConfigError (atol = 0 is allowed)."""
+    # NaN fails every comparison, so "< 0" alone would let it through
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ConfigError(f"atol must be finite and >= 0, got {atol}")
     if not math.isfinite(a):
         raise IntegrationFailed(f"amplitude must be finite, got {a}")
     if r_stop <= 0.0:

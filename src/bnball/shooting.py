@@ -319,7 +319,7 @@ def continuation_sweep(
     the points solved before it, along the branch tangent: the first point
     starts cold at a = 1.  Only the dimension of params_base is used.
     Every solve runs at rtol and atol.  Per-point failures are recorded
-    and the sweep continues.
+    and the sweep continues; a ConfigError (such as k < 1) is raised.
     """
     grid = [float(x) for x in lambda_grid]
     check_lambda_grid(grid)
@@ -333,6 +333,8 @@ def continuation_sweep(
                 Params(n=params_base.n, lam=lam), k, a_seed=a_seed, slope=slope,
                 rtol=rtol, atol=atol,
             )
+        except ConfigError:
+            raise
         except Error as exc:
             points.append(
                 SweepPoint(lam=lam, solution=None, error=exc.code, detail=str(exc))

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from bnball import cli, shooting
 from bnball.bubble import constants
-from bnball.model import ConfigError, IntegrationFailed, Params
+from bnball.model import IntegrationFailed, Params
 
 
 def run(capsys, *argv):
@@ -396,11 +396,16 @@ def test_verify_missing_records_file(capsys, tmp_path):
     assert "nope.csv" in payload["message"]
 
 
-def test_out_path_in_missing_directory(capsys, tmp_path):
-    target = tmp_path / "no" / "such" / "dir" / "c.json"
-    rc, out = run(capsys, "constants", "--n", "7", "--out", str(target))
-    assert rc == cli.EXIT_CONFIG
-    assert json.loads(out)["error"] == "file-io-error"
+def test_out_path_in_missing_directory(capsys, tmp_path, records7):
+    """An unwritable --out prints only the error payload, verify's table
+    included."""
+    records = tmp_path / "records.csv"
+    records.write_text(csv_text(records7))
+    target = str(tmp_path / "no" / "such" / "dir" / "c.json")
+    for argv in (["constants", "--n", "7"], ["verify", str(records), "--n", "7"]):
+        rc, out = run(capsys, *argv, "--out", target)
+        assert rc == cli.EXIT_CONFIG
+        assert json.loads(out)["error"] == "file-io-error"
 
 
 def test_sweep_json_failure_rows(capsys):
@@ -578,15 +583,33 @@ def test_verify_malformed_records(capsys, tmp_path, name, text):
     assert name in payload["message"]
 
 
-def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        cli.RunConfig(n=7, rtol=-1.0)
-    with pytest.raises(ConfigError):
-        cli.RunConfig(n=7, fmt="yaml")
-    with pytest.raises(ConfigError):
-        cli.RunConfig(n=7, k=0)
-    with pytest.raises(ConfigError):
-        cli.RunConfig(n=7, lambda_grid=(1.0, 1.0))
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (_SOLVE_ARGS + ["--rtol", "-1"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--atol", "0"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--k", "0"], "config-parse-error"),
+        (_SWEEP_ARGS + ["--k", "0"], "config-parse-error"),
+        (["sweep", "--n", "7", "--lambda-grid", "1,1"], "config-parse-error"),
+        (_SWEEP_ARGS + ["--format", "yaml"], None),  # argparse's usage error
+    ],
+    ids=["solve-rtol-1", "solve-atol0", "solve-k0", "sweep-k0", "sweep-grid-1,1",
+         "sweep-format-yaml"],
+)
+def test_rejected_setting_starts_no_shot(capsys, monkeypatch, argv, code):
+    """Each setting is checked once, in main, argparse or the library,
+    and a rejected one exits 2 before any shot."""
+
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a rejected setting must not start a shot")
+
+    monkeypatch.setattr(shooting, "shoot", no_shot)
+    rc, out = run(capsys, *argv)
+    assert rc == cli.EXIT_CONFIG
+    if code is None:
+        assert out == ""
+    else:
+        assert json.loads(out)["error"] == code
 
 
 def test_canonical_json_scrubbing():

@@ -23,7 +23,14 @@ from scipy.optimize import brentq
 from bnball import diagnostics, ode
 from bnball.asymptotics import build_record
 from bnball.bubble import delta
-from bnball.model import BlowUpDetected, Error, IntegrationFailed, Params, SingularPoint
+from bnball.model import (
+    BlowUpDetected,
+    ConfigError,
+    Error,
+    IntegrationFailed,
+    Params,
+    SingularPoint,
+)
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
 from bnball.shooting import extract_features
 
@@ -579,6 +586,18 @@ def test_zero_error_scale_is_integration_failure():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert info.value.last_radius == ode.SCALED_START
+
+
+@pytest.mark.parametrize("atol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "run, last", [(integrate, 1.0), (shoot, 2)], ids=["integrate", "shoot"]
+)
+def test_atol_negative_or_not_finite_is_config_error(run, last, atol):
+    """_deviation refuses an atol below 0 or not finite, for integrate (to
+    r = 1) and shoot (to zero 2) alike; atol = 0 stays valid, as
+    test_zero_error_scale_is_integration_failure runs it."""
+    with pytest.raises(ConfigError, match="atol must be finite and >= 0"):
+        run(Params(n=7, lam=2.0), A_STAR[(7, 2)], last, atol=atol)
 
 
 def _combination(coefficients, values):

@@ -481,3 +481,6 @@ def test_extract_features_needs_interior_zero():
 def test_solve_k_validation():
     with pytest.raises(ConfigError):
         solve_nodal(Params(n=7, lam=2.0), 0)
+    # a sweep raises solve_nodal's ConfigError rather than recording it
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        continuation_sweep(Params(n=7, lam=2.0), [2.0, 1.0], k=0)
