@@ -16,8 +16,7 @@ Exit codes: 0 pass, 2 config or input error, 3 solver error,
 
 solve and sweep take their only accuracy settings, --rtol and --atol, as
 flags; nothing is read from the environment.  Each cmd_* takes the parsed
-namespace as it is: main checks the tolerances, and the library each
-setting argparse does not.
+namespace as it is, and the library checks each setting argparse does not.
 """
 
 from __future__ import annotations
@@ -375,12 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code or 0)
     try:
-        # solve and sweep take the tolerances; verify and constants have none
-        for name in ("rtol", "atol"):
-            value = getattr(args, name, None)
-            # NaN fails every comparison, so "<= 0" alone would let it through
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
         return args.run(args)
     except ConfigError as exc:
         sys.stdout.write(_error_payload(exc))

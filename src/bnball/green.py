@@ -15,7 +15,7 @@ u(x) = -int G(x,y) (Delta u)(y) dy produces.
 from __future__ import annotations
 
 from .bubble import omega_n
-from .model import InvalidDimension, OutOfDomain
+from .model import OutOfDomain, check_dimension
 
 
 def _kappa_and_radius(n: int, r: float) -> tuple[float, float]:
@@ -23,8 +23,7 @@ def _kappa_and_radius(n: int, r: float) -> tuple[float, float]:
     r = float(r)
     if not 0.0 < r < 1.0:
         raise OutOfDomain(f"radius must lie in (0,1), got {r}")
-    if n < 3:
-        raise InvalidDimension(f"Green kernel needs n >= 3, got {n}")
+    check_dimension(n)
     return 1.0 / (n * (2.0 - n) * omega_n(n)), r
 
 

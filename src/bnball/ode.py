@@ -226,7 +226,6 @@ class _Deviation:
     scale_v: float  # u' = scale_v * uhat'
     y0: float
     y_end: float
-    s0: tuple[float, float]
     atol_scaled: float
     trusted: bool
     rhs: object = field(repr=False)
@@ -268,6 +267,13 @@ class _Deviation:
             g.append(sum(((p + 1.0) * i - m) * q[i] * g[m - i] for i in range(1, m + 1)) / m)
         return v
 
+    @property
+    def s0(self) -> tuple[float, float]:
+        """integrate's start (v, v') at y0: v_1 z + v_2 z^2 of series()."""
+        _, v1, v2 = self.series()[:3]
+        y = self.y0
+        return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
+
     def series_start(self) -> tuple[float, tuple[float, float]]:
         """The scaled radius y_s where a shot starts and the state (v, v')
         there from series().
@@ -304,11 +310,8 @@ class _Deviation:
 
 
 def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviation:
-    """The deviation problem of u(0) = a out to r_stop; an atol that is
-    negative or not finite is a ConfigError (atol = 0 is allowed)."""
-    # NaN fails every comparison, so "< 0" alone would let it through
-    if not (math.isfinite(atol) and atol >= 0.0):
-        raise ConfigError(f"atol must be finite and >= 0, got {atol}")
+    """The deviation problem of u(0) = a out to r_stop, at an atol that
+    run_tolerances has passed."""
     if not math.isfinite(a):
         raise IntegrationFailed(f"amplitude must be finite, got {a}")
     if r_stop <= 0.0:
@@ -332,15 +335,6 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
     h = (n - 2.0) / 2.0
     p = params.two_star - 1.0
 
-    # Deviation series start: uhat and delta share the lamhat-free part of
-    # their expansions at 0, so v = uhat - delta starts at
-    #   v(y) = -lamhat/(2n) y^2 + lamhat(lamhat+p+1)/(8n(n+2)) y^4 + O(y^6).
-    y0 = SCALED_START
-    c2 = lam_hat / (2.0 * n)
-    c4 = lam_hat * (lam_hat + p + 1.0) / (8.0 * n * (n + 2.0))
-    v0 = -c2 * y0 * y0 + c4 * y0**4
-    vp0 = -2.0 * c2 * y0 + 4.0 * c4 * y0**3
-
     # The deviation signal has magnitude of order lam_hat while the additive
     # integration noise sits at the absolute tolerance floor atol/amp.  Sign
     # structure is certifiable only when the signal clears that floor; below
@@ -359,9 +353,8 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
         lam_hat=lam_hat,
         scale_r=scale_r,
         scale_v=a * scale_r,
-        y0=y0,
+        y0=SCALED_START,
         y_end=y_end,
-        s0=(v0, vp0),
         atol_scaled=atol_scaled,
         trusted=lam_hat >= ZERO_TRUST_FACTOR * atol_scaled,
         rhs=_make_rhs(K, h, p, n - 1.0, lam_hat),
@@ -393,9 +386,15 @@ class _StepPolynomials:
         return _dense_state(y, (self.ts[i], self.ts[i + 1], *self.ys[i].T, rows))
 
 
-def run_rtol(rtol: float) -> float:
-    """The rtol integrate and shoot run: raised to 100 eps, as solve_ivp would."""
-    return max(rtol, 100.0 * math.ulp(1.0))
+def run_tolerances(rtol: float, atol: float) -> tuple[float, float]:
+    """The (rtol, atol) a run uses.  ConfigError names the first that is
+    not a positive, finite number; rtol is raised to 100 eps, as solve_ivp
+    would."""
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        # NaN fails every comparison, so "<= 0" alone would let it through
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return max(rtol, 100.0 * math.ulp(1.0)), atol
 
 
 def _blow_up(radius: float) -> BlowUpDetected:
@@ -552,7 +551,7 @@ class _FloatDop853(DOP853):
         self.k[0], self.k[1] = self.f
         step_rejected = False
         while True:
-            if not h_abs >= min_step:  # NaN too: a zero error scale at the start
+            if not h_abs >= min_step:  # NaN too: atol scaled to 0 on a zero state
                 return False, self.TOO_SMALL_STEP
 
             t_new = min(t + h_abs, self.t_bound)
@@ -654,23 +653,24 @@ def integrate(
     """Integrate from the origin series start out to r_stop.
 
     Integrates the unit-amplitude deviation problem out to y = |a|^beta *
-    r_stop on _FloatDop853 at run_rtol(rtol), in one solve_ivp call, and
-    maps it back to physical variables.  The stepper locates each sign
-    change of u or u' on the dense output of the step that finds it, by
-    solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy),
-    and records it as an event; the dense output is stacked from the step
-    states and the coefficient rows it builds when the run ends.  knots
-    hold the integrator steps plus DENSE_SAMPLES interior samples per step;
-    `steps` keeps the raw step radii, whose dense-output pieces downstream
-    quadrature integrates piecewise.
-    Everything returned is bit-identical to solve_ivp with method="DOP853"
-    and the same checks as event functions.  A step whose dense output is
-    not finite is IntegrationFailed at its start radius, under any warnings
-    filter, whatever later steps would have found.
+    r_stop on _FloatDop853 at run_tolerances(rtol, atol) (a bad tolerance
+    raises before any step), in one solve_ivp call, and maps it back to
+    physical variables.  The stepper locates each sign change of u or u'
+    on the dense output of the step that finds it, by solve_ivp's
+    bracketed root-finding (well below 1e-12 radius accuracy), and records
+    it as an event; the dense output is stacked from the step states and
+    the coefficient rows it builds when the run ends.  knots hold the
+    integrator steps plus DENSE_SAMPLES interior samples per step; `steps`
+    keeps the raw step radii, whose dense-output pieces downstream
+    quadrature integrates piecewise.  Everything returned is bit-identical
+    to solve_ivp with method="DOP853" and the same checks as event
+    functions.  A step whose dense output is not finite is
+    IntegrationFailed at its start radius, under any warnings filter,
+    whatever later steps would have found.
     """
+    rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, r_stop, atol)
     scale_r = dev.scale_r
-    rtol = run_rtol(rtol)
     events, rows = [], []
     with np.errstate(all="ignore"):
         sol = solve_ivp(
@@ -948,15 +948,16 @@ def shoot(
     """Radius r_k of the k-th zero of the solution with u(0) = a.
 
     One shooting evaluation: integrate's deviation problem on _dop853_shot
-    at run_rtol(rtol), from _Deviation.series_start (where the series is
-    exact to rounding) to the step on which u changes sign for the k-th
-    time, past r=1 if need be, re-taken in eighths; zero k is located on
-    the dense output of the re-taken step that changes sign, as integrate
-    locates an event (a double crossing in one step goes uncounted).  inf
-    where the problem is untrusted (at once) or zero k lies beyond
-    SHOOT_END.  Raises as integrate does, and IntegrationFailed at the
-    radius reached when the step size becomes too small or after
-    SHOOT_MAX_STEPS steps."""
+    at run_tolerances(rtol, atol), from _Deviation.series_start (where the
+    series is exact to rounding) to the step on which u changes sign for
+    the k-th time, past r=1 if need be, re-taken in eighths; zero k is
+    located on the dense output of the re-taken step that changes sign, as
+    integrate locates an event (a double crossing in one step goes
+    uncounted).  inf where the problem is untrusted (at once) or zero k
+    lies beyond SHOOT_END.  Raises as integrate does (a bad tolerance
+    before any step), and IntegrationFailed at the radius reached when the
+    step size becomes too small or after SHOOT_MAX_STEPS steps."""
+    rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, SHOOT_END, atol)
     if not dev.trusted:
         return math.inf
@@ -964,9 +965,9 @@ def shoot(
     try:
         _, end, y1, step = _dop853_shot(
             dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, v0, vp0,
-            dev.y_end, run_rtol(rtol), dev.atol_scaled, SHOOT_MAX_STEPS,
+            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS,
         )
-    except ZeroDivisionError as exc:  # an error scale of 0: atol 0 on a zero state
+    except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
     if end == "end":
         return math.inf

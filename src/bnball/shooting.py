@@ -36,7 +36,7 @@ from .model import (
     Params,
     check_lambda_grid,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, run_rtol, shoot
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, run_tolerances, shoot
 
 _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
@@ -110,16 +110,19 @@ def solve_nodal(
     <= min(3 rtol, 1e-8) ends the search, and its amplitude is a*.  Below
     the zero-trust floor of this atol P is -inf; a bracket end there is
     bisected inward, and NoBracketFound is raised once the bracket is
-    narrower than rtol.  Every evaluation runs at run_rtol(rtol).  The
-    profile at a* is integrated once, and its Pruefer offset must satisfy
-    |offset| <= BOUNDARY_TOL (1e-6), which bounds how far the k-th zero
-    lies from r=1: a miss below pi/2 is integration error and raises
-    CertificationFailed, a larger or NaN one (a miscounted pair of zeros)
-    NonconvergentBisection.  The profile must also pass the Nehari /
-    Pohozaev / energy-monotonicity certification at its default
-    tolerances.  lambda must lie in (0, lambda_1): lambda <= 0 raises
+    narrower than rtol.  Every evaluation runs at run_tolerances(rtol,
+    atol); a tolerance it rejects is a ConfigError before any other check,
+    and k < 1 the next.  The profile at a* is integrated once, and its
+    Pruefer offset must satisfy |offset| <= BOUNDARY_TOL (1e-6), which
+    bounds how far the k-th zero lies from r=1: a miss below pi/2 is
+    integration error and raises CertificationFailed, a larger or NaN one
+    (a miscounted pair of zeros) NonconvergentBisection.  The profile must
+    also pass the Nehari / Pohozaev / energy-monotonicity certification at
+    its default tolerances.  lambda must lie in (0, lambda_1): lambda <= 0 raises
     NonpositiveLambda, lambda >= lambda_1 InvalidLambda.
     """
+    # One rtol for the evaluations, the integration, the floor and xtol.
+    rtol, atol = run_tolerances(rtol, atol)
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
     lam1 = bubble.lambda_1(params.n)
@@ -131,8 +134,6 @@ def solve_nodal(
             f"for n={params.n}"
         )
 
-    # One rtol for the evaluations, the integration, the floor and xtol.
-    rtol = run_rtol(rtol)
     # P reproduces only to a few rtol, so closer evaluations refine noise.
     floor = min(3.0 * rtol, _FLOOR_CAP)
 
@@ -319,8 +320,10 @@ def continuation_sweep(
     the points solved before it, along the branch tangent: the first point
     starts cold at a = 1.  Only the dimension of params_base is used.
     Every solve runs at rtol and atol.  Per-point failures are recorded
-    and the sweep continues; a ConfigError (such as k < 1) is raised.
+    and the sweep continues; a ConfigError is raised: a tolerance that is
+    not positive and finite or a bad grid before any solve, and k < 1.
     """
+    rtol, atol = run_tolerances(rtol, atol)
     grid = [float(x) for x in lambda_grid]
     check_lambda_grid(grid)
 

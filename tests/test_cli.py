@@ -526,15 +526,6 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a rejected configuration must not start a solve")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
-def test_non_finite_tolerance_rejected(capsys, monkeypatch, flag, value):
-    monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
-    rc, out = run(capsys, "solve", "--n", "7", "--lambda", "2", flag, value)
-    assert rc == cli.EXIT_CONFIG
-    assert json.loads(out)["error"] == "config-parse-error"
-
-
 @pytest.mark.parametrize("grid", ["nan,1", "inf,1"])
 def test_non_finite_lambda_grid_rejected(capsys, monkeypatch, grid):
     monkeypatch.setattr(shooting, "solve_nodal", _no_solve)
@@ -588,17 +579,24 @@ def test_verify_malformed_records(capsys, tmp_path, name, text):
     [
         (_SOLVE_ARGS + ["--rtol", "-1"], "config-parse-error"),
         (_SOLVE_ARGS + ["--atol", "0"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--rtol", "nan"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--rtol", "inf"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--atol", "nan"], "config-parse-error"),
+        (_SOLVE_ARGS + ["--atol", "inf"], "config-parse-error"),
         (_SOLVE_ARGS + ["--k", "0"], "config-parse-error"),
         (_SWEEP_ARGS + ["--k", "0"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", "1,1"], "config-parse-error"),
+        (["sweep", "--n", "7", "--lambda-grid", ",", "--rtol", "-1"], "config-parse-error"),
         (_SWEEP_ARGS + ["--format", "yaml"], None),  # argparse's usage error
     ],
-    ids=["solve-rtol-1", "solve-atol0", "solve-k0", "sweep-k0", "sweep-grid-1,1",
-         "sweep-format-yaml"],
+    ids=["solve-rtol-1", "solve-atol0", "solve-rtol-nan", "solve-rtol-inf",
+         "solve-atol-nan", "solve-atol-inf", "solve-k0", "sweep-k0", "sweep-grid-1,1",
+         "sweep-grid-empty-rtol-1", "sweep-format-yaml"],
 )
 def test_rejected_setting_starts_no_shot(capsys, monkeypatch, argv, code):
-    """Each setting is checked once, in main, argparse or the library,
-    and a rejected one exits 2 before any shot."""
+    """Each setting is checked once, by argparse or the library (the
+    tolerances first, in solve_nodal and continuation_sweep), and a
+    rejected one exits 2 before any shot."""
 
     def no_shot(*args, **kwargs):
         raise AssertionError("a rejected setting must not start a shot")

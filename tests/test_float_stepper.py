@@ -247,7 +247,7 @@ def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
             (dev.y0, dev.y_end),
             dev.s0,
             method="DOP853",
-            rtol=ode.run_rtol(DEFAULT_RTOL),
+            rtol=ode.run_tolerances(DEFAULT_RTOL, DEFAULT_ATOL)[0],
             atol=dev.atol_scaled,
         )
         stock_attempts, rest = divmod(plain.nfev - 2, 12)

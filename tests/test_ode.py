@@ -32,7 +32,7 @@ from bnball.model import (
     SingularPoint,
 )
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
-from bnball.shooting import extract_features
+from bnball.shooting import continuation_sweep, extract_features, solve_nodal
 
 # Below the first knot a profile evaluates the second-order series of the
 # regular solution, u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
@@ -565,14 +565,16 @@ def test_shoot_step_budget_is_integration_failure(monkeypatch):
 
 
 def test_zero_error_scale_is_integration_failure():
-    """At lambda = 0 the deviation is 0, so with atol = 0 the error scale
-    atol + rtol |v| is 0.  A shot divides by it: a classified failure, not
-    a raw ZeroDivisionError.  scipy's start of integrate divides by it and
+    """At lambda = 0 the deviation is 0, and at a = 1e30 the scaled atol
+    1e-300 / a underflows to 0, so the error scale atol_scaled + rtol |v|
+    is 0.  A shot divides by it: a classified failure, not a raw
+    ZeroDivisionError.  scipy's start of integrate divides by it and
     starts with a NaN step size, which is too small at once rather than
     rejected forever; an alarm fails the test if integrate hangs."""
-    params = Params(n=7, lam=0.0)
+    params, a, atol = Params(n=7, lam=0.0), 1e30, 1e-300
+    assert ode._deviation(params, a, 1.0, atol).atol_scaled == 0.0
     with pytest.raises(IntegrationFailed, match="division by zero"):
-        shoot(params, 1.0, 1, atol=0.0)
+        shoot(params, a, 1, atol=atol)
 
     def hang(signum, frame):
         raise TimeoutError("integrate did not return")
@@ -581,23 +583,40 @@ def test_zero_error_scale_is_integration_failure():
     signal.alarm(10)
     try:
         with pytest.raises(IntegrationFailed, match="less than spacing") as info:
-            integrate(params, 1.0, 1.0, atol=0.0)
+            integrate(params, a, 1.0, atol=atol)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert info.value.last_radius == ode.SCALED_START
+    assert info.value.last_radius == ode.SCALED_START / a**params.beta
 
 
-@pytest.mark.parametrize("atol", [-1.0, math.nan, math.inf])
-@pytest.mark.parametrize(
-    "run, last", [(integrate, 1.0), (shoot, 2)], ids=["integrate", "shoot"]
-)
-def test_atol_negative_or_not_finite_is_config_error(run, last, atol):
-    """_deviation refuses an atol below 0 or not finite, for integrate (to
-    r = 1) and shoot (to zero 2) alike; atol = 0 stays valid, as
-    test_zero_error_scale_is_integration_failure runs it."""
-    with pytest.raises(ConfigError, match="atol must be finite and >= 0"):
-        run(Params(n=7, lam=2.0), A_STAR[(7, 2)], last, atol=atol)
+def _integrates_nothing(*args, **kwargs):
+    raise AssertionError("a rejected tolerance must not start an integration")
+
+
+_TOLERANCE_RUNS = {
+    "integrate": lambda **tol: integrate(Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0, **tol),
+    "shoot": lambda **tol: shoot(Params(n=7, lam=2.0), A_STAR[(7, 2)], 2, **tol),
+    "solve_nodal": lambda **tol: solve_nodal(Params(n=7, lam=2.0), 2, **tol),
+    "continuation_sweep": lambda **tol: continuation_sweep(
+        Params(n=7, lam=0.0), [2.0, 1.0], 2, **tol
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("run", list(_TOLERANCE_RUNS))
+def test_tolerance_not_positive_and_finite_is_config_error(monkeypatch, run, name, value):
+    """The one tolerance rule, ode.run_tolerances: integrate, shoot,
+    solve_nodal and continuation_sweep each refuse an rtol or atol that is
+    not positive and finite, with the command line's message, before
+    anything is integrated."""
+    monkeypatch.setattr(ode, "_dop853_shot", _integrates_nothing)
+    monkeypatch.setattr(ode, "solve_ivp", _integrates_nothing)
+    with pytest.raises(ConfigError) as info:
+        _TOLERANCE_RUNS[run](**{name: value})
+    assert str(info.value) == f"{name} must be positive and finite, got {value}"
 
 
 def _combination(coefficients, values):
@@ -621,7 +640,7 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     dev = ode._deviation(params, a, ode.SHOOT_END, atol)
     if not dev.trusted:
         return math.inf.hex(), 0
-    rtol, atol = ode.run_rtol(rtol), dev.atol_scaled
+    rtol, atol = ode.run_tolerances(rtol, atol)[0], dev.atol_scaled
 
     def f(y, s):
         return list(dev.rhs(y, *s))
@@ -941,8 +960,9 @@ def test_rtol_below_100_eps_runs_at_100_eps(run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = call(params, a, *extra, rtol=1e-16)
-    want = call(params, a, *extra, rtol=ode.run_rtol(0.0))
-    assert ode.run_rtol(1e-16) == 100 * np.finfo(float).eps == ode.run_rtol(0.0)
+    eps100 = 100 * np.finfo(float).eps
+    want = call(params, a, *extra, rtol=eps100)
+    assert ode.run_tolerances(1e-16, DEFAULT_ATOL) == (eps100, DEFAULT_ATOL)
     if run == "shoot":
         assert got.hex() == want.hex()
         return
@@ -1201,7 +1221,7 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
         (dev.y0, dev.y_end),
         dev.s0,
         method="DOP853",
-        rtol=ode.run_rtol(DEFAULT_RTOL),
+        rtol=ode.run_tolerances(DEFAULT_RTOL, DEFAULT_ATOL)[0],
         atol=dev.atol_scaled,
     )
     assert np.array_equal(plain.t, result.t)
