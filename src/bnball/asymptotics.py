@@ -39,6 +39,7 @@ from .model import (
     OutOfDomain,
     Params,
     RegionEmpty,
+    check_dimension,
 )
 
 _DOMAIN_SLACK = 1e-12
@@ -208,10 +209,10 @@ def delta_of_epsilon(n: int, epsilon: float) -> float:
     g(s) = 1/(k-2) + s - ((k-1)/(k-2)) s^{(k-2)/(k-1)} with
     k = 2(n-1)/(n-2) decreases from g(0) = (n-2)/2 to g(1) = 0, so the
     root exists for every epsilon in (0, (n-2)/2) and moves toward 1 as
-    epsilon shrinks.
+    epsilon shrinks.  n must pass model.check_dimension (InvalidDimension);
+    an epsilon outside that range is EpsilonOutOfRange.
     """
-    if n < 3:
-        raise EpsilonOutOfRange(f"need n >= 3, got {n}")
+    check_dimension(n)
     top = (n - 2.0) / 2.0
     if not 0.0 < epsilon < top:
         raise EpsilonOutOfRange(

@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         if need_grid:
             p.add_argument(
                 "--lambda-grid", required=True,
-                help="comma-separated, strictly decreasing, e.g. 4,2,1,0.5,0.25",
+                help="comma-separated, positive, finite and strictly decreasing, "
+                "e.g. 4,2,1,0.5,0.25",
             )
         p.add_argument("--k", type=int, default=2, help="number of nodal regions")
         p.add_argument(

@@ -182,10 +182,6 @@ class Params:
             )
         return (self.n - 2.0) / (2.0 * self.n - 8.0)
 
-    def nonlinearity(self, u: float) -> float:
-        """f(u) = lambda*u + |u|^(2*-2)*u, the full right-hand side source."""
-        return self.lam * u + abs(u) ** (self.two_star - 2.0) * u
-
 
 @dataclass(frozen=True)
 class NodalFeatures:
@@ -222,9 +218,12 @@ class NodalFeatures:
 
 
 def check_lambda_grid(grid) -> None:
-    """Raise ConfigError unless the lambda grid is finite and strictly decreasing."""
+    """Raise ConfigError unless the lambda grid is finite, positive and
+    strictly decreasing, checked in that order."""
     # NaN fails every comparison, so the order check alone would pass it
     if not all(math.isfinite(lam) for lam in grid):
         raise ConfigError(f"lambda grid must be finite, got {list(grid)}")
+    if not all(lam > 0.0 for lam in grid):
+        raise ConfigError(f"lambda grid must be positive, got {list(grid)}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("lambda grid must be strictly decreasing")

@@ -4,9 +4,10 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
     u'' + (n-1)/r u' + lambda u + |u|^(2*-2) u = 0,    u'(0) = 0,
 
-which is singular at the origin.  integrate starts from a second-order
-Taylor expansion at a small radius r0 instead; shoot starts further out,
-where a longer Taylor series of the deviation below is exact to rounding.
+which is singular at the origin.  integrate starts from the two-term
+series of the deviation below at a small radius r0 instead, and its
+profiles answer radii below r0 from the same series; shoot starts further
+out, where a longer series is exact to rounding.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -38,7 +39,8 @@ otherwise cancel.
 integrate returns the full profile (events, dense output) that features,
 certification and records read, on _FloatDop853: stock DOP853 bit for bit
 on Python floats, with the blow-up guard and sign changes checked per step
-and the dense output built in one batched pass when the run ends.  shoot
+and the dense output built in one batched pass when the run ends; the
+stepper holds no reference cycle, so reference counting frees it.  shoot
 returns only the radius of the k-th zero of u, from DOP853 (Hairer,
 Norsett and Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step
 rules.  Both step on float code generated at import, each stage straight-
@@ -116,9 +118,10 @@ class RadialProfile:
 
     knots are strictly increasing radii starting at the series-start radius;
     values and derivs are u and u' there.  events lists the located
-    zero-crossings of u and u' in radius order.  dense maps radii to
-    (u, u') and is what u_du() evaluates above the first knot; u() and
-    du() read through u_du().
+    zero-crossings of u and u' in radius order.  dense maps an array of
+    radii to (u, u') and is what u_du() evaluates; u() and du() read
+    through u_du().  integrate's dense answers radii below the first knot
+    from the series its integration started from.
     Treated as immutable after construction.
     """
 
@@ -141,22 +144,8 @@ class RadialProfile:
 
     def u_du(self, r):
         """(u, u') at r from one dense evaluation; floats for scalar r."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        u = np.empty_like(r)
-        du = np.empty_like(r)
-        inside = r >= self.knots[0]
-        if np.any(inside):
-            u[inside], du[inside] = self.dense(r[inside])
-        if not np.all(inside):
-            # Below the series-start radius, use the same Taylor expansion
-            # the integration started from.
-            f = self.params.nonlinearity(self.a)
-            rr = r[~inside]
-            u[~inside] = self.a - f * rr * rr / (2.0 * self.params.n)
-            du[~inside] = -f * rr / self.params.n
-        return (float(u[0]), float(du[0])) if scalar else (u, du)
+        u, du = self.dense(np.atleast_1d(np.asarray(r, dtype=float)))
+        return (float(u[0]), float(du[0])) if np.ndim(r) == 0 else (u, du)
 
     def u(self, r):
         return self.u_du(r)[0]
@@ -211,9 +200,9 @@ class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
 
     rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
-    on Python floats.  integrate runs from the two-term series state s0 at
-    y0 out to y_end, shoot from series_start().  trusted says whether sign
-    changes of u can be told from integration noise.
+    on Python floats.  integrate runs from the two-term series state s0 =
+    start(y0) out to y_end, shoot from series_start().  trusted says
+    whether sign changes of u can be told from integration noise.
     """
 
     n: int
@@ -267,12 +256,16 @@ class _Deviation:
             g.append(sum(((p + 1.0) * i - m) * q[i] * g[m - i] for i in range(1, m + 1)) / m)
         return v
 
+    def start(self, y):
+        """The two-term series state (v, v') = v_1 z + v_2 z^2 of series()
+        at scaled radius y, scalar or array."""
+        _, v1, v2 = self.series()[:3]
+        return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
+
     @property
     def s0(self) -> tuple[float, float]:
-        """integrate's start (v, v') at y0: v_1 z + v_2 z^2 of series()."""
-        _, v1, v2 = self.series()[:3]
-        y = self.y0
-        return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
+        """integrate's start (v, v') at y0."""
+        return self.start(self.y0)
 
     def series_start(self) -> tuple[float, tuple[float, float]]:
         """The scaled radius y_s where a shot starts and the state (v, v')
@@ -468,27 +461,28 @@ class _FloatDop853(DOP853):
     step-end state against the blow-up guard and, while the problem is
     trusted, for a change of sign of u or u' by solve_ivp's rule for an
     event of direction 0, and keeps the step for _finish when either
-    fires.  When the run ends (finished, failed, or at once when the guard
-    trips), still inside step() and so inside solve_ivp, _finish builds
-    every step's extra stages and F in one batched pass, on the same
-    products scipy takes per step, elementwise on arrays where scipy is on
-    floats, and appends the stacked F to rows.  It then goes through the
-    steps in order: the first step whose F is not finite raises
-    IntegrationFailed at its start radius, ahead of the outcome of any
-    later step; before it, each kept step locates its roots on its dense
-    output (_dense_state) as solve_ivp locates an event.  The blow-up
-    radius is located first and raises BlowUpDetected after the step's
-    sign changes, which are appended to crossings as finished Events.
+    fires.  Where the run ends (on the step that reaches t_bound, before a
+    step size that is too small fails it, or at once when the guard trips),
+    still inside solve_ivp, _finish builds every step's extra stages and F
+    in one batched pass, on the same products scipy takes per step,
+    elementwise on arrays where scipy is on floats, and appends the stacked
+    F to rows.  It then goes through the steps in order: the first step
+    whose F is not finite raises IntegrationFailed at its start radius,
+    ahead of the outcome of any later step; before it, each kept step
+    locates its roots on its dense output (_dense_state) as solve_ivp
+    locates an event.  The blow-up radius is located first and raises
+    BlowUpDetected after the step's sign changes, which are appended to
+    crossings as finished Events.
     Callers run the stepper under np.errstate(all="ignore"): a NaN trial
     step is then rejected as in stock DOP853, without a warning, and a NaN
     step size is too small.  Runs go outward (_deviation refuses inward
     ones) without a cap on the step.
 
     scipy's OdeSolver wraps the RHS in closures over the solver, a
-    reference cycle; a run that ends (finished, failed or raising) drops
-    them, and the RHS and deviation, through release(), so reference
-    counting frees the stepper.  A caller that stops stepping a running
-    stepper calls release() itself.
+    reference cycle, and calls them only for its start (f0 and the initial
+    step), since integrate asks solve_ivp for neither dense output nor
+    events.  __init__ drops them after the start, so the stepper holds no
+    cycle and reference counting frees it however its run ends.
     """
 
     NON_FINITE_STEP = "Dense output of the step is not finite."
@@ -498,6 +492,9 @@ class _FloatDop853(DOP853):
         super().__init__(
             lambda t, y: fun(float(t), *y.tolist()), t0, y0, t_bound, **options
         )
+        # scipy's closures over the solver, a reference cycle; only the start
+        # above calls them
+        self.fun = self.fun_single = self.fun_vectorized = None
         self.rhs = fun
         self.deviation = deviation
         self.crossings = crossings
@@ -522,24 +519,6 @@ class _FloatDop853(DOP853):
         self.stage_rows = []  # the bytes of each step's stage rows 0..n_stages
         self.checks = []  # (step index, components that change sign, blown)
 
-    def step(self):
-        try:
-            message = super().step()
-            # the run ends: finished, failed, or past the blow-up guard
-            if self.status != "running" or self.checks and self.checks[-1][2]:
-                self._finish()
-        except BaseException:
-            self.release()
-            raise
-        if self.status != "running":
-            self.release()
-        return message
-
-    def release(self):
-        """Drop the references that keep the stepper in a cycle."""
-        self.fun = self.fun_single = self.fun_vectorized = None
-        self.rhs = self.deviation = None
-
     def _step_impl(self):
         t = self.t
         v, vp = self.y
@@ -552,6 +531,7 @@ class _FloatDop853(DOP853):
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # NaN too: atol scaled to 0 on a zero state
+                self._finish()
                 return False, self.TOO_SMALL_STEP
 
             t_new = min(t + h_abs, self.t_bound)
@@ -589,6 +569,8 @@ class _FloatDop853(DOP853):
         self.signs = signs
         if blown or changes:
             self.checks.append((len(self.taken) - 1, changes, blown))
+        if blown or t_new == self.t_bound:  # the run ends
+            self._finish()
         return True, None
 
     def _finish(self):
@@ -662,11 +644,13 @@ def integrate(
     the coefficient rows it builds when the run ends.  knots hold the
     integrator steps plus DENSE_SAMPLES interior samples per step; `steps`
     keeps the raw step radii, whose dense-output pieces downstream
-    quadrature integrates piecewise.  Everything returned is bit-identical
-    to solve_ivp with method="DOP853" and the same checks as event
-    functions.  A step whose dense output is not finite is
-    IntegrationFailed at its start radius, under any warnings filter,
-    whatever later steps would have found.
+    quadrature integrates piecewise.  The profile answers radii below the
+    first knot from _Deviation.start, the two-term series the run starts
+    from.  Everything returned is bit-identical to solve_ivp with
+    method="DOP853" and the same checks as event functions, its dense
+    output from the first knot on.  A step whose dense output is not
+    finite is IntegrationFailed at its start radius, under any warnings
+    filter, whatever later steps would have found.
     """
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, r_stop, atol)
@@ -694,25 +678,31 @@ def integrate(
 
     (F,) = rows
     dense = _StepPolynomials(sol.t, sol.y.T, F)
-
-    def at_y(y):
-        """(u, u') at scaled radius y, from the dense output."""
-        return dev.u_du(y, dense(y))
-
     ys = sol.t
     fill = np.linspace(ys[:-1], ys[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
     ys = np.sort(np.concatenate([ys, fill.ravel()]))
-    values, derivs = at_y(ys)
+    knots = ys / scale_r
 
+    def at_r(r):
+        """(u, u') at radii r: the start series below the first knot, the
+        dense output from it on."""
+        y = r * scale_r
+        v, vp = dense(y)
+        below = r < knots[0]
+        if below.any():  # the series costs about as much as the dense pass
+            v[below], vp[below] = dev.start(y[below])
+        return dev.u_du(y, (v, vp))
+
+    values, derivs = dev.u_du(ys, dense(ys))
     return RadialProfile(
         params=params,
         a=a,
-        knots=ys / scale_r,
+        knots=knots,
         values=values,
         derivs=derivs,
         events=events,
         r_end=sol.t[-1] / scale_r,
-        dense=lambda r: at_y(np.asarray(r, dtype=float) * scale_r),
+        dense=at_r,
         steps=sol.t / scale_r,
     )
 

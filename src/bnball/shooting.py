@@ -321,7 +321,9 @@ def continuation_sweep(
     starts cold at a = 1.  Only the dimension of params_base is used.
     Every solve runs at rtol and atol.  Per-point failures are recorded
     and the sweep continues; a ConfigError is raised: a tolerance that is
-    not positive and finite or a bad grid before any solve, and k < 1.
+    not positive and finite, or a grid that check_lambda_grid refuses (not
+    finite, not positive or not strictly decreasing), before any solve,
+    and k < 1.
     """
     rtol, atol = run_tolerances(rtol, atol)
     grid = [float(x) for x in lambda_grid]

@@ -30,6 +30,7 @@ from bnball.model import (
     EmptyWindow,
     EpsilonOutOfRange,
     InsufficientRecords,
+    InvalidDimension,
     OutOfDomain,
     Params,
     RegionEmpty,
@@ -120,6 +121,13 @@ def test_delta_of_epsilon_range():
     for eps in (0.0, 2.5, -1.0, 10.0):
         with pytest.raises(EpsilonOutOfRange):
             delta_of_epsilon(7, eps)
+
+
+@pytest.mark.parametrize("n", [2, 7.0])
+def test_delta_of_epsilon_dimension(n):
+    """The dimension is checked as everywhere else, not as an epsilon."""
+    with pytest.raises(InvalidDimension):
+        delta_of_epsilon(n, 0.25)
 
 
 def test_center_envelope_on_accepted(sol7_lam2):

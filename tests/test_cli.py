@@ -587,11 +587,14 @@ def test_verify_malformed_records(capsys, tmp_path, name, text):
         (_SWEEP_ARGS + ["--k", "0"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", "1,1"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", ",", "--rtol", "-1"], "config-parse-error"),
+        (["sweep", "--n", "7", "--lambda-grid", "2,-1"], "config-parse-error"),
+        (["sweep", "--n", "7", "--lambda-grid=0,-2"], "config-parse-error"),
         (_SWEEP_ARGS + ["--format", "yaml"], None),  # argparse's usage error
     ],
     ids=["solve-rtol-1", "solve-atol0", "solve-rtol-nan", "solve-rtol-inf",
          "solve-atol-nan", "solve-atol-inf", "solve-k0", "sweep-k0", "sweep-grid-1,1",
-         "sweep-grid-empty-rtol-1", "sweep-format-yaml"],
+         "sweep-grid-empty-rtol-1", "sweep-grid-2,-1", "sweep-grid-0,-2",
+         "sweep-format-yaml"],
 )
 def test_rejected_setting_starts_no_shot(capsys, monkeypatch, argv, code):
     """Each setting is checked once, by argparse or the library (the

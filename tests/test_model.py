@@ -77,13 +77,6 @@ def test_params_admits_zero_lambda():
     assert p.two_star == 14.0 / 5.0
 
 
-def test_nonlinearity():
-    p = Params(n=7, lam=1.0)
-    assert p.nonlinearity(1.0) == pytest.approx(2.0, rel=1e-15)
-    assert p.nonlinearity(-1.0) == pytest.approx(-2.0, rel=1e-15)
-    assert p.nonlinearity(0.0) == 0.0
-
-
 def test_validate_lambda():
     """Params admits any finite lambda >= 0; solving needs 0 < lambda <
     lambda_1, with one error code per side."""

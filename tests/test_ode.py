@@ -10,6 +10,7 @@ import signal
 import sys
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -34,8 +35,8 @@ from bnball.model import (
 from bnball.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate, shoot
 from bnball.shooting import continuation_sweep, extract_features, solve_nodal
 
-# Below the first knot a profile evaluates the second-order series of the
-# regular solution, u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
+# Below the first knot a profile evaluates the series integrate starts from;
+# to second order u(r) = a - f(a) r^2/(2n), u'(r) = -f(a) r/n with
 # f(a) = lambda a + |a|^(2*-2) a.  The first knot sits at 1e-6 for |a| = 1.
 BELOW_START = 1e-7
 
@@ -1243,6 +1244,27 @@ def test_u_du_agrees_with_u_and_du(sol7_lam2):
     assert isinstance(profile.u_du(1.0)[0], float)
 
 
+@pytest.mark.parametrize(
+    "lam, a", [(2.0, A_STAR[(7, 2)]), (0.0, 1.0)], ids=["n7-k2-a-star", "bubble"]
+)
+def test_profile_below_first_knot_is_start_series(lam, a):
+    """Below its first knot a profile is the two-term series integrate
+    starts from, bit for bit: one expansion of the origin.  The series
+    meets the dense output at the first knot, where u_du gives the first
+    sample exactly, since knots[0] * scale_r rounds back to the start
+    radius at these amplitudes.  (Not at every knot: the radius goes
+    through / scale_r and back, which moves the last bits at some.)"""
+    params = Params(n=7, lam=lam)
+    profile = integrate(params, a, 1.0)
+    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+    r0 = profile.knots[0]
+    for r in (0.0, 0.3 * r0, 0.7 * r0):
+        y = r * dev.scale_r
+        assert profile.u_du(r) == dev.u_du(y, dev.start(y))
+    assert profile.u_du(0.0) == (a, 0.0)
+    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+
+
 def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
     """Once integrate returns, features, certify and build_record read the
     dense output only through the stacked step polynomials; no scipy
@@ -1320,6 +1342,49 @@ def test_integrate_leaves_no_step_rows_to_the_collector():
         tracemalloc.stop()
         gc.enable()
     assert growth / 5 < 16_000
+
+
+@pytest.mark.parametrize(
+    "lam, a, tolerances, error, message",
+    [
+        (2.0, A_STAR[(7, 2)], {}, None, None),
+        (1e8, 1.0, dict(rtol=100.0, atol=1e6), BlowUpDetected, "exceeded"),
+        (1e4, 1.0, dict(rtol=1e3, atol=1e9), IntegrationFailed, "not finite"),
+        (0.0, 1e30, dict(atol=1e-300), IntegrationFailed, "Required step size"),
+    ],
+    ids=["success", "blow-up", "non-finite-step", "too-small-step"],
+)
+def test_stepper_freed_however_its_run_ends(monkeypatch, lam, a, tolerances, error, message):
+    """The stepper holds no reference cycle: with the collector off, it is
+    gone once integrate returns or raises, however its run ends."""
+    steppers = []
+
+    class Recording(ode._FloatDop853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(weakref.ref(self))
+
+    stock_solve_ivp = ode.solve_ivp
+
+    def recording(*args, **kwargs):
+        return stock_solve_ivp(*args, **dict(kwargs, method=Recording))
+
+    monkeypatch.setattr(ode, "solve_ivp", recording)
+    outcome = (None, None)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            integrate(Params(n=7, lam=lam), a, 1.0, **tolerances)
+        except Error as exc:
+            outcome = (type(exc), str(exc))
+        (stepper,) = steppers
+        freed = stepper() is None
+    finally:
+        gc.enable()
+    assert outcome[0] is error
+    assert message is None or message in outcome[1]
+    assert freed
 
 
 def test_shot_leaves_its_stepper_to_reference_counting():

@@ -1,6 +1,7 @@
 """Shooting solver: zero landscape, bracketing, features, and sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,18 @@ def test_sweep_requires_finite_grid(monkeypatch, grid):
     monkeypatch.setattr(shooting, "solve_nodal", no_solve)
     with pytest.raises(ConfigError):
         continuation_sweep(Params(n=7, lam=1.0), grid)
+
+
+def test_sweep_requires_positive_grid(monkeypatch):
+    """lambda <= 0 lies outside (0, lambda_1) for every n: the grid is an
+    input error before any solve, not a log of a nonpositive lambda."""
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("solve_nodal ran on a nonpositive grid")
+
+    monkeypatch.setattr(shooting, "solve_nodal", no_solve)
+    with pytest.raises(ConfigError, match=re.escape("must be positive, got [2.0, 0.0]")):
+        continuation_sweep(Params(n=7, lam=1.0), [2.0, 0.0])
 
 
 def test_sweep_records_per_point_errors():
