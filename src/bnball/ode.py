@@ -46,9 +46,10 @@ Norsett and Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step
 rules.  Both step on float code generated at import, each stage straight-
 line with the right-hand side inlined: the shot's stage sums are float
 sums without the tableau's zeros, an attempted step of integrate keeps
-scipy's numpy products.  Both build the problem with _deviation, whose rhs
-comes from the same source lines, so the right-hand side and the blow-up
-guard are defined once.  One evaluator of DOP853's dense output,
+scipy's numpy products, and integrate's extra stages go through one
+generated loop over their states.  Both build the problem with
+_deviation, whose rhs comes from the same source lines, so the
+right-hand side and the blow-up guard are defined once.  One evaluator of DOP853's dense output,
 _dense_state, locates the roots of both on floats and evaluates
 integrate's profiles elementwise on arrays.
 """
@@ -449,10 +450,11 @@ class _FloatDop853(DOP853):
     dot product scipy takes, on the same views of the stage array, because
     OpenBLAS may fuse its multiply-adds, so a float sum can differ in the
     last bit, and each error norm stays sqrt(err.dot(err))**2 on an array
-    for the same reason.  The rest is float arithmetic in scipy's order.
-    fun is a float RHS fun(y, v, v') -> (v', v''), like _Deviation.rhs;
-    scipy's start and the extra stages call it, the attempts inline the
-    deviation's.
+    for the same reason.  Each product is written to one reused 2-array
+    and read back through a memoryview of it.  The rest is float arithmetic
+    in scipy's order.  fun is a float RHS fun(y, v, v') -> (v', v''), like
+    _Deviation.rhs; scipy's start calls it, the attempts and the extra
+    stages inline the deviation's.
 
     A step's three extra stages and dense-output coefficients F depend only
     on its own stages and never feed step-size control, so they are built
@@ -465,8 +467,9 @@ class _FloatDop853(DOP853):
     step size that is too small fails it, or at once when the guard trips),
     still inside solve_ivp, _finish builds every step's extra stages and F
     in one batched pass, on the same products scipy takes per step,
-    elementwise on arrays where scipy is on floats, and appends the stacked
-    F to rows.  It then goes through the steps in order: the first step
+    elementwise on arrays where scipy is on floats, with each extra stage's
+    RHS on floats in one call of the generated _rhs_pass that writes
+    straight into the stage array, and appends the stacked F to rows.  It then goes through the steps in order: the first step
     whose F is not finite raises IntegrationFailed at its start radius,
     ahead of the outcome of any later step; before it, each kept step
     locates its roots on its dense output (_dense_state) as solve_ivp
@@ -495,8 +498,8 @@ class _FloatDop853(DOP853):
         # scipy's closures over the solver, a reference cycle; only the start
         # above calls them
         self.fun = self.fun_single = self.fun_vectorized = None
-        self.rhs = fun
         self.deviation = deviation
+        self.trusted = deviation.trusted
         self.crossings = crossings
         self.rows = rows
         self.y = tuple(self.y.tolist())
@@ -520,21 +523,20 @@ class _FloatDop853(DOP853):
         self.checks = []  # (step index, components that change sign, blown)
 
     def _step_impl(self):
-        t = self.t
+        t, t_bound, attempt, k = self.t, self.t_bound, self.attempt, self.k
         v, vp = self.y
-        attempt = self.attempt
 
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
 
-        self.k[0], self.k[1] = self.f
+        k[0], k[1] = self.f
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # NaN too: atol scaled to 0 on a zero state
                 self._finish()
                 return False, self.TOO_SMALL_STEP
 
-            t_new = min(t + h_abs, self.t_bound)
+            t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
 
             error_norm, v_new, vp_new, f_new, w, dw = attempt(t, v, vp, h, t_new)
@@ -556,20 +558,20 @@ class _FloatDop853(DOP853):
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
         self.f = (vp_new, f_new)
-        self.taken.append((t, v, vp, h, v_new, vp_new, t_new))
-        self.stage_rows.append(bytes(self.k[:2 * self.n_stages + 2]))
+        taken = self.taken
+        taken.append((t, v, vp, h, v_new, vp_new, t_new))
+        self.stage_rows.append(self.K.tobytes())
 
-        signs = (w, dw)
+        # a sign change by solve_ivp's rule for an event of direction 0
+        g, dg = self.signs
+        self.signs = w, dw
+        zero = self.trusted and ((g <= 0 and w >= 0) or (g >= 0 and w <= 0))
+        dzero = self.trusted and ((dg <= 0 and dw >= 0) or (dg >= 0 and dw <= 0))
         blown = abs(w) >= BLOWUP_BOUND
-        changes = [
-            c for c, (g, g_new) in enumerate(zip(self.signs, signs))
-            if self.deviation.trusted
-            and ((g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0))
-        ]
-        self.signs = signs
-        if blown or changes:
-            self.checks.append((len(self.taken) - 1, changes, blown))
-        if blown or t_new == self.t_bound:  # the run ends
+        if blown or zero or dzero:
+            changes = [c for c, change in enumerate((zero, dzero)) if change]
+            self.checks.append((len(taken) - 1, changes, blown))
+        if blown or t_new == t_bound:  # the run ends
             self._finish()
         return True, None
 
@@ -580,18 +582,21 @@ class _FloatDop853(DOP853):
 
         Zero crossings store u' there, derivative zeros store u.
         """
-        rhs, dev = self.rhs, self.deviation
+        dev = self.deviation
         n_rows = self.n_stages + 1
         taken = np.reshape(self.taken, (-1, 7))
         t_old, y_old, h, y_new = taken[:, 0], taken[:, 1:3], taken[:, 3:4], taken[:, 4:6]
         steps = len(taken)
         KX = np.empty((steps, self.K_extended.shape[0], 2))
         KX[:, :n_rows] = np.frombuffer(b"".join(self.stage_rows)).reshape(steps, n_rows, 2)
+        k = memoryview(KX.reshape(-1))
         for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=n_rows):
             dy = np.matmul(KX[:, :s].transpose(0, 2, 1), a[:s])
-            radii = (t_old + c * h[:, 0]).tolist()
-            states = (y_old + dy * h).tolist()
-            KX[:, s] = np.array([rhs(x, *y) for x, y in zip(radii, states)]).reshape(steps, 2)
+            _rhs_pass(
+                dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat,
+                (t_old + c * h[:, 0]).tolist(), (y_old + dy * h).tolist(),
+                k, 2 * s, 2 * KX.shape[1],
+            )
         self.nfev += len(self.A_EXTRA) * steps
         dy = y_new - y_old
         f_old, f = KX[:, 0], KX[:, self.n_stages]
@@ -685,8 +690,11 @@ def integrate(
 
     def at_r(r):
         """(u, u') at radii r: the start series below the first knot, the
-        dense output from it on."""
+        dense output from it on.  The first knot is read at the start
+        radius, which fl(knots[0] * scale_r) does not always round back to,
+        so that it gives the first sample exactly."""
         y = r * scale_r
+        y[r == knots[0]] = dev.y0
         v, vp = dense(y)
         below = r < knots[0]
         if below.any():  # the series costs about as much as the dense pass
@@ -755,9 +763,11 @@ def _shot_stage_lines(s: int) -> list[str]:
 
 def _attempt_stage_lines(s: int) -> list[str]:
     """Stage s of an attempt of integrate: its stage sums on scipy's product
-    dot{s}(A{s}) = K[:s].T.dot(A[s, :s]), its RHS written to stage row s."""
+    dot{s}(A{s}) = K[:s].T.dot(A[s, :s]), written to out and read through
+    o, its RHS written to stage row s."""
     return [
-        f"sv, sp = dot{s}(A{s}).tolist()",
+        f"dot{s}(A{s}, out)",
+        "sv, sp = o",
         *_stage_lines(s, "sv", "sp"),
         f"k[{2 * s}], k[{2 * s + 1}] = k{s}v, k{s}p",
     ]
@@ -845,18 +855,25 @@ def _make_rhs(K, h, p, n1, lam):
 # One attempted step of scipy's DOP853 (rk_step and _estimate_error_norm)
 # for _FloatDop853, from (y, v, vp) to ynew, with h = ynew - y as hh.  dots
 # are the bound dot methods of the views K[:s].T, s = 1..11, K[:-1].T and
-# K.T (twice) of the run's stage array, k a flat float view of it, err a
-# 2-array for the error norms.  The 14 products and 2 norm dots are
-# scipy's; the rest is float arithmetic in scipy's order, the error scale
-# with np.maximum's NaN rule.  Returns the error norm, the new state and
-# its v'', and u/a and u'/(a scale_r) at ynew.
+# K.T (twice) of the run's stage array, k a flat float view of it, out a
+# 2-array that every product is written to, read through the memoryview o,
+# and that the error norms are taken on.  The 14 products and 2 norm dots
+# are scipy's; the rest is float arithmetic in scipy's order, the error
+# scale with np.maximum's NaN rule.  Returns the error norm, the new state
+# and its v'', and u/a and u'/(a scale_r) at ynew.
+#
+# _rhs_pass is the RHS over many states, for the extra stages of
+# _FloatDop853's steps: it writes the (v', v'') of radii[i] and states[i]
+# to k[j + i * stride] and the slot after, k a flat float view of the
+# stage array.
 _ATTEMPT_SOURCE = """\
-def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, err):
+def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, out):
     {dots} = dots
-    e, norm = memoryview(err), err.dot
+    o, norm = memoryview(out), out.dot
     def attempt(y, v, vp, hh, ynew):
 {stages}
-        sv, sp = dotb(B).tolist()
+        dotb(B, out)
+        sv, sp = o
         vnew, pnew = v + hh * sv, vp + hh * sp
         xnew = y + hh
 {new}
@@ -864,12 +881,14 @@ def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, err):
         a1, a2, a3, a4 = abs(v), abs(vnew), abs(vp), abs(pnew)
         sk1 = atol + (a1 if a1 >= a2 or a1 != a1 else a2) * rtol
         sk2 = atol + (a3 if a3 >= a4 or a3 != a3 else a4) * rtol
-        sv, sp = dote5(E5).tolist()
-        e[0], e[1] = sv / sk1, sp / sk2
-        err5 = sqrt(norm(err)) ** 2
-        sv, sp = dote3(E3).tolist()
-        e[0], e[1] = sv / sk1, sp / sk2
-        err3 = sqrt(norm(err)) ** 2
+        dote5(E5, out)
+        sv, sp = o
+        o[0], o[1] = sv / sk1, sp / sk2
+        err5 = sqrt(norm(out)) ** 2
+        dote3(E3, out)
+        sv, sp = o
+        o[0], o[1] = sv / sk1, sp / sk2
+        err3 = sqrt(norm(out)) ** 2
         if err5 == 0 and err3 == 0:
             error = 0.0
         else:
@@ -881,6 +900,13 @@ def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, err):
             w = db + vnew
         return error, vnew, pnew, k12p, w, -(n1 - 1.0) * ynew * db * tb / K + pnew
     return attempt
+
+
+def _rhs_pass(K, h, p, n1, lam, radii, states, k, j, stride):
+    for y, (v, vp) in zip(radii, states):
+{rhs}
+        k[j], k[j + 1] = vp, vpp
+        j += stride
 """
 
 
@@ -911,6 +937,7 @@ def _generate() -> dict:
         stages=block([x for s in range(1, T.N_STAGES) for x in _attempt_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
         last=2 * T.N_STAGES, last1=2 * T.N_STAGES + 1,
+        rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
     )
     source = shot + "\n\n" + attempt
     # the row views scipy's rk_step takes, and its B, E5 and E3
@@ -924,7 +951,7 @@ def _generate() -> dict:
 
 _GENERATED = _generate()
 _make_rhs, _dop853_shot = _GENERATED["_make_rhs"], _GENERATED["_dop853_shot"]
-_make_attempt = _GENERATED["_make_attempt"]
+_make_attempt, _rhs_pass = _GENERATED["_make_attempt"], _GENERATED["_rhs_pass"]
 
 
 def shoot(

@@ -199,14 +199,16 @@ def test_float_stepper_fails_as_stock_dop853(
 def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
     """Each integrate makes one solve_ivp call, and the nfev it reports
     counts the RHS evaluations, so the benchmark's RHS counter reads the
-    real work: 2 to start and 3 per step's dense output, all calls of the
-    deviation's float RHS, and 12 inlined in each attempted step, with the
-    attempts counted on stock DOP853, which takes the same steps."""
+    real work: 2 to start, calls of the deviation's float RHS, 3 per step's
+    dense output, states of the generated pass over the extra stages, and
+    12 inlined in each attempted step, with the attempts counted on stock
+    DOP853, which takes the same steps."""
     results = []
     calls = attempts = 0
     stock_solve_ivp = ode.solve_ivp
     stock_deviation = ode._deviation
     stock_make_attempt = ode._make_attempt
+    stock_pass = ode._rhs_pass
 
     def capture(*args, **kwargs):
         results.append(stock_solve_ivp(*args, **kwargs))
@@ -222,6 +224,11 @@ def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
 
         return dataclasses.replace(dev, rhs=rhs)
 
+    def rhs_pass(K, h, p, n1, lam, radii, *rest):
+        nonlocal calls
+        calls += len(radii)
+        return stock_pass(K, h, p, n1, lam, radii, *rest)
+
     def make_attempt(*args):
         attempt = stock_make_attempt(*args)
 
@@ -235,6 +242,7 @@ def test_one_solve_ivp_call_and_nfev_counts_rhs_calls(monkeypatch):
     monkeypatch.setattr(ode, "solve_ivp", capture)
     monkeypatch.setattr(ode, "_deviation", counted)
     monkeypatch.setattr(ode, "_make_attempt", make_attempt)
+    monkeypatch.setattr(ode, "_rhs_pass", rhs_pass)
     for n, a in ((7, 2896.0889828723157), (7, 4.253137119342074e19), (5, 1e28)):
         results.clear()
         calls = attempts = 0

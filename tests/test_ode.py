@@ -221,8 +221,8 @@ def _numpy_scalar_rhs(params, a, y, s):
 def test_rhs_on_floats_matches_numpy_scalars():
     """The right-hand side computes on Python floats and returns, bit for
     bit, what the same formula gives on numpy scalars, in both branches.
-    Every stage of a shot and of integrate's attempted step inlines the
-    same source lines as rhs."""
+    Every stage of a shot and of integrate's attempted step, and the pass
+    over integrate's extra stages, inline the same source lines as rhs."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -257,8 +257,54 @@ def test_rhs_on_floats_matches_numpy_scalars():
         block = [line.strip() for line in ode._rhs_lines(y, v, vp, out)]
         assert source[i:i + size] == block
     # the shot's start, hinit's Euler step, 11 stages, the new state and 3
-    # dense stages, rhs itself, and an attempt's 11 stages and new state
-    assert len(starts) == 30
+    # dense stages, rhs itself, an attempt's 11 stages and new state, and
+    # the extra-stage pass
+    assert len(starts) == 31
+
+
+def _branch(dev, y, v):
+    """Which branch of the RHS source the state (y, v) takes."""
+    d = dev.bubble(y)[0]
+    w = d + v
+    if w > 0.0 and abs(v) < 0.5 * d:
+        return "expm1"
+    if w != w:
+        return "nan"
+    try:
+        abs(w) ** (dev.p - 1.0)
+    except OverflowError:
+        return "overflow"
+    return "w<=0" if w <= 0.0 else "|v|>=d/2"
+
+
+def test_rhs_pass_is_rhs_per_state():
+    """The generated pass over integrate's extra stages writes, bit for bit,
+    what the deviation's rhs returns for each state, to its two slots per
+    state at the given offset and stride and nowhere else, on every branch
+    of the RHS source: the expm1/log1p form, w <= 0, |v| >= d/2 with
+    w > 0, a power |w|^(p-1) that overflows to inf, and a NaN state."""
+    rng = np.random.default_rng(36)
+    branches = {}
+    for n, a in ((3, 10.0), (7, 1e19), (8, 3.0)):
+        dev = ode._deviation(Params(n=n, lam=2.0), a, 1.0, DEFAULT_ATOL)
+        radii = np.exp(rng.uniform(math.log(dev.y0), math.log(dev.y_end), 60)).tolist()
+        d = dev.bubble(np.array(radii))[0]
+        scales = [-3.0, -1.0, -0.7, -0.5, -1e-3, 1e-9, 0.3, 0.5, 2.0, 1e90, -1e90, math.nan]
+        vs = d * rng.choice(scales, 60)
+        vps = rng.standard_normal(60) * 10.0 ** rng.uniform(-12, 2, 60)
+        states = np.column_stack([vs, vps]).tolist()
+        offset, stride = 3, 5
+        slots = np.full(offset + stride * len(radii), -7.25)
+        ode._rhs_pass(dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, radii, states,
+                      memoryview(slots), offset, stride)
+        want = np.full_like(slots, -7.25)
+        for i, (y, (v, vp)) in enumerate(zip(radii, states)):
+            want[offset + i * stride:offset + i * stride + 2] = dev.rhs(y, v, vp)
+            branch = _branch(dev, y, v)
+            branches[branch] = branches.get(branch, 0) + 1
+        assert [x.hex() for x in slots.tolist()] == [x.hex() for x in want.tolist()]
+    assert min(branches.get(b, 0) for b in
+               ("expm1", "w<=0", "|v|>=d/2", "overflow", "nan")) >= 3, branches
 
 
 # A shot whose power |w|^(p-1) overflows: n=3, zero 3 sought at a loose rtol.
@@ -860,7 +906,9 @@ def test_generated_tableau_is_scipys():
     attempted step carries C[s] in its radius and takes its stage sum on
     scipy's product K[:s].T.dot(A[s, :s]); the attempt makes exactly these
     11 products, the B, E5 and E3 products and the 2 norm dots, on scipy's
-    coefficient arrays and views of the run's stage array."""
+    coefficient arrays and views of the run's stage array.  Every product
+    is written to the one 2-array the norms are taken on, and its two sums
+    are read back through a memoryview of it before the next product."""
     T = dop853_coefficients
     assigned = _assigned(_function("_dop853_shot"))
 
@@ -888,9 +936,16 @@ def test_generated_tableau_is_scipys():
     calls = [ast.unparse(node) for node in ast.walk(attempt) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id.startswith(("dot", "norm"))]
     stages = range(1, T.N_STAGES)
-    assert sorted(calls) == sorted([f"dot{s}(A{s})" for s in stages] + [
-        "dotb(B)", "dote5(E5)", "dote3(E3)", "norm(err)", "norm(err)"
-    ])
+    products = [f"dot{s}(A{s}, out)" for s in stages] + [
+        "dotb(B, out)", "dote5(E5, out)", "dote3(E3, out)"
+    ]
+    assert sorted(calls) == sorted(products + ["norm(out)", "norm(out)"])
+    body = [ast.unparse(node) for node in attempt.body]
+    assert [body[i + 1] for i, line in enumerate(body) if line in products] == [
+        "sv, sp = o"
+    ] * len(products)
+    make = _function("_make_attempt")
+    assert "o, norm = (memoryview(out), out.dot)" in [ast.unparse(x) for x in make.body]
     for s in stages:
         assert [_terms(x) for x in assigned[f"x{s}"]] == [{"hh": T.C[s]}]
         assert [ast.unparse(x) for x in assigned[f"v{s}"]] == ["v + hh * sv"]
@@ -905,6 +960,8 @@ def test_generated_tableau_is_scipys():
 
     def capture(*args):
         views.append([dot.__self__ for dot in args[-2]])
+        out = args[-1]
+        assert out.shape == (2,) and out.dtype == float and out.flags.c_contiguous
         return make_attempt(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1148,14 +1205,22 @@ def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
     nan_at = ys[i] + DOP853.C_EXTRA[0] * (ys[i + 1] - ys[i])
     assert any(e.r > ys[i + 1] / dev.scale_r for e in clean.events)
 
-    # scipy's start and the extra stages call the deviation's rhs; the
-    # attempted steps inline it
+    # scipy's start calls the deviation's rhs and the extra stages go
+    # through the generated pass; the attempted steps inline the RHS
     def rhs(y, v, vp):
         reached.append(y)
-        return (math.nan, math.nan) if y == nan_at else dev.rhs(y, v, vp)
+        return dev.rhs(y, v, vp)
+
+    stock_pass = ode._rhs_pass
+
+    def rhs_pass(K, h, p, n1, lam, radii, states, *slots):
+        reached.extend(radii)
+        states = [(math.nan, math.nan) if y == nan_at else s for y, s in zip(radii, states)]
+        return stock_pass(K, h, p, n1, lam, radii, states, *slots)
 
     calls.clear()
     monkeypatch.setattr(ode, "_deviation", lambda *args: dataclasses.replace(dev, rhs=rhs))
+    monkeypatch.setattr(ode, "_rhs_pass", rhs_pass)
     with pytest.raises(IntegrationFailed) as info:
         integrate(params, a, 1.0)
     assert str(info.value) == f"integration failed: {ode._FloatDop853.NON_FINITE_STEP}"
@@ -1179,16 +1244,18 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
     """Each integrate makes exactly 2 + 12 attempts + 3 steps RHS
     evaluations (the start, every attempted step and the extra stages of
     every accepted step's dense output), all inside its one solve_ivp
-    call, whose nfev reports them.  The start and the extra stages call the
-    deviation's rhs; each attempt (a call of the generated attempt) inlines
-    12.  The attempts are counted on stock DOP853 without dense output or
-    events, which takes the same steps."""
+    call, whose nfev reports them.  The start calls the deviation's rhs,
+    the extra stages go through the generated pass over their states; each
+    attempt (a call of the generated attempt) inlines 12.  The attempts are
+    counted on stock DOP853 without dense output or events, which takes the
+    same steps."""
     params = Params(n=n, lam=lam)
     dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
     calls = {True: 0, False: 0}  # RHS calls inside and outside solve_ivp
     attempts = {True: 0, False: 0}  # attempted steps inside and outside
     inside, results = False, []
     stock_solve_ivp, stock_make_attempt = ode.solve_ivp, ode._make_attempt
+    stock_pass = ode._rhs_pass
 
     def capture(*args, **kwargs):
         nonlocal inside
@@ -1203,6 +1270,10 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
         calls[inside] += 1
         return dev.rhs(*state)
 
+    def rhs_pass(K, h, p, n1, lam, radii, *rest):
+        calls[inside] += len(radii)
+        return stock_pass(K, h, p, n1, lam, radii, *rest)
+
     def make_attempt(*args):
         attempt = stock_make_attempt(*args)
 
@@ -1214,6 +1285,7 @@ def test_integrate_rhs_calls_all_inside_its_solve_ivp(monkeypatch, n, lam, a):
 
     monkeypatch.setattr(ode, "solve_ivp", capture)
     monkeypatch.setattr(ode, "_make_attempt", make_attempt)
+    monkeypatch.setattr(ode, "_rhs_pass", rhs_pass)
     monkeypatch.setattr(ode, "_deviation", lambda *args: dataclasses.replace(dev, rhs=rhs))
     profile = integrate(params, a, 1.0)
     (result,) = results
@@ -1251,9 +1323,7 @@ def test_profile_below_first_knot_is_start_series(lam, a):
     """Below its first knot a profile is the two-term series integrate
     starts from, bit for bit: one expansion of the origin.  The series
     meets the dense output at the first knot, where u_du gives the first
-    sample exactly, since knots[0] * scale_r rounds back to the start
-    radius at these amplitudes.  (Not at every knot: the radius goes
-    through / scale_r and back, which moves the last bits at some.)"""
+    sample exactly."""
     params = Params(n=7, lam=lam)
     profile = integrate(params, a, 1.0)
     dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
@@ -1263,6 +1333,29 @@ def test_profile_below_first_knot_is_start_series(lam, a):
         assert profile.u_du(r) == dev.u_du(y, dev.start(y))
     assert profile.u_du(0.0) == (a, 0.0)
     assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+
+
+def test_first_knot_reads_the_first_sample():
+    """u_du at the first knot is the first sample exactly, also at an
+    amplitude whose start radius does not survive the round trip through
+    the physical radius: knots[0] = fl(y0 / scale_r), and fl(knots[0] *
+    scale_r) misses y0 by an ulp there.  Such amplitudes are found by a
+    scan in the scaling's arithmetic alone, without integrating."""
+    params = Params(n=7, lam=2.0)
+    for a in 10.0 ** np.arange(-2.0, 18.0, 0.01):
+        dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+        if dev.y0 / dev.scale_r * dev.scale_r != dev.y0:
+            break
+    else:
+        pytest.fail("no amplitude whose start radius misses its round trip")
+    profile = integrate(params, a, 1.0)
+    assert profile.knots[0] == dev.y0 / dev.scale_r
+    assert profile.u_du(profile.knots[0]) == (profile.values[0], profile.derivs[0])
+    r = np.array([0.5 * profile.knots[0], profile.knots[0], profile.knots[1]])
+    u, du = profile.u_du(r)
+    assert (u[1:].tolist(), du[1:].tolist()) == (
+        profile.values[:2].tolist(), profile.derivs[:2].tolist()
+    )
 
 
 def test_no_scipy_dense_output_after_integration(monkeypatch, sol7_lam2):
@@ -1321,13 +1414,15 @@ def test_shoot_releases_its_solver():
 
 def test_integrate_leaves_no_step_rows_to_the_collector():
     """The float stepper drops the closures scipy's solver keeps over
-    itself once its run ends, and brentq gets its function's data as
-    args, so reference counting frees each integration's stepper, rows and
-    located steps: with the collector off, tracemalloc growth stays below
-    16 KB per integration of the n=7 k=2 a* (about 13 KB here, 28 KB with
-    the stepper left in its cycle, 145 KB with its rows kept too).  Most of
-    what remains is the tuples of the rows on CPython's tuple free lists, a
-    fixed pool that does not grow with more integrations."""
+    itself in __init__, right after scipy's start, and brentq gets its
+    function's data as args, so reference counting frees each
+    integration's stepper, rows and located steps: with the collector off,
+    tracemalloc growth stays below 16 KB per integration of the n=7 k=2 a*
+    (12.0 KB measured; 14.9 KB with a new array for each product and the
+    extra stages one RHS call each, and 167 KB with scipy's closures kept,
+    whose cycle holds the stepper and its rows).  Most of what remains is the tuples of the rows on CPython's
+    tuple free lists, a fixed pool that does not grow with more
+    integrations."""
     params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
     integrate(params, a, 1.0)
     gc.collect()
