@@ -1339,7 +1339,7 @@ def test_first_knot_reads_the_first_sample():
     """u_du at the first knot is the first sample exactly, also at an
     amplitude whose start radius does not survive the round trip through
     the physical radius: knots[0] = fl(y0 / scale_r), and fl(knots[0] *
-    scale_r) misses y0 by an ulp there.  Such amplitudes are found by a
+    scale_r) misses y0 in the last bit there.  Such amplitudes are found by a
     scan in the scaling's arithmetic alone, without integrating."""
     params = Params(n=7, lam=2.0)
     for a in 10.0 ** np.arange(-2.0, 18.0, 0.01):
