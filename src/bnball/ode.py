@@ -38,26 +38,26 @@ otherwise cancel.
 
 integrate returns the full profile (events, dense output) that features,
 certification and records read, on _FloatDop853: stock DOP853 bit for bit
-on Python floats, with the blow-up guard and sign changes checked per step
-and the dense output built in one batched pass when the run ends; the
-stepper holds no reference cycle, so reference counting frees it.  shoot
-returns only the radius of the k-th zero of u, from DOP853 (Hairer,
-Norsett and Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step
-rules.  Both step on float code generated at import, each stage straight-
-line with the right-hand side inlined: the shot's stage sums are float
-sums without the tableau's zeros, an attempted step of integrate keeps
-scipy's numpy products, and integrate's extra stages go through one
-generated loop over their states.  Both build the problem with
-_deviation, whose rhs comes from the same source lines, so the
-right-hand side and the blow-up guard are defined once.  One evaluator of DOP853's dense output,
-_dense_state, locates the roots of both on floats and evaluates
-integrate's profiles elementwise on arrays.
+on Python floats; the stepper holds no reference cycle, so reference
+counting frees it.  shoot returns only the radius of the k-th zero of u,
+from DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with
+Hairer's dop853 step rules.  Both step on float code generated at import,
+each stage straight-line with the right-hand side inlined: the shot's
+stage sums are float sums without the tableau's zeros, an attempted step
+of integrate keeps scipy's numpy products.  Both build the problem with
+_deviation, whose rhs comes from the same source lines, and hand their
+steps to one end-of-run pass, _finish_steps, that builds the dense output
+and locates sign changes and the blow-up radius on it, so the right-hand
+side, the blow-up guard and the dense output are defined once.  One
+evaluator of DOP853's dense output, _dense_state, locates the roots on
+floats and evaluates integrate's profiles elementwise on arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -65,7 +65,8 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
-from .model import BlowUpDetected, ConfigError, IntegrationFailed, Params, SingularPoint
+from .model import (BlowUpDetected, ConfigError, IntegrationFailed, OutOfDomain, Params,
+                    SingularPoint)
 
 # Fixed start radius of the unit-amplitude problem; physical start radius is
 # SCALED_START * |a|^(-beta).
@@ -144,8 +145,13 @@ class RadialProfile:
             arr.setflags(write=False)
 
     def u_du(self, r):
-        """(u, u') at r from one dense evaluation; floats for scalar r."""
-        u, du = self.dense(np.atleast_1d(np.asarray(r, dtype=float)))
+        """(u, u') at r from one dense evaluation; floats for scalar r.  A
+        radius past r_end by more than radial_norms' slack, 1e-12 max(1,
+        r_end), raises OutOfDomain."""
+        radii = np.atleast_1d(np.asarray(r, dtype=float))
+        if (radii > self.r_end + 1e-12 * max(1.0, self.r_end)).any():
+            raise OutOfDomain(f"radius {radii.max():g} lies beyond r_end = {self.r_end:g}")
+        u, du = self.dense(radii)
         return (float(u[0]), float(du[0])) if np.ndim(r) == 0 else (u, du)
 
     def u(self, r):
@@ -227,7 +233,8 @@ class _Deviation:
         d = t**self.h
         return d, -(self.n - 2.0) * y * d * t / self.K
 
-    def series(self) -> list[float]:
+    @cached_property
+    def series(self) -> tuple[float, ...]:
         """The coefficients v_0 = 0, v_1, ..., v_J, J = SERIES_TERMS, of the
         Taylor series v = sum_j v_j z^j in z = y^2.
 
@@ -255,12 +262,12 @@ class _Deviation:
             m = j + 1
             q.append(sum(v[i] * d_inv[m - i] for i in range(1, m + 1)))
             g.append(sum(((p + 1.0) * i - m) * q[i] * g[m - i] for i in range(1, m + 1)) / m)
-        return v
+        return tuple(v)
 
     def start(self, y):
-        """The two-term series state (v, v') = v_1 z + v_2 z^2 of series()
+        """The two-term series state (v, v') = v_1 z + v_2 z^2 of series
         at scaled radius y, scalar or array."""
-        _, v1, v2 = self.series()[:3]
+        _, v1, v2 = self.series[:3]
         return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
 
     @property
@@ -270,14 +277,14 @@ class _Deviation:
 
     def series_start(self) -> tuple[float, tuple[float, float]]:
         """The scaled radius y_s where a shot starts and the state (v, v')
-        there from series().
+        there from series.
 
         y_s is the largest y <= 1, and below half of y_end, at which the
         last term is at most SERIES_CUTOFF of the first, so that the series
         is exact to rounding there, but never below SCALED_START; a series
         that overflows gives integrate's start.
         """
-        v = self.series()
+        v = self.series
         J = SERIES_TERMS
         ratio = abs(v[J] / v[1]) if v[1] else 0.0
         if not ratio < math.inf:  # overflowed at an absurd lamhat
@@ -439,43 +446,89 @@ def _root(step, g, *args) -> float:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
 
 
+def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
+    """The end-of-run pass of integrate and shoot: every step's dense-output
+    rows F, (steps, 7, 2), and the roots of the marked steps.
+
+    taken lists the steps as (t_old, v, v', h, v_new, v'_new, t_new),
+    stages their 13 stage rows, (steps, 13, 2), and marks (step index,
+    components of (u, u') that change sign, blown) in step order.  The
+    extra stages and F are scipy's _dense_output_impl per step, batched on
+    the same products, each extra stage's RHS in one _rhs_pass.  The first
+    step whose F is not finite raises IntegrationFailed at its start
+    radius, ahead of any later step; each marked step before it locates its
+    roots on its dense output as solve_ivp locates an event, appends its
+    sign changes to events (a zero crossing stores u', a derivative zero
+    u) and then raises BlowUpDetected at the located blow-up radius.  Run
+    under np.errstate(all="ignore")."""
+    n_rows = DOP853.n_stages + 1
+    steps = len(taken)
+    arr = np.reshape(taken, (-1, 7))
+    t_old, y_old, h, y_new = arr[:, 0], arr[:, 1:3], arr[:, 3:4], arr[:, 4:6]
+    KX = np.empty((steps, dop853_coefficients.N_STAGES_EXTENDED, 2))
+    KX[:, :n_rows] = stages
+    k = memoryview(KX.reshape(-1))
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_rows):
+        dy = np.matmul(KX[:, :s].transpose(0, 2, 1), a[:s])
+        _rhs_pass(
+            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat,
+            (t_old + c * h[:, 0]).tolist(), (y_old + dy * h).tolist(),
+            k, 2 * s, 2 * KX.shape[1],
+        )
+    dy = y_new - y_old
+    f_old, f = KX[:, 0], KX[:, DOP853.n_stages]
+    F = np.empty((steps, 3 + len(DOP853.D), 2))
+    F[:, 0] = dy
+    F[:, 1] = h * f_old - dy
+    F[:, 2] = 2 * dy - h * (f + f_old)
+    F[:, 3:] = h[..., None] * np.matmul(DOP853.D, KX)
+    finite = np.isfinite(F).all(axis=(1, 2))
+    good = steps if finite.all() else int(np.argmin(finite))  # steps before the first bad
+
+    for i, changes, blown in marks:
+        if i >= good:
+            break
+        y0, v, vp, _, _, _, y1 = taken[i]
+        step = (y0, y1, v, vp, F[i].tolist())
+        if blown:
+            blown_at = _root(step, _over_bound, dev)
+        for c in changes:
+            root = _root(step, _sign, dev, c)
+            value = dev.u_du(root, _dense_state(root, step))[1 - c]
+            events.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
+        if blown:
+            raise _blow_up(blown_at / dev.scale_r)
+    if good < steps:
+        raise IntegrationFailed(
+            f"integration failed: {_FloatDop853.NON_FINITE_STEP}",
+            last_radius=taken[good][0] / dev.scale_r,
+        )
+    return F
+
+
 class _FloatDop853(DOP853):
     """scipy's DOP853 stepping outward on Python floats, with the events of
     integrate.
 
-    Takes the steps, builds the dense output and counts the RHS evaluations
-    (nfev) of stock DOP853 bit for bit.  Each attempted step is one call of
-    the generated _make_attempt closure: its 11 stages and the new state
-    inline the right-hand side, every reduction over the stages stays the
-    dot product scipy takes, on the same views of the stage array, because
-    OpenBLAS may fuse its multiply-adds, so a float sum can differ in the
-    last bit, and each error norm stays sqrt(err.dot(err))**2 on an array
-    for the same reason.  Each product is written to one reused 2-array
-    and read back through a memoryview of it.  The rest is float arithmetic
-    in scipy's order.  fun is a float RHS fun(y, v, v') -> (v', v''), like
-    _Deviation.rhs; scipy's start calls it, the attempts and the extra
-    stages inline the deviation's.
+    Takes the steps and counts the RHS evaluations (nfev) of stock DOP853
+    bit for bit.  Each attempted step is one call of the generated
+    _make_attempt closure: its 11 stages and the new state inline the
+    right-hand side, every reduction over the stages stays the dot product
+    scipy takes, on the same views of the stage array, because OpenBLAS
+    may fuse its multiply-adds, and each error norm stays
+    sqrt(err.dot(err))**2 on an array for the same reason, each written to
+    one reused 2-array read back through a memoryview.  The rest is float
+    arithmetic in scipy's order.  fun is a float RHS fun(y, v, v') -> (v',
+    v''), like _Deviation.rhs, for scipy's start.
 
-    A step's three extra stages and dense-output coefficients F depend only
-    on its own stages and never feed step-size control, so they are built
-    after the run.  _step_impl commits each step that passes error control
-    and keeps its states and a copy of its 13 stage rows; it checks the
-    step-end state against the blow-up guard and, while the problem is
-    trusted, for a change of sign of u or u' by solve_ivp's rule for an
-    event of direction 0, and keeps the step for _finish when either
-    fires.  Where the run ends (on the step that reaches t_bound, before a
-    step size that is too small fails it, or at once when the guard trips),
-    still inside solve_ivp, _finish builds every step's extra stages and F
-    in one batched pass, on the same products scipy takes per step,
-    elementwise on arrays where scipy is on floats, with each extra stage's
-    RHS on floats in one call of the generated _rhs_pass that writes
-    straight into the stage array, and appends the stacked F to rows.  It then goes through the steps in order: the first step
-    whose F is not finite raises IntegrationFailed at its start radius,
-    ahead of the outcome of any later step; before it, each kept step
-    locates its roots on its dense output (_dense_state) as solve_ivp
-    locates an event.  The blow-up radius is located first and raises
-    BlowUpDetected after the step's sign changes, which are appended to
-    crossings as finished Events.
+    _step_impl commits each step that passes error control and keeps its
+    states and a copy of its 13 stage rows, and marks it where the step-end
+    state trips the blow-up guard or, while the problem is trusted, u or u'
+    changes sign by solve_ivp's rule for an event of direction 0.  Where
+    the run ends (on the step that reaches t_bound, before a step size that
+    is too small fails it, or once the guard trips), still inside
+    solve_ivp, _finish hands the steps and marks to _finish_steps, with
+    crossings for its events, and appends the rows it returns to rows.
     Callers run the stepper under np.errstate(all="ignore"): a NaN trial
     step is then rejected as in stock DOP853, without a warning, and a NaN
     step size is too small.  Runs go outward (_deviation refuses inward
@@ -520,7 +573,7 @@ class _FloatDop853(DOP853):
         self.signs = deviation.signs(t0, self.y)
         self.taken = []  # (t_old, v, v', h, v_new, v'_new, t_new) of each step
         self.stage_rows = []  # the bytes of each step's stage rows 0..n_stages
-        self.checks = []  # (step index, components that change sign, blown)
+        self.marks = []  # (step index, components that change sign, blown)
 
     def _step_impl(self):
         t, t_bound, attempt, k = self.t, self.t_bound, self.attempt, self.k
@@ -558,8 +611,7 @@ class _FloatDop853(DOP853):
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
         self.f = (vp_new, f_new)
-        taken = self.taken
-        taken.append((t, v, vp, h, v_new, vp_new, t_new))
+        self.taken.append((t, v, vp, h, v_new, vp_new, t_new))
         self.stage_rows.append(self.K.tobytes())
 
         # a sign change by solve_ivp's rule for an event of direction 0
@@ -570,62 +622,17 @@ class _FloatDop853(DOP853):
         blown = abs(w) >= BLOWUP_BOUND
         if blown or zero or dzero:
             changes = [c for c, change in enumerate((zero, dzero)) if change]
-            self.checks.append((len(taken) - 1, changes, blown))
+            self.marks.append((len(self.taken) - 1, changes, blown))
         if blown or t_new == t_bound:  # the run ends
             self._finish()
         return True, None
 
     def _finish(self):
-        """Build the dense output of every step taken, as scipy's
-        _dense_output_impl builds it per step, then locate the checked
-        steps' roots in step order.
-
-        Zero crossings store u' there, derivative zeros store u.
-        """
-        dev = self.deviation
-        n_rows = self.n_stages + 1
-        taken = np.reshape(self.taken, (-1, 7))
-        t_old, y_old, h, y_new = taken[:, 0], taken[:, 1:3], taken[:, 3:4], taken[:, 4:6]
-        steps = len(taken)
-        KX = np.empty((steps, self.K_extended.shape[0], 2))
-        KX[:, :n_rows] = np.frombuffer(b"".join(self.stage_rows)).reshape(steps, n_rows, 2)
-        k = memoryview(KX.reshape(-1))
-        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=n_rows):
-            dy = np.matmul(KX[:, :s].transpose(0, 2, 1), a[:s])
-            _rhs_pass(
-                dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat,
-                (t_old + c * h[:, 0]).tolist(), (y_old + dy * h).tolist(),
-                k, 2 * s, 2 * KX.shape[1],
-            )
+        """The end-of-run pass over every step taken: 3 RHS evaluations each."""
+        steps = len(self.taken)
         self.nfev += len(self.A_EXTRA) * steps
-        dy = y_new - y_old
-        f_old, f = KX[:, 0], KX[:, self.n_stages]
-        F = np.empty((steps, 3 + len(self.D), 2))
-        F[:, 0] = dy
-        F[:, 1] = h * f_old - dy
-        F[:, 2] = 2 * dy - h * (f + f_old)
-        F[:, 3:] = h[..., None] * np.matmul(self.D, KX)
-        finite = np.isfinite(F).all(axis=(1, 2))
-        good = steps if finite.all() else int(np.argmin(finite))  # steps before the first bad
-
-        for i, changes, blown in self.checks:
-            if i >= good:
-                break
-            y0, v, vp, _, _, _, y1 = self.taken[i]
-            step = (y0, y1, v, vp, F[i].tolist())
-            if blown:
-                blown_at = _root(step, _over_bound, dev)
-            for c in changes:
-                root = _root(step, _sign, dev, c)
-                value = dev.u_du(root, _dense_state(root, step))[1 - c]
-                self.crossings.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
-            if blown:
-                raise _blow_up(blown_at / dev.scale_r)
-        if good < steps:
-            raise IntegrationFailed(
-                f"integration failed: {self.NON_FINITE_STEP}",
-                last_radius=self.taken[good][0] / dev.scale_r,
-            )
+        stages = np.frombuffer(b"".join(self.stage_rows)).reshape(steps, self.n_stages + 1, 2)
+        F = _finish_steps(self.deviation, self.taken, stages, self.marks, self.crossings)
         self.rows.append(F)
 
 
@@ -646,7 +653,7 @@ def integrate(
     on the dense output of the step that finds it, by solve_ivp's
     bracketed root-finding (well below 1e-12 radius accuracy), and records
     it as an event; the dense output is stacked from the step states and
-    the coefficient rows it builds when the run ends.  knots hold the
+    the coefficient rows _finish_steps builds when the run ends.  knots hold the
     integrator steps plus DENSE_SAMPLES interior samples per step; `steps`
     keeps the raw step radii, whose dense-output pieces downstream
     quadrature integrates piecewise.  The profile answers radii below the
@@ -782,8 +789,10 @@ def _attempt_stage_lines(s: int) -> list[str]:
 # tolerance at n=7, lambda=2, a = 4.25e19, rtol 2.3e-14): the step on which
 # u changes sign for the k-th time is taken again in steps of at most an
 # eighth of it (hlim) until its end (until).  Returns (RHS evaluations, end,
-# radius, step): "zero" with the step (y, v, vp, h, F) that then changes
-# sign, F its dense output; "end"; "blow-up"; or why the run failed.
+# radius, step, stages): "zero" with the step (y, v, vp, h, v_new, vp_new,
+# y_new) that then changes sign and its 13 stage rows, for _finish_steps;
+# "blow-up" with the step that trips the guard; "end"; or why the run
+# failed.
 _SHOT_SOURCE = """\
 def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
 {start}
@@ -801,9 +810,9 @@ def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
     nfev, attempts, zeros, reject, last = 2, 0, 0, False, False
     while True:
         if attempts >= max_steps:
-            return nfev, "step budget spent", y, None
+            return nfev, "step budget spent", y, None, None
         if not 0.1 * hh > y * {uround!r}:
-            return nfev, "step size becomes too small", y, None
+            return nfev, "step size becomes too small", y, None, None
         if y + 1.01 * hh - y_end > 0.0:
             hh, last = y_end - y, True
         attempts, nfev = attempts + 1, nfev + 11
@@ -823,21 +832,16 @@ def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
 {new}
         k12v, nfev = pnew, nfev + 1
         if abs(w) >= {blowup!r}:
-            return nfev, "blow-up", xnew, None
+            return nfev, "blow-up", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})
         if (w < 0.0) != zeros % 2:
             if zeros + 1 == k and until == inf:
                 until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
                 continue
             zeros += 1
             if zeros == k:
-{extra}
-                dv, dp = vnew - v, pnew - vp
-                F = ((dv, dp), (hh * k0v - dv, hh * k0p - dp),
-                     (2.0 * dv - hh * (k12v + k0v), 2.0 * dp - hh * (k12p + k0p)),
-{rows})
-                return nfev + 3, "zero", xnew, (y, v, vp, hh, F)
+                return nfev, "zero", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})
         if last:
-            return nfev, "end", xnew, None
+            return nfev, "end", xnew, None, None
         if xnew >= until:  # re-taken without the sign change
             hlim, until = hmax, inf
         hnew = min(hh / max({facc2!r}, min({facc1!r}, fac11 / {safe!r})), hlim)
@@ -862,8 +866,8 @@ def _make_rhs(K, h, p, n1, lam):
 # scale with np.maximum's NaN rule.  Returns the error norm, the new state
 # and its v'', and u/a and u'/(a scale_r) at ynew.
 #
-# _rhs_pass is the RHS over many states, for the extra stages of
-# _FloatDop853's steps: it writes the (v', v'') of radii[i] and states[i]
+# _rhs_pass is the RHS over many states, for the extra stages of the steps
+# _finish_steps takes: it writes the (v', v'') of radii[i] and states[i]
 # to k[j + i * stride] and the slot after, k a flat float view of the
 # stage array.
 _ATTEMPT_SOURCE = """\
@@ -914,7 +918,7 @@ def _generate() -> dict:
     """Compile _SHOT_SOURCE and _ATTEMPT_SOURCE with DOP853's coefficients
     written in, the attempt's as arrays A1..A11, B, E5 and E3."""
     T = dop853_coefficients
-    kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES_EXTENDED)] for c in "vp")
+    kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES + 1)] for c in "vp")
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
@@ -924,9 +928,7 @@ def _generate() -> dict:
         euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
         stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
-        extra=block([x for s in range(T.N_STAGES + 1, T.N_STAGES_EXTENDED)
-                     for x in _shot_stage_lines(s)], 16),
-        rows=block([f"(hh * ({_sum(d, kv)}), hh * ({_sum(d, kp)}))," for d in T.D], 21),
+        stages_rows=", ".join(f"({v}, {p})" for v, p in zip(kv, kp)),
         b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
         e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
         rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
@@ -967,20 +969,20 @@ def shoot(
     One shooting evaluation: integrate's deviation problem on _dop853_shot
     at run_tolerances(rtol, atol), from _Deviation.series_start (where the
     series is exact to rounding) to the step on which u changes sign for
-    the k-th time, past r=1 if need be, re-taken in eighths; zero k is
-    located on the dense output of the re-taken step that changes sign, as
-    integrate locates an event (a double crossing in one step goes
-    uncounted).  inf where the problem is untrusted (at once) or zero k
-    lies beyond SHOOT_END.  Raises as integrate does (a bad tolerance
-    before any step), and IntegrationFailed at the radius reached when the
-    step size becomes too small or after SHOOT_MAX_STEPS steps."""
+    the k-th time, past r=1 if need be, re-taken in eighths.  That step, or
+    the one that trips the blow-up guard, goes to integrate's end-of-run
+    pass, which locates zero k as an event (a double crossing in one step
+    goes uncounted) or raises as integrate does.  inf where the problem is
+    untrusted (at once) or zero k lies beyond SHOOT_END.  A bad tolerance
+    raises before any step; IntegrationFailed at the radius reached when
+    the step size becomes too small or after SHOOT_MAX_STEPS steps."""
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, SHOOT_END, atol)
     if not dev.trusted:
         return math.inf
     y0, (v0, vp0) = dev.series_start()
     try:
-        _, end, y1, step = _dop853_shot(
+        _, end, y1, step, stages = _dop853_shot(
             dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, v0, vp0,
             dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS,
         )
@@ -988,12 +990,10 @@ def shoot(
         raise IntegrationFailed(f"integration failed: {exc}") from exc
     if end == "end":
         return math.inf
-    if end == "blow-up":
-        raise _blow_up(y1 / dev.scale_r)
-    if end != "zero":
+    if end not in ("zero", "blow-up"):
         raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
-    y0, v0, vp0, _, F = step
-    if not all(math.isfinite(f) for row in F for f in row):
-        message = f"integration failed: {_FloatDop853.NON_FINITE_STEP}"
-        raise IntegrationFailed(message, last_radius=y0 / dev.scale_r)
-    return _root((y0, y1, v0, vp0, F), _sign, dev, 0) / dev.scale_r
+    blown = end == "blow-up"
+    zeros = []  # a blown step raises before it gives one
+    with np.errstate(all="ignore"):
+        _finish_steps(dev, [step], stages, [(0, [] if blown else [0], blown)], zeros)
+    return zeros[0].r

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import gc
 import math
 import operator
@@ -29,6 +30,7 @@ from bnball.model import (
     ConfigError,
     Error,
     IntegrationFailed,
+    OutOfDomain,
     Params,
     SingularPoint,
 )
@@ -222,7 +224,7 @@ def test_rhs_on_floats_matches_numpy_scalars():
     """The right-hand side computes on Python floats and returns, bit for
     bit, what the same formula gives on numpy scalars, in both branches.
     Every stage of a shot and of integrate's attempted step, and the pass
-    over integrate's extra stages, inline the same source lines as rhs."""
+    over the extra stages of both, inline the same source lines as rhs."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -256,10 +258,10 @@ def test_rhs_on_floats_matches_numpy_scalars():
         ).groups()
         block = [line.strip() for line in ode._rhs_lines(y, v, vp, out)]
         assert source[i:i + size] == block
-    # the shot's start, hinit's Euler step, 11 stages, the new state and 3
-    # dense stages, rhs itself, an attempt's 11 stages and new state, and
-    # the extra-stage pass
-    assert len(starts) == 31
+    # the shot's start, hinit's Euler step, 11 stages and the new state, rhs
+    # itself, an attempt's 11 stages and new state, and the extra-stage pass;
+    # the shot leaves its 3 extra stages to the pass
+    assert len(starts) == 28
 
 
 def _branch(dev, y, v):
@@ -312,6 +314,7 @@ def test_rhs_pass_is_rhs_per_state():
 OVERFLOW_SHOT = (Params(n=3, lam=0.01), 10.0, 3)
 OVERFLOW_SHOT_RTOL = 1e3
 TOO_SMALL = "integration failed: step size becomes too small"
+NOT_FINITE = "integration failed: Dense output of the step is not finite."
 
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")
@@ -363,10 +366,9 @@ def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
     float stepper raises no warning) and the integration that meets a NaN
     dense output (the stepper runs under np.errstate and fails that
     step)."""
-    not_finite = "integration failed: Dense output of the step is not finite."
     for run, args, tolerances, message in (
         (shoot, OVERFLOW_SHOT, {"rtol": OVERFLOW_SHOT_RTOL}, TOO_SMALL),
-        (integrate, OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0}, not_finite),
+        (integrate, OVERFLOW_INTEGRATE, {"rtol": 1.0, "atol": 1.0}, NOT_FINITE),
     ):
         outcomes = []
         for action in ("default", "error"):
@@ -384,10 +386,10 @@ def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
     pytest.param(OVERFLOW_SHOT, {"rtol": OVERFLOW_SHOT_RTOL}, ode.SHOOT_MAX_STEPS,
                  IntegrationFailed, TOO_SMALL, id="overflow"),
     # inf - inf in the stage sums gives NaN error norms, which reject their
-    # trial steps; the run goes on to the blow-up guard
+    # trial steps; the run goes on to the blow-up guard, on a step whose
+    # dense output is not finite
     pytest.param((Params(n=6, lam=1.13e16), 1.13e12, 3), {"rtol": 11.0, "atol": 35.0},
-                 ode.SHOOT_MAX_STEPS, BlowUpDetected, "|u| exceeded 1e+12 * |a| at r = ",
-                 id="nan"),
+                 ode.SHOOT_MAX_STEPS, IntegrationFailed, NOT_FINITE, id="nan"),
     pytest.param((Params(n=7, lam=2.0), 1e4, 1), {}, 20,
                  IntegrationFailed, "integration failed: step budget spent", id="budget"),
     pytest.param((Params(n=7, lam=1e4), 1.0, 1), {"rtol": 1e3}, ode.SHOOT_MAX_STEPS,
@@ -397,8 +399,9 @@ def test_shot_ends_alike_under_any_filter(monkeypatch, args, tolerances, budget,
                                           message):
     """Each way a shot can fail ends as the same error, message and radius
     under the default and the error warnings filter, without a warning:
-    a classified failure at the radius reached (last_radius), or the
-    blow-up guard at the radius named in its message."""
+    a classified failure at the radius reached (last_radius), a blown step
+    whose dense output is not finite at its start radius, or the blow-up
+    guard at the radius named in its message."""
     monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", budget)
     outcomes = []
     for action in ("default", "error"):
@@ -471,7 +474,7 @@ def test_deviation_series_is_exact(n):
     for lam_hat in (1e-20, 1e-6, 1.0, 20.0):
         # at a = 1 lamhat is lambda
         dev = ode._deviation(Params(n=n, lam=lam_hat), 1.0, ode.SHOOT_END, DEFAULT_ATOL)
-        got = dev.series()
+        got = list(dev.series)
         want = _exact_series(n, lam_hat, ode.SERIES_TERMS)
         assert got[0] == want[0] == 0.0
         assert got[1:] == pytest.approx(want[1:], rel=1e-14, abs=0.0)
@@ -507,7 +510,7 @@ def test_series_start_matches_integration_from_scaled_start(n, y_small):
     # coefficients) starts where integrate does
     for lam_hat in (1e42, 1e60):
         dev = ode._deviation(Params(n=n, lam=lam_hat), 1.0, ode.SHOOT_END, DEFAULT_ATOL)
-        assert not math.isfinite(dev.series()[-1])
+        assert not math.isfinite(dev.series[-1])
         assert dev.series_start() == (dev.y0, dev.s0)
 
 
@@ -677,12 +680,14 @@ def _norm2(values):
 
 def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     """shoot written as a plain loop: Hairer's dop853 over scipy's DOP853
-    tableau in rows and columns, with a list-returning RHS, and zero k
-    located by brentq on the dense output of its step.  The outcome (r_k
-    in hex, or the class, message and last radius of the error) and the RHS
-    evaluations; none for an untrusted shot."""
+    tableau in rows and columns, with a list-returning RHS.  Zero k, and
+    the blow-up radius, are located by brentq on the dense output of their
+    step that scipy's DOP853._dense_output_impl builds from the step's own
+    13 stage rows, as integrate locates an event.  The outcome (r_k in
+    hex, or the class, message and last radius of the error) and the RHS
+    evaluations of the stepping; none for an untrusted shot."""
     T = dop853_coefficients
-    A, B, C, D = T.A.tolist(), T.B.tolist(), T.C.tolist(), T.D.tolist()
+    A, B, C = T.A.tolist(), T.B.tolist(), T.C.tolist()
     E3, E5 = T.E3.tolist(), T.E5.tolist()
     dev = ode._deviation(params, a, ode.SHOOT_END, atol)
     if not dev.trusted:
@@ -716,6 +721,25 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
         state = [x + h * _combination(A[i][:i], column) for x, column in zip(s, columns)]
         K[i] = f(y + C[i] * h, state)
 
+    def located(g, outcome):
+        """outcome(radius) of the root of g(u/a) on the step just taken, or
+        why its dense output has none."""
+        with np.errstate(all="ignore"):
+            solver = DOP853(lambda t, x: np.array(f(float(t), x.tolist())), y, np.array(s),
+                            y_end)
+            solver.K_extended[:T.N_STAGES + 1] = K[:T.N_STAGES + 1]
+            solver.t_old, solver.t, solver.h_previous = y, y + h, h
+            solver.y_old, solver.y, solver.f = np.array(s), np.array(new), np.array(K[T.N_STAGES])
+            piece = solver._dense_output_impl()
+        if not np.isfinite(piece.F).all():
+            return failed(ode._FloatDop853.NON_FINITE_STEP, y)
+        tol = 4 * np.finfo(float).eps
+        try:
+            root = brentq(lambda t: g(dev.signs(t, piece(t))[0]), y, y + h, xtol=tol, rtol=tol)
+        except ValueError as exc:
+            return IntegrationFailed, f"integration failed: {exc}", None
+        return outcome(root / dev.scale_r)
+
     while True:
         if attempts >= max_steps:
             return failed("step budget spent", y), nfev
@@ -742,28 +766,16 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
         nfev += 1
         w = dev.signs(y + h, new)[0]
         if abs(w) >= ode.BLOWUP_BOUND:
-            return _error_outcome(ode._blow_up((y + h) / dev.scale_r)), nfev
+            blown = located(lambda w: abs(w) - ode.BLOWUP_BOUND,
+                            lambda r: _error_outcome(ode._blow_up(r)))
+            return blown, nfev
         if (w < 0.0) != zeros % 2:
             if zeros + 1 == k and until == math.inf:
                 until, hlim, h, last = y + h, h / 8.0, h / 8.0, False
                 continue
             zeros += 1
             if zeros == k:
-                for i in range(T.N_STAGES + 1, T.N_STAGES_EXTENDED):
-                    stage(i)
-                dy = [z - x for z, x in zip(new, s)]
-                F = [dy, [h * g - d for g, d in zip(K[0], dy)],
-                     [2.0 * d - h * (g1 + g) for d, g1, g in zip(dy, K[T.N_STAGES], K[0])]]
-                columns = [[g[c] for g in K] for c in range(2)]
-                F += [[h * _combination(row, column) for column in columns] for row in D]
-                if not np.isfinite(F).all():
-                    return failed(ode._FloatDop853.NON_FINITE_STEP, y), nfev + 3
-                piece = Dop853DenseOutput(y, y + h, np.array(s), np.array(F))
-                tol = 4 * np.finfo(float).eps
-                root = brentq(
-                    lambda t: dev.signs(t, piece(t))[0], y, y + h, xtol=tol, rtol=tol
-                )
-                return (root / dev.scale_r).hex(), nfev + 3
+                return located(lambda w: w, float.hex), nfev
         if last:
             return math.inf.hex(), nfev
         if y + h >= until:
@@ -820,17 +832,20 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
     assert min(finite) < 1.0 < max(finite)
 
 
-@pytest.mark.parametrize("n, lam, a, k, rtol, error", [
-    pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected, id="n7-blow-up"),
-    pytest.param(3, 0.01, 10.0, 3, 1e3, IntegrationFailed, id="n3-power-overflow"),
-    pytest.param(5, 0.5, 1e28, 2, 1e-10, None, id="n5-untrusted"),
-    pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, id="n6-untrusted"),
+@pytest.mark.parametrize("n, lam, a, k, rtol, error, message", [
+    # the blow-up radius located on the blown step, not its end at 0.550252
+    pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected,
+                 "|u| exceeded 1e+12 * |a| at r = 0.239833", id="n7-blow-up"),
+    pytest.param(3, 0.01, 10.0, 3, 1e3, IntegrationFailed, TOO_SMALL, id="n3-power-overflow"),
+    pytest.param(5, 0.5, 1e28, 2, 1e-10, None, None, id="n5-untrusted"),
+    pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, None, id="n6-untrusted"),
 ])
 @pytest.mark.parametrize("action", ["error", "default"])
-def test_shoot_fails_as_list_rhs(monkeypatch, n, lam, a, k, rtol, error, action):
+def test_shoot_fails_as_list_rhs(monkeypatch, n, lam, a, k, rtol, error, message, action):
     """The blow-up guard and the overflow of |w|^(p-1) end exactly as in the
     plain loop with a list-returning RHS, under the RuntimeWarning filter
-    of either action; an untrusted shot is inf at once, with no run."""
+    of either action, the blow-up at the radius located on the blown
+    step's dense output; an untrusted shot is inf at once, with no run."""
     args = (Params(n=n, lam=lam), a, k, rtol, DEFAULT_ATOL)
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
@@ -839,7 +854,7 @@ def test_shoot_fails_as_list_rhs(monkeypatch, n, lam, a, k, rtol, error, action)
     if error is None:
         assert want == (math.inf.hex(), 0)
     else:
-        assert want[0][0] is error
+        assert want[0][:2] == (error, message)
 
 
 def test_retaken_step_without_sign_change_is_uncapped(monkeypatch):
@@ -900,9 +915,11 @@ def _assigned(function):
 
 
 def test_generated_tableau_is_scipys():
-    """The stages, the new state, both error estimates and the dense rows
-    of the generated shot carry scipy's DOP853 coefficients exactly, with
-    every zero entry of the tableau left out.  Each stage of integrate's
+    """The stages, the new state and both error estimates of the generated
+    shot carry scipy's DOP853 coefficients exactly, with every zero entry
+    of the tableau left out; the shot builds no extra stage and no dense
+    row, and returns the step that ends it, on a zero or the blow-up guard,
+    with its 13 stage rows in order.  Each stage of integrate's
     attempted step carries C[s] in its radius and takes its stage sum on
     scipy's product K[:s].T.dot(A[s, :s]); the attempt makes exactly these
     11 products, the B, E5 and E3 products and the 2 norm dots, on scipy's
@@ -910,7 +927,8 @@ def test_generated_tableau_is_scipys():
     is written to the one 2-array the norms are taken on, and its two sums
     are read back through a memoryview of it before the next product."""
     T = dop853_coefficients
-    assigned = _assigned(_function("_dop853_shot"))
+    shot = _function("_dop853_shot")
+    assigned = _assigned(shot)
 
     def terms(name):
         return [_terms(expr) for expr in assigned[name]]
@@ -918,7 +936,7 @@ def test_generated_tableau_is_scipys():
     def combination(coefficients, suffix):
         return {f"k{j}{suffix}": c for j, c in enumerate(coefficients.tolist()) if c}
 
-    for s in [*range(1, T.N_STAGES), *range(T.N_STAGES + 1, T.N_STAGES_EXTENDED)]:
+    for s in range(1, T.N_STAGES):
         assert terms(f"x{s}") == [{"hh": T.C[s]}]
         assert terms(f"v{s}") == [combination(T.A[s, :s], "v")]
         assert terms(f"k{s}v") == [combination(T.A[s, :s], "p")]
@@ -927,9 +945,15 @@ def test_generated_tableau_is_scipys():
     for name, (E, suffix) in {"e1": (T.E5, "v"), "e2": (T.E5, "p"),
                               "e3": (T.E3, "v"), "e4": (T.E3, "p")}.items():
         assert combination(E, suffix) in terms(name)
-    (F,) = assigned["F"]
-    for row, d in zip(F.elts[3:], T.D, strict=True):
-        assert [_terms(x) for x in row.elts] == [combination(d, "v"), combination(d, "p")]
+    assert not {f"x{s}" for s in range(T.N_STAGES, T.N_STAGES_EXTENDED)} & set(assigned)
+    assert "F" not in assigned
+    assert [ast.unparse(x) for x in assigned[f"k{T.N_STAGES}v"]] == ["pnew"]
+    rows = ", ".join(f"(k{j}v, k{j}p)" for j in range(T.N_STAGES + 1))
+    returns = {node.value.elts[1].value: [ast.unparse(x) for x in node.value.elts[3:]]
+               for node in ast.walk(shot) if isinstance(node, ast.Return)
+               and isinstance(node.value, ast.Tuple)}
+    for end in ("zero", "blow-up"):
+        assert returns[end] == ["(y, v, vp, hh, vnew, pnew, xnew)", f"({rows})"]
 
     attempt = _function("attempt")
     assigned = _assigned(attempt)
@@ -977,21 +1001,36 @@ def test_generated_tableau_is_scipys():
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
-def test_one_step_matches_scipy_dop853(n, k, rtol):
+def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
     """The step on which a shot locates its zero is scipy's DOP853 step of
     the same length from the state it started at: the new state and the
     dense-output rows, each a sum over the 16 stages, agree to 1e-14 of the
-    sum of the magnitudes of their terms."""
+    sum of the magnitudes of their terms.  The rows the shot locates its
+    zero on are, bit for bit, scipy's dense output of the shot's own 13
+    stage rows."""
     params, a = Params(n=n, lam=2.0), A_STAR[(n, k)]
     dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
-    y0, (v0, vp0) = dev.series_start()
-    _, end, y1, (y, v, vp, h, F) = ode._dop853_shot(
-        dev.K, dev.h, dev.p, n - 1.0, dev.lam_hat, k, y0, v0, vp0, dev.y_end,
-        rtol, dev.atol_scaled, ode.SHOOT_MAX_STEPS,
-    )
-    assert end == "zero" and y1 == y + h
-    solver = DOP853(lambda t, s: np.array(dev.rhs(t, *s)), y, np.array((v, vp)), dev.y_end)
+    passes, finish_steps = [], ode._finish_steps
+
+    def recorded(*args):
+        passes.append((args, finish_steps(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(ode, "_finish_steps", recorded)
+    r_k = shoot(params, a, k, rtol=rtol)
+    (((_, taken, stages, marks, events), F),) = passes
+    ((y, v, vp, h, v_new, vp_new, y1),) = taken
+    assert marks == [(0, [0], False)] and events[0].r == r_k and y1 == y + h
+    solver = DOP853(lambda t, s: np.array(dev.rhs(float(t), *s.tolist())), y,
+                    np.array((v, vp)), dev.y_end)
+    solver.K_extended[:len(stages)] = stages
+    solver.t_old, solver.t, solver.h_previous = y, y1, h
+    solver.y_old, solver.y = np.array((v, vp)), np.array((v_new, vp_new))
+    solver.f = np.array(stages[-1])
+    own = solver._dense_output_impl().F
+    assert [x.hex() for x in F[0].ravel().tolist()] == [x.hex() for x in own.ravel().tolist()]
     # scipy's step from t = y of length h, and its dense output
+    solver = DOP853(lambda t, s: np.array(dev.rhs(t, *s)), y, np.array((v, vp)), dev.y_end)
     y_new, f_new = rk_step(
         solver.fun, y, solver.y, solver.f, h, solver.A, solver.B, solver.C, solver.K
     )
@@ -1004,7 +1043,47 @@ def test_one_step_matches_scipy_dop853(n, k, rtol):
         b, b + abs(h) * K[0], 2.0 * b + abs(h) * (K[0] + K[T.N_STAGES]),
         abs(h) * np.abs(T.D) @ K,
     ])
-    assert np.all(np.abs(np.array(F) - want) <= 1e-14 * magnitudes)
+    assert np.all(np.abs(F[0] - want) <= 1e-14 * magnitudes)
+
+
+@pytest.mark.parametrize("args, k, tolerances, error", [
+    pytest.param((Params(n=7, lam=1e4), 1.0), 1, {"rtol": 1e3}, BlowUpDetected,
+                 id="blow-up"),
+    pytest.param((Params(n=6, lam=1.13e16), 1.13e12), 3, {"rtol": 11.0, "atol": 35.0},
+                 IntegrationFailed, id="non-finite"),
+])
+def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error):
+    """A shot and an integration of the same input end in the same pass and
+    raise the same class: a blown step whose dense output is not finite is
+    integration-failed in both, and each blow-up radius, the one its
+    message names, is where |u/a| - 1e12 changes sign on the dense output
+    of its own step."""
+    located, root = [], ode._root
+
+    def recorded(step, g, *rest):
+        located.append((step, g, rest, root(step, g, *rest)))
+        return located[-1][-1]
+
+    monkeypatch.setattr(ode, "_root", recorded)
+    ends = []
+    for run in (lambda: shoot(*args, k, **tolerances),
+                lambda: integrate(*args, 1.0, **tolerances)):
+        located.clear()
+        with pytest.raises(Error) as info:
+            run()
+        ends.append(type(info.value))
+        blown = [(step, rest, y) for step, g, rest, y in located if g is ode._over_bound]
+        if error is not BlowUpDetected:
+            assert not blown
+            continue
+        ((step, (dev,), y),) = blown
+        assert str(info.value) == f"|u| exceeded 1e+12 * |a| at r = {y / dev.scale_r:g}"
+        # the polynomial of a blown step may cross the bound within 4 eps
+        # of its start, where it is the start state
+        assert step[0] <= y < step[1]
+        lo, hi = max(y - 1e-14 * y, step[0]), y + 1e-14 * y
+        assert ode._over_bound(lo, step, dev) < 0.0 < ode._over_bound(hi, step, dev)
+    assert ends == [error, error]
 
 
 @pytest.mark.parametrize("run", ["shoot", "integrate"])
@@ -1316,6 +1395,20 @@ def test_u_du_agrees_with_u_and_du(sol7_lam2):
     assert isinstance(profile.u_du(1.0)[0], float)
 
 
+def test_u_du_beyond_r_end_is_out_of_domain():
+    """A profile answers radii up to r_end and radial_norms' slack of
+    1e-12 max(1, r_end) past it, and refuses radii beyond: the last step's
+    polynomial gave u(1.5) = 7547.68 on the n=7 k=2 a* profile to r=1,
+    where u(1) is 5.6e-10.  The rescaled view refuses them too."""
+    profile = integrate(Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0)
+    for view in (profile, profile.rescaled(10.0)):
+        r_end = view.r_end
+        view.u_du(np.array([0.5 * r_end, r_end, r_end + 0.5e-12 * max(1.0, r_end)]))
+        for r in (1.5 * r_end, r_end + 2e-12 * max(1.0, r_end), np.array([0.5, 1.5]) * r_end):
+            with pytest.raises(OutOfDomain, match="beyond r_end"):
+                view.u_du(r)
+
+
 @pytest.mark.parametrize(
     "lam, a", [(2.0, A_STAR[(7, 2)]), (0.0, 1.0)], ids=["n7-k2-a-star", "bubble"]
 )
@@ -1333,6 +1426,31 @@ def test_profile_below_first_knot_is_start_series(lam, a):
         assert profile.u_du(r) == dev.u_du(y, dev.start(y))
     assert profile.u_du(0.0) == (a, 0.0)
     assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+
+
+def test_series_computed_once_per_deviation(monkeypatch):
+    """The series recurrence runs once per deviation: a profile's start and
+    every later read below its first knot share one computation, and a shot
+    computes it once for its start; an untrusted shot, which returns before
+    its start, never does."""
+    recurrence, calls = ode._Deviation.series.func, []
+
+    def counted(dev):
+        calls.append(dev)
+        return recurrence(dev)
+
+    series = functools.cached_property(counted)
+    series.__set_name__(ode._Deviation, "series")
+    monkeypatch.setattr(ode._Deviation, "series", series)
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    profile = integrate(params, a, 1.0)
+    for r in (0.0, 0.5 * profile.knots[0], np.array([0.0, 0.3, 0.7]) * profile.knots[0]):
+        profile.u_du(r)
+    assert profile.u_du(0.0) == (a, 0.0)
+    assert len(calls) == 1
+    shoot(params, a, 2)
+    assert len(calls) == 2
+    assert shoot(Params(n=5, lam=0.5), 1e28, 2) == math.inf and len(calls) == 2
 
 
 def test_first_knot_reads_the_first_sample():

@@ -241,9 +241,10 @@ def test_loose_rtol_stop_still_certifies():
 def test_reference_sweep_shot_count(monkeypatch):
     """Evaluations per point of the warm n=7 reference sweep, and the RHS
     evaluations of the shots as the stepper counts them (the start and
-    hinit's Euler step, 11 stages per attempt, 1 more per accepted step, 3
-    dense-output stages for the located zero): deterministic counts, 22
-    evaluations ([7, 4, 4, 4, 3]) and 63,837 RHS evaluations.  The
+    hinit's Euler step, 11 stages per attempt, 1 more per accepted step;
+    the 3 dense-output stages of the located zero are the end-of-run
+    pass's): deterministic counts, 22 evaluations ([7, 4, 4, 4, 3]) and
+    63,771 RHS evaluations (63,837 with those stages).  The
     scipy.integrate.ode dop853 shots took 65,493 RHS calls for the same 22
     evaluations; shots from integrate's two-term start and seeds
     extrapolated by grid index took 26 evaluations and 90,267 RHS calls,
