@@ -19,6 +19,7 @@ times c~, and each bubble deviation on 801 rescaled samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -280,6 +281,18 @@ def annulus_envelope_violation(solution) -> AnnulusEnvelope:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _green_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """c~ G and c~ G' on _GREEN_GRID for dimension n, built once per n from
+    the scalar kernels and kept read-only."""
+    cte = constants(n).c_tilde
+    gref = np.array([cte * unit_source_green_at_center(n, r) for r in _GREEN_GRID])
+    dgref = np.array([cte * unit_source_green_gradient_at_center(n, r) for r in _GREEN_GRID])
+    for arr in (gref, dgref):
+        arr.setflags(write=False)
+    return gref, dgref
+
+
 def green_profile_gaps(profile) -> tuple[float, float]:
     """Sup gaps between lambda^{-green_exp} u and its Green-function limit.
 
@@ -290,13 +303,8 @@ def green_profile_gaps(profile) -> tuple[float, float]:
     an absolute tolerance.
     """
     params = profile.params
-    n = params.n
-    cte = constants(n).c_tilde
+    gref, dgref = _green_reference(params.n)
     pref = params.lam ** (-params.green_exp)
-    gref = np.array([cte * unit_source_green_at_center(n, r) for r in _GREEN_GRID])
-    dgref = np.array(
-        [cte * unit_source_green_gradient_at_center(n, r) for r in _GREEN_GRID]
-    )
     u, du = profile.u_du(_GREEN_GRID)
     u, du = pref * u, pref * du
     return float(np.max(np.abs(u - gref))), float(np.max(np.abs(du - dgref)))

@@ -6,8 +6,9 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
 which is singular at the origin.  integrate starts from the two-term
 series of the deviation below at a small radius r0 instead, and its
-profiles answer radii below r0 from the same series; shoot starts further
-out, where a longer series is exact to rounding.
+profiles answer radii below r0 from the same series; shoot and
+record_shot start further out, where a longer series is exact to
+rounding, and a recorded profile answers from that one.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -41,16 +42,20 @@ certification and records read, on _FloatDop853: stock DOP853 bit for bit
 on Python floats; the stepper holds no reference cycle, so reference
 counting frees it.  shoot returns only the radius of the k-th zero of u,
 from DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with
-Hairer's dop853 step rules.  Both step on float code generated at import,
-each stage straight-line with the right-hand side inlined: the shot's
-stage sums are float sums without the tableau's zeros, an attempted step
-of integrate keeps scipy's numpy products.  Both build the problem with
-_deviation, whose rhs comes from the same source lines, and hand their
-steps to one end-of-run pass, _finish_steps, that builds the dense output
-and locates sign changes and the blow-up radius on it, so the right-hand
-side, the blow-up guard and the dense output are defined once.  One
-evaluator of DOP853's dense output, _dense_state, locates the roots on
-floats and evaluates integrate's profiles elementwise on arrays.
+Hairer's dop853 step rules.  record_shot takes a shot's steps out to r =
+1 and returns them as a full profile: a solve's profile is the recording
+of its accepted shot, and integrate serves the other callers.  All three
+step on float code generated at import, each stage straight-line with the
+right-hand side inlined: the shot's stage sums, and its recording's, from
+one template, are float sums without the tableau's zeros, an attempted
+step of integrate keeps scipy's numpy products.  All build the problem
+with _deviation, whose rhs comes from the same source lines, and hand
+their steps to one end-of-run pass, _finish_steps, that builds the dense
+output, locates sign changes on it and names a blown step, so the
+right-hand side, the blow-up guard and the dense output are defined once;
+integrate and record_shot assemble their profiles in one helper,
+_profile.  One evaluator of DOP853's dense output, _dense_state, locates
+the roots on floats and evaluates profiles elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -122,8 +127,8 @@ class RadialProfile:
     values and derivs are u and u' there.  events lists the located
     zero-crossings of u and u' in radius order.  dense maps an array of
     radii to (u, u') and is what u_du() evaluates; u() and du() read
-    through u_du().  integrate's dense answers radii below the first knot
-    from the series its integration started from.
+    through u_du().  dense answers radii below the first knot from the
+    series the run started from.
     Treated as immutable after construction.
     """
 
@@ -208,8 +213,9 @@ class _Deviation:
 
     rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
     on Python floats.  integrate runs from the two-term series state s0 =
-    start(y0) out to y_end, shoot from series_start().  trusted says
-    whether sign changes of u can be told from integration noise.
+    start(y0) out to y_end, shoot and record_shot from series_start().
+    trusted says whether sign changes of u can be told from integration
+    noise.
     """
 
     n: int
@@ -291,12 +297,17 @@ class _Deviation:
             return self.y0, self.s0
         y = (SERIES_CUTOFF / ratio) ** (0.5 / (J - 1)) if ratio else 1.0
         y = max(min(y, 1.0, 0.5 * self.y_end), SCALED_START)
-        z = y * y
+        return y, self.series_state(y)
+
+    def series_state(self, y):
+        """The state (v, v') of series at scaled radius y, scalar or array,
+        by Horner's rule in z = y^2."""
+        v, z = self.series, y * y
         w = wp = 0.0
-        for j in range(J, 0, -1):  # Horner in z
+        for j in range(SERIES_TERMS, 0, -1):
             w = w * z + v[j]
             wp = wp * z + j * v[j]
-        return y, (w * z, 2.0 * y * wp)
+        return w * z, 2.0 * y * wp
 
     def signs(self, y, s):
         """(u/a, u'/(a scale_r)) at scaled radius y from the deviation state
@@ -398,8 +409,9 @@ def run_tolerances(rtol: float, atol: float) -> tuple[float, float]:
     return max(rtol, 100.0 * math.ulp(1.0)), atol
 
 
-def _blow_up(radius: float) -> BlowUpDetected:
-    return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| at r = {radius:g}")
+def _blow_up(r_old: float) -> BlowUpDetected:
+    """The guard's error, naming the blown step by its start radius."""
+    return BlowUpDetected(f"|u| exceeded {BLOWUP_BOUND:g} * |a| on the step from r = {r_old:g}")
 
 
 _EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
@@ -426,11 +438,6 @@ def _sign(y: float, step, dev: _Deviation, c: int) -> float:
     return dev.signs(y, _dense_state(y, step))[c]
 
 
-def _over_bound(y: float, step, dev: _Deviation) -> float:
-    """|u/a| at y on step's dense output, less the blow-up bound."""
-    return abs(_sign(y, step, dev, 0)) - BLOWUP_BOUND
-
-
 def _root(step, g, *args) -> float:
     """The root of g(y, step, *args) over one step, located as solve_ivp
     locates an event: brentq at xtol = rtol = 4 eps on the step's dense
@@ -447,8 +454,9 @@ def _root(step, g, *args) -> float:
 
 
 def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
-    """The end-of-run pass of integrate and shoot: every step's dense-output
-    rows F, (steps, 7, 2), and the roots of the marked steps.
+    """The end-of-run pass of integrate, shoot and record_shot: every
+    step's dense-output rows F, (steps, 7, 2), and the roots of the marked
+    steps.
 
     taken lists the steps as (t_old, v, v', h, v_new, v'_new, t_new),
     stages their 13 stage rows, (steps, 13, 2), and marks (step index,
@@ -456,11 +464,12 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
     extra stages and F are scipy's _dense_output_impl per step, batched on
     the same products, each extra stage's RHS in one _rhs_pass.  The first
     step whose F is not finite raises IntegrationFailed at its start
-    radius, ahead of any later step; each marked step before it locates its
-    roots on its dense output as solve_ivp locates an event, appends its
-    sign changes to events (a zero crossing stores u', a derivative zero
-    u) and then raises BlowUpDetected at the located blow-up radius.  Run
-    under np.errstate(all="ignore")."""
+    radius, ahead of any later step.  Each marked step before it locates
+    its roots on its dense output as solve_ivp locates an event and appends
+    its sign changes to events (a zero crossing stores u', a derivative
+    zero u); a blown step raises BlowUpDetected naming the step by its
+    start radius instead, since its polynomial leaps past the bound at no
+    radius that means anything.  Run under np.errstate(all="ignore")."""
     n_rows = DOP853.n_stages + 1
     steps = len(taken)
     arr = np.reshape(taken, (-1, 7))
@@ -489,15 +498,13 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
         if i >= good:
             break
         y0, v, vp, _, _, _, y1 = taken[i]
-        step = (y0, y1, v, vp, F[i].tolist())
         if blown:
-            blown_at = _root(step, _over_bound, dev)
+            raise _blow_up(y0 / dev.scale_r)
+        step = (y0, y1, v, vp, F[i].tolist())
         for c in changes:
             root = _root(step, _sign, dev, c)
             value = dev.u_du(root, _dense_state(root, step))[1 - c]
             events.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
-        if blown:
-            raise _blow_up(blown_at / dev.scale_r)
     if good < steps:
         raise IntegrationFailed(
             f"integration failed: {_FloatDop853.NON_FINITE_STEP}",
@@ -684,16 +691,25 @@ def integrate(
         raise IntegrationFailed(
             f"integration failed: {sol.message}", last_radius=sol.t[-1] / scale_r
         )
-    # Untrusted integrations have no sign events.  The stable sort keeps a
-    # zero crossing before a derivative zero at the same radius.
-    events.sort(key=lambda e: e.r)
-
     (F,) = rows
-    dense = _StepPolynomials(sol.t, sol.y.T, F)
-    ys = sol.t
-    fill = np.linspace(ys[:-1], ys[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
-    ys = np.sort(np.concatenate([ys, fill.ravel()]))
+    return _profile(params, dev, sol.t, sol.y.T, F, events, dev.start)
+
+
+def _profile(params: Params, dev: _Deviation, ts, states, F, events, series) -> RadialProfile:
+    """The profile of an outward run in physical variables: ts its step
+    radii, states the (v, v') there, F the rows _finish_steps built and
+    events the sign changes it located, sorted here by radius (stably, so
+    a zero crossing stays before a derivative zero at the same radius).
+    series(y) gives (v, v') below ts[0], from the series the run started
+    from.  knots hold the steps plus DENSE_SAMPLES interior samples per
+    step."""
+    scale_r = dev.scale_r
+    events.sort(key=lambda e: e.r)
+    dense = _StepPolynomials(ts, states, F)
+    fill = np.linspace(ts[:-1], ts[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
+    ys = np.sort(np.concatenate([ts, fill.ravel()]))
     knots = ys / scale_r
+    y_first = ts[0]
 
     def at_r(r):
         """(u, u') at radii r: the start series below the first knot, the
@@ -701,24 +717,24 @@ def integrate(
         radius, which fl(knots[0] * scale_r) does not always round back to,
         so that it gives the first sample exactly."""
         y = r * scale_r
-        y[r == knots[0]] = dev.y0
+        y[r == knots[0]] = y_first
         v, vp = dense(y)
         below = r < knots[0]
         if below.any():  # the series costs about as much as the dense pass
-            v[below], vp[below] = dev.start(y[below])
+            v[below], vp[below] = series(y[below])
         return dev.u_du(y, (v, vp))
 
     values, derivs = dev.u_du(ys, dense(ys))
     return RadialProfile(
         params=params,
-        a=a,
+        a=dev.a,
         knots=knots,
         values=values,
         derivs=derivs,
         events=events,
-        r_end=sol.t[-1] / scale_r,
+        r_end=ts[-1] / scale_r,
         dense=at_r,
-        steps=sol.t / scale_r,
+        steps=ts / scale_r,
     )
 
 
@@ -793,9 +809,20 @@ def _attempt_stage_lines(s: int) -> list[str]:
 # y_new) that then changes sign and its 13 stage rows, for _finish_steps;
 # "blow-up" with the step that trips the guard; "end"; or why the run
 # failed.
+#
+# Generated twice: as the shot, _dop853_shot, and as its recording,
+# _dop853_record, which takes the same steps but, instead of returning on
+# zero k, runs on to y_stop, clipping its last step there as scipy clips a
+# step at t_bound, and ends there.  The recording appends each accepted
+# step to taken, its 13 stage rows to rows as one flat tuple, and (step
+# index, components of (u, u') that change sign, blown) to marks wherever
+# u or u' changes sign by solve_ivp's rule for an event of direction 0 or
+# the step trips the guard, where it ends; su and sdu hold u/a and
+# u'/(a scale_r) at the last step's end.
 _SHOT_SOURCE = """\
-def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
+def {name}(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps{record_args}):
 {start}
+{record_start}
     k0v, hmax, hlim, until = vp, y_end - y, y_end - y, inf
     sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
     e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
@@ -813,8 +840,8 @@ def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
             return nfev, "step budget spent", y, None, None
         if not 0.1 * hh > y * {uround!r}:
             return nfev, "step size becomes too small", y, None, None
-        if y + 1.01 * hh - y_end > 0.0:
-            hh, last = y_end - y, True
+        if {past_end}:
+            hh, last = {end} - y, True
         attempts, nfev = attempts + 1, nfev + 11
 {stages}
         vnew, pnew = v + hh * ({b_v}), vp + hh * ({b_p})
@@ -828,18 +855,19 @@ def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
             hh /= min({facc1!r}, fac11 / {safe!r})
             reject, last = True, False
             continue
-        xnew = y + hh
+        xnew = {xnew}
 {new}
         k12v, nfev = pnew, nfev + 1
         if abs(w) >= {blowup!r}:
+{record_blown}
             return nfev, "blow-up", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})
         if (w < 0.0) != zeros % 2:
             if zeros + 1 == k and until == inf:
                 until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
                 continue
             zeros += 1
-            if zeros == k:
-                return nfev, "zero", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})
+{zero_k}
+{record_step}
         if last:
             return nfev, "end", xnew, None, None
         if xnew >= until:  # re-taken without the sign change
@@ -847,13 +875,6 @@ def _dop853_shot(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps):
         hnew = min(hh / max({facc2!r}, min({facc1!r}, fac11 / {safe!r})), hlim)
         y, v, vp, k0v, k0p = xnew, vnew, pnew, k12v, k12p
         hh, reject = min(hnew, hh) if reject else hnew, False
-
-
-def _make_rhs(K, h, p, n1, lam):
-    def rhs(y, v, vp):
-{rhs}
-        return vp, vpp
-    return rhs
 """
 
 # One attempted step of scipy's DOP853 (rk_step and _estimate_error_norm)
@@ -869,7 +890,7 @@ def _make_rhs(K, h, p, n1, lam):
 # _rhs_pass is the RHS over many states, for the extra stages of the steps
 # _finish_steps takes: it writes the (v', v'') of radii[i] and states[i]
 # to k[j + i * stride] and the slot after, k a flat float view of the
-# stage array.
+# stage array.  _make_rhs makes the RHS of one state, _Deviation.rhs.
 _ATTEMPT_SOURCE = """\
 def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, out):
     {dots} = dots
@@ -911,28 +932,65 @@ def _rhs_pass(K, h, p, n1, lam, radii, states, k, j, stride):
 {rhs}
         k[j], k[j + 1] = vp, vpp
         j += stride
+
+
+def _make_rhs(K, h, p, n1, lam):
+    def rhs(y, v, vp):
+{rhs}
+        return vp, vpp
+    return rhs
 """
 
 
 def _generate() -> dict:
-    """Compile _SHOT_SOURCE and _ATTEMPT_SOURCE with DOP853's coefficients
-    written in, the attempt's as arrays A1..A11, B, E5 and E3."""
+    """Compile _SHOT_SOURCE, as the shot and as its recording, and
+    _ATTEMPT_SOURCE with DOP853's coefficients written in, the attempt's as
+    arrays A1..A11, B, E5 and E3."""
     T = dop853_coefficients
     kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES + 1)] for c in "vp")
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
 
-    shot = _SHOT_SOURCE.format(
+    stages_rows = ", ".join(f"({v}, {p})" for v, p in zip(kv, kp))
+    template = dict(
         start=block(_rhs_lines("y", "v", "vp", "k0p"), 4),
         euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
         stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
-        stages_rows=", ".join(f"({v}, {p})" for v, p in zip(kv, kp)),
+        stages_rows=stages_rows,
         b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
         e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
-        rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
         facc1=1.0 / 0.333, facc2=1.0 / 6.0, safe=0.9, uround=2.3e-16, blowup=BLOWUP_BOUND,
+    )
+    shot = _SHOT_SOURCE.format(
+        **template, name="_dop853_shot", record_args="", record_start="",
+        past_end="y + 1.01 * hh - y_end > 0.0", end="y_end", xnew="y + hh",
+        record_blown="", record_step="", zero_k=block([
+            "if zeros == k:",
+            f"    return nfev, \"zero\", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})",
+        ], 12),
+    )
+    # the recording's commit of the step it accepted, ending at xnew; a
+    # blown step is marked without sign changes, which _finish_steps does
+    # not locate there
+    commit = [
+        "taken.append((y, v, vp, hh, vnew, pnew, xnew))",
+        "rows.append(({}))".format(", ".join(f"{v}, {p}" for v, p in zip(kv, kp))),
+    ]
+    record = _SHOT_SOURCE.format(
+        **template, name="_dop853_record", record_args=", y_stop, taken, rows, marks",
+        record_start=block(["su, sdu = w, -(n1 - 1.0) * y * d * t / K + vp"], 4),
+        past_end="y + hh >= y_stop", end="y_stop", xnew="y_stop if last else y + hh",
+        record_blown=block(commit + ["marks.append((len(taken) - 1, [], True))"], 12),
+        record_step=block(commit + [
+            "dw = -(n1 - 1.0) * xnew * d * t / K + pnew  # the RHS's bubble at xnew",
+            "zero, dzero = su <= 0.0 <= w or w <= 0.0 <= su, sdu <= 0.0 <= dw or dw <= 0.0 <= sdu",
+            "if zero or dzero:",
+            "    marks.append((len(taken) - 1, [0] * zero + [1] * dzero, False))",
+            "su, sdu = w, dw",
+        ], 8),
+        zero_k="",
     )
     attempt = _ATTEMPT_SOURCE.format(
         dots=", ".join([f"dot{s}" for s in range(1, T.N_STAGES)] + ["dotb", "dote5", "dote3"]),
@@ -941,19 +999,37 @@ def _generate() -> dict:
         last=2 * T.N_STAGES, last1=2 * T.N_STAGES + 1,
         rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
     )
-    source = shot + "\n\n" + attempt
+    source = "\n\n".join([shot, record, attempt])
     # the row views scipy's rk_step takes, and its B, E5 and E3
     A = DOP853.A
     namespace = {f"A{s}": A[s, :s] for s in range(1, T.N_STAGES)}
     namespace.update(B=DOP853.B, E5=DOP853.E5, E3=DOP853.E3, expm1=math.expm1,
                      log1p=math.log1p, sqrt=math.sqrt, inf=math.inf)
-    exec(compile(source, "<bnball.ode DOP853>", "exec"), namespace)
+    for part in (shot, record, attempt):  # one at a time: a smaller peak for the compiler
+        exec(compile(part, "<bnball.ode DOP853>", "exec"), namespace)
     return dict(namespace, source=source)
 
 
 _GENERATED = _generate()
 _make_rhs, _dop853_shot = _GENERATED["_make_rhs"], _GENERATED["_dop853_shot"]
+_dop853_record = _GENERATED["_dop853_record"]
 _make_attempt, _rhs_pass = _GENERATED["_make_attempt"], _GENERATED["_rhs_pass"]
+
+
+def _run(stepper, dev: _Deviation, k: int, rtol: float, y0: float, state, *record):
+    """(end, step, stages) of the generated stepper, _dop853_shot or
+    _dop853_record (given its record arguments), on dev from y0 and state;
+    a run that fails is IntegrationFailed, at the radius it reached."""
+    try:
+        _, end, y1, step, stages = stepper(
+            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state,
+            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, *record,
+        )
+    except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
+        raise IntegrationFailed(f"integration failed: {exc}") from exc
+    if end not in ("zero", "blow-up", "end"):
+        raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
+    return end, step, stages
 
 
 def shoot(
@@ -980,20 +1056,56 @@ def shoot(
     dev = _deviation(params, a, SHOOT_END, atol)
     if not dev.trusted:
         return math.inf
-    y0, (v0, vp0) = dev.series_start()
-    try:
-        _, end, y1, step, stages = _dop853_shot(
-            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, v0, vp0,
-            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS,
-        )
-    except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
-        raise IntegrationFailed(f"integration failed: {exc}") from exc
+    end, step, stages = _run(_dop853_shot, dev, k, rtol, *dev.series_start())
     if end == "end":
         return math.inf
-    if end not in ("zero", "blow-up"):
-        raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
     blown = end == "blow-up"
     zeros = []  # a blown step raises before it gives one
     with np.errstate(all="ignore"):
         _finish_steps(dev, [step], stages, [(0, [] if blown else [0], blown)], zeros)
     return zeros[0].r
+
+
+def record_shot(
+    params: Params,
+    a: float,
+    k: int,
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> RadialProfile:
+    """The profile of shoot(params, a, k), recorded out to r = 1.
+
+    Takes the shot's steps on _dop853_record: the same series start,
+    Hairer's rules and zero k's step retaken in eighths.  Where the shot
+    returns on zero k, the recording runs on to r = 1 and clips its last
+    step there, as integrate clips at r_stop; a step the clip shortens
+    crosses zero k on other steps than the shot's, which at a solve's a*
+    puts it well within 2 rtol of the shot's.  The steps and their stage
+    rows go to _finish_steps, which locates every sign change of u and u'
+    as an event (none for an untrusted problem, as in integrate) and builds
+    the dense output; below the first knot, the series start, the profile
+    answers from the series.  A run that fails short of r = 1 raises what
+    shoot raises there (a blown step BlowUpDetected naming it), unless an
+    earlier step's dense output is not finite and fails it first;
+    SingularPoint where the series start lies beyond r = 1."""
+    rtol, atol = run_tolerances(rtol, atol)
+    dev = _deviation(params, a, SHOOT_END, atol)
+    y0, (v0, vp0) = dev.series_start()
+    y_stop = dev.scale_r  # r = 1
+    if not y0 < y_stop:
+        raise SingularPoint(
+            f"r = 1 does not lie beyond the series-start radius {y0 / dev.scale_r:g} "
+            f"of amplitude {a:g}"
+        )
+    taken, rows, marks, events = [], [], [], []
+    _run(_dop853_record, dev, k, rtol, y0, (v0, vp0), y_stop, taken, rows, marks)
+    if not dev.trusted:  # sign changes are noise, as in integrate
+        marks = [mark for mark in marks if mark[2]]
+    stages = np.array(rows).reshape(len(rows), DOP853.n_stages + 1, 2)
+    with np.errstate(all="ignore"):
+        F = _finish_steps(dev, taken, stages, marks, events)
+    steps = np.array(taken)
+    ts = np.concatenate([[y0], steps[:, 6]])
+    states = np.concatenate([[(v0, vp0)], steps[:, 4:6]])
+    return _profile(params, dev, ts, states, F, events, dev.series_state)

@@ -6,11 +6,11 @@ evaluation is one ode.shoot, which returns the radius r_k of the k-th zero,
 beyond the ball too; the search solves P(x) = -log r_k(e^x) = 0 in
 x = log a.  By the scaling of the equation, a profile whose k-th zero sits
 at r_k solves the ball problem at lambda r_k^2, so P is smooth in x and
-about 1 - r_k next to the root.  Only the converged amplitude is integrated
-in full, and its profile is accepted by its Pruefer offset
-(Z - k) pi + atan2(s u(1), s u'(1)), s = (-1)^Z, over its Z zeros: 0 when
-zero k sits on r = 1, about 1 - r_k next to it, and about pi or 2 pi
-off for a miscounted pair of zeros.
+about 1 - r_k next to the root.  Only the converged amplitude's shot is
+recorded in full, out to r = 1 (ode.record_shot), and its profile is
+accepted by its Pruefer offset (Z - k) pi + atan2(s u(1), s u'(1)), s =
+(-1)^Z, over its Z zeros: 0 when zero k sits on r = 1, about 1 - r_k next
+to it, and about pi or 2 pi off for a miscounted pair of zeros.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .model import (
     Params,
     check_lambda_grid,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, integrate, run_tolerances, shoot
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, record_shot, run_tolerances, shoot
+from .ode import integrate  # noqa: F401  (shooting.integrate, which perfbench traces, stays)
 
 _A_MIN = 1e-3
 # The k=2 amplitude at n=7 is already ~1e16 for lambda of order 1 and grows
@@ -112,8 +113,9 @@ def solve_nodal(
     bisected inward, and NoBracketFound is raised once the bracket is
     narrower than rtol.  Every evaluation runs at run_tolerances(rtol,
     atol); a tolerance it rejects is a ConfigError before any other check,
-    and k < 1 the next.  The profile at a* is integrated once, and its
-    Pruefer offset must satisfy |offset| <= BOUNDARY_TOL (1e-6), which
+    and k < 1 the next.  The profile at a* is recorded once, from the
+    steps of its shot out to r = 1 (ode.record_shot), and its Pruefer
+    offset must satisfy |offset| <= BOUNDARY_TOL (1e-6), which
     bounds how far the k-th zero lies from r=1: a miss below pi/2 is
     integration error and raises CertificationFailed, a larger or NaN one
     (a miscounted pair of zeros) NonconvergentBisection.  The profile must
@@ -219,7 +221,7 @@ def solve_nodal(
     a_star = math.exp(x_star)
     # The shooting evaluations count zeros only at integrator steps; the
     # Pruefer offset of the full profile rejects a miscounted double crossing.
-    profile = integrate(params, a_star, 1.0, rtol=rtol, atol=atol)
+    profile = record_shot(params, a_star, k, rtol=rtol, atol=atol)
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
     # written so that a NaN offset is rejected too
     if not abs(offset) <= BOUNDARY_TOL:

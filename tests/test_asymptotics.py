@@ -193,6 +193,41 @@ def test_green_gaps_zero_profile_give_kernel_sups():
     assert dgap == pytest.approx(dref, rel=1e-15)
 
 
+def test_green_reference_built_once_per_dimension(monkeypatch):
+    """The Green reference of green_profile_gaps is built once per
+    dimension, from the same 242 scalar kernel calls as before, bit for
+    bit, and kept read-only; later records of that dimension reuse it."""
+    from bnball import asymptotics
+    from bnball.bubble import constants
+
+    calls = []
+
+    def counted(kernel):
+        def kernel_call(n, r):
+            calls.append(n)
+            return kernel(n, r)
+
+        return kernel_call
+
+    for name in ("unit_source_green_at_center", "unit_source_green_gradient_at_center"):
+        monkeypatch.setattr(asymptotics, name, counted(getattr(asymptotics, name)))
+    asymptotics._green_reference.cache_clear()
+    try:
+        zero = polynomial_profile((0.0,), lam=1.0)
+        first = green_profile_gaps(zero)
+        assert calls == [7] * 242
+        assert green_profile_gaps(polynomial_profile((0.0,), lam=0.5)) and len(calls) == 242
+        assert green_profile_gaps(zero) == first and len(calls) == 242
+        gref, dgref = asymptotics._green_reference(7)
+    finally:
+        asymptotics._green_reference.cache_clear()
+    cte = constants(7).c_tilde
+    grid = np.linspace(0.2, 0.8, 121)
+    assert gref.tolist() == [cte * unit_source_green_at_center(7, r) for r in grid]
+    assert dgref.tolist() == [cte * unit_source_green_gradient_at_center(7, r) for r in grid]
+    assert not gref.flags.writeable and not dgref.flags.writeable
+
+
 def test_record_identity_and_finiteness(records7):
     for rec in records7:
         assert rec.q3 * rec.q1 == pytest.approx(rec.q2, rel=1e-12)

@@ -223,8 +223,9 @@ def _numpy_scalar_rhs(params, a, y, s):
 def test_rhs_on_floats_matches_numpy_scalars():
     """The right-hand side computes on Python floats and returns, bit for
     bit, what the same formula gives on numpy scalars, in both branches.
-    Every stage of a shot and of integrate's attempted step, and the pass
-    over the extra stages of both, inline the same source lines as rhs."""
+    Every stage of a shot, of its recording and of integrate's attempted
+    step, and the pass over the extra stages of all three, inline the same
+    source lines as rhs."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -258,10 +259,11 @@ def test_rhs_on_floats_matches_numpy_scalars():
         ).groups()
         block = [line.strip() for line in ode._rhs_lines(y, v, vp, out)]
         assert source[i:i + size] == block
-    # the shot's start, hinit's Euler step, 11 stages and the new state, rhs
-    # itself, an attempt's 11 stages and new state, and the extra-stage pass;
-    # the shot leaves its 3 extra stages to the pass
-    assert len(starts) == 28
+    # the start, hinit's Euler step, 11 stages and the new state of the shot
+    # and of its recording, an attempt's 11 stages and new state, the
+    # extra-stage pass and rhs itself; the shot and the recording leave
+    # their 3 extra stages to the pass
+    assert len(starts) == 42
 
 
 def _branch(dev, y, v):
@@ -393,7 +395,8 @@ def test_rhs_overflow_in_shoot_ends_alike_under_any_filter():
     pytest.param((Params(n=7, lam=2.0), 1e4, 1), {}, 20,
                  IntegrationFailed, "integration failed: step budget spent", id="budget"),
     pytest.param((Params(n=7, lam=1e4), 1.0, 1), {"rtol": 1e3}, ode.SHOOT_MAX_STEPS,
-                 BlowUpDetected, "|u| exceeded 1e+12 * |a| at r = ", id="blow-up"),
+                 BlowUpDetected, "|u| exceeded 1e+12 * |a| on the step from r = ",
+                 id="blow-up"),
 ])
 def test_shot_ends_alike_under_any_filter(monkeypatch, args, tolerances, budget, error,
                                           message):
@@ -401,7 +404,7 @@ def test_shot_ends_alike_under_any_filter(monkeypatch, args, tolerances, budget,
     under the default and the error warnings filter, without a warning:
     a classified failure at the radius reached (last_radius), a blown step
     whose dense output is not finite at its start radius, or the blow-up
-    guard at the radius named in its message."""
+    guard on the step whose start radius its message names."""
     monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", budget)
     outcomes = []
     for action in ("default", "error"):
@@ -680,12 +683,13 @@ def _norm2(values):
 
 def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     """shoot written as a plain loop: Hairer's dop853 over scipy's DOP853
-    tableau in rows and columns, with a list-returning RHS.  Zero k, and
-    the blow-up radius, are located by brentq on the dense output of their
-    step that scipy's DOP853._dense_output_impl builds from the step's own
-    13 stage rows, as integrate locates an event.  The outcome (r_k in
-    hex, or the class, message and last radius of the error) and the RHS
-    evaluations of the stepping; none for an untrusted shot."""
+    tableau in rows and columns, with a list-returning RHS.  Zero k is
+    located by brentq on the dense output of its step that scipy's
+    DOP853._dense_output_impl builds from the step's own 13 stage rows, as
+    integrate locates an event; a blown step is named by its start unless
+    that dense output is not finite.  The outcome (r_k in hex, or the
+    class, message and last radius of the error) and the RHS evaluations of
+    the stepping; none for an untrusted shot."""
     T = dop853_coefficients
     A, B, C = T.A.tolist(), T.B.tolist(), T.C.tolist()
     E3, E5 = T.E3.tolist(), T.E5.tolist()
@@ -721,9 +725,9 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
         state = [x + h * _combination(A[i][:i], column) for x, column in zip(s, columns)]
         K[i] = f(y + C[i] * h, state)
 
-    def located(g, outcome):
-        """outcome(radius) of the root of g(u/a) on the step just taken, or
-        why its dense output has none."""
+    def located(outcome):
+        """outcome(radius) of the root of u/a on the step just taken, or why
+        its dense output has none; None for no outcome and a finite one."""
         with np.errstate(all="ignore"):
             solver = DOP853(lambda t, x: np.array(f(float(t), x.tolist())), y, np.array(s),
                             y_end)
@@ -733,9 +737,11 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
             piece = solver._dense_output_impl()
         if not np.isfinite(piece.F).all():
             return failed(ode._FloatDop853.NON_FINITE_STEP, y)
+        if outcome is None:
+            return None
         tol = 4 * np.finfo(float).eps
         try:
-            root = brentq(lambda t: g(dev.signs(t, piece(t))[0]), y, y + h, xtol=tol, rtol=tol)
+            root = brentq(lambda t: dev.signs(t, piece(t))[0], y, y + h, xtol=tol, rtol=tol)
         except ValueError as exc:
             return IntegrationFailed, f"integration failed: {exc}", None
         return outcome(root / dev.scale_r)
@@ -766,8 +772,7 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
         nfev += 1
         w = dev.signs(y + h, new)[0]
         if abs(w) >= ode.BLOWUP_BOUND:
-            blown = located(lambda w: abs(w) - ode.BLOWUP_BOUND,
-                            lambda r: _error_outcome(ode._blow_up(r)))
+            blown = located(None) or _error_outcome(ode._blow_up(y / dev.scale_r))
             return blown, nfev
         if (w < 0.0) != zeros % 2:
             if zeros + 1 == k and until == math.inf:
@@ -775,7 +780,7 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
                 continue
             zeros += 1
             if zeros == k:
-                return located(lambda w: w, float.hex), nfev
+                return located(float.hex), nfev
         if last:
             return math.inf.hex(), nfev
         if y + h >= until:
@@ -833,9 +838,9 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, lam, a, k, rtol, error, message", [
-    # the blow-up radius located on the blown step, not its end at 0.550252
+    # the blown step, from r = 0.239833 to 0.550252, named by its start
     pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected,
-                 "|u| exceeded 1e+12 * |a| at r = 0.239833", id="n7-blow-up"),
+                 "|u| exceeded 1e+12 * |a| on the step from r = 0.239833", id="n7-blow-up"),
     pytest.param(3, 0.01, 10.0, 3, 1e3, IntegrationFailed, TOO_SMALL, id="n3-power-overflow"),
     pytest.param(5, 0.5, 1e28, 2, 1e-10, None, None, id="n5-untrusted"),
     pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, None, id="n6-untrusted"),
@@ -844,8 +849,8 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
 def test_shoot_fails_as_list_rhs(monkeypatch, n, lam, a, k, rtol, error, message, action):
     """The blow-up guard and the overflow of |w|^(p-1) end exactly as in the
     plain loop with a list-returning RHS, under the RuntimeWarning filter
-    of either action, the blow-up at the radius located on the blown
-    step's dense output; an untrusted shot is inf at once, with no run."""
+    of either action, the blow-up on the blown step, named by its start;
+    an untrusted shot is inf at once, with no run."""
     args = (Params(n=n, lam=lam), a, k, rtol, DEFAULT_ATOL)
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
@@ -1046,44 +1051,171 @@ def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
     assert np.all(np.abs(F[0] - want) <= 1e-14 * magnitudes)
 
 
-@pytest.mark.parametrize("args, k, tolerances, error", [
+@pytest.mark.parametrize("args, k, tolerances, error, shot_step", [
     pytest.param((Params(n=7, lam=1e4), 1.0), 1, {"rtol": 1e3}, BlowUpDetected,
-                 id="blow-up"),
+                 "0.239833 to 0.550252", id="blow-up"),
     pytest.param((Params(n=6, lam=1.13e16), 1.13e12), 3, {"rtol": 11.0, "atol": 35.0},
-                 IntegrationFailed, id="non-finite"),
+                 IntegrationFailed, None, id="non-finite"),
 ])
-def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error):
+def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, shot_step):
     """A shot and an integration of the same input end in the same pass and
     raise the same class: a blown step whose dense output is not finite is
-    integration-failed in both, and each blow-up radius, the one its
-    message names, is where |u/a| - 1e12 changes sign on the dense output
-    of its own step."""
+    integration-failed in both.  Otherwise each names the step it blew on
+    by its start radius: the step from inside the blow-up bound to beyond
+    it, on which no root is located; in the shot, from r = 0.239833 to
+    0.550252 (integrate's steps follow numpy's products, so at this rtol
+    its step moves with the BLAS kernel: 0.267551 to 0.559677 on the
+    default one, 0.267547 to 0.559691 on Haswell's)."""
+    passes, finish_steps = [], ode._finish_steps
     located, root = [], ode._root
 
-    def recorded(step, g, *rest):
-        located.append((step, g, rest, root(step, g, *rest)))
-        return located[-1][-1]
+    def finished(dev, taken, stages, marks, events):
+        passes.append((dev, taken, marks))
+        return finish_steps(dev, taken, stages, marks, events)
 
+    def recorded(step, *rest):
+        located.append(step)
+        return root(step, *rest)
+
+    monkeypatch.setattr(ode, "_finish_steps", finished)
     monkeypatch.setattr(ode, "_root", recorded)
     ends = []
-    for run in (lambda: shoot(*args, k, **tolerances),
-                lambda: integrate(*args, 1.0, **tolerances)):
+    for i, run in enumerate((lambda: shoot(*args, k, **tolerances),
+                             lambda: integrate(*args, 1.0, **tolerances))):
+        passes.clear()
         located.clear()
         with pytest.raises(Error) as info:
             run()
         ends.append(type(info.value))
-        blown = [(step, rest, y) for step, g, rest, y in located if g is ode._over_bound]
         if error is not BlowUpDetected:
-            assert not blown
+            assert str(info.value) == NOT_FINITE
             continue
-        ((step, (dev,), y),) = blown
-        assert str(info.value) == f"|u| exceeded 1e+12 * |a| at r = {y / dev.scale_r:g}"
-        # the polynomial of a blown step may cross the bound within 4 eps
-        # of its start, where it is the start state
-        assert step[0] <= y < step[1]
-        lo, hi = max(y - 1e-14 * y, step[0]), y + 1e-14 * y
-        assert ode._over_bound(lo, step, dev) < 0.0 < ode._over_bound(hi, step, dev)
+        ((dev, taken, marks),) = passes
+        ((j, _, _),) = [mark for mark in marks if mark[2]]
+        y0, v, vp, _, v1, vp1, y1 = taken[j]
+        assert abs(dev.signs(y0, (v, vp))[0]) < ode.BLOWUP_BOUND
+        assert abs(dev.signs(y1, (v1, vp1))[0]) >= ode.BLOWUP_BOUND
+        start, end = y0 / dev.scale_r, y1 / dev.scale_r
+        assert i == 1 or f"{start:g} to {end:g}" == shot_step
+        assert str(info.value) == f"|u| exceeded 1e+12 * |a| on the step from r = {start:g}"
+        assert all(step[0] != y0 for step in located)
     assert ends == [error, error]
+
+
+def test_recording_is_generated_from_the_shot():
+    """The recording comes from the shot's template through switches:
+    every other assignment of the shot, its stages, new state and error
+    estimates among them, is the recording's too; only the clipped step
+    size and the step's end differ, at r = 1 instead of the shot's end.
+    Its own lines only track u/a and u'/(a scale_r) for the marks, and it
+    has no "zero" return."""
+    shot = _assigned(_function("_dop853_shot"))
+    record = _assigned(_function("_dop853_record"))
+    source = {name: [ast.unparse(x) for x in exprs] for name, exprs in shot.items()}
+    recorded = {name: [ast.unparse(x) for x in exprs] for name, exprs in record.items()}
+    differ = {name for name in source if source[name] != recorded.get(name)}
+    assert differ == {"hh", "xnew"}
+    assert recorded["xnew"] == ["y_stop if last else y + hh"]
+    assert set(recorded) - set(source) == {"su", "sdu", "dw", "zero", "dzero"}
+    ends = {node.value.elts[1].value for node in ast.walk(_function("_dop853_record"))
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)}
+    assert ends == {"step budget spent", "step size becomes too small", "blow-up", "end"}
+
+
+@pytest.mark.parametrize("n, k", list(A_STAR))
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
+def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
+    """Where zero k lies well inside the ball (at 10 a*), the recording
+    takes the shot's steps: the step on which the shot locates zero k is
+    one of the recorded steps, with the same 13 stage rows, bit for bit,
+    and the recording's zero k, located on it, is the shot's to 1e-14.
+    The recording runs on to r = 1, where its last step ends exactly, and
+    finds the sign changes integrate finds, its zero crossings within 100
+    rtol of integrate's."""
+    params, a = Params(n=n, lam=2.0), 10.0 * A_STAR[(n, k)]
+    passes, finish_steps = [], ode._finish_steps
+
+    def recorded(dev, taken, stages, marks, events):
+        passes.append((list(taken), np.array(stages)))
+        return finish_steps(dev, taken, stages, marks, events)
+
+    monkeypatch.setattr(ode, "_finish_steps", recorded)
+    r_k = shoot(params, a, k, rtol=rtol)
+    profile = ode.record_shot(params, a, k, rtol=rtol)
+    ((shot_steps, shot_stages), (taken, stages)) = passes
+    i = taken.index(shot_steps[0])
+    assert np.array_equal(stages[i], np.reshape(shot_stages, stages[i].shape))
+    assert profile.zero_crossings()[k - 1].r == pytest.approx(r_k, rel=1e-14, abs=0.0)
+    assert taken[-1][-1] == ode._deviation(params, a, 1.0, DEFAULT_ATOL).scale_r
+    assert profile.r_end == profile.steps[-1] == 1.0
+    monkeypatch.undo()
+    full = integrate(params, a, 1.0, rtol=rtol)
+    assert [e.kind for e in profile.events] == [e.kind for e in full.events]
+    assert [e.r for e in profile.zero_crossings()] == pytest.approx(
+        [e.r for e in full.zero_crossings()], rel=100.0 * rtol, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("args, tolerances, budget", [
+    pytest.param((Params(n=7, lam=1e4), 1.0, 1), {"rtol": 1e3}, ode.SHOOT_MAX_STEPS,
+                 id="blow-up"),
+    pytest.param((Params(n=6, lam=1.13e16), 1.13e12, 3), {"rtol": 11.0, "atol": 35.0},
+                 ode.SHOOT_MAX_STEPS, id="non-finite"),
+    pytest.param((Params(n=7, lam=0.0), 1e30, 1), {"atol": 1e-300}, ode.SHOOT_MAX_STEPS,
+                 id="zero-error-scale"),
+    pytest.param((Params(n=7, lam=2.0), 1e4, 1), {}, 20, id="budget"),
+])
+def test_record_shot_fails_as_shoot(monkeypatch, args, tolerances, budget):
+    """A recording whose shot fails short of r = 1 ends as the shot does,
+    with the same class, message and last radius, under the default and
+    the error warnings filter, without a warning."""
+    monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", budget)
+    outcomes = set()
+    for run in (shoot, ode.record_shot):
+        for action in ("default", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(Error) as info:
+                    run(*args, **tolerances)
+            assert not caught
+            outcomes.add(_error_outcome(info.value))
+    assert len(outcomes) == 1
+
+
+def test_record_shot_past_the_shot():
+    """A shot that fails only beyond the ball (its power overflows near r =
+    136) records to r = 1; an untrusted one, inf as a shot, records without
+    sign events, as integrate does; an amplitude whose series start lies
+    beyond r = 1 is a SingularPoint."""
+    assert ode.record_shot(*OVERFLOW_SHOT, rtol=OVERFLOW_SHOT_RTOL).r_end == 1.0
+    untrusted = (Params(n=5, lam=0.5), 1e28, 2)
+    assert shoot(*untrusted) == math.inf
+    profile = ode.record_shot(*untrusted)
+    assert profile.r_end == 1.0 and not profile.events
+    assert not integrate(untrusted[0], untrusted[1], 1.0).events
+    with pytest.raises(SingularPoint, match="series-start radius"):
+        ode.record_shot(Params(n=7, lam=1e-20), 1e-17, 1)
+
+
+def test_recorded_profile_below_first_knot_is_its_series():
+    """Below its first knot, the shot's series start, a recorded profile is
+    the 8-term series the shot starts from, bit for bit, by the one Horner
+    routine series_start takes its state from; the first knot gives the
+    first sample exactly."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    profile = ode.record_shot(params, a, 2)
+    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+    y_s, state = dev.series_start()
+    assert state == dev.series_state(y_s)
+    r0 = profile.knots[0]
+    assert r0 == y_s / dev.scale_r
+    r = np.array([0.0, 0.3, 0.7]) * r0
+    y = r * dev.scale_r
+    want = dev.u_du(y, dev.series_state(y))
+    assert np.array_equal(profile.u_du(r), want)
+    assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
+    assert profile.u_du(0.0) == (a, 0.0)
+    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
 
 
 @pytest.mark.parametrize("run", ["shoot", "integrate"])
@@ -1215,8 +1347,9 @@ def test_dense_state_is_scipys_dense_output():
 @pytest.mark.parametrize("args, tolerances, roots", [
     pytest.param((Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0), {}, True, id="n7-k2"),
     pytest.param((Params(n=5, lam=0.5), 1e28, 1.0), {}, False, id="n5-untrusted"),
+    # blows up before any sign change; the blown step is named, not located on
     pytest.param(
-        (Params(n=7, lam=1e8), 1.0, 1.0), {"rtol": 100.0, "atol": 1e6}, True,
+        (Params(n=7, lam=1e8), 1.0, 1.0), {"rtol": 100.0, "atol": 1e6}, False,
         id="n7-blow-up",
     ),
 ])
@@ -1225,8 +1358,9 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
     stepper builds a step's float dense output (the piece of list rows
     _dense_state evaluates) only on a step where it locates a root, one
     per step: every float piece evaluated is one that brentq ran on, and
-    brentq runs once per event and once for the blow-up radius.  The
-    profile's arrays of pieces go through _dense_state too, uncounted."""
+    brentq runs once per event, and not on a blown step, which is named
+    rather than located on.  The profile's arrays of pieces go through
+    _dense_state too, uncounted."""
     calls, evaluated, rooted = [], [], []
     solve_ivp, state, root = ode.solve_ivp, ode._dense_state, ode._root
 
@@ -1253,7 +1387,8 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
         blown = True
     (kwargs,) = calls
     assert "dense_output" not in kwargs
-    assert len(rooted) == len(kwargs["crossings"]) + blown
+    assert len(rooted) == len(kwargs["crossings"])
+    assert blown == (args[0].lam == 1e8)  # the n7-blow-up input
     built = list({id(step): step for step in rooted}.values())
     assert {id(step) for step in evaluated} == {id(step) for step in built}
     assert len({step[0] for step in built}) == len(built)

@@ -137,30 +137,47 @@ def test_no_bracket_classified_quickly(monkeypatch, n):
     assert len(shots) <= 20
 
 
+def _recorded_zero(profile, k):
+    """Zero k of a recorded profile: its k-th zero crossing, or, where zero
+    k lies beyond r = 1, the Newton step 1 - u(1)/u'(1) toward it."""
+    zeros = profile.zero_crossings()
+    if len(zeros) >= k:
+        return zeros[k - 1].r
+    u1, du1 = profile.u_du(1.0)
+    return 1.0 - u1 / du1
+
+
 def test_each_amplitude_integrated_once(monkeypatch):
     """No amplitude is shot twice, every shot runs at rtol, a* is one of
-    them, and a successful solve runs integrate exactly once, at a*; its
-    profile equals a fresh integration."""
+    them, and a successful solve makes no integrate call (nor any solve_ivp
+    call): it records exactly one shot, at a*, out to r = 1, and its
+    profile equals a fresh recording."""
     shots = _record_shots(monkeypatch)
-    integrated = []
+    recorded = []
 
-    def recording(params, a, *args, **kwargs):
-        profile = integrate(params, a, *args, **kwargs)
-        integrated.append((a, profile))
+    def recording(params, a, k, **kwargs):
+        profile = ode.record_shot(params, a, k, **kwargs)
+        recorded.append((a, k, profile))
         return profile
 
-    monkeypatch.setattr(shooting, "integrate", recording)
+    def no_integration(*args, **kwargs):
+        pytest.fail("a solve ran an integration")
+
+    monkeypatch.setattr(shooting, "record_shot", recording)
+    monkeypatch.setattr(shooting, "integrate", no_integration)
+    monkeypatch.setattr(ode, "integrate", no_integration)
+    monkeypatch.setattr(ode, "solve_ivp", no_integration)
     params = Params(n=7, lam=2.0)
     sol = solve_nodal(params, 2)
     tried = [a for a, _, _ in shots]
     assert tried and len(set(tried)) == len(tried)
     assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots)
     assert sol.a_star in tried
-    [(a, profile)] = integrated
-    assert a == sol.a_star
-    assert sol.profile.knots is profile.knots
+    [(a, k, profile)] = recorded
+    assert (a, k) == (sol.a_star, 2)
+    assert sol.profile is profile and profile.r_end == 1.0
 
-    fresh = integrate(params, sol.a_star, 1.0)
+    fresh = ode.record_shot(params, sol.a_star, 2)
     for name in ("knots", "values", "derivs", "steps"):
         assert np.array_equal(getattr(fresh, name), getattr(sol.profile, name))
     assert fresh.events == sol.profile.events
@@ -174,33 +191,66 @@ def test_each_amplitude_integrated_once(monkeypatch):
     ],
 )
 def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtol):
-    """At these inputs the full integration at a* puts the boundary zero
+    """At these inputs a full integration at a* puts the boundary zero
     more than 2 rtol inside the ball, and further inside than the shot at
-    a* put it; the Pruefer offset of the profile is still far below the
-    bound."""
+    a* put it.  The solved profile, the shot's own steps recorded out to
+    r = 1, puts it within 2 rtol of the shot's; its Pruefer offset is far
+    below the bound."""
     shots = _record_shots(monkeypatch)
-    sol = solve_nodal(Params(n=7, lam=2.0 ** (-7 / 4)), 2, rtol=rtol)
+    params = Params(n=7, lam=2.0 ** (-7 / 4))
+    sol = solve_nodal(params, 2, rtol=rtol)
     assert sol.features is not None
-    # the node and the boundary zero, so the next line reads the latter
-    assert len(sol.profile.zero_crossings()) == 2
-    boundary = sol.profile.zero_crossings()[-1].r
     (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
+    full = integrate(params, sol.a_star, 1.0, rtol=rtol)
+    # the node and the boundary zero, so the next line reads the latter
+    assert len(full.zero_crossings()) == 2
+    boundary = full.zero_crossings()[-1].r
     assert boundary < 1.0 - 2.0 * rtol and boundary < r_shot
+    assert abs(_recorded_zero(sol.profile, 2) - r_shot) <= 2.0 * rtol
     assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
 
 
 def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
-    """At n=7, lambda=2^-5, rtol=1.2e-12 from a = 1e37 the full integration
+    """At n=7, lambda=2^-5, rtol=1.2e-12 from a = 1e37 a full integration
     at a* puts the boundary zero 5.5e-10 = 456 rtol inside the ball, where
-    an rtol-sized band would count it as interior; the Pruefer offset
-    accepts it.  The amplitude lies above the default search ceiling, so
-    the ceiling is raised here."""
+    an rtol-sized band would count it as interior.  The solved profile
+    puts it within 2 rtol of the shot at a*; its Pruefer offset accepts
+    it.  The amplitude lies above the default search ceiling, so the
+    ceiling is raised here."""
     monkeypatch.setattr(shooting, "_A_MAX", 1e300)
-    sol = solve_nodal(Params(n=7, lam=2.0**-5), 2, a_seed=1e37, rtol=1.2e-12)
-    boundary = sol.profile.zero_crossings()[-1].r
+    shots = _record_shots(monkeypatch)
+    params, rtol = Params(n=7, lam=2.0**-5), 1.2e-12
+    sol = solve_nodal(params, 2, a_seed=1e37, rtol=rtol)
+    boundary = integrate(params, sol.a_star, 1.0, rtol=rtol).zero_crossings()[-1].r
     assert 1e-10 < 1.0 - boundary < 1e-9
+    (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
+    assert abs(_recorded_zero(sol.profile, 2) - r_shot) <= 2.0 * rtol
     assert abs(_boundary_offset(sol)) <= BOUNDARY_TOL
     assert abs(sol.residuals.pohozaev_annulus) < 1e-6
+
+
+@pytest.mark.parametrize("inputs", [
+    pytest.param(None, id="reference-sweep"),
+    pytest.param((8, 1.0, 1, 1e-8), id="n8-k1-rtol1e-8"),
+    pytest.param((7, 0.3, 2, 3e-9), id="n7-k2-rtol3e-9"),
+])
+def test_solved_profile_is_the_recorded_shot(monkeypatch, inputs):
+    """Over the warm n=7 reference sweep and two cold solves, a* is the
+    amplitude of a shot the search made, and the solved profile's zero k
+    (its k-th zero crossing, or 1 - u(1)/u'(1) where zero k lies beyond the
+    ball) lies within 2 rtol of that shot's r_k."""
+    shots = _record_shots(monkeypatch)
+    if inputs is None:
+        rtol = DEFAULT_RTOL
+        points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
+        solutions = [p.solution for p in points]
+    else:
+        n, lam, k, rtol = inputs
+        solutions = [solve_nodal(Params(n=n, lam=lam), k, rtol=rtol)]
+    for sol in solutions:
+        (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
+        assert sol.profile.a == sol.a_star and sol.profile.r_end == 1.0
+        assert abs(_recorded_zero(sol.profile, sol.k) - r_shot) <= 2.0 * rtol
 
 
 def test_miscounted_zero_pair_is_rejected(monkeypatch):
