@@ -6,9 +6,9 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
 which is singular at the origin.  integrate starts from the two-term
 series of the deviation below at a small radius r0 instead, and its
-profiles answer radii below r0 from the same series; shoot and
-record_shot start further out, where a longer series is exact to
-rounding, and a recorded profile answers from that one.
+profiles answer radii below r0 from the same series; a shot starts
+further out, where a longer series is exact to rounding, and the profile
+of a shot answers from that one.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -40,27 +40,26 @@ otherwise cancel.
 integrate returns the full profile (events, dense output) that features,
 certification and records read, on _FloatDop853: stock DOP853 bit for bit
 on Python floats; the stepper holds no reference cycle, so reference
-counting frees it.  shoot returns only the radius of the k-th zero of u,
-from DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.5-II.6) with
-Hairer's dop853 step rules.  record_shot takes a shot's steps out to r =
-1 and returns them as a full profile: a solve's profile is the recording
-of its accepted shot, and integrate serves the other callers.  All three
-step on float code generated at import, each stage straight-line with the
-right-hand side inlined: the shot's stage sums, and its recording's, from
-one template, are float sums without the tableau's zeros, an attempted
-step of integrate keeps scipy's numpy products.  All build the problem
-with _deviation, whose rhs comes from the same source lines, and hand
-their steps to one end-of-run pass, _finish_steps, that builds the dense
-output, locates sign changes on it and names a blown step, so the
-right-hand side, the blow-up guard and the dense output are defined once;
-integrate and record_shot assemble their profiles in one helper,
-_profile.  One evaluator of DOP853's dense output, _dense_state, locates
-the roots on floats and evaluates profiles elementwise on arrays.
+counting frees it.  A shot runs _dop853, DOP853 (Hairer, Norsett and
+Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step rules, which
+records its steps up to r = 1 and runs on to the k-th zero of u.  Two
+entry points share it: shoot returns that zero's radius r_k, and shot the
+run, a Shot, whose profile() is built from its record, so a solve's
+profile is its accepted shot.  Both steppers are float code generated at
+import with the right-hand side inlined in each stage: the shot's stage
+sums are float sums without the tableau's zeros, an attempted step of
+integrate keeps scipy's numpy products.  Both build the problem with
+_deviation, whose rhs comes from the same source lines, and hand their
+steps to one end-of-run pass, _finish_steps, that builds the dense
+output, locates sign changes on it and names a blown step, and one
+profile assembly, _profile.  One evaluator of DOP853's dense output,
+_dense_state, locates roots on floats and evaluates profiles on arrays.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -213,7 +212,7 @@ class _Deviation:
 
     rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
     on Python floats.  integrate runs from the two-term series state s0 =
-    start(y0) out to y_end, shoot and record_shot from series_start().
+    start(y0) out to y_end, a shot from series_start().
     trusted says whether sign changes of u can be told from integration
     noise.
     """
@@ -454,11 +453,11 @@ def _root(step, g, *args) -> float:
 
 
 def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
-    """The end-of-run pass of integrate, shoot and record_shot: every
-    step's dense-output rows F, (steps, 7, 2), and the roots of the marked
-    steps.
+    """The end-of-run pass of integrate, of r_k and of a shot's profile:
+    every step's dense-output rows F, (steps, 7, 2), and the roots of the
+    marked steps.
 
-    taken lists the steps as (t_old, v, v', h, v_new, v'_new, t_new),
+    taken holds the steps as rows (t_old, v, v', h, v_new, v'_new, t_new),
     stages their 13 stage rows, (steps, 13, 2), and marks (step index,
     components of (u, u') that change sign, blown) in step order.  The
     extra stages and F are scipy's _dense_output_impl per step, batched on
@@ -497,7 +496,7 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
     for i, changes, blown in marks:
         if i >= good:
             break
-        y0, v, vp, _, _, _, y1 = taken[i]
+        y0, v, vp, _, _, _, y1 = arr[i].tolist()
         if blown:
             raise _blow_up(y0 / dev.scale_r)
         step = (y0, y1, v, vp, F[i].tolist())
@@ -508,7 +507,7 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
     if good < steps:
         raise IntegrationFailed(
             f"integration failed: {_FloatDop853.NON_FINITE_STEP}",
-            last_radius=taken[good][0] / dev.scale_r,
+            last_radius=float(arr[good, 0]) / dev.scale_r,
         )
     return F
 
@@ -797,32 +796,30 @@ def _attempt_stage_lines(s: int) -> list[str]:
 
 
 # Hairer's dop853 (FAC1 = 0.333, FAC2 = 6, SAFE = 0.9, UROUND = 2.3e-16)
-# from y to y_end.  After a step of error norm err the next is h/fac, fac =
-# min(1/FAC1, err^(1/8)/SAFE): the step is accepted if err <= 1, with fac at
-# least 1/FAC2, and at least 1 if it follows a rejection.  hinit picks the
-# first step; 0.1 h <= y UROUND is too small.  The estimate misses what the
-# kink of |u|^(p-1) u at u = 0 costs a step across a zero (85 times the
-# tolerance at n=7, lambda=2, a = 4.25e19, rtol 2.3e-14): the step on which
-# u changes sign for the k-th time is taken again in steps of at most an
-# eighth of it (hlim) until its end (until).  Returns (RHS evaluations, end,
-# radius, step, stages): "zero" with the step (y, v, vp, h, v_new, vp_new,
-# y_new) that then changes sign and its 13 stage rows, for _finish_steps;
-# "blow-up" with the step that trips the guard; "end"; or why the run
-# failed.
-#
-# Generated twice: as the shot, _dop853_shot, and as its recording,
-# _dop853_record, which takes the same steps but, instead of returning on
-# zero k, runs on to y_stop, clipping its last step there as scipy clips a
-# step at t_bound, and ends there.  The recording appends each accepted
-# step to taken, its 13 stage rows to rows as one flat tuple, and (step
-# index, components of (u, u') that change sign, blown) to marks wherever
-# u or u' changes sign by solve_ivp's rule for an event of direction 0 or
-# the step trips the guard, where it ends; su and sdu hold u/a and
-# u'/(a scale_r) at the last step's end.
+# from y, the shot's start.  After a step of error norm err the next is
+# h/fac, fac = min(1/FAC1, err^(1/8)/SAFE): the step is accepted if err <=
+# 1, with fac at least 1/FAC2, and at least 1 if it follows a rejection.
+# hinit picks the first step; 0.1 h <= y UROUND is too small.  A step
+# that would end within 1.01 h of an end, y_stop (the scaled r = 1) while
+# the run lies inside it and y_end after, is clipped to end there.  The
+# estimate misses what the kink of |u|^(p-1) u at u = 0 costs a step
+# across a zero (85 times the tolerance at n=7, lambda=2, a = 4.25e19,
+# rtol 2.3e-14), so the step on which u changes sign for the k-th time,
+# and the step to y_stop while zero k is next (near a* zero k lies within
+# that cost of r = 1), is taken again in steps of at most an eighth of it
+# (hlim) until its end (until).  Each step accepted below y_stop goes to
+# record as a packed row of _ROW floats, and (step index, components of (u, u')
+# that change sign, blown) to marks wherever u or u' changes sign by
+# solve_ivp's rule for an event of direction 0 or the step trips the
+# guard; su and sdu hold u/a and u'/(a scale_r) at the last step's end.
+# The run ends at the later of zero k and y_stop.  Returns (RHS
+# evaluations, end, radius, blown, zero): end "zero", "blow-up" with the
+# row of the step that trips the guard, "end" at y_end, or why the run
+# failed; zero is the row of zero k's step, once found.
 _SHOT_SOURCE = """\
-def {name}(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps{record_args}):
+def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps, record, marks):
 {start}
-{record_start}
+    su, sdu = w, -(n1 - 1.0) * y * d * t / K + vp
     k0v, hmax, hlim, until = vp, y_end - y, y_end - y, inf
     sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
     e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
@@ -834,14 +831,18 @@ def {name}(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps{record_ar
     der12 = max(sqrt(e1 * e1 + e2 * e2) / hh, sqrt(dnf))
     h1 = max(1e-6, hh * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
     hh = min(100.0 * hh, h1, hmax)
-    nfev, attempts, zeros, reject, last = 2, 0, 0, False, False
+    nfev, attempts, zeros, reject, last, steps, zero = 2, 0, 0, False, False, 0, None
     while True:
         if attempts >= max_steps:
-            return nfev, "step budget spent", y, None, None
+            return nfev, "step budget spent", y, None, zero
         if not 0.1 * hh > y * {uround!r}:
-            return nfev, "step size becomes too small", y, None, None
-        if {past_end}:
-            hh, last = {end} - y, True
+            return nfev, "step size becomes too small", y, None, zero
+        inside = y < y_stop
+        if inside:
+            if y + 1.01 * hh - y_stop > 0.0:
+                hh, last = y_stop - y, True
+        elif y + 1.01 * hh - y_end > 0.0:
+            hh, last = y_end - y, True
         attempts, nfev = attempts + 1, nfev + 11
 {stages}
         vnew, pnew = v + hh * ({b_v}), vp + hh * ({b_p})
@@ -855,20 +856,36 @@ def {name}(K, h, p, n1, lam, k, y, v, vp, y_end, rtol, atol, max_steps{record_ar
             hh /= min({facc1!r}, fac11 / {safe!r})
             reject, last = True, False
             continue
-        xnew = {xnew}
+        xnew = y_stop if inside and last else y + hh
 {new}
         k12v, nfev = pnew, nfev + 1
+        step = (y, v, vp, hh, vnew, pnew, xnew, {stage_rows})
         if abs(w) >= {blowup!r}:
-{record_blown}
-            return nfev, "blow-up", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})
-        if (w < 0.0) != zeros % 2:
-            if zeros + 1 == k and until == inf:
-                until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
-                continue
+            if inside:  # marked without sign changes, which _finish_steps does not locate there
+                record += pack(*step)
+                marks.append((steps, [], True))
+            return nfev, "blow-up", xnew, step, zero
+        crossed = (w < 0.0) != zeros % 2
+        if zeros + 1 == k and until == inf and (crossed or inside and last):
+            until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
+            continue
+        if crossed:
             zeros += 1
-{zero_k}
-{record_step}
-        if last:
+            if zeros == k:
+                zero = step
+                if not inside:
+                    return nfev, "zero", xnew, None, zero
+        if inside:
+            record += pack(*step)
+            dw = -(n1 - 1.0) * xnew * d * t / K + pnew  # the RHS's bubble at xnew
+            cu, cdu = su <= 0.0 <= w or w <= 0.0 <= su, sdu <= 0.0 <= dw or dw <= 0.0 <= sdu
+            if cu or cdu:
+                marks.append((steps, [c for c, change in ((0, cu), (1, cdu)) if change], False))
+            su, sdu, steps = w, dw, steps + 1
+            if last and zero is not None:  # at y_stop, past zero k
+                return nfev, "zero", xnew, None, zero
+            last = False
+        elif last:
             return nfev, "end", xnew, None, None
         if xnew >= until:  # re-taken without the sign change
             hlim, until = hmax, inf
@@ -942,55 +959,28 @@ def _make_rhs(K, h, p, n1, lam):
 """
 
 
+# Floats per row of a shot's record: (y, v, v', h, v_new, v'_new, y_new), k0..k12.
+_ROW = 7 + 2 * (DOP853.n_stages + 1)
+
+
 def _generate() -> dict:
-    """Compile _SHOT_SOURCE, as the shot and as its recording, and
-    _ATTEMPT_SOURCE with DOP853's coefficients written in, the attempt's as
-    arrays A1..A11, B, E5 and E3."""
+    """Compile _SHOT_SOURCE and _ATTEMPT_SOURCE with DOP853's coefficients
+    written in, the attempt's as arrays A1..A11, B, E5 and E3."""
     T = dop853_coefficients
     kv, kp = ([f"k{j}{c}" for j in range(T.N_STAGES + 1)] for c in "vp")
 
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
 
-    stages_rows = ", ".join(f"({v}, {p})" for v, p in zip(kv, kp))
-    template = dict(
+    shot = _SHOT_SOURCE.format(
         start=block(_rhs_lines("y", "v", "vp", "k0p"), 4),
         euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
         stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
-        stages_rows=stages_rows,
+        stage_rows=", ".join(f"{v}, {p}" for v, p in zip(kv, kp)),
         b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
         e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
         facc1=1.0 / 0.333, facc2=1.0 / 6.0, safe=0.9, uround=2.3e-16, blowup=BLOWUP_BOUND,
-    )
-    shot = _SHOT_SOURCE.format(
-        **template, name="_dop853_shot", record_args="", record_start="",
-        past_end="y + 1.01 * hh - y_end > 0.0", end="y_end", xnew="y + hh",
-        record_blown="", record_step="", zero_k=block([
-            "if zeros == k:",
-            f"    return nfev, \"zero\", xnew, (y, v, vp, hh, vnew, pnew, xnew), ({stages_rows})",
-        ], 12),
-    )
-    # the recording's commit of the step it accepted, ending at xnew; a
-    # blown step is marked without sign changes, which _finish_steps does
-    # not locate there
-    commit = [
-        "taken.append((y, v, vp, hh, vnew, pnew, xnew))",
-        "rows.append(({}))".format(", ".join(f"{v}, {p}" for v, p in zip(kv, kp))),
-    ]
-    record = _SHOT_SOURCE.format(
-        **template, name="_dop853_record", record_args=", y_stop, taken, rows, marks",
-        record_start=block(["su, sdu = w, -(n1 - 1.0) * y * d * t / K + vp"], 4),
-        past_end="y + hh >= y_stop", end="y_stop", xnew="y_stop if last else y + hh",
-        record_blown=block(commit + ["marks.append((len(taken) - 1, [], True))"], 12),
-        record_step=block(commit + [
-            "dw = -(n1 - 1.0) * xnew * d * t / K + pnew  # the RHS's bubble at xnew",
-            "zero, dzero = su <= 0.0 <= w or w <= 0.0 <= su, sdu <= 0.0 <= dw or dw <= 0.0 <= sdu",
-            "if zero or dzero:",
-            "    marks.append((len(taken) - 1, [0] * zero + [1] * dzero, False))",
-            "su, sdu = w, dw",
-        ], 8),
-        zero_k="",
     )
     attempt = _ATTEMPT_SOURCE.format(
         dots=", ".join([f"dot{s}" for s in range(1, T.N_STAGES)] + ["dotb", "dote5", "dote3"]),
@@ -999,113 +989,115 @@ def _generate() -> dict:
         last=2 * T.N_STAGES, last1=2 * T.N_STAGES + 1,
         rhs=block(_rhs_lines("y", "v", "vp", "vpp"), 8),
     )
-    source = "\n\n".join([shot, record, attempt])
     # the row views scipy's rk_step takes, and its B, E5 and E3
     A = DOP853.A
     namespace = {f"A{s}": A[s, :s] for s in range(1, T.N_STAGES)}
     namespace.update(B=DOP853.B, E5=DOP853.E5, E3=DOP853.E3, expm1=math.expm1,
-                     log1p=math.log1p, sqrt=math.sqrt, inf=math.inf)
-    for part in (shot, record, attempt):  # one at a time: a smaller peak for the compiler
+                     log1p=math.log1p, sqrt=math.sqrt, inf=math.inf,
+                     pack=struct.Struct(f"{_ROW}d").pack)
+    for part in (shot, attempt):  # one at a time: a smaller peak for the compiler
         exec(compile(part, "<bnball.ode DOP853>", "exec"), namespace)
-    return dict(namespace, source=source)
+    return dict(namespace, source="\n\n".join([shot, attempt]))
 
 
 _GENERATED = _generate()
-_make_rhs, _dop853_shot = _GENERATED["_make_rhs"], _GENERATED["_dop853_shot"]
-_dop853_record = _GENERATED["_dop853_record"]
+_make_rhs, _dop853 = _GENERATED["_make_rhs"], _GENERATED["_dop853"]
 _make_attempt, _rhs_pass = _GENERATED["_make_attempt"], _GENERATED["_rhs_pass"]
 
 
-def _run(stepper, dev: _Deviation, k: int, rtol: float, y0: float, state, *record):
-    """(end, step, stages) of the generated stepper, _dop853_shot or
-    _dop853_record (given its record arguments), on dev from y0 and state;
-    a run that fails is IntegrationFailed, at the radius it reached."""
+@dataclass(frozen=True)
+class Shot:
+    """One run of _dop853 on u(0) = a from its series start (y0, (v, v')):
+    how it ended, at the scaled radius `radius` ("untrusted", without
+    either, where no run was made), the rows of its blown step and of zero
+    k's step, and the steps committed up to r = 1 and their marks, as
+    _finish_steps takes them."""
+
+    params: Params
+    dev: _Deviation
+    start: tuple | None
+    end: str
+    radius: float | None
+    blown: tuple | None = field(repr=False)
+    zero: tuple | None = field(repr=False)
+    record: bytearray = field(repr=False)
+    marks: list = field(repr=False)
+
+    @cached_property
+    def r_k(self) -> float:
+        """Radius of zero k, located by _finish_steps on its step as
+        integrate locates an event, however the run ended after it; else
+        inf where the run reached SHOOT_END or made none, and a blown or
+        failed run raises as integrate would at the radius it reached."""
+        row, mark = self.zero, (0, [0], False)
+        if row is None:
+            if self.end in ("end", "untrusted"):
+                return math.inf
+            if self.end != "blow-up":
+                raise self._failure()
+            row, mark = self.blown, (0, [], True)
+        row = np.reshape(row, (1, -1))
+        zeros = []  # a blown step raises before it gives one
+        with np.errstate(all="ignore"):
+            _finish_steps(self.dev, row[:, :7], row[:, 7:].reshape(1, -1, 2), [mark], zeros)
+        return zeros[0].r
+
+    def profile(self) -> RadialProfile:
+        """The profile out to r = 1 from the recorded steps, assembled as
+        integrate's, with every sign change of u and u' as an event; below
+        the series start it answers from the series.  A run that failed
+        short of r = 1 raises as r_k does, unless an earlier step's dense
+        output is not finite and fails it first; SingularPoint where the
+        series start lies at or beyond r = 1; IntegrationFailed without a run."""
+        if self.start is None:
+            raise IntegrationFailed("integration failed: untrusted, so the shot made no run")
+        dev, (y0, state) = self.dev, self.start
+        if not y0 < dev.scale_r:  # r = 1
+            raise SingularPoint(f"r = 1 does not lie beyond the series-start radius "
+                                f"{y0 / dev.scale_r:g} of amplitude {dev.a:g}")
+        if self.end != "blow-up" and self.radius < dev.scale_r:
+            raise self._failure()
+        rows = np.frombuffer(self.record).reshape(-1, _ROW)
+        events = []
+        with np.errstate(all="ignore"):
+            F = _finish_steps(dev, rows[:, :7], rows[:, 7:].reshape(len(rows), -1, 2),
+                              self.marks, events)
+        ts = np.concatenate([[y0], rows[:, 6]])
+        states = np.concatenate([[state], rows[:, 4:6]])
+        return _profile(self.params, dev, ts, states, F, events, dev.series_state)
+
+    def _failure(self) -> IntegrationFailed:
+        return IntegrationFailed(f"integration failed: {self.end}",
+                                 last_radius=self.radius / self.dev.scale_r)
+
+
+def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
+         atol: float = DEFAULT_ATOL) -> Shot:
+    """One shooting evaluation of u(0) = a toward zero k: integrate's
+    deviation problem on _dop853 at run_tolerances(rtol, atol), from
+    _Deviation.series_start, where the series is exact to rounding; none
+    below the zero-trust floor, where sign changes are noise.  A bad
+    tolerance raises before any step, an error scale of 0 as
+    IntegrationFailed; other failures are the Shot's to raise."""
+    rtol, atol = run_tolerances(rtol, atol)
+    dev = _deviation(params, a, SHOOT_END, atol)
+    record, marks = bytearray(), []
+    if not dev.trusted:
+        return Shot(params, dev, None, "untrusted", None, None, None, record, marks)
+    y0, state = dev.series_start()
     try:
-        _, end, y1, step, stages = stepper(
-            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state,
-            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, *record,
+        _, end, radius, blown, zero = _dop853(
+            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state, dev.scale_r,
+            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, record, marks,
         )
     except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    if end not in ("zero", "blow-up", "end"):
-        raise IntegrationFailed(f"integration failed: {end}", last_radius=y1 / dev.scale_r)
-    return end, step, stages
+    return Shot(params, dev, (y0, state), end, radius, blown, zero, record, marks)
 
 
-def shoot(
-    params: Params,
-    a: float,
-    k: int,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> float:
-    """Radius r_k of the k-th zero of the solution with u(0) = a.
-
-    One shooting evaluation: integrate's deviation problem on _dop853_shot
-    at run_tolerances(rtol, atol), from _Deviation.series_start (where the
-    series is exact to rounding) to the step on which u changes sign for
-    the k-th time, past r=1 if need be, re-taken in eighths.  That step, or
-    the one that trips the blow-up guard, goes to integrate's end-of-run
-    pass, which locates zero k as an event (a double crossing in one step
-    goes uncounted) or raises as integrate does.  inf where the problem is
-    untrusted (at once) or zero k lies beyond SHOOT_END.  A bad tolerance
-    raises before any step; IntegrationFailed at the radius reached when
-    the step size becomes too small or after SHOOT_MAX_STEPS steps."""
-    rtol, atol = run_tolerances(rtol, atol)
-    dev = _deviation(params, a, SHOOT_END, atol)
-    if not dev.trusted:
-        return math.inf
-    end, step, stages = _run(_dop853_shot, dev, k, rtol, *dev.series_start())
-    if end == "end":
-        return math.inf
-    blown = end == "blow-up"
-    zeros = []  # a blown step raises before it gives one
-    with np.errstate(all="ignore"):
-        _finish_steps(dev, [step], stages, [(0, [] if blown else [0], blown)], zeros)
-    return zeros[0].r
-
-
-def record_shot(
-    params: Params,
-    a: float,
-    k: int,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> RadialProfile:
-    """The profile of shoot(params, a, k), recorded out to r = 1.
-
-    Takes the shot's steps on _dop853_record: the same series start,
-    Hairer's rules and zero k's step retaken in eighths.  Where the shot
-    returns on zero k, the recording runs on to r = 1 and clips its last
-    step there, as integrate clips at r_stop; a step the clip shortens
-    crosses zero k on other steps than the shot's, which at a solve's a*
-    puts it well within 2 rtol of the shot's.  The steps and their stage
-    rows go to _finish_steps, which locates every sign change of u and u'
-    as an event (none for an untrusted problem, as in integrate) and builds
-    the dense output; below the first knot, the series start, the profile
-    answers from the series.  A run that fails short of r = 1 raises what
-    shoot raises there (a blown step BlowUpDetected naming it), unless an
-    earlier step's dense output is not finite and fails it first;
-    SingularPoint where the series start lies beyond r = 1."""
-    rtol, atol = run_tolerances(rtol, atol)
-    dev = _deviation(params, a, SHOOT_END, atol)
-    y0, (v0, vp0) = dev.series_start()
-    y_stop = dev.scale_r  # r = 1
-    if not y0 < y_stop:
-        raise SingularPoint(
-            f"r = 1 does not lie beyond the series-start radius {y0 / dev.scale_r:g} "
-            f"of amplitude {a:g}"
-        )
-    taken, rows, marks, events = [], [], [], []
-    _run(_dop853_record, dev, k, rtol, y0, (v0, vp0), y_stop, taken, rows, marks)
-    if not dev.trusted:  # sign changes are noise, as in integrate
-        marks = [mark for mark in marks if mark[2]]
-    stages = np.array(rows).reshape(len(rows), DOP853.n_stages + 1, 2)
-    with np.errstate(all="ignore"):
-        F = _finish_steps(dev, taken, stages, marks, events)
-    steps = np.array(taken)
-    ts = np.concatenate([[y0], steps[:, 6]])
-    states = np.concatenate([[(v0, vp0)], steps[:, 4:6]])
-    return _profile(params, dev, ts, states, F, events, dev.series_state)
+def shoot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
+          atol: float = DEFAULT_ATOL) -> float:
+    """Radius r_k of the k-th zero of u(0) = a, inside the ball or beyond:
+    shot(params, a, k).r_k, inf where the problem is untrusted or zero k
+    lies beyond SHOOT_END."""
+    return shot(params, a, k, rtol=rtol, atol=atol).r_k

@@ -2,12 +2,12 @@
 
 On the unit ball the free parameter is the center amplitude a = u(0) > 0,
 and the zeros of the radial solution move inward as a grows.  Each
-evaluation is one ode.shoot, which returns the radius r_k of the k-th zero,
+evaluation is one ode.shot, whose r_k is the radius of the k-th zero,
 beyond the ball too; the search solves P(x) = -log r_k(e^x) = 0 in
 x = log a.  By the scaling of the equation, a profile whose k-th zero sits
 at r_k solves the ball problem at lambda r_k^2, so P is smooth in x and
-about 1 - r_k next to the root.  Only the converged amplitude's shot is
-recorded in full, out to r = 1 (ode.record_shot), and its profile is
+about 1 - r_k next to the root.  Each shot records its steps out to r = 1;
+the converged amplitude's profile is built from its shot's record, and is
 accepted by its Pruefer offset (Z - k) pi + atan2(s u(1), s u'(1)), s =
 (-1)^Z, over its Z zeros: 0 when zero k sits on r = 1, about 1 - r_k next
 to it, and about pi or 2 pi off for a miscounted pair of zeros.
@@ -15,7 +15,6 @@ to it, and about pi or 2 pi off for a miscounted pair of zeros.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .model import (
     Params,
     check_lambda_grid,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, record_shot, run_tolerances, shoot
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, RadialProfile, run_tolerances, shot
 from .ode import integrate  # noqa: F401  (shooting.integrate, which perfbench traces, stays)
 
 _A_MIN = 1e-3
@@ -111,11 +110,12 @@ def solve_nodal(
     <= min(3 rtol, 1e-8) ends the search, and its amplitude is a*.  Below
     the zero-trust floor of this atol P is -inf; a bracket end there is
     bisected inward, and NoBracketFound is raised once the bracket is
-    narrower than rtol.  Every evaluation runs at run_tolerances(rtol,
-    atol); a tolerance it rejects is a ConfigError before any other check,
-    and k < 1 the next.  The profile at a* is recorded once, from the
-    steps of its shot out to r = 1 (ode.record_shot), and its Pruefer
-    offset must satisfy |offset| <= BOUNDARY_TOL (1e-6), which
+    narrower than rtol.  Every evaluation is one ode.shot at
+    run_tolerances(rtol, atol); a tolerance it rejects is a ConfigError
+    before any other check, and k < 1 the next.  The profile at a* is
+    built from the steps its shot recorded out to r = 1 (Shot.profile),
+    with no second run.  Its Pruefer offset must satisfy |offset| <=
+    BOUNDARY_TOL (1e-6), which
     bounds how far the k-th zero lies from r=1: a miss below pi/2 is
     integration error and raises CertificationFailed, a larger or NaN one
     (a miscounted pair of zeros) NonconvergentBisection.  The profile must
@@ -141,11 +141,15 @@ def solve_nodal(
 
     # x -> P of the evaluations the measured slope may use
     above_floor = {}
+    # x -> the shot at x = log a, made once per x, so brentq evaluates the
+    # bracket ends without a shot.  They go to residual as an argument:
+    # brentq's NaN guard holds residual in a reference cycle.
+    shots = {}
 
-    # Cached on x, so brentq evaluates the bracket ends without a shot.
-    @functools.lru_cache(maxsize=None)
-    def residual(x: float) -> float:
-        p = -math.log(shoot(params, math.exp(x), k, rtol=rtol, atol=atol))
+    def residual(x: float, shots: dict) -> float:
+        if x not in shots:
+            shots[x] = shot(params, math.exp(x), k, rtol=rtol, atol=atol)
+        p = -math.log(shots[x].r_k)
         if abs(p) <= floor:
             raise _RootFound(x)
         if _SLOPE_FLOOR_FACTOR * floor < abs(p) < math.inf:
@@ -155,7 +159,7 @@ def solve_nodal(
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
     try:
-        p = residual(x)
+        p = residual(x, shots)
         step = -p / slope if math.isfinite(p) else math.log(2.0)
         while True:
             # P < 0: zero k lies beyond the ball (or cannot be told from
@@ -167,7 +171,7 @@ def solve_nodal(
                     "lambda": params.lam,
                     "k": k,
                     "a_range_searched": [_A_MIN, _A_MAX],
-                    "evaluations": residual.cache_info().misses,
+                    "evaluations": len(shots),
                 }
                 if up:
                     message = f"no amplitude up to {_A_MAX:g} pulls zero {k}"
@@ -179,7 +183,7 @@ def solve_nodal(
                     report=report,
                 )
             x_next = min(max(x + step, x_min), x_max)
-            p_next = residual(x_next)
+            p_next = residual(x_next, shots)
             if (p_next < 0.0) != up:
                 break
             slope = (p_next - p) / (x_next - x)
@@ -198,7 +202,7 @@ def solve_nodal(
                     f"of zeros (lambda={params.lam:g}, n={params.n})"
                 )
             x_mid = 0.5 * (x + x_next)
-            p_mid = residual(x_mid)
+            p_mid = residual(x_mid, shots)
             if (p_mid < 0.0) == (p < 0.0):
                 x, p = x_mid, p_mid
             else:
@@ -207,7 +211,7 @@ def solve_nodal(
         # brentq's own tolerance is the backstop should no evaluation land
         # inside the floor.
         x_star, result = brentq(
-            residual, x, x_next, xtol=rtol, full_output=True, disp=False
+            residual, x, x_next, args=(shots,), xtol=rtol, full_output=True, disp=False
         )
     except _RootFound as found:
         (x_star,) = found.args
@@ -221,7 +225,10 @@ def solve_nodal(
     a_star = math.exp(x_star)
     # The shooting evaluations count zeros only at integrator steps; the
     # Pruefer offset of the full profile rejects a miscounted double crossing.
-    profile = record_shot(params, a_star, k, rtol=rtol, atol=atol)
+    run = shots.pop(x_star)
+    del shots  # the other amplitudes' shots, before the profile is built
+    profile = run.profile()
+    del run
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
     # written so that a NaN offset is rejected too
     if not abs(offset) <= BOUNDARY_TOL:

@@ -604,7 +604,7 @@ def test_rejected_setting_starts_no_shot(capsys, monkeypatch, argv, code):
     def no_shot(*args, **kwargs):
         raise AssertionError("a rejected setting must not start a shot")
 
-    monkeypatch.setattr(shooting, "shoot", no_shot)
+    monkeypatch.setattr(shooting, "shot", no_shot)
     rc, out = run(capsys, *argv)
     assert rc == cli.EXIT_CONFIG
     if code is None:

@@ -223,9 +223,8 @@ def _numpy_scalar_rhs(params, a, y, s):
 def test_rhs_on_floats_matches_numpy_scalars():
     """The right-hand side computes on Python floats and returns, bit for
     bit, what the same formula gives on numpy scalars, in both branches.
-    Every stage of a shot, of its recording and of integrate's attempted
-    step, and the pass over the extra stages of all three, inline the same
-    source lines as rhs."""
+    Every stage of a shot and of integrate's attempted step, and the pass
+    over the extra stages of both, inline the same source lines as rhs."""
     rng = np.random.default_rng(20)
     stable = other = 0
     for n in (5, 6, 7, 8):
@@ -259,11 +258,10 @@ def test_rhs_on_floats_matches_numpy_scalars():
         ).groups()
         block = [line.strip() for line in ode._rhs_lines(y, v, vp, out)]
         assert source[i:i + size] == block
-    # the start, hinit's Euler step, 11 stages and the new state of the shot
-    # and of its recording, an attempt's 11 stages and new state, the
-    # extra-stage pass and rhs itself; the shot and the recording leave
-    # their 3 extra stages to the pass
-    assert len(starts) == 42
+    # the start, hinit's Euler step, 11 stages and the new state of the
+    # shot, an attempt's 11 stages and new state, the extra-stage pass and
+    # rhs itself; the shot leaves its 3 extra stages to the pass
+    assert len(starts) == 28
 
 
 def _branch(dev, y, v):
@@ -312,9 +310,12 @@ def test_rhs_pass_is_rhs_per_state():
 
 
 # A shot whose power |w|^(p-1) overflows: n=3, zero 3 sought at a loose rtol.
-# The run passes r=1 and fails near r = 136; the problem is trusted.
+# The run passes r=1 and fails near r = 137; the problem is trusted.  (At
+# rtol 1e3, where the shot's steps past r = 1 followed an unclipped step
+# across it, it failed near r = 136; with the clip it meets the blow-up
+# guard at r = 173 instead.)
 OVERFLOW_SHOT = (Params(n=3, lam=0.01), 10.0, 3)
-OVERFLOW_SHOT_RTOL = 1e3
+OVERFLOW_SHOT_RTOL = 1e4
 TOO_SMALL = "integration failed: step size becomes too small"
 NOT_FINITE = "integration failed: Dense output of the step is not finite."
 
@@ -665,7 +666,7 @@ def test_tolerance_not_positive_and_finite_is_config_error(monkeypatch, run, nam
     solve_nodal and continuation_sweep each refuse an rtol or atol that is
     not positive and finite, with the command line's message, before
     anything is integrated."""
-    monkeypatch.setattr(ode, "_dop853_shot", _integrates_nothing)
+    monkeypatch.setattr(ode, "_dop853", _integrates_nothing)
     monkeypatch.setattr(ode, "solve_ivp", _integrates_nothing)
     with pytest.raises(ConfigError) as info:
         _TOLERANCE_RUNS[run](**{name: value})
@@ -683,13 +684,16 @@ def _norm2(values):
 
 def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     """shoot written as a plain loop: Hairer's dop853 over scipy's DOP853
-    tableau in rows and columns, with a list-returning RHS.  Zero k is
-    located by brentq on the dense output of its step that scipy's
-    DOP853._dense_output_impl builds from the step's own 13 stage rows, as
-    integrate locates an event; a blown step is named by its start unless
-    that dense output is not finite.  The outcome (r_k in hex, or the
-    class, message and last radius of the error) and the RHS evaluations of
-    the stepping; none for an untrusted shot."""
+    tableau in rows and columns, with a list-returning RHS.  Below r = 1
+    the step that would reach it is clipped to end there, and taken again
+    in eighths, as the k-th crossing step is, where zero k lies ahead; the
+    run ends at the later of zero k and r = 1.  Zero k is located by brentq on the
+    dense output of its step that scipy's DOP853._dense_output_impl builds
+    from the step's own 13 stage rows, as integrate locates an event,
+    however the run ends after it; without it a blown step is named by its
+    start unless that dense output is not finite.  The outcome (r_k in
+    hex, or the class, message and last radius of the error) and the RHS
+    evaluations of the stepping; none for an untrusted shot."""
     T = dop853_coefficients
     A, B, C = T.A.tolist(), T.B.tolist(), T.C.tolist()
     E3, E5 = T.E3.tolist(), T.E5.tolist()
@@ -705,7 +709,7 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
         return IntegrationFailed, f"integration failed: {message}", y / dev.scale_r
 
     y, s = dev.series_start()
-    s, y_end = list(s), dev.y_end
+    s, y_end, y_stop = list(s), dev.y_end, dev.scale_r
     K = [f(y, s)] + [None] * (T.N_STAGES_EXTENDED - 1)
     sk = [atol + rtol * abs(x) for x in s]
     dnf = _norm2([g / c for g, c in zip(K[0], sk)])
@@ -719,20 +723,23 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     h = min(100.0 * h, h1, hmax)
     nfev, attempts, zeros, reject, last = 2, 0, 0, False, False
     hlim, until = hmax, math.inf  # the cap on steps that re-take a step, up to its end
+    zero = None  # the step on which u changes sign for the k-th time
 
     def stage(i):
         columns = [[g[c] for g in K[:i]] for c in range(2)]
         state = [x + h * _combination(A[i][:i], column) for x, column in zip(s, columns)]
         K[i] = f(y + C[i] * h, state)
 
-    def located(outcome):
-        """outcome(radius) of the root of u/a on the step just taken, or why
-        its dense output has none; None for no outcome and a finite one."""
+    def located(outcome, step):
+        """outcome(radius) of the root of u/a on step, (y, y_new, h, state,
+        new state, stage rows), or why its dense output has none; None for
+        no outcome and a finite one."""
+        y, y_new, h, s, new, K = step
         with np.errstate(all="ignore"):
             solver = DOP853(lambda t, x: np.array(f(float(t), x.tolist())), y, np.array(s),
                             y_end)
             solver.K_extended[:T.N_STAGES + 1] = K[:T.N_STAGES + 1]
-            solver.t_old, solver.t, solver.h_previous = y, y + h, h
+            solver.t_old, solver.t, solver.h_previous = y, y_new, h
             solver.y_old, solver.y, solver.f = np.array(s), np.array(new), np.array(K[T.N_STAGES])
             piece = solver._dense_output_impl()
         if not np.isfinite(piece.F).all():
@@ -741,17 +748,25 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
             return None
         tol = 4 * np.finfo(float).eps
         try:
-            root = brentq(lambda t: dev.signs(t, piece(t))[0], y, y + h, xtol=tol, rtol=tol)
+            root = brentq(lambda t: dev.signs(t, piece(t))[0], y, y_new, xtol=tol, rtol=tol)
         except ValueError as exc:
             return IntegrationFailed, f"integration failed: {exc}", None
         return outcome(root / dev.scale_r)
 
+    def ended(failure):
+        """r_k where zero k was found, else the failure."""
+        return failure if zero is None else located(float.hex, zero)
+
     while True:
         if attempts >= max_steps:
-            return failed("step budget spent", y), nfev
+            return ended(failed("step budget spent", y)), nfev
         if not 0.1 * h > y * 2.3e-16:
-            return failed("step size becomes too small", y), nfev
-        if y + 1.01 * h - y_end > 0.0:
+            return ended(failed("step size becomes too small", y)), nfev
+        inside = y < y_stop
+        if inside:
+            if y + 1.01 * h - y_stop > 0.0:
+                h, last = y_stop - y, True
+        elif y + 1.01 * h - y_end > 0.0:
             h, last = y_end - y, True
         attempts += 1
         nfev += 11
@@ -768,27 +783,33 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
             h /= min(1.0 / 0.333, err**0.125 / 0.9)
             reject, last = True, False
             continue
-        K[T.N_STAGES] = f(y + h, new)
+        y_new = y_stop if inside and last else y + h
+        K[T.N_STAGES] = f(y_new, new)
         nfev += 1
-        w = dev.signs(y + h, new)[0]
+        w = dev.signs(y_new, new)[0]
+        step = (y, y_new, h, s, new, list(K))
         if abs(w) >= ode.BLOWUP_BOUND:
-            blown = located(None) or _error_outcome(ode._blow_up(y / dev.scale_r))
-            return blown, nfev
-        if (w < 0.0) != zeros % 2:
-            if zeros + 1 == k and until == math.inf:
-                until, hlim, h, last = y + h, h / 8.0, h / 8.0, False
-                continue
+            blown = located(None, step) or _error_outcome(ode._blow_up(y / dev.scale_r))
+            return ended(blown), nfev
+        crossed = (w < 0.0) != zeros % 2
+        if zeros + 1 == k and until == math.inf and (crossed or inside and last):
+            until, hlim, h, last = y + h, h / 8.0, h / 8.0, False
+            continue
+        if crossed:
             zeros += 1
             if zeros == k:
-                return located(float.hex), nfev
-        if last:
+                zero = step
+        if zero is not None and (last or not inside):
+            return located(float.hex, zero), nfev
+        if last and not inside:
             return math.inf.hex(), nfev
-        if y + h >= until:
+        last = False
+        if y_new >= until:
             hlim, until = hmax, math.inf
         hnew = min(h / max(1.0 / 6.0, min(1.0 / 0.333, err**0.125 / 0.9)), hlim)
         if reject:
             hnew = min(hnew, h)
-        y, s, K[0] = y + h, new, K[T.N_STAGES]
+        y, s, K[0] = y_new, new, K[T.N_STAGES]
         h, reject = hnew, False
 
 
@@ -799,7 +820,7 @@ def _error_outcome(exc):
 def _array_shoot(monkeypatch, params, a, k, rtol, atol):
     """shoot's outcome and RHS evaluations, in _list_shoot's form."""
     nfev = []
-    stepper = ode._dop853_shot
+    stepper = ode._dop853
 
     def counted(*args):
         result = stepper(*args)
@@ -807,7 +828,7 @@ def _array_shoot(monkeypatch, params, a, k, rtol, atol):
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(ode, "_dop853_shot", counted)
+        patch.setattr(ode, "_dop853", counted)
         try:
             outcome = shoot(params, a, k, rtol=rtol, atol=atol).hex()
         except Error as exc:
@@ -841,7 +862,8 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
     # the blown step, from r = 0.239833 to 0.550252, named by its start
     pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected,
                  "|u| exceeded 1e+12 * |a| on the step from r = 0.239833", id="n7-blow-up"),
-    pytest.param(3, 0.01, 10.0, 3, 1e3, IntegrationFailed, TOO_SMALL, id="n3-power-overflow"),
+    pytest.param(3, 0.01, 10.0, 3, OVERFLOW_SHOT_RTOL, IntegrationFailed, TOO_SMALL,
+                 id="n3-power-overflow"),
     pytest.param(5, 0.5, 1e28, 2, 1e-10, None, None, id="n5-untrusted"),
     pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, None, id="n6-untrusted"),
 ])
@@ -923,8 +945,9 @@ def test_generated_tableau_is_scipys():
     """The stages, the new state and both error estimates of the generated
     shot carry scipy's DOP853 coefficients exactly, with every zero entry
     of the tableau left out; the shot builds no extra stage and no dense
-    row, and returns the step that ends it, on a zero or the blow-up guard,
-    with its 13 stage rows in order.  Each stage of integrate's
+    row, and returns the row of the step on which it meets zero k or the
+    blow-up guard: the step and its 13 stage rows in order, the row it
+    records.  Each stage of integrate's
     attempted step carries C[s] in its radius and takes its stage sum on
     scipy's product K[:s].T.dot(A[s, :s]); the attempt makes exactly these
     11 products, the B, E5 and E3 products and the 2 norm dots, on scipy's
@@ -932,7 +955,7 @@ def test_generated_tableau_is_scipys():
     is written to the one 2-array the norms are taken on, and its two sums
     are read back through a memoryview of it before the next product."""
     T = dop853_coefficients
-    shot = _function("_dop853_shot")
+    shot = _function("_dop853")
     assigned = _assigned(shot)
 
     def terms(name):
@@ -953,12 +976,15 @@ def test_generated_tableau_is_scipys():
     assert not {f"x{s}" for s in range(T.N_STAGES, T.N_STAGES_EXTENDED)} & set(assigned)
     assert "F" not in assigned
     assert [ast.unparse(x) for x in assigned[f"k{T.N_STAGES}v"]] == ["pnew"]
-    rows = ", ".join(f"(k{j}v, k{j}p)" for j in range(T.N_STAGES + 1))
+    rows = ", ".join(f"k{j}v, k{j}p" for j in range(T.N_STAGES + 1))
+    assert [ast.unparse(x) for x in assigned["step"]] == [
+        f"(y, v, vp, hh, vnew, pnew, xnew, {rows})"
+    ]
+    assert [ast.unparse(x) for x in assigned["zero"]] == ["None", "step"]
     returns = {node.value.elts[1].value: [ast.unparse(x) for x in node.value.elts[3:]]
                for node in ast.walk(shot) if isinstance(node, ast.Return)
                and isinstance(node.value, ast.Tuple)}
-    for end in ("zero", "blow-up"):
-        assert returns[end] == ["(y, v, vp, hh, vnew, pnew, xnew)", f"({rows})"]
+    assert returns["zero"] == ["None", "zero"] and returns["blow-up"] == ["step", "zero"]
 
     attempt = _function("attempt")
     assigned = _assigned(attempt)
@@ -1008,7 +1034,7 @@ def test_generated_tableau_is_scipys():
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
 def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
     """The step on which a shot locates its zero is scipy's DOP853 step of
-    the same length from the state it started at: the new state and the
+    the same length from the state it started at, to its end: the new state and the
     dense-output rows, each a sum over the 16 stages, agree to 1e-14 of the
     sum of the magnitudes of their terms.  The rows the shot locates its
     zero on are, bit for bit, scipy's dense output of the shot's own 13
@@ -1023,9 +1049,10 @@ def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
     r_k = shoot(params, a, k, rtol=rtol)
-    (((_, taken, stages, marks, events), F),) = passes
-    ((y, v, vp, h, v_new, vp_new, y1),) = taken
-    assert marks == [(0, [0], False)] and events[0].r == r_k and y1 == y + h
+    (((_, taken, (stages,), marks, events), F),) = passes
+    ((y, v, vp, h, v_new, vp_new, y1),) = taken.tolist()
+    # a step clipped at r = 1 ends there exactly
+    assert marks == [(0, [0], False)] and events[0].r == r_k and y1 in (y + h, dev.scale_r)
     solver = DOP853(lambda t, s: np.array(dev.rhs(float(t), *s.tolist())), y,
                     np.array((v, vp)), dev.y_end)
     solver.K_extended[:len(stages)] = stages
@@ -1103,49 +1130,73 @@ def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, 
 
 
 def test_recording_is_generated_from_the_shot():
-    """The recording comes from the shot's template through switches:
-    every other assignment of the shot, its stages, new state and error
-    estimates among them, is the recording's too; only the clipped step
-    size and the step's end differ, at r = 1 instead of the shot's end.
-    Its own lines only track u/a and u'/(a scale_r) for the marks, and it
-    has no "zero" return."""
-    shot = _assigned(_function("_dop853_shot"))
-    record = _assigned(_function("_dop853_record"))
-    source = {name: [ast.unparse(x) for x in exprs] for name, exprs in shot.items()}
-    recorded = {name: [ast.unparse(x) for x in exprs] for name, exprs in record.items()}
-    differ = {name for name in source if source[name] != recorded.get(name)}
-    assert differ == {"hh", "xnew"}
-    assert recorded["xnew"] == ["y_stop if last else y + hh"]
-    assert set(recorded) - set(source) == {"su", "sdu", "dw", "zero", "dzero"}
-    ends = {node.value.elts[1].value for node in ast.walk(_function("_dop853_record"))
+    """The recording is the shot's own run: the source defines one
+    stepper, _dop853, which commits a step to its record and a mark only
+    from a step that starts below r = 1 (under `if inside`).  The step that
+    would reach r = 1 is clipped to end there exactly, and only while the
+    run lies inside it: from r = 1 on, the last step is clipped at the
+    shot's end by dop853's rule, and a start beyond r = 1 is never clipped
+    back to it."""
+    tree = ast.parse(ode._GENERATED["source"])
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_dop853")] == ["_dop853"]
+    shot = _function("_dop853")
+    parents = {child: node for node in ast.walk(shot) for child in ast.iter_child_nodes(node)}
+
+    def conditions(node):
+        """(test, branch) of each if around node, innermost first."""
+        tests = []
+        while node in parents:
+            node, inner = parents[node], node
+            if isinstance(node, ast.If):
+                tests.append((ast.unparse(node.test), "else" if inner in node.orelse else "if"))
+        return tests
+
+    commits = [node for node in ast.walk(shot) if isinstance(node, ast.AugAssign)
+               and ast.unparse(node) == "record += pack(*step)"
+               or isinstance(node, ast.Call) and ast.unparse(node.func) == "marks.append"]
+    assert len(commits) == 4
+    assert all(("inside", "if") in conditions(call) for call in commits)
+    assigned = {name: [ast.unparse(x) for x in exprs] for name, exprs in _assigned(shot).items()}
+    assert assigned["inside"] == ["y < y_stop"]
+    assert assigned["xnew"] == ["y_stop if inside and last else y + hh"]
+    clips = {ast.unparse(node.value): conditions(node) for node in ast.walk(shot)
+             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "(hh, last)"}
+    assert clips == {
+        "(y_stop - y, True)": [("y + 1.01 * hh - y_stop > 0.0", "if"), ("inside", "if")],
+        "(y_end - y, True)": [("y + 1.01 * hh - y_end > 0.0", "if"), ("inside", "else")],
+    }
+    ends = {node.value.elts[1].value for node in ast.walk(shot)
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)}
-    assert ends == {"step budget spent", "step size becomes too small", "blow-up", "end"}
+    assert ends == {"step budget spent", "step size becomes too small", "blow-up", "zero",
+                    "end"}
 
 
 @pytest.mark.parametrize("n, k", list(A_STAR))
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
 def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
-    """Where zero k lies well inside the ball (at 10 a*), the recording
-    takes the shot's steps: the step on which the shot locates zero k is
-    one of the recorded steps, with the same 13 stage rows, bit for bit,
-    and the recording's zero k, located on it, is the shot's to 1e-14.
-    The recording runs on to r = 1, where its last step ends exactly, and
-    finds the sign changes integrate finds, its zero crossings within 100
-    rtol of integrate's."""
+    """Where zero k lies well inside the ball (at 10 a*), a shot's profile
+    is built from the steps its r_k came from: the step on which r_k is
+    located is one of the recorded steps, with the same 13 stage rows, bit
+    for bit, and the profile's zero k, located on it, is r_k exactly, as
+    shoot returns it.  The record runs on to r = 1, where its last step
+    ends exactly, and finds the sign changes integrate finds, its zero
+    crossings within 100 rtol of integrate's."""
     params, a = Params(n=n, lam=2.0), 10.0 * A_STAR[(n, k)]
     passes, finish_steps = [], ode._finish_steps
 
     def recorded(dev, taken, stages, marks, events):
-        passes.append((list(taken), np.array(stages)))
+        passes.append((np.array(taken), np.array(stages)))
         return finish_steps(dev, taken, stages, marks, events)
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
-    r_k = shoot(params, a, k, rtol=rtol)
-    profile = ode.record_shot(params, a, k, rtol=rtol)
+    run = ode.shot(params, a, k, rtol=rtol)
+    r_k = run.r_k
+    profile = run.profile()
     ((shot_steps, shot_stages), (taken, stages)) = passes
-    i = taken.index(shot_steps[0])
-    assert np.array_equal(stages[i], np.reshape(shot_stages, stages[i].shape))
-    assert profile.zero_crossings()[k - 1].r == pytest.approx(r_k, rel=1e-14, abs=0.0)
+    (i,) = [j for j, step in enumerate(taken.tolist()) if step == shot_steps[0].tolist()]
+    assert np.array_equal(stages[i], shot_stages[0])
+    assert profile.zero_crossings()[k - 1].r == r_k == shoot(params, a, k, rtol=rtol)
     assert taken[-1][-1] == ode._deviation(params, a, 1.0, DEFAULT_ATOL).scale_r
     assert profile.r_end == profile.steps[-1] == 1.0
     monkeypatch.undo()
@@ -1154,6 +1205,10 @@ def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
     assert [e.r for e in profile.zero_crossings()] == pytest.approx(
         [e.r for e in full.zero_crossings()], rel=100.0 * rtol, abs=0.0
     )
+
+
+def _shot_profile(*args, **tolerances):
+    return ode.shot(*args, **tolerances).profile()
 
 
 @pytest.mark.parametrize("args, tolerances, budget", [
@@ -1166,12 +1221,12 @@ def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
     pytest.param((Params(n=7, lam=2.0), 1e4, 1), {}, 20, id="budget"),
 ])
 def test_record_shot_fails_as_shoot(monkeypatch, args, tolerances, budget):
-    """A recording whose shot fails short of r = 1 ends as the shot does,
-    with the same class, message and last radius, under the default and
-    the error warnings filter, without a warning."""
+    """The profile of a shot that fails short of r = 1 fails as shoot
+    does, with the same class, message and last radius, under the default
+    and the error warnings filter, without a warning."""
     monkeypatch.setattr(ode, "SHOOT_MAX_STEPS", budget)
     outcomes = set()
-    for run in (shoot, ode.record_shot):
+    for run in (shoot, _shot_profile):
         for action in ("default", "error"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
@@ -1184,26 +1239,60 @@ def test_record_shot_fails_as_shoot(monkeypatch, args, tolerances, budget):
 
 def test_record_shot_past_the_shot():
     """A shot that fails only beyond the ball (its power overflows near r =
-    136) records to r = 1; an untrusted one, inf as a shot, records without
-    sign events, as integrate does; an amplitude whose series start lies
-    beyond r = 1 is a SingularPoint."""
-    assert ode.record_shot(*OVERFLOW_SHOT, rtol=OVERFLOW_SHOT_RTOL).r_end == 1.0
+    137) has a profile to r = 1 though its r_k raises; an untrusted one is
+    inf at once and makes no run, so it records nothing and has no
+    profile (integrate's profile of it has no sign events); an amplitude
+    whose series start lies beyond r = 1 has no profile either, a
+    SingularPoint."""
+    overflow = ode.shot(*OVERFLOW_SHOT, rtol=OVERFLOW_SHOT_RTOL)
+    with pytest.raises(IntegrationFailed, match=f"^{TOO_SMALL}$"):
+        overflow.r_k
+    assert overflow.profile().r_end == 1.0
     untrusted = (Params(n=5, lam=0.5), 1e28, 2)
     assert shoot(*untrusted) == math.inf
-    profile = ode.record_shot(*untrusted)
-    assert profile.r_end == 1.0 and not profile.events
+    run = ode.shot(*untrusted)
+    assert run.end == "untrusted" and not run.record and not run.marks
+    with pytest.raises(IntegrationFailed, match="integration failed: untrusted"):
+        run.profile()
     assert not integrate(untrusted[0], untrusted[1], 1.0).events
     with pytest.raises(SingularPoint, match="series-start radius"):
-        ode.record_shot(Params(n=7, lam=1e-20), 1e-17, 1)
+        _shot_profile(Params(n=7, lam=1e-20), 1e-17, 1)
+
+
+def test_shot_from_series_start_beyond_the_ball(monkeypatch):
+    """At n=7, lambda=0.01, a=1e-3 the shot's series start lies at r = 2.42,
+    beyond the ball.  The stepper then clips no step back to r = 1: it
+    records nothing and steps by the shot's rules from its start to zero 1,
+    at the r_k of the shots before the clip existed, bit for bit.  Its
+    profile is a SingularPoint, as the series start allows no run out to
+    r = 1."""
+    params, a = Params(n=7, lam=0.01), 1e-3
+    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+    assert dev.series_start()[0] / dev.scale_r == pytest.approx(2.4152, abs=1e-4)
+    steps, stepper = [], ode._dop853
+
+    def spied(*args):
+        result = stepper(*args)
+        steps.append(result[3:])
+        return result
+
+    monkeypatch.setattr(ode, "_dop853", spied)
+    run = ode.shot(params, a, 1)
+    assert run.end == "zero" and not run.record and not run.marks
+    assert run.r_k.hex() == shoot(params, a, 1).hex() == "0x1.ae5537b559fe9p+5"
+    (blown, zero), _ = steps
+    assert blown is None and zero[0] < zero[6] and zero[3] > 0.0
+    with pytest.raises(SingularPoint, match="series-start radius 2.4152"):
+        run.profile()
 
 
 def test_recorded_profile_below_first_knot_is_its_series():
-    """Below its first knot, the shot's series start, a recorded profile is
+    """Below its first knot, the shot's series start, a shot's profile is
     the 8-term series the shot starts from, bit for bit, by the one Horner
     routine series_start takes its state from; the first knot gives the
     first sample exactly."""
     params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
-    profile = ode.record_shot(params, a, 2)
+    profile = _shot_profile(params, a, 2)
     dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
     y_s, state = dev.series_start()
     assert state == dev.series_state(y_s)

@@ -1,7 +1,10 @@
 """Shooting solver: zero landscape, bracketing, features, and sweeps."""
 
+import gc
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -101,11 +104,11 @@ def _record_shots(monkeypatch):
     shots = []
 
     def recording(params, a, k, **kwargs):
-        r_k = shoot(params, a, k, **kwargs)
-        shots.append((a, kwargs["rtol"], r_k))
-        return r_k
+        run = ode.shot(params, a, k, **kwargs)
+        shots.append((a, kwargs["rtol"], run.r_k))
+        return run
 
-    monkeypatch.setattr(shooting, "shoot", recording)
+    monkeypatch.setattr(shooting, "shot", recording)
     return shots
 
 
@@ -150,20 +153,32 @@ def _recorded_zero(profile, k):
 def test_each_amplitude_integrated_once(monkeypatch):
     """No amplitude is shot twice, every shot runs at rtol, a* is one of
     them, and a successful solve makes no integrate call (nor any solve_ivp
-    call): it records exactly one shot, at a*, out to r = 1, and its
-    profile equals a fresh recording."""
-    shots = _record_shots(monkeypatch)
-    recorded = []
+    call): each shot is one stepper run, none follows the search, and the
+    profile is built exactly once, from the record of the shot at a*, out
+    to r = 1; it equals the profile of a fresh shot at a*."""
+    shots, runs, built = [], [], []
+    stepper, build = ode._dop853, ode.Shot.profile
 
-    def recording(params, a, k, **kwargs):
-        profile = ode.record_shot(params, a, k, **kwargs)
-        recorded.append((a, k, profile))
+    def shooting_at(params, a, k, **kwargs):
+        run = ode.shot(params, a, k, **kwargs)
+        shots.append((a, kwargs["rtol"], run))
+        return run
+
+    def counted(*args):
+        runs.append(args[6])  # the start radius, one per run
+        return stepper(*args)
+
+    def recording(run):
+        profile = build(run)
+        built.append((run, profile, len(runs)))
         return profile
 
     def no_integration(*args, **kwargs):
         pytest.fail("a solve ran an integration")
 
-    monkeypatch.setattr(shooting, "record_shot", recording)
+    monkeypatch.setattr(shooting, "shot", shooting_at)
+    monkeypatch.setattr(ode, "_dop853", counted)
+    monkeypatch.setattr(ode.Shot, "profile", recording)
     monkeypatch.setattr(shooting, "integrate", no_integration)
     monkeypatch.setattr(ode, "integrate", no_integration)
     monkeypatch.setattr(ode, "solve_ivp", no_integration)
@@ -173,11 +188,14 @@ def test_each_amplitude_integrated_once(monkeypatch):
     assert tried and len(set(tried)) == len(tried)
     assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots)
     assert sol.a_star in tried
-    [(a, k, profile)] = recorded
-    assert (a, k) == (sol.a_star, 2)
+    assert len(runs) == len(shots)
+    [(run, profile, runs_before)] = built
+    assert runs_before == len(runs)
+    assert [run] == [s for a, _, s in shots if a == sol.a_star]
     assert sol.profile is profile and profile.r_end == 1.0
 
-    fresh = ode.record_shot(params, sol.a_star, 2)
+    monkeypatch.undo()
+    fresh = ode.shot(params, sol.a_star, 2).profile()
     for name in ("knots", "values", "derivs", "steps"):
         assert np.array_equal(getattr(fresh, name), getattr(sol.profile, name))
     assert fresh.events == sol.profile.events
@@ -193,9 +211,9 @@ def test_each_amplitude_integrated_once(monkeypatch):
 def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtol):
     """At these inputs a full integration at a* puts the boundary zero
     more than 2 rtol inside the ball, and further inside than the shot at
-    a* put it.  The solved profile, the shot's own steps recorded out to
-    r = 1, puts it within 2 rtol of the shot's; its Pruefer offset is far
-    below the bound."""
+    a* put it.  The solved profile, built from the shot's own record out
+    to r = 1, puts it within 2 rtol of the shot's; its Pruefer offset is
+    far below the bound."""
     shots = _record_shots(monkeypatch)
     params = Params(n=7, lam=2.0 ** (-7 / 4))
     sol = solve_nodal(params, 2, rtol=rtol)
@@ -236,9 +254,11 @@ def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
 ])
 def test_solved_profile_is_the_recorded_shot(monkeypatch, inputs):
     """Over the warm n=7 reference sweep and two cold solves, a* is the
-    amplitude of a shot the search made, and the solved profile's zero k
-    (its k-th zero crossing, or 1 - u(1)/u'(1) where zero k lies beyond the
-    ball) lies within 2 rtol of that shot's r_k."""
+    amplitude of a shot the search made, and the solved profile is that
+    shot's record out to r = 1.  Where the shot's r_k < 1 the profile's
+    k-th zero crossing is r_k bit for bit, located on the same step; where
+    r_k >= 1 the profile has k - 1 zero crossings and ends at r = 1, and
+    1 - u(1)/u'(1) lies within 2 rtol of r_k.  Both cases occur."""
     shots = _record_shots(monkeypatch)
     if inputs is None:
         rtol = DEFAULT_RTOL
@@ -247,10 +267,20 @@ def test_solved_profile_is_the_recorded_shot(monkeypatch, inputs):
     else:
         n, lam, k, rtol = inputs
         solutions = [solve_nodal(Params(n=n, lam=lam), k, rtol=rtol)]
+    inside = 0
     for sol in solutions:
         (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
-        assert sol.profile.a == sol.a_star and sol.profile.r_end == 1.0
-        assert abs(_recorded_zero(sol.profile, sol.k) - r_shot) <= 2.0 * rtol
+        profile, k = sol.profile, sol.k
+        assert profile.a == sol.a_star and profile.r_end == 1.0
+        zeros = profile.zero_crossings()
+        if r_shot < 1.0:
+            inside += 1
+            assert zeros[k - 1].r.hex() == r_shot.hex()
+        else:
+            assert len(zeros) == k - 1
+        assert abs(_recorded_zero(profile, k) - r_shot) <= 2.0 * rtol
+    if inputs is None:
+        assert 0 < inside < len(solutions)
 
 
 def test_miscounted_zero_pair_is_rejected(monkeypatch):
@@ -259,9 +289,9 @@ def test_miscounted_zero_pair_is_rejected(monkeypatch):
     profile is off the k=4 root of the Pruefer offset by -2 pi."""
 
     def overcounting(params, a, k, **kwargs):
-        return shoot(params, a, k - 2, **kwargs)
+        return ode.shot(params, a, k - 2, **kwargs)
 
-    monkeypatch.setattr(shooting, "shoot", overcounting)
+    monkeypatch.setattr(shooting, "shot", overcounting)
     with pytest.raises(NonconvergentBisection, match=r"offset -6\.283e\+00"):
         solve_nodal(Params(n=7, lam=2.0), 4)
 
@@ -294,19 +324,20 @@ def test_reference_sweep_shot_count(monkeypatch):
     hinit's Euler step, 11 stages per attempt, 1 more per accepted step;
     the 3 dense-output stages of the located zero are the end-of-run
     pass's): deterministic counts, 22 evaluations ([7, 4, 4, 4, 3]) and
-    63,771 RHS evaluations (63,837 with those stages).  The
-    scipy.integrate.ode dop853 shots took 65,493 RHS calls for the same 22
-    evaluations; shots from integrate's two-term start and seeds
-    extrapolated by grid index took 26 evaluations and 90,267 RHS calls,
+    64,723 RHS evaluations (64,789 with those stages).  The shots that
+    took no step in eighths into r = 1 and recorded nothing took 63,771
+    for the same 22 evaluations, the scipy.integrate.ode dop853 shots
+    65,493; shots from integrate's two-term start and seeds extrapolated
+    by grid index took 26 evaluations and 90,267 RHS calls,
     and the Pruefer search before the residual -log r_k 43 shots and
     107,115 RHS calls."""
     evaluations = []
     rhs_evaluations = 0
-    stepper = ode._dop853_shot
+    stepper = ode._dop853
 
     def recording(params, a, k, **kwargs):
         evaluations.append(params.lam)
-        return shoot(params, a, k, **kwargs)
+        return ode.shot(params, a, k, **kwargs)
 
     def counted(*args):
         nonlocal rhs_evaluations
@@ -314,8 +345,8 @@ def test_reference_sweep_shot_count(monkeypatch):
         rhs_evaluations += result[0]
         return result
 
-    monkeypatch.setattr(shooting, "shoot", recording)
-    monkeypatch.setattr(ode, "_dop853_shot", counted)
+    monkeypatch.setattr(shooting, "shot", recording)
+    monkeypatch.setattr(ode, "_dop853", counted)
     points = continuation_sweep(Params(n=7, lam=4.0), list(ACCEPTANCE_GRID), k=2)
     assert all(p.solution is not None for p in points)
     per_point = [evaluations.count(lam) for lam in ACCEPTANCE_GRID]
@@ -508,7 +539,7 @@ def test_interrupt_in_a_shot_escapes(monkeypatch):
         calls["abs"] += 1
         return abs(x)
 
-    generated = ode._dop853_shot.__globals__
+    generated = ode._dop853.__globals__
     monkeypatch.setitem(generated, "expm1", interrupted)
     monkeypatch.setitem(generated, "abs", counted)
     with pytest.raises(KeyboardInterrupt):
@@ -548,3 +579,40 @@ def test_solve_k_validation():
     # a sweep raises solve_nodal's ConfigError rather than recording it
     with pytest.raises(ConfigError, match="k must be >= 1"):
         continuation_sweep(Params(n=7, lam=2.0), [2.0, 1.0], k=0)
+
+
+def test_unaccepted_shots_freed_by_reference_counting(monkeypatch):
+    """A solve keeps every shot it makes until the search ends, and the
+    shots of the amplitudes it did not accept are then freed by reference
+    counting, not left to the cyclic collector: scipy's brentq wraps
+    residual in a NaN guard that holds it in a reference cycle, so no shot
+    may hang off residual's closure.  With the collector off, no shot
+    outlives its solve, and each repeated solve (five shots of n=7, k=1
+    at rtol 1e-6, each recording about 8.7 KB) leaves less than 20 KB
+    behind: 7.2 KB measured, 56 KB with the shots in residual's closure.
+    The solves are small because tracemalloc slows the stepping a
+    hundredfold."""
+    params, rtol, made = Params(n=7, lam=2.0), 1e-6, []
+    seed = dict(a_seed=1.5 * solve_nodal(params, 1, rtol=rtol).a_star, slope=0.1)
+
+    def tracked(params, a, k, **kwargs):
+        run = ode.shot(params, a, k, **kwargs)
+        made.append(weakref.ref(run))
+        return run
+
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        solve_nodal(params, 1, rtol=rtol, **seed)  # caches filled
+        before = tracemalloc.get_traced_memory()[0]
+        monkeypatch.setattr(shooting, "shot", tracked)
+        for _ in range(3):
+            solve_nodal(params, 1, rtol=rtol, **seed)
+        growth = tracemalloc.get_traced_memory()[0] - before
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(made) >= 6 and alive == 0
+    assert growth / 3 < 20_000, growth
