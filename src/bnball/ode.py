@@ -40,20 +40,22 @@ otherwise cancel.
 integrate returns the full profile (events, dense output) that features,
 certification and records read, on _FloatDop853: stock DOP853 bit for bit
 on Python floats; the stepper holds no reference cycle, so reference
-counting frees it.  A shot runs _dop853, DOP853 (Hairer, Norsett and
+counting frees it.  shot runs _dop853, DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.5-II.6) with Hairer's dop853 step rules, which
-records its steps up to r = 1 and runs on to the k-th zero of u.  Two
-entry points share it: shoot returns that zero's radius r_k, and shot the
-run, a Shot, whose profile() is built from its record, so a solve's
-profile is its accepted shot.  Both steppers are float code generated at
-import with the right-hand side inlined in each stage: the shot's stage
-sums are float sums without the tableau's zeros, an attempted step of
-integrate keeps scipy's numpy products.  Both build the problem with
-_deviation, whose rhs comes from the same source lines, and hand their
-steps to one end-of-run pass, _finish_steps, that builds the dense
-output, locates sign changes on it and names a blown step, and one
-profile assembly, _profile.  One evaluator of DOP853's dense output,
-_dense_state, locates roots on floats and evaluates profiles on arrays.
+records its steps up to r = 1 and runs on to the k-th zero of u; the run,
+a Shot, gives that zero's radius r_k and a profile() built from its
+record, so a solve's profile is its accepted shot.  Both steppers are
+float code generated at import with the right-hand side inlined in each
+stage: the shot's stage sums are float sums without the tableau's zeros,
+an attempted step of integrate keeps scipy's numpy products.  Both build
+the problem with _deviation, whose rhs comes from the same source lines,
+and record their steps alike: one packed row of _ROW floats per step and
+a mark per step where u or u' changes sign or the guard trips.  After
+the run, one pass, _finish_steps, builds the dense output of the record,
+locates sign changes on it and names a blown step, and one profile
+assembly, _assemble, makes the profile.  One evaluator of DOP853's dense
+output, _dense_state, locates roots on floats and evaluates profiles on
+arrays.
 """
 
 from __future__ import annotations
@@ -171,16 +173,25 @@ class RadialProfile:
         profile solves the same equation with lambda replaced by
         lambda M^{-2 beta}, so that is the params it carries; M =
         lambda^{(n-2)/4} carries lambda to 1, the lambda-absorbing frame.
+        An M that is not positive and finite, or whose radius factor M^beta
+        or derivative factor 1/(M M^beta) is not a positive float, is a
+        ConfigError.
         """
         if not (math.isfinite(M) and M > 0.0):
             raise ConfigError(f"scaling parameter must be positive, got {M}")
         params = self.params
-        c = M**params.beta
-        scaled_params = Params(n=params.n, lam=params.lam / (M * M) ** params.beta)
+        try:
+            c, lam = M**params.beta, params.lam * M ** (-2.0 * params.beta)
+            dc = 1.0 / (M * c)  # u' scales by it
+        except (OverflowError, ZeroDivisionError):
+            c = dc = math.inf
+        if not (0.0 < c < math.inf and 0.0 < dc < math.inf):
+            raise ConfigError(f"scaling parameter {M} takes M^beta or 1/(M M^beta) "
+                              "out of the positive floats")
         events = []
         for e in self.events:
             # zero crossings store u' there, derivative zeros store u
-            factor = 1.0 / (M * c) if e.kind == "zero-crossing" else 1.0 / M
+            factor = dc if e.kind == "zero-crossing" else 1.0 / M
             events.append(Event(kind=e.kind, r=c * e.r, value=factor * e.value))
 
         def dense(y):
@@ -188,7 +199,7 @@ class RadialProfile:
             return u / M, du / (M * c)
 
         return RadialProfile(
-            params=scaled_params,
+            params=Params(n=params.n, lam=lam),
             a=self.a / M,
             knots=c * self.knots,
             values=self.values / M,
@@ -217,6 +228,7 @@ class _Deviation:
     noise.
     """
 
+    params: Params
     n: int
     K: float  # n(n-2), and h = (n-2)/2: the bubble's constants
     h: float
@@ -356,6 +368,7 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
     # absolute floor shrinks with the amplitude.
     atol_scaled = atol / max(amp, 1.0)
     return _Deviation(
+        params=params,
         n=n,
         K=K,
         h=h,
@@ -383,7 +396,7 @@ class _StepPolynomials:
     step radii of an outward integration and piece i spans ts[i]..ts[i+1];
     on a step radius the step that ends there is used, as OdeSolution
     does.  ys holds the states at ts, and F stacks the coefficient rows
-    _FloatDop853 records, one per step.
+    _finish_steps builds, one per step.
     """
 
     ts: np.ndarray  # (pieces + 1,) step radii
@@ -414,6 +427,8 @@ def _blow_up(r_old: float) -> BlowUpDetected:
 
 
 _EVENT_KINDS = ("zero-crossing", "derivative-zero")  # of u, of u'
+
+NON_FINITE_STEP = "Dense output of the step is not finite."  # _finish_steps fails it
 
 
 def _dense_state(y, step):
@@ -452,13 +467,13 @@ def _root(step, g, *args) -> float:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
 
 
-def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
-    """The end-of-run pass of integrate, of r_k and of a shot's profile:
-    every step's dense-output rows F, (steps, 7, 2), and the roots of the
-    marked steps.
+def _finish_steps(dev: _Deviation, rows, marks, events) -> np.ndarray:
+    """The end-of-run pass of integrate, of r_k and of a shot's profile,
+    run once the run has ended: every step's dense-output rows F, (steps,
+    7, 2), and the roots of the marked steps.
 
-    taken holds the steps as rows (t_old, v, v', h, v_new, v'_new, t_new),
-    stages their 13 stage rows, (steps, 13, 2), and marks (step index,
+    rows, (steps, _ROW), holds each step as (t_old, v, v', h, v_new,
+    v'_new, t_new) and its 13 stage rows, and marks (step index,
     components of (u, u') that change sign, blown) in step order.  The
     extra stages and F are scipy's _dense_output_impl per step, batched on
     the same products, each extra stage's RHS in one _rhs_pass.  The first
@@ -470,11 +485,10 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
     start radius instead, since its polynomial leaps past the bound at no
     radius that means anything.  Run under np.errstate(all="ignore")."""
     n_rows = DOP853.n_stages + 1
-    steps = len(taken)
-    arr = np.reshape(taken, (-1, 7))
-    t_old, y_old, h, y_new = arr[:, 0], arr[:, 1:3], arr[:, 3:4], arr[:, 4:6]
+    steps = len(rows)
+    t_old, y_old, h, y_new = rows[:, 0], rows[:, 1:3], rows[:, 3:4], rows[:, 4:6]
     KX = np.empty((steps, dop853_coefficients.N_STAGES_EXTENDED, 2))
-    KX[:, :n_rows] = stages
+    KX[:, :n_rows] = rows[:, 7:].reshape(steps, n_rows, 2)
     k = memoryview(KX.reshape(-1))
     for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_rows):
         dy = np.matmul(KX[:, :s].transpose(0, 2, 1), a[:s])
@@ -496,7 +510,7 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
     for i, changes, blown in marks:
         if i >= good:
             break
-        y0, v, vp, _, _, _, y1 = arr[i].tolist()
+        y0, v, vp, _, _, _, y1 = rows[i, :7].tolist()
         if blown:
             raise _blow_up(y0 / dev.scale_r)
         step = (y0, y1, v, vp, F[i].tolist())
@@ -505,16 +519,14 @@ def _finish_steps(dev: _Deviation, taken, stages, marks, events) -> np.ndarray:
             value = dev.u_du(root, _dense_state(root, step))[1 - c]
             events.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
     if good < steps:
-        raise IntegrationFailed(
-            f"integration failed: {_FloatDop853.NON_FINITE_STEP}",
-            last_radius=float(arr[good, 0]) / dev.scale_r,
-        )
+        raise IntegrationFailed(f"integration failed: {NON_FINITE_STEP}",
+                                last_radius=float(rows[good, 0]) / dev.scale_r)
     return F
 
 
 class _FloatDop853(DOP853):
-    """scipy's DOP853 stepping outward on Python floats, with the events of
-    integrate.
+    """scipy's DOP853 stepping outward on Python floats, recording its steps
+    as a shot does.
 
     Takes the steps and counts the RHS evaluations (nfev) of stock DOP853
     bit for bit.  Each attempted step is one call of the generated
@@ -527,18 +539,19 @@ class _FloatDop853(DOP853):
     arithmetic in scipy's order.  fun is a float RHS fun(y, v, v') -> (v',
     v''), like _Deviation.rhs, for scipy's start.
 
-    _step_impl commits each step that passes error control and keeps its
-    states and a copy of its 13 stage rows, and marks it where the step-end
-    state trips the blow-up guard or, while the problem is trusted, u or u'
-    changes sign by solve_ivp's rule for an event of direction 0.  Where
-    the run ends (on the step that reaches t_bound, before a step size that
-    is too small fails it, or once the guard trips), still inside
-    solve_ivp, _finish hands the steps and marks to _finish_steps, with
-    crossings for its events, and appends the rows it returns to rows.
-    Callers run the stepper under np.errstate(all="ignore"): a NaN trial
-    step is then rejected as in stock DOP853, without a warning, and a NaN
-    step size is too small.  Runs go outward (_deviation refuses inward
-    ones) without a cap on the step.
+    _step_impl commits each step that passes error control and appends it
+    to record as a shot records its steps, a packed row of _ROW floats:
+    (t_old, v, v', h, v_new, v'_new, t_new) and its 13 stage rows.  Where
+    the step-end state trips the blow-up guard or, while the problem is
+    trusted, u or u' changes sign by solve_ivp's rule for an event of
+    direction 0, it appends (step index, components that change sign,
+    blown) to marks.  A blown step ends the run as a failed step.  nfev
+    counts the 3 extra stages of each committed step, which _finish_steps
+    evaluates once solve_ivp has returned.  Callers run the stepper under
+    np.errstate(all="ignore"): a NaN trial step is then rejected as in
+    stock DOP853, without a warning, and a NaN step size is too small.
+    Runs go outward (_deviation refuses inward ones) without a cap on the
+    step.
 
     scipy's OdeSolver wraps the RHS in closures over the solver, a
     reference cycle, and calls them only for its start (f0 and the initial
@@ -547,9 +560,7 @@ class _FloatDop853(DOP853):
     cycle and reference counting frees it however its run ends.
     """
 
-    NON_FINITE_STEP = "Dense output of the step is not finite."
-
-    def __init__(self, fun, t0, y0, t_bound, *, deviation, crossings, rows, **options):
+    def __init__(self, fun, t0, y0, t_bound, *, deviation, record, marks, **options):
         # scipy's own start: the first RHS call and the initial step size
         super().__init__(
             lambda t, y: fun(float(t), *y.tolist()), t0, y0, t_bound, **options
@@ -557,10 +568,8 @@ class _FloatDop853(DOP853):
         # scipy's closures over the solver, a reference cycle; only the start
         # above calls them
         self.fun = self.fun_single = self.fun_vectorized = None
-        self.deviation = deviation
         self.trusted = deviation.trusted
-        self.crossings = crossings
-        self.rows = rows
+        self.record, self.marks, self.steps = record, marks, 0
         self.y = tuple(self.y.tolist())
         self.f = tuple(self.f.tolist())
         self.h_abs = float(self.h_abs)
@@ -577,9 +586,6 @@ class _FloatDop853(DOP853):
             self.rtol, self.atol, self.k, dots, np.empty(2),
         )
         self.signs = deviation.signs(t0, self.y)
-        self.taken = []  # (t_old, v, v', h, v_new, v'_new, t_new) of each step
-        self.stage_rows = []  # the bytes of each step's stage rows 0..n_stages
-        self.marks = []  # (step index, components that change sign, blown)
 
     def _step_impl(self):
         t, t_bound, attempt, k = self.t, self.t_bound, self.attempt, self.k
@@ -592,7 +598,6 @@ class _FloatDop853(DOP853):
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # NaN too: atol scaled to 0 on a zero state
-                self._finish()
                 return False, self.TOO_SMALL_STEP
 
             t_new = min(t + h_abs, t_bound)
@@ -617,8 +622,10 @@ class _FloatDop853(DOP853):
         self.y = (v_new, vp_new)
         self.h_abs = h_abs
         self.f = (vp_new, f_new)
-        self.taken.append((t, v, vp, h, v_new, vp_new, t_new))
-        self.stage_rows.append(self.K.tobytes())
+        self.nfev += len(self.A_EXTRA)
+        record = self.record
+        record += _pack_step(t, v, vp, h, v_new, vp_new, t_new)
+        record += self.K.data  # stage rows 0..n_stages
 
         # a sign change by solve_ivp's rule for an event of direction 0
         g, dg = self.signs
@@ -628,18 +635,9 @@ class _FloatDop853(DOP853):
         blown = abs(w) >= BLOWUP_BOUND
         if blown or zero or dzero:
             changes = [c for c, change in enumerate((zero, dzero)) if change]
-            self.marks.append((len(self.taken) - 1, changes, blown))
-        if blown or t_new == t_bound:  # the run ends
-            self._finish()
-        return True, None
-
-    def _finish(self):
-        """The end-of-run pass over every step taken: 3 RHS evaluations each."""
-        steps = len(self.taken)
-        self.nfev += len(self.A_EXTRA) * steps
-        stages = np.frombuffer(b"".join(self.stage_rows)).reshape(steps, self.n_stages + 1, 2)
-        F = _finish_steps(self.deviation, self.taken, stages, self.marks, self.crossings)
-        self.rows.append(F)
+            self.marks.append((self.steps, changes, blown))
+        self.steps += 1
+        return (False, "blow-up") if blown else (True, None)
 
 
 def integrate(
@@ -655,25 +653,23 @@ def integrate(
     Integrates the unit-amplitude deviation problem out to y = |a|^beta *
     r_stop on _FloatDop853 at run_tolerances(rtol, atol) (a bad tolerance
     raises before any step), in one solve_ivp call, and maps it back to
-    physical variables.  The stepper locates each sign change of u or u'
-    on the dense output of the step that finds it, by solve_ivp's
-    bracketed root-finding (well below 1e-12 radius accuracy), and records
-    it as an event; the dense output is stacked from the step states and
-    the coefficient rows _finish_steps builds when the run ends.  knots hold the
-    integrator steps plus DENSE_SAMPLES interior samples per step; `steps`
-    keeps the raw step radii, whose dense-output pieces downstream
-    quadrature integrates piecewise.  The profile answers radii below the
-    first knot from _Deviation.start, the two-term series the run starts
-    from.  Everything returned is bit-identical to solve_ivp with
-    method="DOP853" and the same checks as event functions, its dense
+    physical variables.  After the run, _assemble builds the profile from
+    its record as a shot's, and _finish_steps locates each sign change of
+    u or u' on the dense output of the step that found it, by solve_ivp's
+    bracketed root-finding (well below 1e-12 radius accuracy), as an
+    event.  knots hold the integrator steps plus DENSE_SAMPLES interior
+    samples per step; `steps` keeps the raw step radii, whose dense-output
+    pieces downstream quadrature integrates piecewise.  The profile answers
+    radii below the first knot from _Deviation.start, the two-term series
+    the run starts from.  Everything returned is bit-identical to solve_ivp
+    with method="DOP853" and the same checks as event functions, its dense
     output from the first knot on.  A step whose dense output is not
     finite is IntegrationFailed at its start radius, under any warnings
     filter, whatever later steps would have found.
     """
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, r_stop, atol)
-    scale_r = dev.scale_r
-    events, rows = [], []
+    record, marks = bytearray(), []
     with np.errstate(all="ignore"):
         sol = solve_ivp(
             dev.rhs,
@@ -683,32 +679,41 @@ def integrate(
             rtol=rtol,
             atol=dev.atol_scaled,
             deviation=dev,
-            crossings=events,
-            rows=rows,
+            record=record,
+            marks=marks,
         )
-    if not sol.success:
-        raise IntegrationFailed(
-            f"integration failed: {sol.message}", last_radius=sol.t[-1] / scale_r
-        )
-    (F,) = rows
-    return _profile(params, dev, sol.t, sol.y.T, F, events, dev.start)
+    failure = None if sol.success else IntegrationFailed(
+        f"integration failed: {sol.message}", last_radius=sol.t[-1] / dev.scale_r
+    )
+    return _assemble(dev, (dev.y0, dev.s0), record, marks, dev.start, failure)
 
 
-def _profile(params: Params, dev: _Deviation, ts, states, F, events, series) -> RadialProfile:
-    """The profile of an outward run in physical variables: ts its step
-    radii, states the (v, v') there, F the rows _finish_steps built and
-    events the sign changes it located, sorted here by radius (stably, so
-    a zero crossing stays before a derivative zero at the same radius).
-    series(y) gives (v, v') below ts[0], from the series the run started
-    from.  knots hold the steps plus DENSE_SAMPLES interior samples per
-    step."""
+def _assemble(dev: _Deviation, start, record, marks, series, failure) -> RadialProfile:
+    """The profile in physical variables of an outward run from start =
+    (y0, (v, v')), which committed the steps in record, packed rows of
+    _ROW floats, and marked them in marks, as _finish_steps takes them.
+
+    _finish_steps runs first, so a blown step or one whose dense output is
+    not finite raises ahead of failure: the run's own IntegrationFailed
+    where it ended short of its end, else None.  The events it locates
+    are sorted by radius (stably, so a zero crossing stays before a
+    derivative zero at the same radius).  series(y) gives (v, v') below
+    y0, from the series the run started from.  knots hold the steps plus
+    DENSE_SAMPLES interior samples per step."""
+    rows = np.frombuffer(record).reshape(-1, _ROW)
+    events = []
+    with np.errstate(all="ignore"):
+        F = _finish_steps(dev, rows, marks, events)
+    if failure is not None:
+        raise failure
+    y_first, state = start
+    ts = np.concatenate([[y_first], rows[:, 6]])
     scale_r = dev.scale_r
     events.sort(key=lambda e: e.r)
-    dense = _StepPolynomials(ts, states, F)
+    dense = _StepPolynomials(ts, np.concatenate([[state], rows[:, 4:6]]), F)
     fill = np.linspace(ts[:-1], ts[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
     ys = np.sort(np.concatenate([ts, fill.ravel()]))
     knots = ys / scale_r
-    y_first = ts[0]
 
     def at_r(r):
         """(u, u') at radii r: the start series below the first knot, the
@@ -725,7 +730,7 @@ def _profile(params: Params, dev: _Deviation, ts, states, F, events, series) -> 
 
     values, derivs = dev.u_du(ys, dense(ys))
     return RadialProfile(
-        params=params,
+        params=dev.params,
         a=dev.a,
         knots=knots,
         values=values,
@@ -859,7 +864,7 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
         xnew = y_stop if inside and last else y + hh
 {new}
         k12v, nfev = pnew, nfev + 1
-        step = (y, v, vp, hh, vnew, pnew, xnew, {stage_rows})
+        step = (y, v, vp, hh, vnew, pnew, xnew, {k_rows})
         if abs(w) >= {blowup!r}:
             if inside:  # marked without sign changes, which _finish_steps does not locate there
                 record += pack(*step)
@@ -959,8 +964,9 @@ def _make_rhs(K, h, p, n1, lam):
 """
 
 
-# Floats per row of a shot's record: (y, v, v', h, v_new, v'_new, y_new), k0..k12.
+# Floats per row of a step record: (y, v, v', h, v_new, v'_new, y_new), k0..k12.
 _ROW = 7 + 2 * (DOP853.n_stages + 1)
+_pack_step = struct.Struct("7d").pack  # a row's first 7 floats
 
 
 def _generate() -> dict:
@@ -977,7 +983,7 @@ def _generate() -> dict:
         euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
         stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
-        stage_rows=", ".join(f"{v}, {p}" for v, p in zip(kv, kp)),
+        k_rows=", ".join(f"{v}, {p}" for v, p in zip(kv, kp)),
         b_v=_sum(T.B, kv), b_p=_sum(T.B, kp), e5_v=_sum(T.E5, kv), e5_p=_sum(T.E5, kp),
         e3_v=_sum(T.E3, kv), e3_p=_sum(T.E3, kp),
         facc1=1.0 / 0.333, facc2=1.0 / 6.0, safe=0.9, uround=2.3e-16, blowup=BLOWUP_BOUND,
@@ -1010,10 +1016,9 @@ class Shot:
     """One run of _dop853 on u(0) = a from its series start (y0, (v, v')):
     how it ended, at the scaled radius `radius` ("untrusted", without
     either, where no run was made), the rows of its blown step and of zero
-    k's step, and the steps committed up to r = 1 and their marks, as
-    _finish_steps takes them."""
+    k's step, and the steps committed up to r = 1 and their marks, the
+    record _finish_steps and _assemble take once the run has ended."""
 
-    params: Params
     dev: _Deviation
     start: tuple | None
     end: str
@@ -1036,35 +1041,28 @@ class Shot:
             if self.end != "blow-up":
                 raise self._failure()
             row, mark = self.blown, (0, [], True)
-        row = np.reshape(row, (1, -1))
         zeros = []  # a blown step raises before it gives one
         with np.errstate(all="ignore"):
-            _finish_steps(self.dev, row[:, :7], row[:, 7:].reshape(1, -1, 2), [mark], zeros)
+            _finish_steps(self.dev, np.reshape(row, (1, _ROW)), [mark], zeros)
         return zeros[0].r
 
     def profile(self) -> RadialProfile:
         """The profile out to r = 1 from the recorded steps, assembled as
-        integrate's, with every sign change of u and u' as an event; below
-        the series start it answers from the series.  A run that failed
-        short of r = 1 raises as r_k does, unless an earlier step's dense
-        output is not finite and fails it first; SingularPoint where the
-        series start lies at or beyond r = 1; IntegrationFailed without a run."""
+        integrate's by _assemble, with every sign change of u and u' as an
+        event; below the series start it answers from the series.  A run
+        that failed short of r = 1 raises as r_k does, unless an earlier
+        step's dense output is not finite and fails it first, as in
+        integrate; SingularPoint where the series start lies at or beyond
+        r = 1; IntegrationFailed without a run."""
         if self.start is None:
             raise IntegrationFailed("integration failed: untrusted, so the shot made no run")
-        dev, (y0, state) = self.dev, self.start
+        dev, (y0, _) = self.dev, self.start
         if not y0 < dev.scale_r:  # r = 1
             raise SingularPoint(f"r = 1 does not lie beyond the series-start radius "
                                 f"{y0 / dev.scale_r:g} of amplitude {dev.a:g}")
-        if self.end != "blow-up" and self.radius < dev.scale_r:
-            raise self._failure()
-        rows = np.frombuffer(self.record).reshape(-1, _ROW)
-        events = []
-        with np.errstate(all="ignore"):
-            F = _finish_steps(dev, rows[:, :7], rows[:, 7:].reshape(len(rows), -1, 2),
-                              self.marks, events)
-        ts = np.concatenate([[y0], rows[:, 6]])
-        states = np.concatenate([[state], rows[:, 4:6]])
-        return _profile(self.params, dev, ts, states, F, events, dev.series_state)
+        failed = self.end != "blow-up" and self.radius < dev.scale_r
+        return _assemble(dev, self.start, self.record, self.marks, dev.series_state,
+                         self._failure() if failed else None)
 
     def _failure(self) -> IntegrationFailed:
         return IntegrationFailed(f"integration failed: {self.end}",
@@ -1078,12 +1076,14 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
     _Deviation.series_start, where the series is exact to rounding; none
     below the zero-trust floor, where sign changes are noise.  A bad
     tolerance raises before any step, an error scale of 0 as
-    IntegrationFailed; other failures are the Shot's to raise."""
+    IntegrationFailed; other failures are the Shot's to raise.  Its r_k
+    is the radius of zero k, inside the ball or beyond, inf where the
+    problem is untrusted or zero k lies beyond SHOOT_END."""
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, SHOOT_END, atol)
     record, marks = bytearray(), []
     if not dev.trusted:
-        return Shot(params, dev, None, "untrusted", None, None, None, record, marks)
+        return Shot(dev, None, "untrusted", None, None, None, record, marks)
     y0, state = dev.series_start()
     try:
         _, end, radius, blown, zero = _dop853(
@@ -1092,12 +1092,4 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
         )
     except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    return Shot(params, dev, (y0, state), end, radius, blown, zero, record, marks)
-
-
-def shoot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
-          atol: float = DEFAULT_ATOL) -> float:
-    """Radius r_k of the k-th zero of u(0) = a, inside the ball or beyond:
-    shot(params, a, k).r_k, inf where the problem is untrusted or zero k
-    lies beyond SHOOT_END."""
-    return shot(params, a, k, rtol=rtol, atol=atol).r_k
+    return Shot(dev, (y0, state), end, radius, blown, zero, record, marks)

@@ -25,7 +25,7 @@ from bnball.model import (
 )
 from bnball import ode
 from bnball.diagnostics import RESIDUAL_TOL
-from bnball.ode import DEFAULT_RTOL, integrate, shoot
+from bnball.ode import DEFAULT_RTOL, integrate
 from bnball.shooting import (
     BOUNDARY_TOL,
     _pruefer,
@@ -521,7 +521,7 @@ def test_sweep_records_per_point_errors():
 
 def test_interrupt_in_a_shot_escapes(monkeypatch):
     """Ctrl-C inside a shot's right-hand side is no integration failure: it
-    leaves shoot, and the sweep, as KeyboardInterrupt, and no RHS
+    leaves ode.shot, and the sweep, as KeyboardInterrupt, and no RHS
     evaluation follows it.  The interrupt is raised from expm1, which the
     inlined right-hand side calls on its stable branch; every evaluation
     calls abs, so its calls after the raise count the evaluations."""
@@ -543,7 +543,7 @@ def test_interrupt_in_a_shot_escapes(monkeypatch):
     monkeypatch.setitem(generated, "expm1", interrupted)
     monkeypatch.setitem(generated, "abs", counted)
     with pytest.raises(KeyboardInterrupt):
-        shoot(Params(n=7, lam=2.0), 4.25e19, 2)
+        ode.shot(Params(n=7, lam=2.0), 4.25e19, 2)
     assert calls == {"expm1": 500, "abs": at_raise[-1]}
     calls["expm1"] = 0
     with pytest.raises(KeyboardInterrupt):

@@ -95,6 +95,23 @@ def test_scaling_map_validation():
             profile.rescaled(M)
 
 
+def test_scaling_map_extreme_lambda():
+    """At n=7 and M = 1e160, (M M)^beta would overflow though the rescaled
+    lambda, lambda M^{-2 beta} = 2e-128, is a float: it is carried, not 0."""
+    scaled = polynomial_profile((1.0, -1.0), n=7, lam=2.0).rescaled(1e160)
+    assert scaled.params.lam == pytest.approx(2e-128, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("M", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_scaling_map_out_of_float_range_is_config_error(M):
+    """At n=3, beta = 2: M = 1e200 overflows M^beta, and M = 1e-200
+    underflows it to 0, so 1/(M M^beta) has no float value.  Both are the
+    ConfigError of a non-finite M, not a raw arithmetic error."""
+    profile = polynomial_profile((1.0, -1.0), n=3, lam=1.0)
+    with pytest.raises(ConfigError, match="out of the positive floats"):
+        profile.rescaled(M)
+
+
 def test_rescale_round_trip():
     profile = polynomial_profile((1.0, -3.0, 2.0), n=7, lam=2.0)
     M = 5.0
