@@ -5,10 +5,9 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
     u'' + (n-1)/r u' + lambda u + |u|^(2*-2) u = 0,    u'(0) = 0,
 
 which is singular at the origin.  integrate starts from the two-term
-series of the deviation below at a small radius r0 instead, and its
-profiles answer radii below r0 from the same series; a shot starts
-further out, where a longer series is exact to rounding, and the profile
-of a shot answers from that one.
+series of the deviation below at a small radius r0 instead; a shot starts
+further out, where the 8-term series is exact to rounding.  Every profile
+answers radii below its first knot from the 8-term series.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -50,12 +49,12 @@ stage: the shot's stage sums are float sums without the tableau's zeros,
 an attempted step of integrate keeps scipy's numpy products.  Both build
 the problem with _deviation, whose rhs comes from the same source lines,
 and record their steps alike: one packed row of _ROW floats per step and
-a mark per step where u or u' changes sign or the guard trips.  After
-the run, one pass, _finish_steps, builds the dense output of the record,
-locates sign changes on it and names a blown step, and one profile
-assembly, _assemble, makes the profile.  One evaluator of DOP853's dense
-output, _dense_state, locates roots on floats and evaluates profiles on
-arrays.
+a mark per step where u or u' changes sign or the guard trips.  Each run
+is a Shot, and Shot.profile is the one profile builder: after the run,
+one pass, _finish_steps, builds the dense output of the record, locates
+sign changes on it and names a blown step, and the profile reads its
+pieces from the record.  One evaluator of DOP853's dense output,
+_dense_state, locates roots on floats and evaluates profiles on arrays.
 """
 
 from __future__ import annotations
@@ -152,11 +151,15 @@ class RadialProfile:
 
     def u_du(self, r):
         """(u, u') at r from one dense evaluation; floats for scalar r.  A
-        radius past r_end by more than radial_norms' slack, 1e-12 max(1,
-        r_end), raises OutOfDomain."""
+        radius outside [0, r_end] by more than radial_norms' slack, 1e-12
+        max(1, r_end), or NaN raises OutOfDomain."""
         radii = np.atleast_1d(np.asarray(r, dtype=float))
-        if (radii > self.r_end + 1e-12 * max(1.0, self.r_end)).any():
+        slack = 1e-12 * max(1.0, self.r_end)
+        if (radii > self.r_end + slack).any():
             raise OutOfDomain(f"radius {radii.max():g} lies beyond r_end = {self.r_end:g}")
+        below = ~(radii >= -slack)  # NaN too
+        if below.any():
+            raise OutOfDomain(f"radius {radii[below][0]:g} lies outside [0, {self.r_end:g}]")
         u, du = self.dense(radii)
         return (float(u[0]), float(du[0])) if np.ndim(r) == 0 else (u, du)
 
@@ -222,8 +225,9 @@ class _Deviation:
     """The unit-amplitude deviation problem of one nonzero amplitude.
 
     rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
-    on Python floats.  integrate runs from the two-term series state s0 =
-    start(y0) out to y_end, a shot from series_start().
+    on Python floats.  integrate runs from the two-term series state s0
+    at y0 out to y_end, a shot from series_start(); every profile answers
+    below its first knot from series_state.
     trusted says whether sign changes of u can be told from integration
     noise.
     """
@@ -281,16 +285,13 @@ class _Deviation:
             g.append(sum(((p + 1.0) * i - m) * q[i] * g[m - i] for i in range(1, m + 1)) / m)
         return tuple(v)
 
-    def start(self, y):
-        """The two-term series state (v, v') = v_1 z + v_2 z^2 of series
-        at scaled radius y, scalar or array."""
-        _, v1, v2 = self.series[:3]
-        return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
-
     @property
     def s0(self) -> tuple[float, float]:
-        """integrate's start (v, v') at y0."""
-        return self.start(self.y0)
+        """integrate's start (v, v') at y0: the two-term series v_1 z + v_2
+        z^2 of series."""
+        _, v1, v2 = self.series[:3]
+        y = self.y0
+        return v1 * y * y + v2 * y**4, 2.0 * v1 * y + 4.0 * v2 * y**3
 
     def series_start(self) -> tuple[float, tuple[float, float]]:
         """The scaled radius y_s where a shot starts and the state (v, v')
@@ -387,27 +388,28 @@ def _deviation(params: Params, a: float, r_stop: float, atol: float) -> _Deviati
 
 @dataclass(frozen=True)
 class _StepPolynomials:
-    """DOP853's dense output with every step polynomial stacked in arrays.
+    """DOP853's dense output of a step record, every step polynomial read
+    from arrays.
 
     Evaluates the deviation state at an array of scaled radii in one pass
     of _dense_state, elementwise over the pieces the radii fall in, with
     exactly the arithmetic of scipy's OdeSolution over Dop853DenseOutput
-    pieces, so every value is bit-identical to it.  ts holds the ascending
-    step radii of an outward integration and piece i spans ts[i]..ts[i+1];
-    on a step radius the step that ends there is used, as OdeSolution
-    does.  ys holds the states at ts, and F stacks the coefficient rows
-    _finish_steps builds, one per step.
+    pieces, so every value is bit-identical to it.  rows, (steps, _ROW),
+    is the record of an outward run, whose step i spans rows[i, 0] to
+    rows[i, 6] from the state rows[i, 1:3]; on a step radius the step that
+    ends there is used, as OdeSolution does.  F stacks the coefficient
+    rows _finish_steps builds, one per step.
     """
 
-    ts: np.ndarray  # (pieces + 1,) step radii
-    ys: np.ndarray  # (pieces + 1, 2) state at each step radius
-    F: np.ndarray  # (pieces, 7, 2) polynomial coefficients
+    rows: np.ndarray  # (steps, _ROW) step record
+    F: np.ndarray  # (steps, 7, 2) polynomial coefficients
 
     def __call__(self, y):
         """State (v, v') at y, each of y's shape."""
-        i = np.clip(np.searchsorted(self.ts, y, side="left") - 1, 0, len(self.F) - 1)
-        rows = self.F.transpose(1, 2, 0)[..., i]  # 7 rows of (v, v') coefficients
-        return _dense_state(y, (self.ts[i], self.ts[i + 1], *self.ys[i].T, rows))
+        rows = self.rows
+        i = np.minimum(np.searchsorted(rows[:, 6], y, side="left"), len(rows) - 1)
+        F = self.F.transpose(1, 2, 0)[..., i]  # 7 rows of (v, v') coefficients
+        return _dense_state(y, (rows[i, 0], rows[i, 6], rows[i, 1], rows[i, 2], F))
 
 
 def run_tolerances(rtol: float, atol: float) -> tuple[float, float]:
@@ -468,9 +470,9 @@ def _root(step, g, *args) -> float:
 
 
 def _finish_steps(dev: _Deviation, rows, marks, events) -> np.ndarray:
-    """The end-of-run pass of integrate, of r_k and of a shot's profile,
-    run once the run has ended: every step's dense-output rows F, (steps,
-    7, 2), and the roots of the marked steps.
+    """The end-of-run pass of Shot.r_k and Shot.profile, run once the run
+    has ended: every step's dense-output rows F, (steps, 7, 2), and the
+    roots of the marked steps.
 
     rows, (steps, _ROW), holds each step as (t_old, v, v', h, v_new,
     v'_new, t_new) and its 13 stage rows, and marks (step index,
@@ -652,20 +654,20 @@ def integrate(
 
     Integrates the unit-amplitude deviation problem out to y = |a|^beta *
     r_stop on _FloatDop853 at run_tolerances(rtol, atol) (a bad tolerance
-    raises before any step), in one solve_ivp call, and maps it back to
-    physical variables.  After the run, _assemble builds the profile from
-    its record as a shot's, and _finish_steps locates each sign change of
-    u or u' on the dense output of the step that found it, by solve_ivp's
-    bracketed root-finding (well below 1e-12 radius accuracy), as an
-    event.  knots hold the integrator steps plus DENSE_SAMPLES interior
-    samples per step; `steps` keeps the raw step radii, whose dense-output
-    pieces downstream quadrature integrates piecewise.  The profile answers
-    radii below the first knot from _Deviation.start, the two-term series
-    the run starts from.  Everything returned is bit-identical to solve_ivp
-    with method="DOP853" and the same checks as event functions, its dense
-    output from the first knot on.  A step whose dense output is not
-    finite is IntegrationFailed at its start radius, under any warnings
-    filter, whatever later steps would have found.
+    raises before any step), in one solve_ivp call, from the two-term
+    series state _Deviation.s0, and returns the profile() of the run as a
+    Shot to y_end, in physical variables.  That profile locates each sign
+    change of u or u' on the dense output of the step that found it, by
+    solve_ivp's bracketed root-finding (well below 1e-12 radius accuracy),
+    as an event; knots hold the integrator steps plus DENSE_SAMPLES
+    interior samples per step, and `steps` keeps the raw step radii, whose
+    dense-output pieces downstream quadrature integrates piecewise.
+    Everything returned is bit-identical to solve_ivp with method="DOP853"
+    and the same checks as event functions, its dense output from the
+    first knot on; below it the profile answers from the 8-term series, as
+    a shot's does.  A step whose dense output is not finite is
+    IntegrationFailed at its start radius, under any warnings filter,
+    whatever later steps would have found.
     """
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, r_stop, atol)
@@ -682,64 +684,8 @@ def integrate(
             record=record,
             marks=marks,
         )
-    failure = None if sol.success else IntegrationFailed(
-        f"integration failed: {sol.message}", last_radius=sol.t[-1] / dev.scale_r
-    )
-    return _assemble(dev, (dev.y0, dev.s0), record, marks, dev.start, failure)
-
-
-def _assemble(dev: _Deviation, start, record, marks, series, failure) -> RadialProfile:
-    """The profile in physical variables of an outward run from start =
-    (y0, (v, v')), which committed the steps in record, packed rows of
-    _ROW floats, and marked them in marks, as _finish_steps takes them.
-
-    _finish_steps runs first, so a blown step or one whose dense output is
-    not finite raises ahead of failure: the run's own IntegrationFailed
-    where it ended short of its end, else None.  The events it locates
-    are sorted by radius (stably, so a zero crossing stays before a
-    derivative zero at the same radius).  series(y) gives (v, v') below
-    y0, from the series the run started from.  knots hold the steps plus
-    DENSE_SAMPLES interior samples per step."""
-    rows = np.frombuffer(record).reshape(-1, _ROW)
-    events = []
-    with np.errstate(all="ignore"):
-        F = _finish_steps(dev, rows, marks, events)
-    if failure is not None:
-        raise failure
-    y_first, state = start
-    ts = np.concatenate([[y_first], rows[:, 6]])
-    scale_r = dev.scale_r
-    events.sort(key=lambda e: e.r)
-    dense = _StepPolynomials(ts, np.concatenate([[state], rows[:, 4:6]]), F)
-    fill = np.linspace(ts[:-1], ts[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
-    ys = np.sort(np.concatenate([ts, fill.ravel()]))
-    knots = ys / scale_r
-
-    def at_r(r):
-        """(u, u') at radii r: the start series below the first knot, the
-        dense output from it on.  The first knot is read at the start
-        radius, which fl(knots[0] * scale_r) does not always round back to,
-        so that it gives the first sample exactly."""
-        y = r * scale_r
-        y[r == knots[0]] = y_first
-        v, vp = dense(y)
-        below = r < knots[0]
-        if below.any():  # the series costs about as much as the dense pass
-            v[below], vp[below] = series(y[below])
-        return dev.u_du(y, (v, vp))
-
-    values, derivs = dev.u_du(ys, dense(ys))
-    return RadialProfile(
-        params=dev.params,
-        a=dev.a,
-        knots=knots,
-        values=values,
-        derivs=derivs,
-        events=events,
-        r_end=ts[-1] / scale_r,
-        dense=at_r,
-        steps=ts / scale_r,
-    )
+    return Shot(dev, dev.y0, dev.y_end, sol.message, sol.t[-1], None, None, record,
+                marks).profile()
 
 
 def _rhs_lines(y: str, v: str, vp: str, out: str) -> list[str]:
@@ -1013,14 +959,18 @@ _make_attempt, _rhs_pass = _GENERATED["_make_attempt"], _GENERATED["_rhs_pass"]
 
 @dataclass(frozen=True)
 class Shot:
-    """One run of _dop853 on u(0) = a from its series start (y0, (v, v')):
+    """One outward run on u(0) = a from its start at the scaled radius y0:
     how it ended, at the scaled radius `radius` ("untrusted", without
     either, where no run was made), the rows of its blown step and of zero
-    k's step, and the steps committed up to r = 1 and their marks, the
-    record _finish_steps and _assemble take once the run has ended."""
+    k's step, and the steps committed up to the scaled radius stop and
+    their marks, the record _finish_steps and profile() take once the run
+    has ended.  shot fills one from _dop853 with stop at r = 1, integrate
+    from _FloatDop853 with stop at r_stop and its solve_ivp message as
+    end."""
 
     dev: _Deviation
-    start: tuple | None
+    y0: float | None
+    stop: float
     end: str
     radius: float | None
     blown: tuple | None = field(repr=False)
@@ -1047,22 +997,61 @@ class Shot:
         return zeros[0].r
 
     def profile(self) -> RadialProfile:
-        """The profile out to r = 1 from the recorded steps, assembled as
-        integrate's by _assemble, with every sign change of u and u' as an
-        event; below the series start it answers from the series.  A run
-        that failed short of r = 1 raises as r_k does, unless an earlier
-        step's dense output is not finite and fails it first, as in
-        integrate; SingularPoint where the series start lies at or beyond
-        r = 1; IntegrationFailed without a run."""
-        if self.start is None:
+        """The profile in physical variables out to stop, the one builder
+        of a run's profile: _finish_steps runs on the record first, so a
+        blown step or one whose dense output is not finite raises ahead of
+        a run that failed short of stop, which raises as r_k does.  The
+        located events are sorted by radius (stably, so a zero crossing
+        stays before a derivative zero at the same radius); knots hold the
+        steps plus DENSE_SAMPLES interior samples per step, and below the
+        first knot the profile answers from the 8-term series.
+        SingularPoint where the start lies at or beyond stop;
+        IntegrationFailed without a run."""
+        if self.y0 is None:
             raise IntegrationFailed("integration failed: untrusted, so the shot made no run")
-        dev, (y0, _) = self.dev, self.start
-        if not y0 < dev.scale_r:  # r = 1
-            raise SingularPoint(f"r = 1 does not lie beyond the series-start radius "
-                                f"{y0 / dev.scale_r:g} of amplitude {dev.a:g}")
-        failed = self.end != "blow-up" and self.radius < dev.scale_r
-        return _assemble(dev, self.start, self.record, self.marks, dev.series_state,
-                         self._failure() if failed else None)
+        dev, y0 = self.dev, self.y0
+        scale_r = dev.scale_r
+        if not y0 < self.stop:
+            raise SingularPoint(f"r = {self.stop / scale_r:g} does not lie beyond the "
+                                f"series-start radius {y0 / scale_r:g} of amplitude {dev.a:g}")
+        rows = np.frombuffer(self.record).reshape(-1, _ROW)
+        events = []
+        with np.errstate(all="ignore"):
+            F = _finish_steps(dev, rows, self.marks, events)
+        if self.end != "blow-up" and self.radius < self.stop:
+            raise self._failure()
+        ts = np.concatenate([[y0], rows[:, 6]])
+        events.sort(key=lambda e: e.r)
+        dense = _StepPolynomials(rows, F)
+        fill = np.linspace(ts[:-1], ts[1:], DENSE_SAMPLES + 2, axis=1)[:, 1:-1]
+        ys = np.sort(np.concatenate([ts, fill.ravel()]))
+        knots = ys / scale_r
+
+        def at_r(r):
+            """(u, u') at radii r: the series below the first knot, the
+            dense output from it on.  The first knot is read at the start
+            radius, which fl(knots[0] * scale_r) does not always round back
+            to, so that it gives the first sample exactly."""
+            y = r * scale_r
+            y[r == knots[0]] = y0
+            v, vp = dense(y)
+            below = r < knots[0]
+            if below.any():  # the series costs about as much as the dense pass
+                v[below], vp[below] = dev.series_state(y[below])
+            return dev.u_du(y, (v, vp))
+
+        values, derivs = dev.u_du(ys, dense(ys))
+        return RadialProfile(
+            params=dev.params,
+            a=dev.a,
+            knots=knots,
+            values=values,
+            derivs=derivs,
+            events=events,
+            r_end=ts[-1] / scale_r,
+            dense=at_r,
+            steps=ts / scale_r,
+        )
 
     def _failure(self) -> IntegrationFailed:
         return IntegrationFailed(f"integration failed: {self.end}",
@@ -1078,12 +1067,13 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
     tolerance raises before any step, an error scale of 0 as
     IntegrationFailed; other failures are the Shot's to raise.  Its r_k
     is the radius of zero k, inside the ball or beyond, inf where the
-    problem is untrusted or zero k lies beyond SHOOT_END."""
+    problem is untrusted or zero k lies beyond SHOOT_END; its record, and
+    so its profile(), stops at r = 1."""
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, SHOOT_END, atol)
     record, marks = bytearray(), []
     if not dev.trusted:
-        return Shot(dev, None, "untrusted", None, None, None, record, marks)
+        return Shot(dev, None, dev.scale_r, "untrusted", None, None, None, record, marks)
     y0, state = dev.series_start()
     try:
         _, end, radius, blown, zero = _dop853(
@@ -1092,4 +1082,4 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
         )
     except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    return Shot(dev, (y0, state), end, radius, blown, zero, record, marks)
+    return Shot(dev, y0, dev.scale_r, end, radius, blown, zero, record, marks)

@@ -1299,24 +1299,36 @@ def test_shot_from_series_start_beyond_the_ball(monkeypatch):
 
 
 def test_recorded_profile_below_first_knot_is_its_series():
-    """Below its first knot, the shot's series start, a shot's profile is
-    the 8-term series the shot starts from, bit for bit, by the one Horner
-    routine series_start takes its state from; the first knot gives the
-    first sample exactly."""
-    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
-    profile = _shot_profile(params, a, 2)
-    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
-    y_s, state = dev.series_start()
-    assert state == dev.series_state(y_s)
-    r0 = profile.knots[0]
-    assert r0 == y_s / dev.scale_r
-    r = np.array([0.0, 0.3, 0.7]) * r0
-    y = r * dev.scale_r
-    want = dev.u_du(y, dev.series_state(y))
-    assert np.array_equal(profile.u_du(r), want)
-    assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
-    assert profile.u_du(0.0) == (a, 0.0)
-    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+    """Below its first knot, where its run starts, every profile is the
+    8-term series, bit for bit, by the one Horner routine series_start
+    takes a shot's state from: a shot's, which starts from that series, and
+    integrate's, which starts from its two-term truncation, at a* and on
+    the bubble.  The series meets the dense output at the first knot,
+    where u_du gives the first sample exactly."""
+    a_star = A_STAR[(7, 2)]
+    for run, lam, a in (("shot", 2.0, a_star), ("integrate", 2.0, a_star),
+                        ("integrate", 0.0, 1.0)):
+        params = Params(n=7, lam=lam)
+        if run == "shot":
+            profile = _shot_profile(params, a, 2)
+            dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+            y0, state = dev.series_start()
+            assert state == dev.series_state(y0)
+        else:
+            profile = integrate(params, a, 1.0)
+            dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+            y0 = dev.y0
+        r0 = profile.knots[0]
+        assert r0 == y0 / dev.scale_r
+        r = np.array([0.0, 0.3, 0.7]) * r0
+        y = r * dev.scale_r
+        want = dev.u_du(y, dev.series_state(y))
+        assert np.array_equal(profile.u_du(r), want)
+        for radius, x in zip(r.tolist(), y.tolist()):
+            assert profile.u_du(radius) == dev.u_du(x, dev.series_state(x))
+        assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
+        assert profile.u_du(0.0) == (a, 0.0)
+        assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
 
 
 @pytest.mark.parametrize("run", ["shoot", "integrate"])
@@ -1401,12 +1413,15 @@ def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
 
 
 def test_step_polynomials_match_odesolution():
-    """Pieces whose ends do not meet: on a step radius only the piece that
-    OdeSolution picks gives its value, and beyond the ends the end pieces
-    extrapolate; with rows that hold signed zeros, inf and NaN, too."""
+    """Pieces whose ends do not meet, read from a step record's radii and
+    start states: on a step radius only the piece that OdeSolution picks
+    gives its value, and beyond the ends the end pieces extrapolate; with
+    rows that hold signed zeros, inf and NaN, too."""
     rng = np.random.default_rng(3)
     ts = np.cumsum(rng.uniform(0.5, 1.5, 9))
     ys, F = rng.normal(size=(9, 2)), rng.normal(size=(8, 7, 2))
+    record = np.zeros((8, ode._ROW))
+    record[:, 0], record[:, 1:3], record[:, 6] = ts[:-1], ys[:-1], ts[1:]
     y = np.concatenate([ts, rng.uniform(ts.min() - 1.0, ts.max() + 1.0, 64)])
     special = F.copy()
     spots = rng.random(F.shape) < 0.2
@@ -1415,7 +1430,7 @@ def test_step_polynomials_match_odesolution():
         sol = OdeSolution(ts, [
             Dop853DenseOutput(*piece) for piece in zip(ts[:-1], ts[1:], ys, rows)
         ])
-        stacked = ode._StepPolynomials(ts, ys, rows)
+        stacked = ode._StepPolynomials(record, rows)
         with np.errstate(all="ignore"):
             assert np.array_equal(stacked(y), sol(y), equal_nan=True)
             for t in y[:16]:
@@ -1669,23 +1684,17 @@ def test_u_du_beyond_r_end_is_out_of_domain():
                 view.u_du(r)
 
 
-@pytest.mark.parametrize(
-    "lam, a", [(2.0, A_STAR[(7, 2)]), (0.0, 1.0)], ids=["n7-k2-a-star", "bubble"]
-)
-def test_profile_below_first_knot_is_start_series(lam, a):
-    """Below its first knot a profile is the two-term series integrate
-    starts from, bit for bit: one expansion of the origin.  The series
-    meets the dense output at the first knot, where u_du gives the first
-    sample exactly."""
-    params = Params(n=7, lam=lam)
-    profile = integrate(params, a, 1.0)
-    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
-    r0 = profile.knots[0]
-    for r in (0.0, 0.3 * r0, 0.7 * r0):
-        y = r * dev.scale_r
-        assert profile.u_du(r) == dev.u_du(y, dev.start(y))
-    assert profile.u_du(0.0) == (a, 0.0)
-    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+def test_u_du_below_zero_or_nan_is_out_of_domain():
+    """A profile refuses radii below 0 by more than radial_norms' slack, and
+    NaN: on the n=7 k=2 a* profile u_du(-0.5) gave 4.6e114, the origin's
+    series far outside its range, and u_du(nan) gave NaN.  The slack itself
+    is answered, and the rescaled view refuses them too."""
+    profile = integrate(Params(n=7, lam=2.0), A_STAR[(7, 2)], 1.0)
+    for view in (profile, profile.rescaled(10.0)):
+        view.u_du(np.array([-0.5e-12 * max(1.0, view.r_end), 0.0, 0.5 * view.r_end]))
+        for r in (-0.5, -1e-3, math.nan, np.array([0.5, math.nan]), np.array([0.5, -0.5])):
+            with pytest.raises(OutOfDomain, match="outside"):
+                view.u_du(r)
 
 
 def test_series_computed_once_per_deviation(monkeypatch):
