@@ -1299,36 +1299,26 @@ def test_shot_from_series_start_beyond_the_ball(monkeypatch):
 
 
 def test_recorded_profile_below_first_knot_is_its_series():
-    """Below its first knot, where its run starts, every profile is the
-    8-term series, bit for bit, by the one Horner routine series_start
-    takes a shot's state from: a shot's, which starts from that series, and
-    integrate's, which starts from its two-term truncation, at a* and on
-    the bubble.  The series meets the dense output at the first knot,
-    where u_du gives the first sample exactly."""
-    a_star = A_STAR[(7, 2)]
-    for run, lam, a in (("shot", 2.0, a_star), ("integrate", 2.0, a_star),
-                        ("integrate", 0.0, 1.0)):
-        params = Params(n=7, lam=lam)
-        if run == "shot":
-            profile = _shot_profile(params, a, 2)
-            dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
-            y0, state = dev.series_start()
-            assert state == dev.series_state(y0)
-        else:
-            profile = integrate(params, a, 1.0)
-            dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
-            y0 = dev.y0
-        r0 = profile.knots[0]
-        assert r0 == y0 / dev.scale_r
-        r = np.array([0.0, 0.3, 0.7]) * r0
-        y = r * dev.scale_r
-        want = dev.u_du(y, dev.series_state(y))
-        assert np.array_equal(profile.u_du(r), want)
-        for radius, x in zip(r.tolist(), y.tolist()):
-            assert profile.u_du(radius) == dev.u_du(x, dev.series_state(x))
-        assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
-        assert profile.u_du(0.0) == (a, 0.0)
-        assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
+    """Below its first knot, the shot's series start, a shot's profile is
+    the 8-term series the shot starts from, bit for bit, by the one Horner
+    routine series_start takes its state from; the first knot gives the
+    first sample exactly."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    profile = _shot_profile(params, a, 2)
+    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+    y_s, state = dev.series_start()
+    assert state == dev.series_state(y_s)
+    r0 = profile.knots[0]
+    assert r0 == y_s / dev.scale_r
+    r = np.array([0.0, 0.3, 0.7]) * r0
+    y = r * dev.scale_r
+    want = dev.u_du(y, dev.series_state(y))
+    assert np.array_equal(profile.u_du(r), want)
+    for radius, x in zip(r.tolist(), y.tolist()):
+        assert profile.u_du(radius) == dev.u_du(x, dev.series_state(x))
+    assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
+    assert profile.u_du(0.0) == (a, 0.0)
+    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
 
 
 @pytest.mark.parametrize("run", ["shoot", "integrate"])
@@ -1682,6 +1672,30 @@ def test_u_du_beyond_r_end_is_out_of_domain():
         for r in (1.5 * r_end, r_end + 2e-12 * max(1.0, r_end), np.array([0.5, 1.5]) * r_end):
             with pytest.raises(OutOfDomain, match="beyond r_end"):
                 view.u_du(r)
+
+
+@pytest.mark.parametrize(
+    "lam, a", [(2.0, A_STAR[(7, 2)]), (0.0, 1.0)], ids=["n7-k2-a-star", "bubble"]
+)
+def test_profile_below_first_knot_is_start_series(lam, a):
+    """Below its first knot, where integrate's run starts from the two-term
+    truncation, its profile is the 8-term series, bit for bit, by the one
+    Horner routine a shot's profile reads there too.  The series meets the
+    dense output at the first knot, where u_du gives the first sample
+    exactly."""
+    params = Params(n=7, lam=lam)
+    profile = integrate(params, a, 1.0)
+    dev = ode._deviation(params, a, 1.0, DEFAULT_ATOL)
+    r0 = profile.knots[0]
+    assert r0 == dev.y0 / dev.scale_r
+    r = np.array([0.0, 0.3, 0.7]) * r0
+    y = r * dev.scale_r
+    assert np.array_equal(profile.u_du(r), dev.u_du(y, dev.series_state(y)))
+    for radius, x in zip(r.tolist(), y.tolist()):
+        assert profile.u_du(radius) == dev.u_du(x, dev.series_state(x))
+    assert [dev.series_state(x) for x in y.tolist()] == list(zip(*dev.series_state(y)))
+    assert profile.u_du(0.0) == (a, 0.0)
+    assert profile.u_du(r0) == (profile.values[0], profile.derivs[0])
 
 
 def test_u_du_below_zero_or_nan_is_out_of_domain():
