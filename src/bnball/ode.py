@@ -48,13 +48,15 @@ float code generated at import with the right-hand side inlined in each
 stage: the shot's stage sums are float sums without the tableau's zeros,
 an attempted step of integrate keeps scipy's numpy products.  Both build
 the problem with _deviation, whose rhs comes from the same source lines,
-and record their steps alike: one packed row of _ROW floats per step and
-a mark per step where u or u' changes sign or the guard trips.  Each run
-is a Shot, and Shot.profile is the one profile builder: after the run,
-one pass, _finish_steps, builds the dense output of the record, locates
-sign changes on it and names a blown step, and the profile reads its
-pieces from the record.  One evaluator of DOP853's dense output,
-_dense_state, locates roots on floats and evaluates profiles on arrays.
+and record their steps alike, one packed row of _ROW floats per step;
+the steppers only step, record and stop (at zero k, the end or the
+blow-up guard).  Each run is a Shot, and Shot.profile is the one profile
+builder: after the run, one pass, _finish_steps, builds the dense output
+of the record, finds the steps on which u or u' changes sign from their
+recorded states, locates the sign changes on their dense output and
+names a blown step, and the profile reads its pieces from the record.
+One evaluator of DOP853's dense output, _dense_state, locates roots on
+floats and evaluates profiles on arrays.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ class _Deviation:
 
     def signs(self, y, s):
         """(u/a, u'/(a scale_r)) at scaled radius y from the deviation state
-        s: the values whose sign changes integrate records as events."""
+        s: the values whose sign changes _finish_steps locates as events."""
         d, dd = self.bubble(y)
         return d + s[0], dd + s[1]
 
@@ -469,23 +471,25 @@ def _root(step, g, *args) -> float:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
 
 
-def _finish_steps(dev: _Deviation, rows, marks, events) -> np.ndarray:
+def _finish_steps(dev: _Deviation, rows, events) -> np.ndarray:
     """The end-of-run pass of Shot.r_k and Shot.profile, run once the run
     has ended: every step's dense-output rows F, (steps, 7, 2), and the
-    roots of the marked steps.
+    roots of the steps on which u or u' changes sign.
 
     rows, (steps, _ROW), holds each step as (t_old, v, v', h, v_new,
-    v'_new, t_new) and its 13 stage rows, and marks (step index,
-    components of (u, u') that change sign, blown) in step order.  The
-    extra stages and F are scipy's _dense_output_impl per step, batched on
-    the same products, each extra stage's RHS in one _rhs_pass.  The first
-    step whose F is not finite raises IntegrationFailed at its start
-    radius, ahead of any later step.  Each marked step before it locates
-    its roots on its dense output as solve_ivp locates an event and appends
-    its sign changes to events (a zero crossing stores u', a derivative
-    zero u); a blown step raises BlowUpDetected naming the step by its
-    start radius instead, since its polynomial leaps past the bound at no
-    radius that means anything.  Run under np.errstate(all="ignore")."""
+    v'_new, t_new) and its 13 stage rows.  The extra stages and F are
+    scipy's _dense_output_impl per step, batched on the same products,
+    each extra stage's RHS in one _rhs_pass.  The first step whose F is not
+    finite raises IntegrationFailed at its start radius, ahead of any later
+    step.  Each step before it compares dev.signs, (u/a, u'/(a scale_r)),
+    at its start and at its end, on Python floats: while dev.trusted, a
+    component that changes sign there by solve_ivp's rule for an event of
+    direction 0 has its root located on the step's dense output as
+    solve_ivp locates an event and appended to events (a zero crossing
+    stores u', a derivative zero u).  A step that ends with |u/a| at or
+    beyond BLOWUP_BOUND is blown: it raises BlowUpDetected naming the step
+    by its start radius instead, since its polynomial leaps past the bound
+    at no radius that means anything.  Run under np.errstate(all="ignore")."""
     n_rows = DOP853.n_stages + 1
     steps = len(rows)
     t_old, y_old, h, y_new = rows[:, 0], rows[:, 1:3], rows[:, 3:4], rows[:, 4:6]
@@ -509,17 +513,21 @@ def _finish_steps(dev: _Deviation, rows, marks, events) -> np.ndarray:
     finite = np.isfinite(F).all(axis=(1, 2))
     good = steps if finite.all() else int(np.argmin(finite))  # steps before the first bad
 
-    for i, changes, blown in marks:
-        if i >= good:
-            break
-        y0, v, vp, _, _, _, y1 = rows[i, :7].tolist()
-        if blown:
+    trusted = dev.trusted  # else sign changes are noise
+    for i, (y0, v, vp, _, v1, vp1, y1) in enumerate(rows[:good, :7].tolist()):
+        (g, dg), (w, dw) = dev.signs(y0, (v, vp)), dev.signs(y1, (v1, vp1))
+        if abs(w) >= BLOWUP_BOUND:
             raise _blow_up(y0 / dev.scale_r)
-        step = (y0, y1, v, vp, F[i].tolist())
-        for c in changes:
-            root = _root(step, _sign, dev, c)
-            value = dev.u_du(root, _dense_state(root, step))[1 - c]
-            events.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
+        # solve_ivp's rule for an event of direction 0
+        zero = trusted and (g <= 0.0 <= w or w <= 0.0 <= g)
+        dzero = trusted and (dg <= 0.0 <= dw or dw <= 0.0 <= dg)
+        if zero or dzero:
+            step = (y0, y1, v, vp, F[i].tolist())
+            for c, change in enumerate((zero, dzero)):
+                if change:
+                    root = _root(step, _sign, dev, c)
+                    value = dev.u_du(root, _dense_state(root, step))[1 - c]
+                    events.append(Event(_EVENT_KINDS[c], root / dev.scale_r, value))
     if good < steps:
         raise IntegrationFailed(f"integration failed: {NON_FINITE_STEP}",
                                 last_radius=float(rows[good, 0]) / dev.scale_r)
@@ -543,11 +551,9 @@ class _FloatDop853(DOP853):
 
     _step_impl commits each step that passes error control and appends it
     to record as a shot records its steps, a packed row of _ROW floats:
-    (t_old, v, v', h, v_new, v'_new, t_new) and its 13 stage rows.  Where
-    the step-end state trips the blow-up guard or, while the problem is
-    trusted, u or u' changes sign by solve_ivp's rule for an event of
-    direction 0, it appends (step index, components that change sign,
-    blown) to marks.  A blown step ends the run as a failed step.  nfev
+    (t_old, v, v', h, v_new, v'_new, t_new) and its 13 stage rows.  A step
+    whose end state trips the blow-up guard ends the run as a failed step;
+    _finish_steps finds it and the sign changes in the record.  nfev
     counts the 3 extra stages of each committed step, which _finish_steps
     evaluates once solve_ivp has returned.  Callers run the stepper under
     np.errstate(all="ignore"): a NaN trial step is then rejected as in
@@ -562,7 +568,7 @@ class _FloatDop853(DOP853):
     cycle and reference counting frees it however its run ends.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, deviation, record, marks, **options):
+    def __init__(self, fun, t0, y0, t_bound, *, deviation, record, **options):
         # scipy's own start: the first RHS call and the initial step size
         super().__init__(
             lambda t, y: fun(float(t), *y.tolist()), t0, y0, t_bound, **options
@@ -570,8 +576,7 @@ class _FloatDop853(DOP853):
         # scipy's closures over the solver, a reference cycle; only the start
         # above calls them
         self.fun = self.fun_single = self.fun_vectorized = None
-        self.trusted = deviation.trusted
-        self.record, self.marks, self.steps = record, marks, 0
+        self.record = record
         self.y = tuple(self.y.tolist())
         self.f = tuple(self.f.tolist())
         self.h_abs = float(self.h_abs)
@@ -587,7 +592,6 @@ class _FloatDop853(DOP853):
             deviation.K, deviation.h, deviation.p, deviation.n - 1.0, deviation.lam_hat,
             self.rtol, self.atol, self.k, dots, np.empty(2),
         )
-        self.signs = deviation.signs(t0, self.y)
 
     def _step_impl(self):
         t, t_bound, attempt, k = self.t, self.t_bound, self.attempt, self.k
@@ -605,7 +609,7 @@ class _FloatDop853(DOP853):
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
 
-            error_norm, v_new, vp_new, f_new, w, dw = attempt(t, v, vp, h, t_new)
+            error_norm, v_new, vp_new, f_new, w = attempt(t, v, vp, h, t_new)
             self.nfev += self.n_stages
 
             if error_norm < 1:
@@ -628,18 +632,7 @@ class _FloatDop853(DOP853):
         record = self.record
         record += _pack_step(t, v, vp, h, v_new, vp_new, t_new)
         record += self.K.data  # stage rows 0..n_stages
-
-        # a sign change by solve_ivp's rule for an event of direction 0
-        g, dg = self.signs
-        self.signs = w, dw
-        zero = self.trusted and ((g <= 0 and w >= 0) or (g >= 0 and w <= 0))
-        dzero = self.trusted and ((dg <= 0 and dw >= 0) or (dg >= 0 and dw <= 0))
-        blown = abs(w) >= BLOWUP_BOUND
-        if blown or zero or dzero:
-            changes = [c for c, change in enumerate((zero, dzero)) if change]
-            self.marks.append((self.steps, changes, blown))
-        self.steps += 1
-        return (False, "blow-up") if blown else (True, None)
+        return (False, "blow-up") if abs(w) >= BLOWUP_BOUND else (True, None)
 
 
 def integrate(
@@ -671,7 +664,7 @@ def integrate(
     """
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, r_stop, atol)
-    record, marks = bytearray(), []
+    record = bytearray()
     with np.errstate(all="ignore"):
         sol = solve_ivp(
             dev.rhs,
@@ -682,10 +675,8 @@ def integrate(
             atol=dev.atol_scaled,
             deviation=dev,
             record=record,
-            marks=marks,
         )
-    return Shot(dev, dev.y0, dev.y_end, sol.message, sol.t[-1], None, None, record,
-                marks).profile()
+    return Shot(dev, dev.y0, dev.y_end, sol.message, sol.t[-1], None, record).profile()
 
 
 def _rhs_lines(y: str, v: str, vp: str, out: str) -> list[str]:
@@ -759,18 +750,15 @@ def _attempt_stage_lines(s: int) -> list[str]:
 # and the step to y_stop while zero k is next (near a* zero k lies within
 # that cost of r = 1), is taken again in steps of at most an eighth of it
 # (hlim) until its end (until).  Each step accepted below y_stop goes to
-# record as a packed row of _ROW floats, and (step index, components of (u, u')
-# that change sign, blown) to marks wherever u or u' changes sign by
-# solve_ivp's rule for an event of direction 0 or the step trips the
-# guard; su and sdu hold u/a and u'/(a scale_r) at the last step's end.
-# The run ends at the later of zero k and y_stop.  Returns (RHS
-# evaluations, end, radius, blown, zero): end "zero", "blow-up" with the
-# row of the step that trips the guard, "end" at y_end, or why the run
-# failed; zero is the row of zero k's step, once found.
+# record as a packed row of _ROW floats, the step that trips the guard too;
+# _finish_steps finds the sign changes in the record.  The run ends at the
+# later of zero k and y_stop.  Returns (RHS evaluations, end, radius, row):
+# end "zero", "blow-up", "end" at y_end, or why the run failed; row is the
+# row of zero k's step once found, else that of the step that trips the
+# guard.
 _SHOT_SOURCE = """\
-def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps, record, marks):
+def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps, record):
 {start}
-    su, sdu = w, -(n1 - 1.0) * y * d * t / K + vp
     k0v, hmax, hlim, until = vp, y_end - y, y_end - y, inf
     sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
     e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
@@ -782,12 +770,12 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
     der12 = max(sqrt(e1 * e1 + e2 * e2) / hh, sqrt(dnf))
     h1 = max(1e-6, hh * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
     hh = min(100.0 * hh, h1, hmax)
-    nfev, attempts, zeros, reject, last, steps, zero = 2, 0, 0, False, False, 0, None
+    nfev, attempts, zeros, reject, last, zero = 2, 0, 0, False, False, None
     while True:
         if attempts >= max_steps:
-            return nfev, "step budget spent", y, None, zero
+            return nfev, "step budget spent", y, zero
         if not 0.1 * hh > y * {uround!r}:
-            return nfev, "step size becomes too small", y, None, zero
+            return nfev, "step size becomes too small", y, zero
         inside = y < y_stop
         if inside:
             if y + 1.01 * hh - y_stop > 0.0:
@@ -812,10 +800,9 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
         k12v, nfev = pnew, nfev + 1
         step = (y, v, vp, hh, vnew, pnew, xnew, {k_rows})
         if abs(w) >= {blowup!r}:
-            if inside:  # marked without sign changes, which _finish_steps does not locate there
+            if inside:
                 record += pack(*step)
-                marks.append((steps, [], True))
-            return nfev, "blow-up", xnew, step, zero
+            return nfev, "blow-up", xnew, step if zero is None else zero
         crossed = (w < 0.0) != zeros % 2
         if zeros + 1 == k and until == inf and (crossed or inside and last):
             until, hlim, hh, last = y + hh, hh / 8.0, hh / 8.0, False
@@ -825,19 +812,14 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
             if zeros == k:
                 zero = step
                 if not inside:
-                    return nfev, "zero", xnew, None, zero
+                    return nfev, "zero", xnew, zero
         if inside:
             record += pack(*step)
-            dw = -(n1 - 1.0) * xnew * d * t / K + pnew  # the RHS's bubble at xnew
-            cu, cdu = su <= 0.0 <= w or w <= 0.0 <= su, sdu <= 0.0 <= dw or dw <= 0.0 <= sdu
-            if cu or cdu:
-                marks.append((steps, [c for c, change in ((0, cu), (1, cdu)) if change], False))
-            su, sdu, steps = w, dw, steps + 1
             if last and zero is not None:  # at y_stop, past zero k
-                return nfev, "zero", xnew, None, zero
+                return nfev, "zero", xnew, zero
             last = False
         elif last:
-            return nfev, "end", xnew, None, None
+            return nfev, "end", xnew, None
         if xnew >= until:  # re-taken without the sign change
             hlim, until = hmax, inf
         hnew = min(hh / max({facc2!r}, min({facc1!r}, fac11 / {safe!r})), hlim)
@@ -853,7 +835,7 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
 # and that the error norms are taken on.  The 14 products and 2 norm dots
 # are scipy's; the rest is float arithmetic in scipy's order, the error
 # scale with np.maximum's NaN rule.  Returns the error norm, the new state
-# and its v'', and u/a and u'/(a scale_r) at ynew.
+# and its v'', and u/a at ynew.
 #
 # _rhs_pass is the RHS over many states, for the extra stages of the steps
 # _finish_steps takes: it writes the (v', v'') of radii[i] and states[i]
@@ -886,12 +868,9 @@ def _make_attempt(K, h, p, n1, lam, rtol, atol, k, dots, out):
             error = 0.0
         else:
             error = abs(hh) * err5 / sqrt((err5 + 0.01 * err3) * 2)
-        tb, db = t, d  # the bubble at ynew: the RHS's at xnew, unless rounded off
-        if xnew != ynew:
-            tb = K / (K + ynew * ynew)
-            db = tb**h
-            w = db + vnew
-        return error, vnew, pnew, k12p, w, -(n1 - 1.0) * ynew * db * tb / K + pnew
+        if xnew != ynew:  # the RHS's u/a is at xnew, which y + hh rounded off
+            w = (K / (K + ynew * ynew)) ** h + vnew
+        return error, vnew, pnew, k12p, w
     return attempt
 
 
@@ -961,40 +940,36 @@ _make_attempt, _rhs_pass = _GENERATED["_make_attempt"], _GENERATED["_rhs_pass"]
 class Shot:
     """One outward run on u(0) = a from its start at the scaled radius y0:
     how it ended, at the scaled radius `radius` ("untrusted", without
-    either, where no run was made), the rows of its blown step and of zero
-    k's step, and the steps committed up to the scaled radius stop and
-    their marks, the record _finish_steps and profile() take once the run
-    has ended.  shot fills one from _dop853 with stop at r = 1, integrate
-    from _FloatDop853 with stop at r_stop and its solve_ivp message as
-    end."""
+    either, where no run was made), the row of zero k's step if the run
+    found zero k, else of its blown step, and the steps committed up to
+    the scaled radius stop, the record _finish_steps and profile() take
+    once the run has ended.  shot fills one from _dop853 with stop at r =
+    1, integrate from _FloatDop853 with stop at r_stop and its solve_ivp
+    message as end."""
 
     dev: _Deviation
     y0: float | None
     stop: float
     end: str
     radius: float | None
-    blown: tuple | None = field(repr=False)
-    zero: tuple | None = field(repr=False)
+    row: tuple | None = field(repr=False)
     record: bytearray = field(repr=False)
-    marks: list = field(repr=False)
 
     @cached_property
     def r_k(self) -> float:
-        """Radius of zero k, located by _finish_steps on its step as
-        integrate locates an event, however the run ended after it; else
-        inf where the run reached SHOOT_END or made none, and a blown or
-        failed run raises as integrate would at the radius it reached."""
-        row, mark = self.zero, (0, [0], False)
-        if row is None:
+        """Radius of zero k, the first zero crossing _finish_steps locates
+        on its step's row as integrate locates an event, however the run
+        ended after it; else inf where the run reached SHOOT_END or made
+        none, and a blown or failed run raises as integrate would at the
+        radius it reached."""
+        if self.row is None:
             if self.end in ("end", "untrusted"):
                 return math.inf
-            if self.end != "blow-up":
-                raise self._failure()
-            row, mark = self.blown, (0, [], True)
-        zeros = []  # a blown step raises before it gives one
+            raise self._failure()
+        events = []  # a blown row raises before it gives any
         with np.errstate(all="ignore"):
-            _finish_steps(self.dev, np.reshape(row, (1, _ROW)), [mark], zeros)
-        return zeros[0].r
+            _finish_steps(self.dev, np.reshape(self.row, (1, _ROW)), events)
+        return next(e.r for e in events if e.kind == "zero-crossing")
 
     def profile(self) -> RadialProfile:
         """The profile in physical variables out to stop, the one builder
@@ -1017,7 +992,7 @@ class Shot:
         rows = np.frombuffer(self.record).reshape(-1, _ROW)
         events = []
         with np.errstate(all="ignore"):
-            F = _finish_steps(dev, rows, self.marks, events)
+            F = _finish_steps(dev, rows, events)
         if self.end != "blow-up" and self.radius < self.stop:
             raise self._failure()
         ts = np.concatenate([[y0], rows[:, 6]])
@@ -1067,19 +1042,20 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
     tolerance raises before any step, an error scale of 0 as
     IntegrationFailed; other failures are the Shot's to raise.  Its r_k
     is the radius of zero k, inside the ball or beyond, inf where the
-    problem is untrusted or zero k lies beyond SHOOT_END; its record, and
-    so its profile(), stops at r = 1."""
+    problem is untrusted or zero k lies beyond SHOOT_END; its row is zero
+    k's step, or the blown one; its record, and so its profile(), stops at
+    r = 1."""
     rtol, atol = run_tolerances(rtol, atol)
     dev = _deviation(params, a, SHOOT_END, atol)
-    record, marks = bytearray(), []
+    record = bytearray()
     if not dev.trusted:
-        return Shot(dev, None, dev.scale_r, "untrusted", None, None, None, record, marks)
+        return Shot(dev, None, dev.scale_r, "untrusted", None, None, record)
     y0, state = dev.series_start()
     try:
-        _, end, radius, blown, zero = _dop853(
+        _, end, radius, row = _dop853(
             dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state, dev.scale_r,
-            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, record, marks,
+            dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, record,
         )
     except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    return Shot(dev, y0, dev.scale_r, end, radius, blown, zero, record, marks)
+    return Shot(dev, y0, dev.scale_r, end, radius, row, record)

@@ -148,6 +148,22 @@ def test_annulus_envelope_on_accepted(sol7_lam2):
     assert env.rescaled_violation <= 1e-9
 
 
+@pytest.mark.parametrize("check", [
+    lambda sol: rescale_plus(sol, [0.5]),
+    lambda sol: rescale_minus(sol, [0.5]),
+    center_envelope_violation,
+    rescaled_envelope_violation,
+    annulus_envelope_violation,
+], ids=["rescale_plus", "rescale_minus", "center", "rescaled", "annulus"])
+def test_one_region_solution_has_no_rescalings_or_envelopes(k1_solutions, check):
+    """A positive (k=1) solution has no nodal features, so the rescalings
+    and envelope checks, which read them, are a ConfigError."""
+    sol = k1_solutions[2.0]
+    assert sol.k == 1 and sol.features is None
+    with pytest.raises(ConfigError, match="two-region solution"):
+        check(sol)
+
+
 def test_annulus_envelope_region_can_be_empty(sol7_lam2):
     """Moving the minimum point s_lambda toward 1 pushes the inner radius
     delta^{-1/n} s_lambda past the boundary, here to 1.1."""

@@ -436,6 +436,34 @@ def test_sweep_failure_row(capsys, fmt):
         assert all(row[name] is None for name in cli.CSV_COLUMNS[1:])
 
 
+def test_sweep_records_that_cannot_be_built_are_failure_rows(capsys):
+    """At n=4 both k=1 points solve, but the bubble constants their
+    records need are undefined there: each row keeps its lambda and
+    undefined-constants, and with no row solved the sweep exits 3."""
+    rc, out = run(capsys, "sweep", "--n", "4", "--k", "1", "--lambda-grid", "12,10")
+    assert rc == cli.EXIT_SOLVER
+    empty = [""] * (len(cli.CSV_COLUMNS) - 1) + ["undefined-constants"]
+    assert out == "\n".join([",".join(cli.CSV_HEADER), ",".join(["12.0"] + empty),
+                             ",".join(["10.0"] + empty)]) + "\n"
+
+
+def test_verify_skips_failure_rows(capsys, tmp_path, records7):
+    """verify reads a sweep CSV that holds a failed point as the same
+    sweep without that row: the same table and the same report."""
+    clean, report = tmp_path / "clean.csv", tmp_path / "clean.json"
+    clean.write_text(csv_text(records7))
+    failed = ",".join(["3.0"] + [""] * (len(cli.CSV_COLUMNS) - 1) + ["no-bracket-found"])
+    lines = csv_text(records7).splitlines()
+    holed, holed_report = tmp_path / "holed.csv", tmp_path / "holed.json"
+    holed.write_text("\n".join(lines[:3] + [failed] + lines[3:]) + "\n")
+    rc, out = run(capsys, "verify", str(clean), "--n", "7", "--out", str(report))
+    assert rc == cli.EXIT_PASS
+    assert run(capsys, "verify", str(holed), "--n", "7", "--out", str(holed_report)) == (
+        rc, out.replace(str(report), str(holed_report)))
+    assert holed_report.read_bytes() == report.read_bytes()
+    assert len(cli.load_records(str(holed), 7)) == len(records7)
+
+
 def test_verify_round_trip_csv(capsys, tmp_path, records7):
     path = tmp_path / "records.csv"
     path.write_text(csv_text(records7))
@@ -586,6 +614,7 @@ def test_verify_malformed_records(capsys, tmp_path, name, text):
         (_SOLVE_ARGS + ["--k", "0"], "config-parse-error"),
         (_SWEEP_ARGS + ["--k", "0"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", "1,1"], "config-parse-error"),
+        (["sweep", "--n", "7", "--lambda-grid", "1,x"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", ",", "--rtol", "-1"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid", "2,-1"], "config-parse-error"),
         (["sweep", "--n", "7", "--lambda-grid=0,-2"], "config-parse-error"),
@@ -593,7 +622,7 @@ def test_verify_malformed_records(capsys, tmp_path, name, text):
     ],
     ids=["solve-rtol-1", "solve-atol0", "solve-rtol-nan", "solve-rtol-inf",
          "solve-atol-nan", "solve-atol-inf", "solve-k0", "sweep-k0", "sweep-grid-1,1",
-         "sweep-grid-empty-rtol-1", "sweep-grid-2,-1", "sweep-grid-0,-2",
+         "sweep-grid-1,x", "sweep-grid-empty-rtol-1", "sweep-grid-2,-1", "sweep-grid-0,-2",
          "sweep-format-yaml"],
 )
 def test_rejected_setting_starts_no_shot(capsys, monkeypatch, argv, code):

@@ -938,6 +938,23 @@ def _function(name):
     return function
 
 
+def _sign_changes(dev, rows):
+    """(step index, components of (u, u') that change sign, blown) of each
+    step of a record on which u or u' changes sign by solve_ivp's rule for
+    an event of direction 0 (while dev is trusted) or |u/a| ends at or
+    beyond the blow-up bound, read from its start and end states on
+    Python floats."""
+    changes = []
+    for i, (y0, v, vp, _, v1, vp1, y1) in enumerate(rows[:, :7].tolist()):
+        (g, dg), (w, dw) = dev.signs(y0, (v, vp)), dev.signs(y1, (v1, vp1))
+        signs = [c for c, (s0, s1) in enumerate(((g, w), (dg, dw)))
+                 if dev.trusted and (s0 <= 0.0 <= s1 or s1 <= 0.0 <= s0)]
+        blown = abs(w) >= ode.BLOWUP_BOUND
+        if signs or blown:
+            changes.append((i, signs, blown))
+    return changes
+
+
 def _assigned(function):
     """{name: every expression assigned to it} in a generated function."""
     assigned = {}
@@ -995,7 +1012,8 @@ def test_generated_tableau_is_scipys():
     returns = {node.value.elts[1].value: [ast.unparse(x) for x in node.value.elts[3:]]
                for node in ast.walk(shot) if isinstance(node, ast.Return)
                and isinstance(node.value, ast.Tuple)}
-    assert returns["zero"] == ["None", "zero"] and returns["blow-up"] == ["step", "zero"]
+    assert returns["zero"] == ["zero"]
+    assert returns["blow-up"] == ["step if zero is None else zero"]
 
     attempt = _function("attempt")
     assigned = _assigned(attempt)
@@ -1060,11 +1078,15 @@ def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
     r_k = shoot(params, a, k, rtol=rtol)
-    (((_, rows, marks, events), F),) = passes
+    (((_, rows, events), F),) = passes
     ((y, v, vp, h, v_new, vp_new, y1),) = rows[:, :7].tolist()
     stages = rows[0, 7:].reshape(-1, 2)
-    # a step clipped at r = 1 ends there exactly
-    assert marks == [(0, [0], False)] and events[0].r == r_k and y1 in (y + h, dev.scale_r)
+    # u changes sign on the one step, which is not blown; a step clipped at
+    # r = 1 ends there exactly
+    ((i, changes, blown),) = _sign_changes(dev, rows)
+    assert i == 0 and changes[0] == 0 and not blown
+    assert events[0].kind == "zero-crossing" and events[0].r == r_k
+    assert y1 in (y + h, dev.scale_r)
     solver = DOP853(lambda t, s: np.array(dev.rhs(float(t), *s.tolist())), y,
                     np.array((v, vp)), dev.y_end)
     solver.K_extended[:len(stages)] = stages
@@ -1108,9 +1130,9 @@ def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, 
     passes, finish_steps = [], ode._finish_steps
     located, root = [], ode._root
 
-    def finished(dev, rows, marks, events):
-        passes.append((dev, rows, marks))
-        return finish_steps(dev, rows, marks, events)
+    def finished(dev, rows, events):
+        passes.append((dev, rows))
+        return finish_steps(dev, rows, events)
 
     def recorded(step, *rest):
         located.append(step)
@@ -1129,8 +1151,8 @@ def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, 
         if error is not BlowUpDetected:
             assert str(info.value) == NOT_FINITE
             continue
-        ((dev, rows, marks),) = passes
-        ((j, _, _),) = [mark for mark in marks if mark[2]]
+        ((dev, rows),) = passes
+        ((j, _, _),) = [change for change in _sign_changes(dev, rows) if change[2]]
         y0, v, vp, _, v1, vp1, y1 = rows[j, :7].tolist()
         assert abs(dev.signs(y0, (v, vp))[0]) < ode.BLOWUP_BOUND
         assert abs(dev.signs(y1, (v1, vp1))[0]) >= ode.BLOWUP_BOUND
@@ -1143,8 +1165,9 @@ def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, 
 
 def test_recording_is_generated_from_the_shot():
     """The recording is the shot's own run: the source defines one
-    stepper, _dop853, which commits a step to its record and a mark only
-    from a step that starts below r = 1 (under `if inside`).  The step that
+    stepper, _dop853, which commits a step to its record only from a step
+    that starts below r = 1 (under `if inside`), twice: the blown step and
+    every other accepted step.  The step that
     would reach r = 1 is clipped to end there exactly, and only while the
     run lies inside it: from r = 1 on, the last step is clipped at the
     shot's end by dop853's rule, and a start beyond r = 1 is never clipped
@@ -1165,9 +1188,8 @@ def test_recording_is_generated_from_the_shot():
         return tests
 
     commits = [node for node in ast.walk(shot) if isinstance(node, ast.AugAssign)
-               and ast.unparse(node) == "record += pack(*step)"
-               or isinstance(node, ast.Call) and ast.unparse(node.func) == "marks.append"]
-    assert len(commits) == 4
+               and ast.unparse(node) == "record += pack(*step)"]
+    assert len(commits) == 2
     assert all(("inside", "if") in conditions(call) for call in commits)
     assigned = {name: [ast.unparse(x) for x in exprs] for name, exprs in _assigned(shot).items()}
     assert assigned["inside"] == ["y < y_stop"]
@@ -1197,9 +1219,9 @@ def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
     params, a = Params(n=n, lam=2.0), 10.0 * A_STAR[(n, k)]
     passes, finish_steps = [], ode._finish_steps
 
-    def recorded(dev, rows, marks, events):
+    def recorded(dev, rows, events):
         passes.append((rows[:, :7], rows[:, 7:].reshape(len(rows), -1, 2)))
-        return finish_steps(dev, rows, marks, events)
+        return finish_steps(dev, rows, events)
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
     run = ode.shot(params, a, k, rtol=rtol)
@@ -1263,7 +1285,7 @@ def test_record_shot_past_the_shot():
     untrusted = (Params(n=5, lam=0.5), 1e28, 2)
     assert shoot(*untrusted) == math.inf
     run = ode.shot(*untrusted)
-    assert run.end == "untrusted" and not run.record and not run.marks
+    assert run.end == "untrusted" and not run.record and run.row is None
     with pytest.raises(IntegrationFailed, match="integration failed: untrusted"):
         run.profile()
     assert not integrate(untrusted[0], untrusted[1], 1.0).events
@@ -1290,10 +1312,10 @@ def test_shot_from_series_start_beyond_the_ball(monkeypatch):
 
     monkeypatch.setattr(ode, "_dop853", spied)
     run = ode.shot(params, a, 1)
-    assert run.end == "zero" and not run.record and not run.marks
+    assert run.end == "zero" and not run.record
     assert run.r_k.hex() == shoot(params, a, 1).hex() == "0x1.ae5537b559fe9p+5"
-    (blown, zero), _ = steps
-    assert blown is None and zero[0] < zero[6] and zero[3] > 0.0
+    (row,), _ = steps
+    assert run.row is row and row[0] < row[6] and row[3] > 0.0
     with pytest.raises(SingularPoint, match="series-start radius 2.4152"):
         run.profile()
 
@@ -1456,12 +1478,13 @@ def test_dense_state_is_scipys_dense_output():
 
 
 def _passed_events(monkeypatch):
-    """The events list each _finish_steps pass fills, in order of the passes."""
+    """(dev, rows, events) of each _finish_steps pass, in order of the
+    passes; events is the list the pass fills."""
     passes, finish_steps = [], ode._finish_steps
 
-    def finished(dev, rows, marks, events):
-        passes.append(events)
-        return finish_steps(dev, rows, marks, events)
+    def finished(dev, rows, events):
+        passes.append((dev, rows, events))
+        return finish_steps(dev, rows, events)
 
     monkeypatch.setattr(ode, "_finish_steps", finished)
     return passes
@@ -1510,9 +1533,15 @@ def test_dense_output_built_only_to_locate_roots(monkeypatch, args, tolerances, 
     except BlowUpDetected:
         blown = True
     (kwargs,) = calls
-    (events,) = passes
+    ((dev, rows, events),) = passes
     assert "dense_output" not in kwargs
     assert len(rooted) == len(events)
+    # roots on each step on which u or u' changes sign, one per component,
+    # and on no blown step
+    changed = [(rows[i, 0], c) for i, changes, blown in _sign_changes(dev, rows)
+               if not blown for c in changes]
+    assert [(step[0], e.kind) for step, e in zip(rooted, events)] == [
+        (y, ode._EVENT_KINDS[c]) for y, c in changed]
     assert blown == (args[0].lam == 1e8)  # the n7-blow-up input
     built = list({id(step): step for step in rooted}.values())
     assert {id(step) for step in evaluated} == {id(step) for step in built}
@@ -1567,7 +1596,7 @@ def test_non_finite_dense_output_fails_ahead_of_later_steps(monkeypatch):
     assert str(info.value) == f"integration failed: {ode.NON_FINITE_STEP}"
     assert info.value.last_radius == ys[i] / dev.scale_r
     (kwargs,) = calls
-    (events,) = passes
+    ((_, _, events),) = passes
     # the failing run's solve_ivp returned, with every step of the clean run
     assert len(results) == 2 and np.array_equal(results[1].t, ys)
     earlier = [e for e in clean.events if e.r <= ys[i] / dev.scale_r]
