@@ -471,10 +471,11 @@ def _root(step, g, *args) -> float:
         raise IntegrationFailed(f"integration failed: {exc}") from exc
 
 
-def _finish_steps(dev: _Deviation, rows, events) -> np.ndarray:
+def _finish_steps(dev: _Deviation, rows, events, derivative=True) -> np.ndarray:
     """The end-of-run pass of Shot.r_k and Shot.profile, run once the run
     has ended: every step's dense-output rows F, (steps, 7, 2), and the
-    roots of the steps on which u or u' changes sign.
+    roots of the steps on which u or u' changes sign (u's alone without
+    derivative).
 
     rows, (steps, _ROW), holds each step as (t_old, v, v', h, v_new,
     v'_new, t_new) and its 13 stage rows.  The extra stages and F are
@@ -482,7 +483,8 @@ def _finish_steps(dev: _Deviation, rows, events) -> np.ndarray:
     each extra stage's RHS in one _rhs_pass.  The first step whose F is not
     finite raises IntegrationFailed at its start radius, ahead of any later
     step.  Each step before it compares dev.signs, (u/a, u'/(a scale_r)),
-    at its start and at its end, on Python floats: while dev.trusted, a
+    at its start and at its end, on Python floats (a step starts where the
+    one before it ended, so each is computed once): while dev.trusted, a
     component that changes sign there by solve_ivp's rule for an event of
     direction 0 has its root located on the step's dense output as
     solve_ivp locates an event and appended to events (a zero crossing
@@ -514,13 +516,19 @@ def _finish_steps(dev: _Deviation, rows, events) -> np.ndarray:
     good = steps if finite.all() else int(np.argmin(finite))  # steps before the first bad
 
     trusted = dev.trusted  # else sign changes are noise
-    for i, (y0, v, vp, _, v1, vp1, y1) in enumerate(rows[:good, :7].tolist()):
-        (g, dg), (w, dw) = dev.signs(y0, (v, vp)), dev.signs(y1, (v1, vp1))
+    head = rows[:good, :7].tolist()
+    w, dw = dev.signs(head[0][0], head[0][1:3]) if head else (0.0, 0.0)
+    K, power, n2 = dev.K, dev.h, -(dev.n - 2.0)
+    for i, (y0, v, vp, _, v1, vp1, y1) in enumerate(head):
+        g, dg = w, dw
+        t = K / (K + y1 * y1)  # dev.signs(y1, (v1, vp1)), inlined
+        d = t**power
+        w, dw = d + v1, n2 * y1 * d * t / K + vp1
         if abs(w) >= BLOWUP_BOUND:
             raise _blow_up(y0 / dev.scale_r)
         # solve_ivp's rule for an event of direction 0
         zero = trusted and (g <= 0.0 <= w or w <= 0.0 <= g)
-        dzero = trusted and (dg <= 0.0 <= dw or dw <= 0.0 <= dg)
+        dzero = derivative and trusted and (dg <= 0.0 <= dw or dw <= 0.0 <= dg)
         if zero or dzero:
             step = (y0, y1, v, vp, F[i].tolist())
             for c, change in enumerate((zero, dzero)):
@@ -957,19 +965,22 @@ class Shot:
 
     @cached_property
     def r_k(self) -> float:
-        """Radius of zero k, the first zero crossing _finish_steps locates
-        on its step's row as integrate locates an event, however the run
-        ended after it; else inf where the run reached SHOOT_END or made
-        none, and a blown or failed run raises as integrate would at the
-        radius it reached."""
+        """Radius of zero k, the zero crossing _finish_steps locates on its
+        step's row as integrate locates an event (u's alone: no root of u'
+        is sought there), however the run ended after it; else inf where
+        the run reached SHOOT_END or made none, and a blown or failed run
+        raises as integrate would at the radius it reached."""
         if self.row is None:
             if self.end in ("end", "untrusted"):
                 return math.inf
             raise self._failure()
-        events = []  # a blown row raises before it gives any
+        zeros = []  # a blown row raises before it gives one
         with np.errstate(all="ignore"):
-            _finish_steps(self.dev, np.reshape(self.row, (1, _ROW)), events)
-        return next(e.r for e in events if e.kind == "zero-crossing")
+            _finish_steps(self.dev, np.reshape(self.row, (1, _ROW)), zeros, derivative=False)
+        if not zeros:
+            raise IntegrationFailed("integration failed: u does not change sign on zero k's step",
+                                    last_radius=self.row[0] / self.dev.scale_r)
+        return zeros[0].r
 
     def profile(self) -> RadialProfile:
         """The profile in physical variables out to stop, the one builder

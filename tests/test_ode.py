@@ -1072,19 +1072,20 @@ def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
     dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
     passes, finish_steps = [], ode._finish_steps
 
-    def recorded(*args):
-        passes.append((args, finish_steps(*args)))
-        return passes[-1][1]
+    def recorded(*args, **kwargs):
+        passes.append((args, kwargs, finish_steps(*args, **kwargs)))
+        return passes[-1][2]
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
     r_k = shoot(params, a, k, rtol=rtol)
-    (((_, rows, events), F),) = passes
+    (((_, rows, events), kwargs, F),) = passes
     ((y, v, vp, h, v_new, vp_new, y1),) = rows[:, :7].tolist()
     stages = rows[0, 7:].reshape(-1, 2)
-    # u changes sign on the one step, which is not blown; a step clipped at
-    # r = 1 ends there exactly
-    ((i, changes, blown),) = _sign_changes(dev, rows)
-    assert i == 0 and changes[0] == 0 and not blown
+    # u, and u alone, changes sign on the one step, which is not blown, and
+    # the pass locates u's root alone; a step clipped at r = 1 ends there
+    # exactly
+    assert _sign_changes(dev, rows) == [(0, [0], False)] and len(events) == 1
+    assert kwargs == {"derivative": False}
     assert events[0].kind == "zero-crossing" and events[0].r == r_k
     assert y1 in (y + h, dev.scale_r)
     solver = DOP853(lambda t, s: np.array(dev.rhs(float(t), *s.tolist())), y,
@@ -1112,6 +1113,42 @@ def test_one_step_matches_scipy_dop853(monkeypatch, n, k, rtol):
     assert np.all(np.abs(F[0] - want) <= 1e-14 * magnitudes)
 
 
+def test_finish_steps_without_derivative_locates_zero_crossings_alone(monkeypatch):
+    """Asked for u's roots alone, as Shot.r_k asks on zero k's step, the
+    end-of-run pass locates the zero crossings the full pass locates, bit
+    for bit, and seeks no root of u': a record's steps on which u' changes
+    sign give no derivative zero and no brentq call."""
+    params, a = Params(n=7, lam=2.0), A_STAR[(7, 2)]
+    passes = _passed_events(monkeypatch)
+    integrate(params, a, 1.0)
+    ((dev, rows, events),) = passes
+    assert any(e.kind == "derivative-zero" for e in events)
+    components, root = [], ode._root
+
+    def located(step, g, dev, c):
+        components.append(c)
+        return root(step, g, dev, c)
+
+    monkeypatch.setattr(ode, "_root", located)
+    zeros = []
+    with np.errstate(all="ignore"):
+        F = ode._finish_steps(dev, rows, zeros, derivative=False)
+    assert zeros == [e for e in events if e.kind == "zero-crossing"]
+    assert components == [0] * len(zeros)
+    assert F.shape == (len(rows), 7, 2)
+
+
+def test_shot_r_k_fails_where_its_row_holds_no_zero_crossing():
+    """A shot whose zero-k row holds no sign change of u (here the row of
+    its first step, put in its place) raises integration-failed at the
+    row's start radius, not a bare StopIteration or IndexError."""
+    run = ode.shot(Params(n=7, lam=2.0), A_STAR[(7, 2)], 2)
+    first = tuple(np.frombuffer(run.record)[:ode._ROW].tolist())
+    with pytest.raises(IntegrationFailed) as info:
+        dataclasses.replace(run, row=first).r_k
+    assert info.value.last_radius == first[0] / run.dev.scale_r
+
+
 @pytest.mark.parametrize("args, k, tolerances, error, shot_step", [
     pytest.param((Params(n=7, lam=1e4), 1.0), 1, {"rtol": 1e3}, BlowUpDetected,
                  "0.239833 to 0.550252", id="blow-up"),
@@ -1130,9 +1167,9 @@ def test_shoot_and_integrate_end_alike(monkeypatch, args, k, tolerances, error, 
     passes, finish_steps = [], ode._finish_steps
     located, root = [], ode._root
 
-    def finished(dev, rows, events):
+    def finished(dev, rows, events, **kwargs):
         passes.append((dev, rows))
-        return finish_steps(dev, rows, events)
+        return finish_steps(dev, rows, events, **kwargs)
 
     def recorded(step, *rest):
         located.append(step)
@@ -1219,9 +1256,9 @@ def test_record_shot_takes_the_shots_steps(monkeypatch, n, k, rtol):
     params, a = Params(n=n, lam=2.0), 10.0 * A_STAR[(n, k)]
     passes, finish_steps = [], ode._finish_steps
 
-    def recorded(dev, rows, events):
+    def recorded(dev, rows, events, **kwargs):
         passes.append((rows[:, :7], rows[:, 7:].reshape(len(rows), -1, 2)))
-        return finish_steps(dev, rows, events)
+        return finish_steps(dev, rows, events, **kwargs)
 
     monkeypatch.setattr(ode, "_finish_steps", recorded)
     run = ode.shot(params, a, k, rtol=rtol)
@@ -1385,8 +1422,8 @@ def test_dense_output_matches_scipy(monkeypatch, n, lam, a, trusted):
         results.append(solve_ivp(*args, **kwargs))
         return results[-1]
 
-    def finished(*args):
-        F = finish_steps(*args)
+    def finished(*args, **kwargs):
+        F = finish_steps(*args, **kwargs)
         rows.extend(F)
         return F
 
@@ -1482,9 +1519,9 @@ def _passed_events(monkeypatch):
     passes; events is the list the pass fills."""
     passes, finish_steps = [], ode._finish_steps
 
-    def finished(dev, rows, events):
+    def finished(dev, rows, events, **kwargs):
         passes.append((dev, rows, events))
-        return finish_steps(dev, rows, events)
+        return finish_steps(dev, rows, events, **kwargs)
 
     monkeypatch.setattr(ode, "_finish_steps", finished)
     return passes
