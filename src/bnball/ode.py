@@ -6,8 +6,12 @@ A radial solution of -Delta u = lambda u + |u|^(2*-2) u satisfies
 
 which is singular at the origin.  integrate starts from the two-term
 series of the deviation below at a small radius r0 instead; a shot starts
-further out, where the 8-term series is exact to rounding.  Every profile
-answers radii below its first knot from the 8-term series.
+further out, where the 8-term series is exact to rounding, or, at small
+lamhat, further still, past the bubble's core, from lamhat times the
+bubble's linear response phi_1, tabulated once per n (_linear_response)
+and exact there to a tenth of the shot's rtol.  Every profile answers
+radii below its first knot from the 8-term series; the profile of a shot
+that started past the series start runs the core from it again.
 
 Rather than integrating u directly, the solver always integrates the
 unit-amplitude rescaling.  If u solves the equation with u(0) = a, then
@@ -61,10 +65,12 @@ floats and evaluates profiles on arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -106,6 +112,26 @@ DEFAULT_ATOL = 1e-12
 # of the first.
 SERIES_TERMS = 8
 SERIES_CUTOFF = 1e-19
+
+# To first order in lamhat the deviation is lamhat phi_1(y), the bubble's
+# linear response, which depends on n alone (Brezis and Peletier 1989, Rey
+# 1990).  _linear_response tabulates phi_1 on RESPONSE_GRID radii per
+# decade from _dop853 runs of the deviation problem at RESPONSE_LAM_HAT,
+# where v / lamhat is phi_1, at RESPONSE_RTOL and at ten times it (the
+# table's error), and at RESPONSE_PROBE (the second-order term), each at an
+# atol of RESPONSE_ATOL times its lamhat.  A run takes at most 21 attempts
+# per grid interval at n = 7-12; an interval it cannot finish in
+# RESPONSE_STEPS attempts ends the table (at n = 40,000 the first, which
+# took 1.4 s to fail without the bound).  A shot may start from the table
+# where the start is exact to RESPONSE_SHARE of its rtol and lamhat phi_1
+# is at most that share of the bubble.
+RESPONSE_LAM_HAT = 1e-100
+RESPONSE_PROBE = 1e-14
+RESPONSE_RTOL = 1e-13
+RESPONSE_ATOL = 1e-20
+RESPONSE_GRID = 8
+RESPONSE_STEPS = 1_000
+RESPONSE_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -228,7 +254,7 @@ class _Deviation:
 
     rhs(y, v, vp) is the right-hand side (v', v'') at the scaled radius y,
     on Python floats.  integrate runs from the two-term series state s0
-    at y0 out to y_end, a shot from series_start(); every profile answers
+    at y0 out to y_end, a shot from shot_start(); every profile answers
     below its first knot from series_state.
     trusted says whether sign changes of u can be told from integration
     noise.
@@ -302,7 +328,9 @@ class _Deviation:
         y_s is the largest y <= 1, and below half of y_end, at which the
         last term is at most SERIES_CUTOFF of the first, so that the series
         is exact to rounding there, but never below SCALED_START; a series
-        that overflows gives integrate's start.
+        that overflows gives integrate's start.  Every profile of a shot
+        starts here, though at small lamhat the shot itself starts further
+        out (shot_start).
         """
         v = self.series
         J = SERIES_TERMS
@@ -312,6 +340,30 @@ class _Deviation:
         y = (SERIES_CUTOFF / ratio) ** (0.5 / (J - 1)) if ratio else 1.0
         y = max(min(y, 1.0, 0.5 * self.y_end), SCALED_START)
         return y, self.series_state(y)
+
+    def shot_start(self, rtol: float) -> tuple[float, tuple[float, float], float]:
+        """The scaled radius where a shot at rtol starts, the state (v, v')
+        there and its first step: series_start, with 0 for the first step
+        that hinit picks, unless the linear response reaches further.
+
+        Then it is the last grid radius y* of _linear_response(n) below
+        scale_r (r = 1) at which lam_hat times the table's state is within
+        RESPONSE_SHARE rtol of the deviation (the second-order term and the
+        table's own error each) and lam_hat |phi_1| within RESPONSE_SHARE
+        of the bubble, there and at every grid radius before it.  The state
+        is lam_hat times the table's recorded floats at y*, and the first
+        step the table's step there scaled to rtol as DOP853's steps scale,
+        by rtol^(1/8).  Never at lam_hat = 0.
+        """
+        y, state = self.series_start()
+        if self.lam_hat > 0.0:
+            table = _linear_response(self.n)
+            j = table.last(self.lam_hat, rtol, self.scale_r)
+            if j >= 0 and table.radii[j] > y:
+                phi, dphi = table.states[j]
+                step = table.steps[j] * (rtol / RESPONSE_RTOL) ** 0.125
+                return table.radii[j], (self.lam_hat * phi, self.lam_hat * dphi), step
+        return y, state, 0.0
 
     def series_state(self, y):
         """The state (v, v') of series at scaled radius y, scalar or array,
@@ -684,7 +736,8 @@ def integrate(
             deviation=dev,
             record=record,
         )
-    return Shot(dev, dev.y0, dev.y_end, sol.message, sol.t[-1], None, record).profile()
+    return Shot(dev, dev.y0, dev.y_end, sol.message, sol.t[-1], None, record, sol.nfev,
+                rtol).profile()
 
 
 def _rhs_lines(y: str, v: str, vp: str, out: str) -> list[str]:
@@ -749,7 +802,8 @@ def _attempt_stage_lines(s: int) -> list[str]:
 # from y, the shot's start.  After a step of error norm err the next is
 # h/fac, fac = min(1/FAC1, err^(1/8)/SAFE): the step is accepted if err <=
 # 1, with fac at least 1/FAC2, and at least 1 if it follows a rejection.
-# hinit picks the first step; 0.1 h <= y UROUND is too small.  A step
+# The first step is h0 if positive (as dop853's initial step guess), else
+# hinit picks it; 0.1 h <= y UROUND is too small.  A step
 # that would end within 1.01 h of an end, y_stop (the scaled r = 1) while
 # the run lies inside it and y_end after, is clipped to end there.  The
 # estimate misses what the kink of |u|^(p-1) u at u = 0 costs a step
@@ -760,25 +814,29 @@ def _attempt_stage_lines(s: int) -> list[str]:
 # (hlim) until its end (until).  Each step accepted below y_stop goes to
 # record as a packed row of _ROW floats, the step that trips the guard too;
 # _finish_steps finds the sign changes in the record.  The run ends at the
-# later of zero k and y_stop.  Returns (RHS evaluations, end, radius, row):
+# later of zero k and y_stop, at y_stop if that is y_end; k = 0 seeks no
+# zero.  Returns (RHS evaluations, end, radius, row):
 # end "zero", "blow-up", "end" at y_end, or why the run failed; row is the
 # row of zero k's step once found, else that of the step that trips the
 # guard.
 _SHOT_SOURCE = """\
-def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps, record):
+def _dop853(K, h, p, n1, lam, k, y, v, vp, h0, y_stop, y_end, rtol, atol, max_steps, record):
 {start}
     k0v, hmax, hlim, until = vp, y_end - y, y_end - y, inf
-    sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
-    e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
-    dnf, dny = e1 * e1 + e2 * e2, e3 * e3 + e4 * e4
-    hh = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10 else sqrt(dny / dnf) * 0.01, hmax)
-    xe, ve, ke = y + hh, v + hh * k0v, vp + hh * k0p
+    if h0 > 0.0:
+        hh, nfev = min(h0, hmax), 1
+    else:
+        sk1, sk2 = atol + rtol * abs(v), atol + rtol * abs(vp)
+        e1, e2, e3, e4 = k0v / sk1, k0p / sk2, v / sk1, vp / sk2
+        dnf, dny = e1 * e1 + e2 * e2, e3 * e3 + e4 * e4
+        hh = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10 else sqrt(dny / dnf) * 0.01, hmax)
+        xe, ve, ke = y + hh, v + hh * k0v, vp + hh * k0p
 {euler}
-    e1, e2 = (ke - k0v) / sk1, (kep - k0p) / sk2
-    der12 = max(sqrt(e1 * e1 + e2 * e2) / hh, sqrt(dnf))
-    h1 = max(1e-6, hh * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
-    hh = min(100.0 * hh, h1, hmax)
-    nfev, attempts, zeros, reject, last, zero = 2, 0, 0, False, False, None
+        e1, e2 = (ke - k0v) / sk1, (kep - k0p) / sk2
+        der12 = max(sqrt(e1 * e1 + e2 * e2) / hh, sqrt(dnf))
+        h1 = max(1e-6, hh * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
+        hh, nfev = min(100.0 * hh, h1, hmax), 2
+    attempts, zeros, reject, last, zero = 0, 0, False, False, None
     while True:
         if attempts >= max_steps:
             return nfev, "step budget spent", y, zero
@@ -825,6 +883,8 @@ def _dop853(K, h, p, n1, lam, k, y, v, vp, y_stop, y_end, rtol, atol, max_steps,
             record += pack(*step)
             if last and zero is not None:  # at y_stop, past zero k
                 return nfev, "zero", xnew, zero
+            if last and y_stop == y_end:  # a run that ends at y_stop
+                return nfev, "end", xnew, None
             last = False
         elif last:
             return nfev, "end", xnew, None
@@ -913,7 +973,7 @@ def _generate() -> dict:
 
     shot = _SHOT_SOURCE.format(
         start=block(_rhs_lines("y", "v", "vp", "k0p"), 4),
-        euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 4),
+        euler=block(_rhs_lines("xe", "ve", "ke", "kep"), 8),
         stages=block([x for s in range(1, T.N_STAGES) for x in _shot_stage_lines(s)], 8),
         new=block(_rhs_lines("xnew", "vnew", "pnew", "k12p"), 8),
         k_rows=", ".join(f"{v}, {p}" for v, p in zip(kv, kp)),
@@ -951,8 +1011,9 @@ class Shot:
     either, where no run was made), the row of zero k's step if the run
     found zero k, else of its blown step, and the steps committed up to
     the scaled radius stop, the record _finish_steps and profile() take
-    once the run has ended.  shot fills one from _dop853 with stop at r =
-    1, integrate from _FloatDop853 with stop at r_stop and its solve_ivp
+    once the run has ended; nfev counts the run's RHS evaluations, and
+    rtol is its own.  shot fills one from _dop853 with stop at r = 1,
+    integrate from _FloatDop853 with stop at r_stop and its solve_ivp
     message as end."""
 
     dev: _Deviation
@@ -962,6 +1023,8 @@ class Shot:
     radius: float | None
     row: tuple | None = field(repr=False)
     record: bytearray = field(repr=False)
+    nfev: int
+    rtol: float
 
     @cached_property
     def r_k(self) -> float:
@@ -990,17 +1053,33 @@ class Shot:
         located events are sorted by radius (stably, so a zero crossing
         stays before a derivative zero at the same radius); knots hold the
         steps plus DENSE_SAMPLES interior samples per step, and below the
-        first knot the profile answers from the 8-term series.
-        SingularPoint where the start lies at or beyond stop;
-        IntegrationFailed without a run."""
+        first knot the profile answers from the 8-term series.  For a
+        shot that started past series_start, the record is first preceded
+        by the core: the rows of a _dop853 run at the shot's rtol from
+        series_start to the shot's start, its last step clipped to end
+        there, which are the rows of a shot from the series start up to
+        that step; so the knots start at series_start.  SingularPoint
+        where the start lies at or beyond stop; IntegrationFailed without a
+        run."""
         if self.y0 is None:
             raise IntegrationFailed("integration failed: untrusted, so the shot made no run")
-        dev, y0 = self.dev, self.y0
+        dev, y0, record = self.dev, self.y0, self.record
         scale_r = dev.scale_r
         if not y0 < self.stop:
             raise SingularPoint(f"r = {self.stop / scale_r:g} does not lie beyond the "
                                 f"series-start radius {y0 / scale_r:g} of amplitude {dev.a:g}")
-        rows = np.frombuffer(self.record).reshape(-1, _ROW)
+        y_s, state = dev.series_start()
+        if y_s < y0:  # started from the linear response: the core from the series
+            core = bytearray()
+            _, end, radius, _ = _dop853(
+                dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, 0, y_s, *state, 0.0, y0, y0,
+                self.rtol, dev.atol_scaled, SHOOT_MAX_STEPS, core,
+            )
+            if end != "end":
+                raise IntegrationFailed(f"integration failed: {end}",
+                                        last_radius=radius / scale_r)
+            record, y0 = core + record, y_s
+        rows = np.frombuffer(record).reshape(-1, _ROW)
         events = []
         with np.errstate(all="ignore"):
             F = _finish_steps(dev, rows, events)
@@ -1048,8 +1127,10 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
          atol: float = DEFAULT_ATOL) -> Shot:
     """One shooting evaluation of u(0) = a toward zero k: integrate's
     deviation problem on _dop853 at run_tolerances(rtol, atol), from
-    _Deviation.series_start, where the series is exact to rounding; none
-    below the zero-trust floor, where sign changes are noise.  A bad
+    _Deviation.shot_start: series_start, where the series is exact to
+    rounding, or at small lamhat a grid radius of the linear response
+    further out, with the first step that comes with it; none below the
+    zero-trust floor, where sign changes are noise.  A bad
     tolerance raises before any step, an error scale of 0 as
     IntegrationFailed; other failures are the Shot's to raise.  Its r_k
     is the radius of zero k, inside the ball or beyond, inf where the
@@ -1060,13 +1141,110 @@ def shot(params: Params, a: float, k: int, *, rtol: float = DEFAULT_RTOL,
     dev = _deviation(params, a, SHOOT_END, atol)
     record = bytearray()
     if not dev.trusted:
-        return Shot(dev, None, dev.scale_r, "untrusted", None, None, record)
-    y0, state = dev.series_start()
+        return Shot(dev, None, dev.scale_r, "untrusted", None, None, record, 0, rtol)
+    y0, state, h0 = dev.shot_start(rtol)
     try:
-        _, end, radius, row = _dop853(
-            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state, dev.scale_r,
+        nfev, end, radius, row = _dop853(
+            dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, k, y0, *state, h0, dev.scale_r,
             dev.y_end, rtol, dev.atol_scaled, SHOOT_MAX_STEPS, record,
         )
     except ZeroDivisionError as exc:  # error scale 0: atol scaled to 0 on a zero state
         raise IntegrationFailed(f"integration failed: {exc}") from exc
-    return Shot(dev, y0, dev.scale_r, end, radius, row, record)
+    return Shot(dev, y0, dev.scale_r, end, radius, row, record, nfev, rtol)
+
+
+@dataclass(frozen=True)
+class _LinearResponse:
+    """phi_1 of one dimension on a grid of scaled radii, from the series
+    start of lamhat -> 0 on, RESPONSE_GRID per decade, and how far lamhat
+    phi_1 may be trusted there.
+
+    states holds (phi_1, phi_1') at radii: the recorded float state of the
+    table run at RESPONSE_LAM_HAT divided by it; steps the step the table
+    run goes on with from there, the last it took before the one clipped
+    to end on the radius.  second, error and size are running maxima over
+    the grid up to each radius: of |phi_2 / phi_1|, from the run at
+    RESPONSE_PROBE; of the table's relative error, its difference from the
+    run at ten times RESPONSE_RTOL; and of |phi_1| / delta.  The first two
+    measure a state (v, v') relative to |v|, with v' on the scale of v /
+    y.  The table ends where a run fails to reach the next radius or where
+    the probe's |v| exceeds RESPONSE_SHARE of delta, beyond which it no
+    longer isolates phi_2.
+    """
+
+    radii: tuple
+    states: tuple
+    steps: tuple
+    second: tuple
+    error: tuple
+    size: tuple
+
+    def last(self, lam_hat: float, rtol: float, below: float) -> int:
+        """Index of the last radius below `below` up to which lam_hat
+        times the table is within RESPONSE_SHARE rtol of the deviation, in
+        the second-order term and in the table's error each, and lam_hat
+        |phi_1| within RESPONSE_SHARE of delta; -1 for none."""
+        share = RESPONSE_SHARE
+        return min(
+            bisect_left(self.radii, below),
+            bisect_right(self.second, share * rtol / lam_hat),
+            bisect_right(self.error, share * rtol),
+            bisect_right(self.size, share / lam_hat),
+        ) - 1
+
+
+def _relative(y: float, state, to) -> float:
+    """How far state (v, v') lies from `to` at y, relative to |v| of
+    `to`, with v' on the scale of v / y."""
+    return max(abs(state[0] - to[0]), y * abs(state[1] - to[1])) / abs(to[0])
+
+
+@cache
+def _linear_response(n: int) -> _LinearResponse:
+    """The _LinearResponse of dimension n, built on first use from the
+    rows of _response_rows."""
+    rows = list(_response_rows(n))
+    return _LinearResponse(*(zip(*rows) if rows else [()] * 6))
+
+
+def _response_rows(n: int):
+    """(radius, (phi_1, phi_1'), step, second, error, size) at each grid
+    radius of _LinearResponse, from three _dop853 runs, each from the
+    series start of RESPONSE_LAM_HAT, stopped exactly on every grid radius
+    and going on from there with the step it would have taken: the table
+    at RESPONSE_LAM_HAT and RESPONSE_RTOL, its check at ten times that
+    rtol, and the probe at RESPONSE_PROBE."""
+    dev = _deviation(Params(n=n, lam=RESPONSE_LAM_HAT), 1.0, SHOOT_END, DEFAULT_ATOL)
+    probe = _deviation(Params(n=n, lam=RESPONSE_PROBE), 1.0, SHOOT_END, DEFAULT_ATOL)
+    y0, state = dev.series_start()
+    runs = [  # lamhat, rtol, the state the run has reached and its next step
+        [RESPONSE_LAM_HAT, RESPONSE_RTOL, state, 0.0],
+        [RESPONSE_LAM_HAT, 10.0 * RESPONSE_RTOL, state, 0.0],
+        [RESPONSE_PROBE, RESPONSE_RTOL, probe.series_state(y0), 0.0],
+    ]
+    second = error = size = 0.0
+    y_run = y0
+    for j in itertools.count(1):
+        y = y0 * 10.0 ** (j / RESPONSE_GRID)
+        for run in runs:
+            lam, rtol, (v, vp), h0 = run
+            record = bytearray()
+            _, end, _, _ = _dop853(dev.K, dev.h, dev.p, n - 1.0, lam, 0, y_run, v, vp, h0, y,
+                                   y, rtol, RESPONSE_ATOL * lam, RESPONSE_STEPS, record)
+            if end != "end":
+                return
+            floats = memoryview(record).cast("d")
+            last = len(floats) - _ROW  # the last row, its step clipped to end on y
+            # the step before the clipped one, with which the run goes on
+            run[2:] = (floats[last + 4], floats[last + 5]), floats[max(last - _ROW, 0) + 3]
+        phi, check, probed = [(v / lam, vp / lam) for lam, _, (v, vp), _ in runs]
+        delta = dev.bubble(y)[0]
+        if not RESPONSE_PROBE * abs(probed[0]) <= RESPONSE_SHARE * delta:
+            return
+        second = max(second, _relative(y, probed, phi) / RESPONSE_PROBE)
+        error = max(error, _relative(y, check, phi))
+        size = max(size, abs(phi[0]) / delta)
+        if not second + error + size < math.inf:
+            return
+        yield y, phi, runs[0][3], second, error, size
+        y_run = y

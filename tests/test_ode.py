@@ -6,8 +6,10 @@ import functools
 import gc
 import math
 import operator
+import os
 import re
 import signal
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -316,12 +318,12 @@ def test_rhs_pass_is_rhs_per_state():
 
 
 # A shot whose power |w|^(p-1) overflows: n=3, zero 3 sought at a loose rtol.
-# The run passes r=1 and fails near r = 137; the problem is trusted.  (At
-# rtol 1e3, where the shot's steps past r = 1 followed an unclipped step
-# across it, it failed near r = 136; with the clip it meets the blow-up
-# guard at r = 173 instead.)
-OVERFLOW_SHOT = (Params(n=3, lam=0.01), 10.0, 3)
-OVERFLOW_SHOT_RTOL = 1e4
+# The run starts from the linear response, passes r=1 and fails near
+# r = 140; the problem is trusted.  (From the series start, a = 10 at rtol
+# 1e4 failed near r = 137; from the linear response it meets a step whose
+# dense output is not finite instead.)
+OVERFLOW_SHOT = (Params(n=3, lam=0.01), 1.0, 3)
+OVERFLOW_SHOT_RTOL = 1e3
 TOO_SMALL = "integration failed: step size becomes too small"
 NOT_FINITE = "integration failed: Dense output of the step is not finite."
 
@@ -553,6 +555,191 @@ def test_shot_from_series_start_matches_scaled_start(monkeypatch, n, k):
     assert got == pytest.approx([1.0] * len(got), abs=5e-10)
 
 
+def _from_series(dev, rtol):
+    """A shot's start from the series, as shots started before the linear
+    response: Deviation.shot_start's stand-in."""
+    return (*dev.series_start(), 0.0)
+
+
+@pytest.mark.parametrize("n, lam, a, k, rtol", [
+    pytest.param(7, 2.0, 1.0, 2, DEFAULT_RTOL, id="cold-seed"),
+    pytest.param(8, 0.5, 1.0, 1, 1e-8, id="cold-seed-n8"),
+    pytest.param(7, 2.0, A_STAR[(7, 2)], 2, 100 * np.finfo(float).eps, id="rtol-100-eps"),
+    pytest.param(8, 2.0, A_STAR[(8, 2)], 2, 100 * np.finfo(float).eps, id="rtol-100-eps-n8"),
+])
+def test_shot_start_is_the_series_start_beyond_the_table(monkeypatch, n, lam, a, k, rtol):
+    """From the cold seed a = 1, where lamhat = lambda is far too large for
+    the linear response, and at an rtol finer than the table's own error
+    supports, a shot starts at series_start, from its state, with the
+    first step hinit picks, and runs and records exactly as a shot that
+    starts there by construction."""
+    params = Params(n=n, lam=lam)
+    dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+    y_s, state = dev.series_start()
+    assert dev.shot_start(rtol) == (y_s, state, 0.0)
+    run = ode.shot(params, a, k, rtol=rtol)
+    monkeypatch.setattr(ode._Deviation, "shot_start", _from_series)
+    want = ode.shot(params, a, k, rtol=rtol)
+    assert run.y0 == want.y0 == y_s
+    assert (run.end, run.radius, run.row, run.nfev) == (want.end, want.radius, want.row,
+                                                         want.nfev)
+    assert run.record == want.record and run.r_k == want.r_k
+
+
+def test_untrusted_shot_consults_no_table(monkeypatch):
+    """An untrusted problem makes no run, as before the linear response:
+    the shot neither starts nor builds or reads a table."""
+    def no_table(n):
+        pytest.fail("an untrusted shot read the linear response")
+
+    monkeypatch.setattr(ode, "_linear_response", no_table)
+    run = ode.shot(Params(n=5, lam=0.5), 1e28, 2)
+    assert (run.y0, run.end, run.radius, run.row, run.nfev) == (None, "untrusted", None,
+                                                                None, 0)
+    assert not run.record and run.r_k == math.inf
+
+
+def test_linear_response_built_by_the_first_shot():
+    """Importing the package builds no table: _linear_response is empty in
+    a fresh interpreter until a shot asks for one, which builds it once
+    per dimension."""
+    code = ("import bnball.ode as ode; from bnball.model import Params; "
+            "before = ode._linear_response.cache_info().currsize; "
+            "ode.shot(Params(n=7, lam=2.0), 4.25e19, 2); ode.shot(Params(n=7, lam=1.0), 4e22, 2); "
+            "info = ode._linear_response.cache_info(); "
+            "print(before, info.currsize, info.misses)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0", "1", "1"]
+
+
+def _series_oracle(dev, y):
+    """The state at y of a run from series_start stopped exactly on y, at
+    the least rtol."""
+    y_s, state = dev.series_start()
+    record = bytearray()
+    _, end, _, _ = ode._dop853(dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, 0, y_s, *state,
+                               0.0, y, y, 100 * np.finfo(float).eps, dev.atol_scaled,
+                               ode.SHOOT_MAX_STEPS, record)
+    assert end == "end"
+    rows = np.frombuffer(record).reshape(-1, ode._ROW)
+    assert rows[-1, 6] == y
+    return tuple(rows[-1, 4:6].tolist())
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_shot_start_from_linear_response_is_within_a_tenth_of_rtol(n):
+    """For lamhat from 1e-24 to 1e-8 and rtol from 1e-12 to 1e-8, wherever
+    a shot starts from the linear response it starts at a grid radius of
+    the table beyond the series start and inside r = 1, from lamhat times
+    the table's recorded state there, with a first step that scales as
+    rtol^(1/8); that state is within RESPONSE_SHARE = 0.1 rtol of a
+    series-started run at 100 eps, relative to |v| with v' on the scale
+    of v / y.  The start reaches past y = 2 somewhere at every n."""
+    table = ode._linear_response(n)
+    reach = 0.0
+    for exponent in range(-24, -7):
+        for rtol in (1e-8, 1e-10, 1e-12):
+            # a = 1e30 puts r = 1 far out; lambda gives the wanted lamhat
+            lam_hat, a = 10.0**exponent, 1e30
+            params = Params(n=n, lam=lam_hat * a ** (4.0 / (n - 2.0)))
+            dev = ode._deviation(params, a, ode.SHOOT_END, DEFAULT_ATOL)
+            assert dev.lam_hat == pytest.approx(lam_hat, rel=1e-12)
+            y, state, h0 = dev.shot_start(rtol)
+            if h0 == 0.0:
+                assert (y, state) == dev.series_start()
+                continue
+            j = table.radii.index(y)
+            assert dev.series_start()[0] < y < dev.scale_r
+            assert state == tuple(dev.lam_hat * x for x in table.states[j])
+            assert h0 == table.steps[j] * (rtol / ode.RESPONSE_RTOL) ** 0.125
+            assert ode._relative(y, state, _series_oracle(dev, y)) <= 0.1 * rtol
+            reach = max(reach, y)
+    assert reach > 2.0
+
+
+# The k=2 a* of (n, lambda) = (7, 0.25), from the warm reference sweep.
+A_STAR_7_QUARTER = 2.4997194204982147e28
+
+
+@pytest.mark.parametrize("n, lam, a_star", [
+    pytest.param(7, 2.0, A_STAR[(7, 2)], id="n7-lambda2"),
+    pytest.param(7, 0.25, A_STAR_7_QUARTER, id="n7-lambda0.25"),
+    pytest.param(8, 2.0, A_STAR[(8, 2)], id="n8-lambda2"),
+])
+@pytest.mark.parametrize("rtol", [1e-8, 1e-9, DEFAULT_RTOL])
+def test_shot_from_linear_response_finds_zero_k_as_from_series(monkeypatch, n, lam, a_star,
+                                                               rtol):
+    """Around the k=2 a*, at 11 amplitudes a*(1 + d), d in [-1e-8, 1e-8],
+    a shot from the linear response finds zero 2 within 3 rtol of a shot
+    from the series start, with fewer RHS evaluations wherever it starts
+    further out.  (At rtol 1e-11 and 1e-12, lambda = 0.25, each start's r_k
+    carries tens of rtol of integration error, and the two differ by as
+    much.)"""
+    params = Params(n=n, lam=lam)
+    amplitudes = a_star * (1.0 + np.linspace(-1e-8, 1e-8, 11))
+    runs = [ode.shot(params, a, 2, rtol=rtol) for a in amplitudes]
+    monkeypatch.setattr(ode._Deviation, "shot_start", _from_series)
+    series = [ode.shot(params, a, 2, rtol=rtol) for a in amplitudes]
+    for run, want in zip(runs, series):
+        assert run.r_k == pytest.approx(want.r_k, rel=0.0, abs=3.0 * rtol)
+        assert run.nfev < want.nfev if run.y0 > want.y0 else run.nfev == want.nfev
+    # at n=8, rtol 1e-10, lamhat = 1.4e-10 is too large for the table
+    started = any(run.y0 > want.y0 for run, want in zip(runs, series))
+    assert started == ((n, rtol) != (8, DEFAULT_RTOL))
+
+
+@pytest.mark.parametrize("n, lam, a_star, rtol", [
+    pytest.param(7, 2.0, A_STAR[(7, 2)], DEFAULT_RTOL, id="n7-lambda2"),
+    pytest.param(7, 0.25, A_STAR_7_QUARTER, 1e-8, id="n7-lambda0.25-rtol1e-8"),
+    pytest.param(8, 2.0, A_STAR[(8, 2)], 1e-9, id="n8-lambda2-rtol1e-9"),
+])
+def test_shot_profile_core_is_the_series_run_clipped_at_the_start(monkeypatch, n, lam,
+                                                                  a_star, rtol):
+    """The profile of a shot from the linear response at y* is built from
+    the rows of a run from series_start at the shot's rtol, stopped on y*,
+    then the shot's own rows: below y* the rows are, bit for bit, those of
+    a shot from the series start, but for the last, which ends exactly on
+    y*; the first knot is the series start, below which the profile
+    answers from the series, and the knots below y* are those of the
+    series start shot's profile."""
+    params = Params(n=n, lam=lam)
+    passes, finish_steps = [], ode._finish_steps
+
+    def recorded(dev, rows, events, **kwargs):
+        passes.append(rows.copy())
+        return finish_steps(dev, rows, events, **kwargs)
+
+    monkeypatch.setattr(ode, "_finish_steps", recorded)
+    run = ode.shot(params, a_star, 2, rtol=rtol)
+    profile = run.profile()
+    (rows,) = passes[-1:]
+    dev, y_star = run.dev, run.y0
+    y_s, state = dev.series_start()
+    assert y_s < y_star
+    core = bytearray()
+    ode._dop853(dev.K, dev.h, dev.p, dev.n - 1.0, dev.lam_hat, 0, y_s, *state, 0.0, y_star,
+                y_star, rtol, dev.atol_scaled, ode.SHOOT_MAX_STEPS, core)
+    core = np.frombuffer(core).reshape(-1, ode._ROW)
+    shot_rows = np.frombuffer(run.record).reshape(-1, ode._ROW)
+    assert np.array_equal(rows, np.concatenate([core, shot_rows]))
+    assert core[-1, 6] == y_star == shot_rows[0, 0]
+    monkeypatch.setattr(ode._Deviation, "shot_start", _from_series)
+    series_run = ode.shot(params, a_star, 2, rtol=rtol)
+    series_profile = series_run.profile()
+    series_rows = np.frombuffer(series_run.record).reshape(-1, ode._ROW)
+    m = len(core) - 1
+    assert np.array_equal(core[:m], series_rows[:m])
+    assert core[m, 0] == series_rows[m, 0] and series_rows[m, 6] > y_star
+    below = profile.knots < y_star / dev.scale_r
+    assert profile.knots[0] == series_profile.knots[0] == y_s / dev.scale_r
+    assert np.array_equal(profile.knots[below][:9 * m],
+                          series_profile.knots[:9 * m])
+    r = np.array([0.0, 0.5]) * profile.knots[0]
+    assert np.array_equal(profile.u_du(r), series_profile.u_du(r))
+
+
 # (n, lambda, a, k, rtol, atol, trusted): zero k of each k-nodal a* and of
 # half and twice it, and the other of zeros 1 and 2 at a*; trusted is
 # whether the zero-trust floor lets sign changes count.
@@ -695,7 +882,9 @@ def _norm2(values):
 
 def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     """shoot written as a plain loop: Hairer's dop853 over scipy's DOP853
-    tableau in rows and columns, with a list-returning RHS.  Below r = 1
+    tableau in rows and columns, with a list-returning RHS, from the
+    shot's own start (_Deviation.shot_start: the radius, the state and the
+    first step, or hinit's where that is 0).  Below r = 1
     the step that would reach it is clipped to end there, and taken again
     in eighths, as the k-th crossing step is, where zero k lies ahead; the
     run ends at the later of zero k and r = 1.  Zero k is located by brentq on the
@@ -719,20 +908,23 @@ def _list_shoot(params, a, k, rtol, atol, max_steps=ode.SHOOT_MAX_STEPS):
     def failed(message, y):
         return IntegrationFailed, f"integration failed: {message}", y / dev.scale_r
 
-    y, s = dev.series_start()
+    y, s, h0 = dev.shot_start(rtol)
     s, y_end, y_stop = list(s), dev.y_end, dev.scale_r
     K = [f(y, s)] + [None] * (T.N_STAGES_EXTENDED - 1)
-    sk = [atol + rtol * abs(x) for x in s]
-    dnf = _norm2([g / c for g, c in zip(K[0], sk)])
-    dny = _norm2([x / c for x, c in zip(s, sk)])
     hmax = y_end - y
-    h = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01, hmax)
-    f1 = f(y + h, [x + h * g for x, g in zip(s, K[0])])
-    der2 = math.sqrt(_norm2([(g1 - g) / c for g1, g, c in zip(f1, K[0], sk)])) / h
-    der12 = max(der2, math.sqrt(dnf))
-    h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
-    h = min(100.0 * h, h1, hmax)
-    nfev, attempts, zeros, reject, last = 2, 0, 0, False, False
+    if h0 > 0.0:  # the linear response's first step
+        h, nfev = min(h0, hmax), 1
+    else:  # Hairer's hinit
+        sk = [atol + rtol * abs(x) for x in s]
+        dnf = _norm2([g / c for g, c in zip(K[0], sk)])
+        dny = _norm2([x / c for x, c in zip(s, sk)])
+        h = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01, hmax)
+        f1 = f(y + h, [x + h * g for x, g in zip(s, K[0])])
+        der2 = math.sqrt(_norm2([(g1 - g) / c for g1, g, c in zip(f1, K[0], sk)])) / h
+        der12 = max(der2, math.sqrt(dnf))
+        h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
+        h, nfev = min(100.0 * h, h1, hmax), 2
+    attempts, zeros, reject, last = 0, 0, False, False
     hlim, until = hmax, math.inf  # the cap on steps that re-take a step, up to its end
     zero = None  # the step on which u changes sign for the k-th time
 
@@ -873,7 +1065,7 @@ def test_shoot_matches_list_rhs_bit_for_bit(monkeypatch, n):
     # the blown step, from r = 0.239833 to 0.550252, named by its start
     pytest.param(7, 1e4, 1.0, 1, 1e3, BlowUpDetected,
                  "|u| exceeded 1e+12 * |a| on the step from r = 0.239833", id="n7-blow-up"),
-    pytest.param(3, 0.01, 10.0, 3, OVERFLOW_SHOT_RTOL, IntegrationFailed, TOO_SMALL,
+    pytest.param(3, 0.01, 1.0, 3, OVERFLOW_SHOT_RTOL, IntegrationFailed, TOO_SMALL,
                  id="n3-power-overflow"),
     pytest.param(5, 0.5, 1e28, 2, 1e-10, None, None, id="n5-untrusted"),
     pytest.param(6, 1e-10, 1e3, 2, 1e-8, None, None, id="n6-untrusted"),
@@ -903,7 +1095,8 @@ def test_retaken_step_without_sign_change_is_uncapped(monkeypatch):
     args = (Params(n=9, lam=0.14), 7e17, 2, 40.0, 0.03)
     want = _list_shoot(*args)
     assert _array_shoot(monkeypatch, *args) == want
-    # 641 RHS evaluations; 45,365 with the cap kept past the step's end
+    # 289 RHS evaluations from the linear response at y = 331, 5,329 with
+    # the cap kept past the step's end (641 and 45,365 from the series start)
     assert want[1] < 2_000
 
 
@@ -1310,7 +1503,7 @@ def test_record_shot_fails_as_shoot(monkeypatch, args, tolerances, budget):
 
 def test_record_shot_past_the_shot():
     """A shot that fails only beyond the ball (its power overflows near r =
-    137) has a profile to r = 1 though its r_k raises; an untrusted one is
+    140) has a profile to r = 1 though its r_k raises; an untrusted one is
     inf at once and makes no run, so it records nothing and has no
     profile (integrate's profile of it has no sign events); an amplitude
     whose series start lies beyond r = 1 has no profile either, a

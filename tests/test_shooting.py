@@ -153,9 +153,12 @@ def _recorded_zero(profile, k):
 def test_each_amplitude_integrated_once(monkeypatch):
     """No amplitude is shot twice, every shot runs at rtol, a* is one of
     them, and a successful solve makes no integrate call (nor any solve_ivp
-    call): each shot is one stepper run, none follows the search, and the
-    profile is built exactly once, from the record of the shot at a*, out
-    to r = 1; it equals the profile of a fresh shot at a*."""
+    call): each shot is one stepper run, the only run after the search is
+    the one that rebuilds the core below the start of the shot at a*, and
+    the profile is built exactly once, from that core and the record of
+    the shot at a*, out to r = 1; it equals the profile of a fresh shot at
+    a*."""
+    ode._linear_response(7)  # built before counting: its runs are not the solve's
     shots, runs, built = [], [], []
     stepper, build = ode._dop853, ode.Shot.profile
 
@@ -188,9 +191,12 @@ def test_each_amplitude_integrated_once(monkeypatch):
     assert tried and len(set(tried)) == len(tried)
     assert all(rtol == DEFAULT_RTOL for _, rtol, _ in shots)
     assert sol.a_star in tried
-    assert len(runs) == len(shots)
     [(run, profile, runs_before)] = built
-    assert runs_before == len(runs)
+    # one run per shot, and one in the profile's build that rebuilds its
+    # core, from the series start up to where the shot at a* started
+    assert runs_before == len(runs) == len(shots) + 1
+    y_s = run.dev.series_start()[0]
+    assert y_s < run.y0 and runs[-1] == y_s
     assert [run] == [s for a, _, s in shots if a == sol.a_star]
     assert sol.profile is profile and profile.r_end == 1.0
 
@@ -229,15 +235,15 @@ def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtol
 
 
 def test_boundary_zero_far_inside_at_small_lambda_certifies(monkeypatch):
-    """At n=7, lambda=2^-5, rtol=1.2e-12 from a = 1e37 a full integration
-    at a* puts the boundary zero 5.5e-10 = 456 rtol inside the ball, where
+    """At n=7, lambda=2^-5, rtol=1e-12 from a = 1e37 a full integration
+    at a* puts the boundary zero 2.3e-10 = 226 rtol inside the ball, where
     an rtol-sized band would count it as interior.  The solved profile
     puts it within 2 rtol of the shot at a*; its Pruefer offset accepts
     it.  The amplitude lies above the default search ceiling, so the
     ceiling is raised here."""
     monkeypatch.setattr(shooting, "_A_MAX", 1e300)
     shots = _record_shots(monkeypatch)
-    params, rtol = Params(n=7, lam=2.0**-5), 1.2e-12
+    params, rtol = Params(n=7, lam=2.0**-5), 1e-12
     sol = solve_nodal(params, 2, a_seed=1e37, rtol=rtol)
     boundary = integrate(params, sol.a_star, 1.0, rtol=rtol).zero_crossings()[-1].r
     assert 1e-10 < 1.0 - boundary < 1e-9
@@ -320,20 +326,24 @@ def test_loose_rtol_stop_still_certifies():
 
 def test_reference_sweep_shot_count(monkeypatch):
     """Evaluations per point of the warm n=7 reference sweep, and the RHS
-    evaluations of the shots as the stepper counts them (the start and
-    hinit's Euler step, 11 stages per attempt, 1 more per accepted step;
-    the 3 dense-output stages of the located zero are the end-of-run
-    pass's): deterministic counts, 22 evaluations ([7, 4, 4, 4, 3]) and
-    64,723 RHS evaluations (64,789 with those stages).  The shots that
-    took no step in eighths into r = 1 and recorded nothing took 63,771
-    for the same 22 evaluations, the scipy.integrate.ode dop853 shots
-    65,493; shots from integrate's two-term start and seeds extrapolated
-    by grid index took 26 evaluations and 90,267 RHS calls,
-    and the Pruefer search before the residual -log r_k 43 shots and
-    107,115 RHS calls."""
+    evaluations of the stepper as it counts them (the start and hinit's
+    Euler step, or the start alone where the first step comes with it; 11
+    stages per attempt, 1 more per accepted step; the 3 dense-output
+    stages of the located zero are the end-of-run pass's), over the shots
+    and the runs that rebuild each accepted profile's core: deterministic
+    counts, 22 evaluations ([7, 4, 4, 4, 3]) and 44,147 RHS evaluations,
+    36,710 of them in the shots and 7,437 in the 5 core runs.  The linear
+    response table is built before counting.  Shots from the series start
+    took 64,723 for the same 22 evaluations (64,789 with those stages);
+    the shots that took no step in eighths into r = 1 and recorded nothing
+    63,771, the scipy.integrate.ode dop853 shots 65,493; shots from
+    integrate's two-term start and seeds extrapolated by grid index took
+    26 evaluations and 90,267 RHS calls, and the Pruefer search before
+    the residual -log r_k 43 shots and 107,115 RHS calls."""
     evaluations = []
     rhs_evaluations = 0
     stepper = ode._dop853
+    ode._linear_response(7)
 
     def recording(params, a, k, **kwargs):
         evaluations.append(params.lam)
@@ -351,7 +361,8 @@ def test_reference_sweep_shot_count(monkeypatch):
     assert all(p.solution is not None for p in points)
     per_point = [evaluations.count(lam) for lam in ACCEPTANCE_GRID]
     assert sum(per_point) == len(evaluations) <= 23, per_point
-    assert rhs_evaluations <= 68_000, rhs_evaluations
+    assert all(abs(got - want) <= 1 for got, want in zip(per_point, [7, 4, 4, 4, 3])), per_point
+    assert rhs_evaluations < 45_000, rhs_evaluations
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
