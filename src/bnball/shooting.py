@@ -6,19 +6,19 @@ evaluation is one ode.shot, whose r_k is the radius of the k-th zero,
 beyond the ball too; the search solves P(x) = -log r_k(e^x) = 0 in
 x = log a.  By the scaling of the equation, a profile whose k-th zero sits
 at r_k solves the ball problem at lambda r_k^2, so P is smooth in x and
-about 1 - r_k next to the root.  Each shot records its steps out to r = 1;
-the converged amplitude's profile is built from its shot's record, and is
-accepted by its Pruefer offset (Z - k) pi + atan2(s u(1), s u'(1)), s =
-(-1)^Z, over its Z zeros: 0 when zero k sits on r = 1, about 1 - r_k next
-to it, and about pi or 2 pi off for a miscounted pair of zeros.
+about 1 - r_k next to the root.  The search is one loop over a trail of
+(x, P) shots: it brackets the root, then refines it by inverse
+interpolation guarded by bisection.  Each shot records its steps out to
+r = 1; the converged amplitude's profile is built from its shot's record,
+and is accepted by its Pruefer offset (Z - k) pi + atan2(s u(1), s u'(1)),
+s = (-1)^Z, over its Z zeros: 0 when zero k sits on r = 1, about 1 - r_k
+next to it, and about pi or 2 pi off for a miscounted pair of zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from . import bubble, diagnostics
 from .model import (
@@ -68,10 +68,6 @@ def _pruefer(zeros: int, u1: float, du1: float, k: int) -> float:
     return (zeros - k) * math.pi + angle
 
 
-class _RootFound(Exception):
-    """Raised with x by the residual at the first x inside its noise floor."""
-
-
 @dataclass(frozen=True)
 class SignChangingSolution:
     """A converged k-nodal radial solution.
@@ -101,29 +97,36 @@ def solve_nodal(
 ) -> SignChangingSolution:
     """Find the amplitude whose radial solution has exactly k nodal regions.
 
-    Bracket the root of P = -log r_k in x = log a from a_seed, within a in
-    [1e-3, 1e30], up while P < 0 and down while P > 0.  The first step
-    assumes dP/dx = slope (0.1 unless a warm sweep measured it), later
-    ones follow the secant through the last two points, or double the last
-    step while an end is infinite or the secant slope is not positive.
-    Then refine with brentq at xtol = rtol.  The first evaluation with |P|
-    <= min(3 rtol, 1e-8) ends the search, and its amplitude is a*.  Below
-    the zero-trust floor of this atol P is -inf; a bracket end there is
-    bisected inward, and NoBracketFound is raised once the bracket is
-    narrower than rtol.  Every evaluation is one ode.shot at
+    Search for the root of P = -log r_k in x = log a from a_seed, within
+    a in [1e-3, 1e30], one shot per step.  Until a shot with P < 0 and one
+    with P > 0 bracket the root, step up while P < 0 and down while
+    P > 0: the first step assumes dP/dx = slope (0.1 unless a warm sweep
+    measured it), later ones follow the secant through the last two shots,
+    or double the last step while the secant slope is not finite or not
+    positive.  Inside the bracket of the latest shot with P < 0 and the
+    latest with P > 0, step to the inverse quadratic interpolation of the
+    last three finite shots, or else the secant of the last two, whichever
+    first falls strictly inside; bisect when neither does, when an end is
+    -inf, or when the bracket has not halved once per two steps since it
+    formed.  No x is shot twice, and only the two bracket ends and the
+    newest shot are alive.  The first shot with |P| <= min(3 rtol, 1e-8)
+    ends the search, and its amplitude is a*; a bracket narrower than rtol
+    ends it at the end with the smaller |P|.  Below the zero-trust floor of
+    this atol P is -inf, and a bracket that narrows below rtol with such an
+    end raises NoBracketFound.  Every evaluation is one ode.shot at
     run_tolerances(rtol, atol); a tolerance it rejects is a ConfigError
     before any other check, and k < 1 the next.  The profile at a* is
     built from the steps its shot recorded out to r = 1 (Shot.profile),
     with no second run.  Its Pruefer offset must satisfy |offset| <=
-    BOUNDARY_TOL (1e-6), which
-    bounds how far the k-th zero lies from r=1: a miss below pi/2 is
-    integration error and raises CertificationFailed, a larger or NaN one
-    (a miscounted pair of zeros) NonconvergentBisection.  The profile must
-    also pass the Nehari / Pohozaev / energy-monotonicity certification at
-    its default tolerances.  lambda must lie in (0, lambda_1): lambda <= 0 raises
+    BOUNDARY_TOL (1e-6), which bounds how far the k-th zero lies from r=1:
+    a miss below pi/2 is integration error and raises CertificationFailed,
+    a larger or NaN one (a miscounted pair of zeros)
+    NonconvergentBisection.  The profile must also pass the Nehari /
+    Pohozaev / energy-monotonicity certification at its default
+    tolerances.  lambda must lie in (0, lambda_1): lambda <= 0 raises
     NonpositiveLambda, lambda >= lambda_1 InvalidLambda.
     """
-    # One rtol for the evaluations, the integration, the floor and xtol.
+    # One rtol for the shots, the floor and the narrowest bracket.
     rtol, atol = run_tolerances(rtol, atol)
     if k < 1:
         raise ConfigError(f"nodal-region count k must be >= 1, got {k}")
@@ -139,39 +142,30 @@ def solve_nodal(
     # P reproduces only to a few rtol, so closer evaluations refine noise.
     floor = min(3.0 * rtol, _FLOOR_CAP)
 
-    # x -> P of the evaluations the measured slope may use
-    above_floor = {}
-    # x -> the shot at x = log a, made once per x, so brentq evaluates the
-    # bracket ends without a shot.  They go to residual as an argument:
-    # brentq's NaN guard holds residual in a reference cycle.
-    shots = {}
-
-    def residual(x: float, shots: dict) -> float:
-        if x not in shots:
-            shots[x] = shot(params, math.exp(x), k, rtol=rtol, atol=atol)
-        p = -math.log(shots[x].r_k)
-        if abs(p) <= floor:
-            raise _RootFound(x)
-        if _SLOPE_FLOOR_FACTOR * floor < abs(p) < math.inf:
-            above_floor[x] = p
-        return p
-
     x_min, x_max = math.log(_A_MIN), math.log(_A_MAX)
     x = math.log(min(max(a_seed, _A_MIN), _A_MAX))
-    try:
-        p = residual(x, shots)
-        step = -p / slope if math.isfinite(p) else math.log(2.0)
-        while True:
-            # P < 0: zero k lies beyond the ball (or cannot be told from
-            # noise), so a is too small.
-            up = p < 0.0
+    trail: list[tuple[float, float]] = []  # (x, P) of every shot, in order
+    # P < 0 (True) and P >= 0 (False) -> (x, P, shot) of the latest such shot
+    ends = {}
+    limit = None  # the widest the bracket may be before it must bisect
+    while True:
+        run = shot(params, math.exp(x), k, rtol=rtol, atol=atol)
+        p = -math.log(run.r_k)
+        trail.append((x, p))
+        if abs(p) <= floor:
+            break
+        # P < 0: zero k lies beyond the ball (or cannot be told from noise),
+        # so a is too small.
+        up = p < 0.0
+        ends[up] = (x, p, run)
+        if len(ends) < 2:
             if x == (x_max if up else x_min):
                 report = {
                     "n": params.n,
                     "lambda": params.lam,
                     "k": k,
                     "a_range_searched": [_A_MIN, _A_MAX],
-                    "evaluations": len(shots),
+                    "evaluations": len(trail),
                 }
                 if up:
                     message = f"no amplitude up to {_A_MAX:g} pulls zero {k}"
@@ -182,51 +176,44 @@ def solve_nodal(
                     f"{message} inside the ball at lambda={params.lam:g}, n={params.n}",
                     report=report,
                 )
-            x_next = min(max(x + step, x_min), x_max)
-            p_next = residual(x_next, shots)
-            if (p_next < 0.0) != up:
-                break
-            slope = (p_next - p) / (x_next - x)
-            if math.isfinite(slope) and slope > 0.0:
-                step = -p_next / slope
+            if len(trail) == 1:
+                step = -p / slope if math.isfinite(p) else math.log(2.0)
             else:
-                step = 2.0 * (x_next - x)
-            x, p = x_next, p_next
+                x_last, p_last = trail[-2]
+                secant = (p - p_last) / (x - x_last)
+                rising = math.isfinite(secant) and secant > 0.0
+                step = -p / secant if rising else 2.0 * (x - x_last)
+            x = min(max(x + step, x_min), x_max)
+            continue
 
-        # Below the zero-trust floor P is -inf; bisect such an end inward.
-        while not (math.isfinite(p) and math.isfinite(p_next)):
-            if abs(x_next - x) < rtol:
+        finite_ends = all(math.isfinite(end[1]) for end in ends.values())
+        x_lo, x_hi = sorted(end[0] for end in ends.values())
+        width = x_hi - x_lo
+        if limit is None:
+            limit = math.sqrt(2.0) * width  # the first two steps are free
+        # four ulps stop a bracket of adjacent floats at any rtol
+        if width < rtol + 4.0 * math.ulp(x):
+            if not finite_ends:
                 raise NoBracketFound(
                     f"zero {k} reaches r=1 only at the zero-trust floor near "
-                    f"a={math.exp(x):.6g}, where atol={atol:g} stops the count "
-                    f"of zeros (lambda={params.lam:g}, n={params.n})"
+                    f"a={math.exp(ends[True][0]):.6g}, where atol={atol:g} stops the "
+                    f"count of zeros (lambda={params.lam:g}, n={params.n})"
                 )
-            x_mid = 0.5 * (x + x_next)
-            p_mid = residual(x_mid, shots)
-            if (p_mid < 0.0) == (p < 0.0):
-                x, p = x_mid, p_mid
-            else:
-                x_next, p_next = x_mid, p_mid
+            x, _, run = min(ends.values(), key=lambda end: abs(end[1]))
+            break
+        x = 0.5 * (x_lo + x_hi)
+        # Below the zero-trust floor P is -inf, and such an end is bisected
+        # inward; so is a bracket that has not halved once per two steps.
+        if finite_ends and width <= limit:
+            finite = [e for e in trail if math.isfinite(e[1])]
+            guesses = [_inverse_interpolation(finite[-m:]) for m in (3, 2)]
+            x = next((g for g in guesses if x_lo < g < x_hi), x)
+        limit *= math.sqrt(0.5)
 
-        # brentq's own tolerance is the backstop should no evaluation land
-        # inside the floor.
-        x_star, result = brentq(
-            residual, x, x_next, args=(shots,), xtol=rtol, full_output=True, disp=False
-        )
-    except _RootFound as found:
-        (x_star,) = found.args
-    else:
-        if not result.converged:
-            raise NonconvergentBisection(
-                f"brentq did not converge on log a in [{min(x, x_next):.17g}, "
-                f"{max(x, x_next):.17g}]: {result.flag}"
-            )
-
-    a_star = math.exp(x_star)
+    a_star = math.exp(x)
+    del ends  # the other shots, before the profile is built
     # The shooting evaluations count zeros only at integrator steps; the
     # Pruefer offset of the full profile rejects a miscounted double crossing.
-    run = shots.pop(x_star)
-    del shots  # the other amplitudes' shots, before the profile is built
     profile = run.profile()
     del run
     offset = _pruefer(len(profile.zero_crossings()), *profile.u_du(1.0), k)
@@ -254,18 +241,29 @@ def solve_nodal(
         profile=profile,
         features=features,
         residuals=residuals,
-        slope=_chord_slope(above_floor, x_star),
+        slope=_chord_slope(trail, x, floor),
     )
 
 
-def _chord_slope(evaluations: dict[float, float], x_star: float) -> float:
-    """dP/dx of the chord through the two evaluations x -> P nearest x_star;
+def _chord_slope(trail: list[tuple[float, float]], x_star: float, floor: float) -> float:
+    """dP/dx of the chord through the two (x, P) evaluations of the trail
+    nearest x_star whose finite |P| clears the noise floor a hundredfold;
     NaN with fewer than two."""
-    nearest = sorted(evaluations.items(), key=lambda e: abs(e[0] - x_star))[:2]
+    clear = [(x, p) for x, p in trail if _SLOPE_FLOOR_FACTOR * floor < abs(p) < math.inf]
+    nearest = sorted(clear, key=lambda e: abs(e[0] - x_star))[:2]
     if len(nearest) < 2:
         return math.nan
     (x0, p0), (x1, p1) = nearest
     return (p1 - p0) / (x1 - x0)
+
+
+def _inverse_interpolation(points: list[tuple[float, float]]) -> float:
+    """x at P = 0 of the polynomial in P through the (x, P) points; NaN when
+    two of them share a P."""
+    ps = [p for _, p in points]
+    if len(set(ps)) < len(ps):
+        return math.nan
+    return sum(x * math.prod(q / (q - p) for q in ps if q != p) for x, p in points)
 
 
 def extract_features(profile: RadialProfile, params: Params) -> NodalFeatures:
