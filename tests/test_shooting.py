@@ -207,19 +207,30 @@ def test_each_amplitude_integrated_once(monkeypatch):
     assert fresh.events == sol.profile.events
 
 
-def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch):
-    """At n=7, lambda=2^(-7/4) over ten rtols from 1.4e-10 to 7e-10, the
-    solved profile, built from the shot's own record out to r = 1, puts
-    zero 2 within 2 rtol of the shot at a*, its Pruefer offset is far below
-    the bound and its annulus Pohozaev residual is small.  On some of them
-    a full integration at a* puts the boundary zero more than 2 rtol inside
-    the ball, and further inside than the shot at a* put it; which ones
-    rests on the last bits of a*, so the test asks for at least one."""
+@pytest.mark.parametrize(
+    "rtols",
+    [
+        pytest.param((1.4e-10, 2.2e-10, 3.0e-10, 3.189164926472563e-10), id="rtol3.19e-10"),
+        pytest.param(
+            (3.4588713384451516e-10, 3.8e-10, 4.6e-10, 5.4e-10, 6.2e-10, 7.0e-10),
+            id="rtol3.46e-10",
+        ),
+    ],
+)
+def test_boundary_zero_inside_by_shoot_integrate_gap_certifies(monkeypatch, rtols):
+    """At n=7, lambda=2^(-7/4) over ten rtols from 1.4e-10 to 7e-10, split
+    at the two named ones (each case runs its named rtol and the rtols on
+    its side of the pair), the solved profile, built from the shot's own
+    record out to r = 1, puts zero 2 within 2 rtol of the shot at a*, its
+    Pruefer offset is far below the bound and its annulus Pohozaev
+    residual is small.  On some of them a full integration at a* puts the
+    boundary zero more than 2 rtol inside the ball, and further inside
+    than the shot at a* put it; which ones rests on the last bits of a*,
+    so each case asks for at least one."""
     shots = _record_shots(monkeypatch)
     params = Params(n=7, lam=2.0 ** (-7 / 4))
     gaps = 0
-    for rtol in (1.4e-10, 2.2e-10, 3.0e-10, 3.189164926472563e-10, 3.4588713384451516e-10,
-                 3.8e-10, 4.6e-10, 5.4e-10, 6.2e-10, 7.0e-10):
+    for rtol in rtols:
         sol = solve_nodal(params, 2, rtol=rtol)
         assert sol.features is not None
         (r_shot,) = [r for a, _, r in shots if a == sol.a_star]
